@@ -3,13 +3,14 @@
 // function of support size, neighbour search, variogram fitting, and the
 // bit-accurate simulation primitives it replaces.
 //
-// The *_Scan/_Assembly/_MultiRhs benchmarks form a roofline-ish suite for
+// The *_Scan/_Assembly benchmarks form a roofline-ish suite for
 // the SIMD/SoA layer (DESIGN.md §10): each streams the same data through
 // the scalar reference twin (arg0 = 0, a TU compiled with
 // auto-vectorization off) and the dispatching kernel (arg0 = 1), reporting
-// bytes/s for the bandwidth-bound scans and items/s (solves/s) for the
-// solver stages. EXPERIMENTS.md holds the measured table; CI regenerates
-// BENCH_micro.json from this binary.
+// bytes/s and items/s. EXPERIMENTS.md holds the measured table; CI
+// regenerates BENCH_micro.json from this binary, whose context records this
+// build's type and commit (ace_build_type, ace_git_sha) next to the
+// installed libbenchmark's own library_build_type.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,7 +23,6 @@
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "kriging/ordinary_kriging.hpp"
-#include "kriging/system.hpp"
 #include "signal/fft.hpp"
 #include "signal/fir.hpp"
 #include "signal/generator.hpp"
@@ -181,43 +181,6 @@ void BM_GammaAssemblyScan(benchmark::State& state) {
 BENCHMARK(BM_GammaAssemblyScan)->Args({0, 4096})->Args({1, 4096})
     ->Args({0, 65536})->Args({1, 65536});
 
-// Multi-RHS ladder (query_batch, one shared factorization) vs the same
-// queries solved one at a time. Items/s is solves/s.
-void BM_MultiRhsSolve(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const auto nq = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t support = 32;
-  ace::util::Rng rng(8);
-  const auto pts = lattice_points(rng, support, 10);
-  const auto vals = rng.uniform_vector(support, -60.0, -20.0);
-  const ace::kriging::SphericalVariogram model(0.0, 10.0, 12.0);
-  std::vector<std::vector<double>> queries;
-  for (std::size_t q = 0; q < nq; ++q) {
-    std::vector<double> x(10);
-    for (auto& v : x) v = rng.uniform(0.0, 16.0);
-    queries.push_back(std::move(x));
-  }
-  ace::kriging::KrigingSystem system(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-  for (auto _ : state) {
-    if (batched) {
-      auto r = system.query_batch(queries);
-      benchmark::DoNotOptimize(r);
-    } else {
-      for (const auto& q : queries) {
-        auto r = system.query(q);
-        benchmark::DoNotOptimize(r);
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(nq));
-  state.SetLabel(batched ? "batched" : "per-query");
-}
-BENCHMARK(BM_MultiRhsSolve)->Args({0, 16})->Args({1, 16})
-    ->Args({0, 64})->Args({1, 64});
-
 void BM_VariogramFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ace::util::Rng rng(3);
@@ -265,4 +228,12 @@ BENCHMARK(BM_QuantizedFft64);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("ace_build_type", ACE_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("ace_git_sha", ACE_BENCH_GIT_SHA);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

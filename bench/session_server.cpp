@@ -10,7 +10,8 @@
 // sharing one simulation pool. If the determinism contract holds here, it
 // holds.
 //
-// Output: human-readable summary plus BENCH_serve.json (the standing
+// Output: human-readable summary plus a JSON report, written to
+// BENCH_serve.json in the working directory or to --out=PATH (the standing
 // perf-trajectory artifact; CI uploads it, and a snapshot is committed).
 // Exit code 1 on any per-session divergence.
 #include <algorithm>
@@ -83,7 +84,17 @@ double percentile(std::vector<double> xs, double p) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string out_path = "BENCH_serve.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--out=", 0) != 0) {
+      std::cerr << "usage: " << argv[0] << " [--out=PATH]\n";
+      return 2;
+    }
+    out_path = arg.substr(6);
+  }
+
   std::cout << "=== session_server: " << kSessions
             << " interleaved DSE sessions (FIR/IIR/FFT) ===\n";
 
@@ -151,7 +162,7 @@ int main() {
                                 : std::to_string(mismatches) + " DIVERGED")
             << "\n";
 
-  std::ofstream json("BENCH_serve.json", std::ios::trunc);
+  std::ofstream json(out_path, std::ios::trunc);
   json << "{\n"
        << "  \"sessions\": " << kSessions << ",\n"
        << "  \"requests\": " << stats.requests << ",\n"
@@ -168,7 +179,7 @@ int main() {
        << "}\n";
   json.flush();
   if (!json.good()) {
-    std::cout << "warning: failed to write BENCH_serve.json\n";
+    std::cout << "warning: failed to write " << out_path << "\n";
     return 1;
   }
   return mismatches == 0 ? 0 : 1;

@@ -33,10 +33,9 @@ class NeighbourCountGate final : public AcquisitionGate {
   std::size_t nn_min_;
 };
 
-/// nn_min plus the legacy variance ceiling: refuse interpolations whose
-/// kriging variance exceeds gate · sill — extrapolations the support
-/// cannot back. Absorbs the pre-seam `PolicyOptions::variance_gate`
-/// semantics (and its variance_rejections counter) exactly.
+/// nn_min plus a variance ceiling: refuse interpolations whose kriging
+/// variance exceeds ceiling · sill — extrapolations the support cannot
+/// back. Vetoes count in variance_rejections.
 class VarianceGate final : public AcquisitionGate {
  public:
   VarianceGate(std::size_t nn_min, double ceiling)
@@ -47,7 +46,7 @@ class VarianceGate final : public AcquisitionGate {
   }
   bool accept(const GateSolution& solution,
               PolicyStats& stats) const override {
-    if (ceiling_ > 0.0 && solution.sill > 0.0 &&
+    if (solution.sill > 0.0 &&
         solution.variance > ceiling_ * solution.sill) {
       ++stats.variance_rejections;
       return false;
@@ -154,17 +153,10 @@ const char* gate_name(GateKind kind) {
 std::unique_ptr<AcquisitionGate> make_gate(const PolicyOptions& options) {
   switch (options.gate) {
     case GateKind::kNeighbourCount:
-      // Legacy absorption: variance_gate predates the seam and used to
-      // ride on the default gate; keep that combination meaning what it
-      // always meant.
-      if (options.variance_gate > 0.0)
-        return std::make_unique<VarianceGate>(options.nn_min,
-                                              options.variance_gate);
       return std::make_unique<NeighbourCountGate>(options.nn_min);
     case GateKind::kVariance:
-      return std::make_unique<VarianceGate>(
-          options.nn_min,
-          options.variance_gate > 0.0 ? options.variance_gate : 1.0);
+      return std::make_unique<VarianceGate>(options.nn_min,
+                                            options.variance_gate);
     case GateKind::kLooCalibrated:
       return std::make_unique<LooCalibratedGate>(options.gate_nn_floor,
                                                  options.loo_gate);

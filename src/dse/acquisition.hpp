@@ -104,11 +104,10 @@ class AcquisitionGate {
   virtual double calibration() const { return 1.0; }
 };
 
-/// Build the gate a policy's options select. Absorbs the legacy option
-/// combination: kNeighbourCount with variance_gate > 0 yields the
-/// VarianceGate, preserving pre-seam behaviour (and its
-/// variance_rejections accounting) bit-for-bit. Throws
-/// std::invalid_argument for kSequentialDesign without gate_lambda_min.
+/// Build the gate options.gate selects, reading only that gate's own
+/// knobs (variance_gate for kVariance, loo_gate for kLooCalibrated, …).
+/// Throws std::invalid_argument for kSequentialDesign without
+/// gate_lambda_min.
 std::unique_ptr<AcquisitionGate> make_gate(const PolicyOptions& options);
 
 }  // namespace ace::dse

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -64,8 +63,11 @@ KrigingPolicy::KrigingPolicy(PolicyOptions options)
       factor_cache_(options_.factor_cache_capacity) {
   if (options_.distance < 0)
     throw std::invalid_argument("KrigingPolicy: distance must be >= 0");
-  if (options_.variance_gate < 0.0)
-    throw std::invalid_argument("KrigingPolicy: variance_gate must be >= 0");
+  if (options_.variance_gate <= 0.0 || !std::isfinite(options_.variance_gate))
+    throw std::invalid_argument("KrigingPolicy: variance_gate must be > 0");
+  if (options_.sanity_span < 0.0 || !std::isfinite(options_.sanity_span))
+    throw std::invalid_argument(
+        "KrigingPolicy: sanity_span must be finite and >= 0");
   if (options_.loo_gate <= 0.0 || !std::isfinite(options_.loo_gate))
     throw std::invalid_argument("KrigingPolicy: loo_gate must be > 0");
   if (options_.seq_confidence <= 0.0 ||
@@ -236,8 +238,7 @@ bool KrigingPolicy::model_ready_locked() {
 
 std::optional<double> KrigingPolicy::try_interpolate(
     const Config& config, const Neighborhood& neighborhood,
-    EvalOutcome& outcome,
-    const std::optional<kriging::KrigingResult>* presolved) {
+    EvalOutcome& outcome) {
   if (!model_ready_locked()) return std::nullopt;
 
   std::vector<std::vector<double>> points;
@@ -261,12 +262,7 @@ std::optional<double> KrigingPolicy::try_interpolate(
   // in the factor cache, reusing or extending an overlapping system's
   // factorization instead of rebuilding it.
   std::optional<kriging::KrigingResult> result;
-  if (presolved) {
-    // evaluate_batch's group pre-pass already solved this query on the
-    // group's shared system (one factorization, one multi-RHS solve);
-    // acquisition and factorization accounting happened there.
-    result = *presolved;
-  } else if (options_.factor_cache_capacity > 0) {
+  if (options_.factor_cache_capacity > 0) {
     FactorAcquire how = FactorAcquire::kFresh;
     const FactorCache::Pin system = factor_cache_.acquire(
         neighborhood.indices, points, values, *model_, distance,
@@ -322,15 +318,6 @@ std::optional<double> KrigingPolicy::try_interpolate(
   return estimate;
 }
 
-util::GuardedCall KrigingPolicy::run_simulation(
-    const Config& config, const SimulatorFn& simulate) const {
-  // The task key is a pure function of the configuration, so the backoff
-  // jitter (and thus the whole retry schedule) is identical whether the
-  // call runs inline or on any worker thread.
-  return util::call_with_retry(options_.retry, ConfigHash{}(config),
-                               [&] { return simulate(config); });
-}
-
 void KrigingPolicy::fold_simulation(const Config& config,
                                     const util::GuardedCall& sim,
                                     EvalOutcome& outcome) {
@@ -353,57 +340,7 @@ void KrigingPolicy::fold_simulation(const Config& config,
 
 EvalOutcome KrigingPolicy::evaluate(const Config& config,
                                     const SimulatorFn& simulate) {
-  const util::LockGuard lock(mutex_);
-  EvalOutcome outcome;
-  ++stats_.total;
-
-  // Exact-match memoization: an already-simulated configuration is served
-  // from the store — no re-simulation, and no duplicate support point to
-  // make the kriging system singular.
-  if (const auto hit = store_.find(config)) {
-    outcome.value = store_.value(*hit);
-    outcome.cached = true;
-    outcome.source = EvalSource::kExactHit;
-    ++stats_.exact_hits;
-    return outcome;
-  }
-
-  const auto neighborhood = neighborhood_of(config);
-  outcome.neighbors = neighborhood.count();
-
-  bool interpolation_failed = false;
-  if (gate_->attempt(GateQuery{neighborhood.count()})) {
-    if (auto estimate = try_interpolate(config, neighborhood, outcome)) {
-      outcome.value = *estimate;
-      outcome.interpolated = true;
-      outcome.source = EvalSource::kInterpolated;
-      ++stats_.interpolated;
-      stats_.neighbors_per_interpolation.add(
-          static_cast<double>(neighborhood.count()));
-      return outcome;
-    }
-    interpolation_failed = true;
-    ++stats_.kriging_failures;
-  }
-
-  // A quarantined configuration spent its simulation retry budget in an
-  // earlier evaluation; interpolation (above) was its only remaining
-  // path, so failing that the evaluation terminates faulted.
-  if (const auto code = store_.quarantined(config)) {
-    outcome.value = kFaultedValue;
-    outcome.source = EvalSource::kFaulted;
-    outcome.fault =
-        interpolation_failed ? FaultCode::kKrigingUnsolvable : *code;
-    return outcome;
-  }
-
-  // Simulation path (lines 19-23): evaluate under the fault guard and
-  // enrich the store (or the quarantine list) with the result. Held lock
-  // is the documented contract: the simulator is called with the policy
-  // mutex held and must not call back into this policy (see evaluate()).
-  // ace-lint: allow(blocking-under-lock)
-  fold_simulation(config, run_simulation(config, simulate), outcome);
-  return outcome;
+  return evaluate_batch({config}, simulate).front();
 }
 
 PolicySnapshot KrigingPolicy::snapshot() const {
@@ -490,67 +427,6 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
   std::vector<std::size_t> owners;  ///< Batch index owning each slot.
   std::unordered_map<Config, std::size_t, ConfigHash> pending;
 
-  // Phase 0 (factor cache on only): group this batch's interpolation
-  // candidates by support-index set and presolve each multi-member group
-  // on one shared system — one cache acquisition and one multi-RHS ladder
-  // per group instead of per candidate. Each presolved solution is
-  // identical to what the per-candidate path computes (the query_batch
-  // contract), so phase 1 reaches the same decisions; only duplicated
-  // acquire/assemble/solve work disappears. The store cannot change
-  // between here and phase 1 (adds happen in phase 3), so the
-  // neighbourhoods and the refit gate are the ones phase 1 would see.
-  std::unordered_map<std::size_t, std::optional<kriging::KrigingResult>>
-      group_solutions;
-  if (options_.factor_cache_capacity > 0 && n > 1) {
-    std::map<std::vector<std::size_t>, std::vector<std::size_t>> groups;
-    bool gate_checked = false;
-    bool gate_open = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (store_.find(batch[i])) continue;
-      const auto neighborhood = neighborhood_of(batch[i]);
-      if (!gate_->attempt(GateQuery{neighborhood.count()})) continue;
-      if (!gate_checked) {
-        // Run the refit gate exactly where the per-candidate path would
-        // have: at the batch's first interpolation candidate.
-        gate_checked = true;
-        gate_open = model_ready_locked();
-      }
-      if (!gate_open) break;
-      groups[neighborhood.indices].push_back(i);
-    }
-    const auto distance = options_.use_l2_distance ? kriging::l2_distance
-                                                   : kriging::l1_distance;
-    for (const auto& [indices, members] : groups) {
-      if (members.size() < 2) continue;  // Nothing to amortize.
-      Neighborhood nbhd;
-      nbhd.indices = indices;
-      std::vector<std::vector<double>> points;
-      std::vector<double> values;
-      store_.gather(nbhd, points, values);
-      if (!trend_.empty())
-        for (std::size_t k = 0; k < values.size(); ++k)
-          values[k] -= trend_value(points[k]);
-      FactorAcquire how = FactorAcquire::kFresh;
-      const FactorCache::Pin system = factor_cache_.acquire(
-          indices, points, values, *model_, distance, effective_nugget_,
-          model_generation_, how);
-      if (how == FactorAcquire::kHit) ++stats_.factor_cache_hits;
-      if (how == FactorAcquire::kExtend) ++stats_.factor_extends;
-      // Members past the first would have been exact cache hits on the
-      // per-candidate path; keep the counters comparable.
-      stats_.factor_cache_hits += members.size() - 1;
-      std::vector<std::vector<double>> queries;
-      queries.reserve(members.size());
-      for (const std::size_t i : members) queries.push_back(to_real(batch[i]));
-      const std::size_t before = system->stats().full_factorizations;
-      auto solutions = system->query_batch(queries);
-      stats_.full_factorizations +=
-          system->stats().full_factorizations - before;
-      for (std::size_t k = 0; k < members.size(); ++k)
-        group_solutions.emplace(members[k], std::move(solutions[k]));
-    }
-  }
-
   // Phase 1 (serial): partition against the store as it stands at batch
   // entry. Decisions are a pure function of (store state, batch order) —
   // independent of how the simulations will later be scheduled.
@@ -571,10 +447,7 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
     const auto neighborhood = neighborhood_of(batch[i]);
     out.neighbors = neighborhood.count();
     if (gate_->attempt(GateQuery{neighborhood.count()})) {
-      const auto pre = group_solutions.find(i);
-      if (auto estimate = try_interpolate(
-              batch[i], neighborhood, out,
-              pre == group_solutions.end() ? nullptr : &pre->second)) {
+      if (auto estimate = try_interpolate(batch[i], neighborhood, out)) {
         out.value = *estimate;
         out.interpolated = true;
         out.source = EvalSource::kInterpolated;

@@ -14,6 +14,10 @@
 // variogram folds only the new points' pairs into its bins (O(k·N))
 // instead of rebuilding all O(N²) pairs.
 //
+// There is one decision path: evaluate_batch() partitions a candidate set,
+// simulates the pending ones through a backend and folds the results in
+// candidate order; evaluate() is a batch of one.
+//
 // Exact re-evaluations are memo hits: a configuration that is already in
 // the store is answered from it without a simulation (and without adding
 // a duplicate support point; kriging::KrigingSystem additionally dedupes
@@ -81,12 +85,11 @@ struct PolicyOptions {
   /// drift in Nv dimensions). See bench/ablation_estimator.
   kriging::DriftKind drift = kriging::DriftKind::kConstant;
 
-  /// Variance gate (extension): when > 0, an interpolation whose kriging
-  /// variance exceeds gate · (sample variance of stored λ) falls back to
-  /// simulation. 0 disables the gate (the paper's behaviour). Retained for
-  /// compatibility — with the default `gate`, a positive value selects the
-  /// VarianceGate exactly as it always did (see dse/acquisition.hpp).
-  double variance_gate = 0.0;
+  /// VarianceGate ceiling (gate == kVariance only; every other gate
+  /// ignores it): an interpolation whose kriging variance exceeds
+  /// variance_gate · (sample variance of stored λ) falls back to
+  /// simulation. Must be finite and > 0.
+  double variance_gate = 1.0;
 
   /// Which simulate-vs-interpolate acquisition gate this policy runs. The
   /// default reproduces the paper's neighbour-count rule bit-for-bit; the
@@ -137,7 +140,8 @@ struct PolicyOptions {
   /// `sanity_span` × (support value range) outside the support's value
   /// interval — the signature of an ill-conditioned kriging system whose
   /// moderate-looking weights still amplify into a wild estimate. The
-  /// rejected configuration is simulated instead. 0 disables the guard.
+  /// rejected configuration is simulated instead. 0 disables the guard;
+  /// negative or non-finite values are rejected at construction.
   double sanity_span = 3.0;
 
   /// Fault model for simulator calls: bounded retries with deterministic
@@ -254,7 +258,8 @@ class KrigingPolicy {
 
   /// Evaluate one configuration: answer from the store on an exact match,
   /// interpolate if the neighbourhood is rich enough, otherwise call
-  /// `simulate` and record the result in the store.
+  /// `simulate` and record the result in the store. Exactly
+  /// evaluate_batch({config}, simulate).
   EvalOutcome evaluate(const Config& config, const SimulatorFn& simulate)
       ACE_EXCLUDES(mutex_);
 
@@ -338,8 +343,7 @@ class KrigingPolicy {
     ++stats_.checkpoints_written;
   }
 
-  /// The acquisition gate this policy runs (resolved from the options —
-  /// the legacy variance_gate combination maps to kVariance).
+  /// The acquisition gate this policy runs (options().gate).
   GateKind gate_kind() const ACE_EXCLUDES(mutex_) {
     const util::LockGuard lock(mutex_);
     return gate_->kind();
@@ -364,18 +368,14 @@ class KrigingPolicy {
 
   /// The refit gate at the head of every interpolation attempt: fit (or
   /// periodically refit) the variogram when due, and report whether a
-  /// model is available. Attempt bookkeeping makes repeated calls at one
-  /// store size idempotent, which is what lets evaluate_batch's group
-  /// pre-pass run the gate once for the whole batch.
+  /// model is available.
   bool model_ready_locked() ACE_REQUIRES(mutex_);
 
-  /// `presolved`, when non-null, is this query's already-computed kriging
-  /// solution (from a query_batch over the group's shared system): the
-  /// solve step is skipped, every gate after it still runs.
-  std::optional<double> try_interpolate(
-      const Config& config, const Neighborhood& neighborhood,
-      EvalOutcome& outcome,
-      const std::optional<kriging::KrigingResult>* presolved = nullptr)
+  /// Solve the kriging system over `neighborhood` and run the post-solve
+  /// guards; nullopt routes the configuration to simulation.
+  std::optional<double> try_interpolate(const Config& config,
+                                        const Neighborhood& neighborhood,
+                                        EvalOutcome& outcome)
       ACE_REQUIRES(mutex_);
 
   /// Reads only immutable options and the internally-synchronized store.
@@ -384,14 +384,8 @@ class KrigingPolicy {
   /// Global trend value at a configuration (0 when no trend is fitted).
   double trend_value(const std::vector<double>& x) const ACE_REQUIRES(mutex_);
 
-  /// Guarded simulator call: retry/backoff/deadline per options_.retry.
-  /// Touches no guarded state — safe from pool workers without the lock.
-  util::GuardedCall run_simulation(const Config& config,
-                                   const SimulatorFn& simulate) const;
-
-  /// Fold a guarded simulation result into outcome/store/stats (the
-  /// shared terminal step of the scalar and batch paths). Quarantines on
-  /// fault. `config` is the evaluated configuration.
+  /// Fold a guarded simulation result into outcome/store/stats.
+  /// Quarantines on fault. `config` is the evaluated configuration.
   void fold_simulation(const Config& config, const util::GuardedCall& sim,
                        EvalOutcome& outcome) ACE_REQUIRES(mutex_);
 

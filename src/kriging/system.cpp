@@ -347,67 +347,6 @@ std::optional<KrigingResult> KrigingSystem::query(
   return finalize(q, rhs, *solution, shift, used);
 }
 
-std::vector<std::optional<KrigingResult>> KrigingSystem::query_batch(
-    const std::vector<std::vector<double>>& queries) {
-  std::vector<std::optional<KrigingResult>> results(queries.size());
-  if (queries.empty()) return results;
-  for (const auto& q : queries)
-    if (q.size() != dim_)
-      throw std::invalid_argument("KrigingSystem: dimension mismatch");
-  stats_.solves += queries.size();
-
-  const std::size_t m = system_size();
-  const std::size_t nq = queries.size();
-  std::vector<linalg::Vector> rhs;
-  rhs.reserve(nq);
-  for (const auto& q : queries) rhs.push_back(assemble_rhs(q));
-
-  // The same ladder as query(), run rung-by-rung over the whole batch:
-  // each rung factors once and solves every still-open query in one
-  // multi-RHS call. Acceptability stays per-query, so every query climbs
-  // exactly the rungs it would have climbed alone.
-  struct Solved {
-    linalg::Vector x;
-    double shift = 0.0;
-    const linalg::BorderedLdlt* used = nullptr;
-  };
-  std::vector<std::optional<Solved>> solved(nq);
-  std::size_t open_count = nq;
-
-  const auto attempt = [&](double shift) {
-    std::vector<std::size_t> open;
-    open.reserve(open_count);
-    for (std::size_t i = 0; i < nq; ++i)
-      if (!solved[i]) open.push_back(i);
-    linalg::BorderedLdlt* f = factor_at(shift);
-    if (!f) return;
-    linalg::Matrix b(m, open.size());
-    for (std::size_t c = 0; c < open.size(); ++c)
-      for (std::size_t r = 0; r < m; ++r) b(r, c) = rhs[open[c]][r];
-    const linalg::Matrix x = f->solve(b);
-    for (std::size_t c = 0; c < open.size(); ++c) {
-      linalg::Vector xc = x.col(c);
-      if (acceptable(xc)) {
-        solved[open[c]] = Solved{std::move(xc), shift, f};
-        --open_count;
-      }
-    }
-  };
-
-  attempt(0.0);
-  if (open_count > 0) {
-    const double scale = ladder_scale();
-    for (double ridge = kInitialRidge;
-         ridge <= kMaxRidge && open_count > 0; ridge *= 100.0)
-      attempt(ridge * scale);
-  }
-  for (std::size_t i = 0; i < nq; ++i)
-    if (solved[i])
-      results[i] = finalize(queries[i], rhs[i], solved[i]->x,
-                            solved[i]->shift, solved[i]->used);
-  return results;
-}
-
 std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   const std::size_t n = points_.size();
   // One point leaves nothing to predict from; universal kriging further

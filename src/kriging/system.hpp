@@ -110,16 +110,6 @@ class KrigingSystem {
   /// slots hold 0).
   std::optional<KrigingResult> query(const std::vector<double>& q);
 
-  /// Answer a batch of queries against the one shared factorization:
-  /// every γ right-hand side is assembled first (batched over the SoA
-  /// column mirror), then each ladder rung solves all still-open queries
-  /// in one multi-RHS call. Result i is identical to query(queries[i]) —
-  /// the factorizations, ladder rungs, and per-column solves are the very
-  /// same computations, just amortized — so callers may batch or not
-  /// without optimizer decisions diverging.
-  std::vector<std::optional<KrigingResult>> query_batch(
-      const std::vector<std::vector<double>>& queries);
-
   /// Add one support slot. A point coincident with an existing one
   /// becomes a zero-weight slot (no factor change). In the kIncremental
   /// layout a genuinely new point extends the factor by one Schur pivot;
@@ -216,8 +206,7 @@ class KrigingSystem {
   std::vector<double> coupling_of(std::size_t i) const;
 
   /// Turn one accepted ladder solution into a KrigingResult (estimate,
-  /// variance, slot-indexed weights, contracts) — shared by query() and
-  /// query_batch().
+  /// variance, slot-indexed weights, contracts).
   std::optional<KrigingResult> finalize(const std::vector<double>& q,
                                         const linalg::Vector& rhs,
                                         const linalg::Vector& x, double shift,

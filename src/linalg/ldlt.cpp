@@ -186,20 +186,6 @@ Vector BorderedLdlt::solve(const Vector& b) const {
   return x;
 }
 
-Matrix BorderedLdlt::solve(const Matrix& b) const {
-  if (b.rows() != size())
-    throw std::invalid_argument("BorderedLdlt::solve: row mismatch");
-  // Column-by-column through the single-RHS path: the factorization (the
-  // expensive part) is shared, and each column stays bit-identical to a
-  // standalone solve — the contract KrigingSystem::query_batch relies on.
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vector xc = solve(b.col(c));
-    for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
-  }
-  return x;
-}
-
 Vector BorderedLdlt::inverse_diagonal() const {
   if (!ok_)
     throw std::runtime_error("BorderedLdlt::inverse_diagonal: singular base");

@@ -75,13 +75,6 @@ class BorderedLdlt {
   /// otherwise (mirroring LuDecomposition::solve).
   Vector solve(const Vector& b) const;
 
-  /// Solve for multiple right-hand sides (columns of B) against the one
-  /// shared factorization. Column c of the result is bit-identical to
-  /// solve(b.col(c)) — the multi-RHS form exists so a batch of queries
-  /// over one support set pays the factorization once, not so results
-  /// can drift from the per-query path.
-  Matrix solve(const Matrix& b) const;
-
   /// Pivot-ratio condition estimate over base LU pivots and Schur pivots
   /// combined — the incremental analogue of LuDecomposition's estimate.
   double rcond_estimate() const;

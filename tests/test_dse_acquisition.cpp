@@ -1,7 +1,7 @@
-// The pluggable acquisition layer (ISSUE 10): gate semantics in
-// isolation, make_gate's legacy-option absorption, and the policy-level
-// wiring — LOO calibration after refits, per-gate counters, and the
-// restore-replay reconstruction of gate state.
+// The pluggable acquisition layer: gate semantics in isolation, make_gate's
+// option mapping, and the policy-level wiring — LOO calibration after
+// refits, per-gate counters, and the restore-replay reconstruction of gate
+// state.
 #include "dse/acquisition.hpp"
 
 #include <gtest/gtest.h>
@@ -57,17 +57,23 @@ TEST(AcquisitionGate, NeighbourCountGateReproducesThePaperRule) {
   EXPECT_EQ(stats.variance_rejections, 0u);
 }
 
-TEST(AcquisitionGate, LegacyVarianceOptionSelectsTheVarianceGate) {
-  // variance_gate predates the seam: a positive value on the default gate
-  // kind must keep meaning what it always meant.
+TEST(AcquisitionGate, ExplicitVarianceGateDefaultsItsCeiling) {
   d::PolicyOptions o;
-  o.nn_min = 1;
-  o.variance_gate = 0.5;
+  o.gate = d::GateKind::kVariance;  // variance_gate left at its default.
   const auto gate = d::make_gate(o);
   ASSERT_EQ(gate->kind(), d::GateKind::kVariance);
   d::PolicyStats stats;
-  // The exact legacy predicate: reject when variance > gate · sill, only
-  // when both the ceiling and the sill are known.
+  EXPECT_TRUE(gate->accept(solution(0.0, 0.9, 1.0), stats));
+  EXPECT_FALSE(gate->accept(solution(0.0, 1.1, 1.0), stats));
+}
+
+TEST(AcquisitionGate, VarianceGateRejectsAboveItsCeilingTimesTheSill) {
+  d::PolicyOptions o;
+  o.gate = d::GateKind::kVariance;
+  o.variance_gate = 0.5;
+  const auto gate = d::make_gate(o);
+  d::PolicyStats stats;
+  // Reject when variance > ceiling · sill, only once the sill is known.
   EXPECT_TRUE(gate->accept(solution(0.0, 0.5, 1.0), stats));
   EXPECT_FALSE(gate->accept(solution(0.0, 0.51, 1.0), stats));
   EXPECT_EQ(stats.variance_rejections, 1u);
@@ -75,14 +81,16 @@ TEST(AcquisitionGate, LegacyVarianceOptionSelectsTheVarianceGate) {
   EXPECT_EQ(stats.variance_rejections, 1u);
 }
 
-TEST(AcquisitionGate, ExplicitVarianceGateDefaultsItsCeiling) {
+TEST(AcquisitionGate, VarianceCeilingOnlyConfiguresTheVarianceGate) {
+  // Like loo_gate and seq_confidence, variance_gate is one gate's knob:
+  // setting it never changes which gate the options select.
   d::PolicyOptions o;
-  o.gate = d::GateKind::kVariance;  // variance_gate left at 0.
+  o.variance_gate = 0.5;
   const auto gate = d::make_gate(o);
-  ASSERT_EQ(gate->kind(), d::GateKind::kVariance);
+  ASSERT_EQ(gate->kind(), d::GateKind::kNeighbourCount);
   d::PolicyStats stats;
-  EXPECT_TRUE(gate->accept(solution(0.0, 0.9, 1.0), stats));
-  EXPECT_FALSE(gate->accept(solution(0.0, 1.1, 1.0), stats));
+  EXPECT_TRUE(gate->accept(solution(0.0, 1e9, 1.0), stats));
+  EXPECT_EQ(stats.variance_rejections, 0u);
 }
 
 TEST(AcquisitionGate, LooCalibratedGateScalesVarianceByCalibration) {

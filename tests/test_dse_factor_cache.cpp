@@ -2,9 +2,11 @@
 // amount of factorization work, never the optimizer-visible behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dse/factor_cache.hpp"
@@ -357,6 +359,51 @@ TEST(FactorCachePolicy, CacheOnIsDecisionIdenticalAndCheaper) {
     EXPECT_LT(cached_stats.full_factorizations,
               direct_stats.full_factorizations);
   }
+}
+
+// Batches whose candidates share a neighbourhood: with the cache on, later
+// candidates reuse or extend an earlier candidate's factorization. The
+// partition must not move and the estimates may differ only by rounding.
+TEST(FactorCachePolicy, CacheOnBatchesMatchCacheOffBatches) {
+  std::vector<d::Config> seed;
+  for (int a = 2; a <= 6; a += 2)
+    for (int b = 2; b <= 6; b += 2)
+      for (int c = 2; c <= 6; c += 2) seed.push_back({a, b, c});
+  const std::vector<std::vector<d::Config>> probes = {
+      {{3, 3, 3}, {3, 3, 4}, {3, 4, 3}, {4, 3, 3}},
+      {{5, 5, 5}, {5, 5, 4}, {5, 4, 5}, {3, 3, 3}},
+      {{3, 5, 3}, {3, 5, 4}, {4, 5, 3}, {5, 3, 5}},
+  };
+  auto run = [&](std::size_t capacity) {
+    d::PolicyOptions popt;
+    popt.factor_cache_capacity = capacity;
+    d::KrigingPolicy policy(popt);
+    (void)policy.evaluate_batch(seed, smooth_sim);
+    std::vector<d::EvalOutcome> out;
+    for (const auto& batch : probes) {
+      const auto o = policy.evaluate_batch(batch, smooth_sim);
+      out.insert(out.end(), o.begin(), o.end());
+    }
+    return std::make_pair(out, policy.stats());
+  };
+  const auto [direct, direct_stats] = run(0);
+  const auto [cached, cached_stats] = run(8);
+
+  ASSERT_EQ(direct.size(), cached.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(direct[i].source, cached[i].source) << "candidate " << i;
+    EXPECT_EQ(direct[i].interpolated, cached[i].interpolated) << i;
+    EXPECT_EQ(direct[i].cached, cached[i].cached) << i;
+    EXPECT_EQ(direct[i].neighbors, cached[i].neighbors) << i;
+    EXPECT_NEAR(direct[i].value, cached[i].value,
+                1e-9 * std::max(1.0, std::fabs(direct[i].value)))
+        << "candidate " << i;
+  }
+  EXPECT_EQ(direct_stats.simulated, cached_stats.simulated);
+  EXPECT_EQ(direct_stats.interpolated, cached_stats.interpolated);
+  EXPECT_EQ(direct_stats.exact_hits, cached_stats.exact_hits);
+  EXPECT_GT(direct_stats.interpolated, 0u);
+  EXPECT_GT(cached_stats.factor_cache_hits + cached_stats.factor_extends, 0u);
 }
 
 TEST(FactorCachePolicy, RcondAndRidgeCountersArepopulated) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -149,9 +150,31 @@ TEST(KrigingPolicy, RefitModelRequiresEnoughData) {
 }
 
 TEST(KrigingPolicy, RejectsNegativeVarianceGate) {
-  d::PolicyOptions o;
-  o.variance_gate = -0.5;
-  EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
+  // The VarianceGate ceiling must be a positive finite multiple of the
+  // sill; no value of it means "gate off".
+  for (const double bad :
+       {-0.5, 0.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    d::PolicyOptions o;
+    o.variance_gate = bad;
+    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(KrigingPolicy, RejectsNegativeOrNonFiniteSanitySpan) {
+  // Only 0 disables the estimate sanity guard; a negative or non-finite
+  // span is a configuration error, not another way to switch it off.
+  for (const double bad :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    d::PolicyOptions o;
+    o.sanity_span = bad;
+    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument) << bad;
+  }
+  d::PolicyOptions off;
+  off.sanity_span = 0.0;
+  EXPECT_NO_THROW(d::KrigingPolicy{off});
 }
 
 TEST(KrigingPolicy, RegressionKrigingCapturesLinearTrend) {
@@ -200,6 +223,7 @@ TEST(KrigingPolicy, VarianceGateRejectsFarExtrapolations) {
     return static_cast<double>(c[0] * c[0]);
   };
   d::PolicyOptions gated = small_fit_options(12);
+  gated.gate = d::GateKind::kVariance;
   gated.variance_gate = 0.05;  // Very strict.
   d::KrigingPolicy policy(gated);
   std::size_t sims = 0;
@@ -379,6 +403,35 @@ TEST(KrigingPolicyBatch, PartitionSeesTheStoreAtEntryOnly) {
   (void)policy.evaluate_batch({{1, 1}, {2, 2}}, sim, nullptr);
   EXPECT_EQ(policy.stats().exact_hits, 1u);   // {1,1} is stored.
   EXPECT_GT(policy.stats().interpolated, 0u); // {2,2} interpolates.
+}
+
+TEST(KrigingPolicyBatch, ScalarEvaluateIsABatchOfOne) {
+  // evaluate(c) is documented as exactly evaluate_batch({c}): the same walk
+  // through both entry points must agree on every outcome, counter and
+  // stored value, with the factor cache off and on.
+  std::vector<d::Config> walk;
+  for (int x = 0; x < 4; ++x)
+    for (int y = 0; y < 4; ++y) walk.push_back({x, y});
+  walk.push_back({0, 0});  // Exact repeat of the first (simulated) point.
+  walk.push_back({5, 4});
+  auto sim = [](const d::Config& c) { return linear_surface(c); };
+  for (const std::size_t capacity : {0u, 8u}) {
+    d::PolicyOptions o = small_fit_options(3);
+    o.factor_cache_capacity = capacity;
+    d::KrigingPolicy scalar(o);
+    d::KrigingPolicy batched(o);
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      const auto a = scalar.evaluate(walk[i], sim);
+      const auto b = batched.evaluate_batch({walk[i]}, sim);
+      ASSERT_EQ(b.size(), 1u);
+      EXPECT_EQ(a, b.front()) << "capacity=" << capacity << " step=" << i;
+    }
+    EXPECT_EQ(scalar.stats(), batched.stats()) << "capacity=" << capacity;
+    EXPECT_EQ(scalar.store().values(), batched.store().values());
+    // The walk exercises every branch: simulate, interpolate, store hit.
+    EXPECT_GT(scalar.stats().interpolated, 0u);
+    EXPECT_GT(scalar.stats().exact_hits, 0u);
+  }
 }
 
 TEST(KrigingPolicy, ConstantSurfaceInterpolatesToConstant) {

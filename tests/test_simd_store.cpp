@@ -1,30 +1,22 @@
 // Property tests for the SIMD/SoA layer (DESIGN.md §10).
 //
 // The whole layer rests on one contract: the vector kernels, the blocked
-// SoA store scans built on them, and the multi-RHS solves are *identical*
+// SoA store scans built on them, and the multi-RHS solve are *identical*
 // to their scalar / per-item counterparts — not close, identical. These
-// tests pin that contract from four angles:
+// tests pin that contract from three angles:
 //   1. dispatching kernels vs their _scalar twins, element-exact;
 //   2. SoA-mirror store scans vs the AoS linear scans, index-identical,
 //      across random stores including post-quarantine and
 //      duplicate-update states, with the runtime toggle both ways;
-//   3. BorderedLdlt::solve(Matrix) columns vs solve(Vector), bit-exact;
-//   4. KrigingSystem::query_batch vs sequential query(), including the
-//      ridge-ladder path (ISSUE tolerance 1e-12; the implementation is
-//      bit-identical by construction, so we assert exact equality).
+//   3. LuDecomposition::solve(Matrix) columns vs solve(Vector), bit-exact.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "dse/config.hpp"
 #include "dse/sim_store.hpp"
-#include "kriging/ordinary_kriging.hpp"
-#include "kriging/system.hpp"
-#include "kriging/variogram_model.hpp"
-#include "linalg/ldlt.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -227,35 +219,7 @@ TEST(SimdStore, LinearScansMatchBruteForceDistances) {
   }
 }
 
-// --- 3. multi-RHS solves --------------------------------------------------
-
-TEST(MultiRhs, BorderedLdltMatrixSolveMatchesColumnSolvesBitExactly) {
-  ace::util::Rng rng(41);
-  constexpr std::size_t n = 9;
-  // Symmetric diagonally dominant base: always factorable.
-  ace::linalg::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double v = i == j ? 10.0 + rng.uniform() : rng.uniform(-1.0, 1.0);
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  const ace::linalg::BorderedLdlt f(a);
-
-  constexpr std::size_t nrhs = 5;
-  ace::linalg::Matrix b(n, nrhs);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t c = 0; c < nrhs; ++c) b(i, c) = rng.uniform(-5.0, 5.0);
-
-  const ace::linalg::Matrix x = f.solve(b);
-  ASSERT_EQ(x.rows(), n);
-  ASSERT_EQ(x.cols(), nrhs);
-  for (std::size_t c = 0; c < nrhs; ++c) {
-    const ace::linalg::Vector xc = f.solve(b.col(c));
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x(i, c), xc[i]) << "col=" << c << " row=" << i;
-  }
-}
+// --- 3. multi-RHS solve --------------------------------------------------
 
 TEST(MultiRhs, LuMatrixSolveMatchesColumnSolvesBitExactly) {
   ace::util::Rng rng(42);
@@ -276,98 +240,6 @@ TEST(MultiRhs, LuMatrixSolveMatchesColumnSolvesBitExactly) {
     const ace::linalg::Vector xc = f.solve(b.col(c));
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x(i, c), xc[i]);
   }
-}
-
-// --- 4. query_batch vs sequential query ----------------------------------
-
-void expect_same_result(const std::optional<ace::kriging::KrigingResult>& a,
-                        const std::optional<ace::kriging::KrigingResult>& b,
-                        std::size_t i) {
-  ASSERT_EQ(a.has_value(), b.has_value()) << "query " << i;
-  if (!a) return;
-  // ISSUE.md allows 1e-12; the implementation routes both paths through
-  // the same factorization and column-wise solve, so exact equality holds.
-  EXPECT_EQ(a->estimate, b->estimate) << "query " << i;
-  EXPECT_EQ(a->variance, b->variance) << "query " << i;
-  EXPECT_EQ(a->regularized, b->regularized) << "query " << i;
-  EXPECT_EQ(a->ridge, b->ridge) << "query " << i;
-  ASSERT_EQ(a->weights.size(), b->weights.size()) << "query " << i;
-  for (std::size_t k = 0; k < a->weights.size(); ++k)
-    EXPECT_EQ(a->weights[k], b->weights[k]) << "query " << i << " w" << k;
-}
-
-TEST(QueryBatch, MatchesSequentialQueriesExactly) {
-  SimdToggleGuard guard;
-  for (const bool simd_on : {true, false}) {
-    simd::set_enabled(simd_on);
-    ace::util::Rng rng(51);
-    constexpr std::size_t support = 12, dim = 6, nq = 24;
-    std::vector<std::vector<double>> pts;
-    std::vector<double> vals;
-    for (std::size_t i = 0; i < support; ++i) {
-      std::vector<double> p(dim);
-      for (auto& x : p) x = static_cast<double>(rng.uniform_int(0, 10));
-      pts.push_back(std::move(p));
-      vals.push_back(rng.uniform(-60.0, -20.0));
-    }
-    const ace::kriging::SphericalVariogram model(0.0, 10.0, 12.0);
-
-    std::vector<std::vector<double>> queries;
-    for (std::size_t q = 0; q < nq; ++q) {
-      std::vector<double> x(dim);
-      for (auto& v : x) v = rng.uniform(0.0, 10.0);
-      queries.push_back(std::move(x));
-    }
-
-    ace::kriging::KrigingSystem batch_sys(
-        ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-        vals, model);
-    ace::kriging::KrigingSystem seq_sys(
-        ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-        vals, model);
-
-    const auto batch = batch_sys.query_batch(queries);
-    ASSERT_EQ(batch.size(), nq);
-    for (std::size_t i = 0; i < nq; ++i)
-      expect_same_result(batch[i], seq_sys.query(queries[i]), i);
-  }
-}
-
-TEST(QueryBatch, MatchesSequentialOnRidgeLadderPath) {
-  // Duplicate support rows make Γ singular, forcing the ridge ladder; the
-  // batch must climb exactly the rungs each query would climb alone.
-  std::vector<std::vector<double>> pts = {
-      {0.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {2.0, 2.0}};
-  std::vector<double> vals = {0.0, 1.0, 1.0, 2.0, 3.0};
-  const ace::kriging::LinearVariogram model(0.0, 1.0);
-
-  std::vector<std::vector<double>> queries = {
-      {0.5, 0.5}, {1.5, 1.5}, {0.0, 0.0}, {2.0, 1.0}};
-
-  ace::kriging::KrigingSystem batch_sys(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-  ace::kriging::KrigingSystem seq_sys(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-
-  const auto batch = batch_sys.query_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    expect_same_result(batch[i], seq_sys.query(queries[i]), i);
-}
-
-TEST(QueryBatch, EmptyAndSingletonBatches) {
-  std::vector<std::vector<double>> pts = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}};
-  std::vector<double> vals = {0.0, 1.0, 2.0};
-  const ace::kriging::LinearVariogram model(0.0, 1.0);
-  ace::kriging::KrigingSystem sys(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-  EXPECT_TRUE(sys.query_batch({}).empty());
-  const auto one = sys.query_batch({{0.5, 0.5}});
-  ASSERT_EQ(one.size(), 1u);
-  expect_same_result(one[0], sys.query({0.5, 0.5}), 0);
 }
 
 }  // namespace
