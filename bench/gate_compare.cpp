@@ -14,7 +14,10 @@
 //
 // Output: human-readable tables plus a JSON report, written to
 // BENCH_gates.json in the working directory or to --out=PATH (the
-// checked-in BENCH_gates.json is a committed snapshot of this output).
+// checked-in BENCH_gates.json is a committed snapshot of this output;
+// tools/bench_compare.py checks a fresh run against it). Apart from its
+// run context the report has no timings: every other field repeats
+// exactly.
 // Exit 1 unless at least one adaptive gate beats the baseline on >= 2
 // kernels.
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_context.hpp"
 #include "core/benchmarks.hpp"
 #include "core/engine.hpp"
 #include "dse/acquisition.hpp"
@@ -183,7 +187,9 @@ void print_report(const KernelReport& report, ace::util::TablePrinter& table) {
 
 void write_json(std::ostream& os, const std::vector<KernelReport>& kernels,
                 std::size_t kernels_beaten, bool pass) {
-  os << "{\n  \"kernels\": [\n";
+  os << "{\n";
+  ace::bench::write_context_json(os, "  ");
+  os << "  \"kernels\": [\n";
   for (std::size_t k = 0; k < kernels.size(); ++k) {
     const KernelReport& r = kernels[k];
     os << "    {\n"

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <complex>
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -198,6 +199,46 @@ void BM_VariogramFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VariogramFit)->Arg(16)->Arg(64)->Arg(128);
+
+// One incremental refit's pairing: fold 16 new samples into a variogram
+// holding 512, on an Nv = 23 lattice (the kriging_bound policy's shape).
+// Each new sample meets every held one in one SoA kernel call; arg0
+// toggles the SIMD backend against its scalar twin. The 512-sample
+// variogram is rebuilt outside the timed region for every iteration.
+void BM_VariogramExtend(benchmark::State& state) {
+  constexpr std::size_t dim = 23;
+  constexpr std::size_t held = 512;
+  constexpr std::size_t fresh = 16;
+  ace::util::Rng rng(8);
+  const auto pts = lattice_points(rng, held + fresh, dim);
+  const auto vals = rng.uniform_vector(held + fresh, -60.0, -20.0);
+  const std::vector<std::vector<double>> held_pts(pts.begin(),
+                                                  pts.begin() + held);
+  const std::vector<double> held_vals(vals.begin(), vals.begin() + held);
+  const std::vector<std::vector<double>> new_pts(pts.begin() + held,
+                                                 pts.end());
+  const std::vector<double> new_vals(vals.begin() + held, vals.end());
+  ace::util::simd::set_enabled(state.range(0) != 0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ev = std::make_unique<ace::kriging::EmpiricalVariogram>(held_pts,
+                                                                 held_vals);
+    state.ResumeTiming();
+    ev->extend(new_pts, new_vals);
+    benchmark::DoNotOptimize(ev->total_pairs());
+    state.PauseTiming();
+    ev.reset();
+    state.ResumeTiming();
+  }
+  ace::util::simd::set_enabled(true);
+  // Pairs folded per iteration: every new sample against the held ones and
+  // the new samples before it.
+  constexpr std::size_t pairs = fresh * held + fresh * (fresh - 1) / 2;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pairs));
+  state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
+}
+BENCHMARK(BM_VariogramExtend)->Arg(0)->Arg(1);
 
 void BM_FirSimulation(benchmark::State& state) {
   ace::util::Rng rng(4);

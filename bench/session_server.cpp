@@ -13,6 +13,9 @@
 // Output: human-readable summary plus a JSON report, written to
 // BENCH_serve.json in the working directory or to --out=PATH (the standing
 // perf-trajectory artifact; CI uploads it, and a snapshot is committed).
+// sessions, requests, steps and divergent_sessions repeat exactly from run
+// to run (tools/bench_compare.py checks them against the snapshot); parks,
+// resumes and backpressure waits depend on thread timing.
 // Exit code 1 on any per-session divergence.
 #include <algorithm>
 #include <cstddef>
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_context.hpp"
 #include "core/benchmarks.hpp"
 #include "dse/min_plus_one.hpp"
 #include "dse/scheduler.hpp"
@@ -163,8 +167,9 @@ int main(int argc, char** argv) {
             << "\n";
 
   std::ofstream json(out_path, std::ios::trunc);
-  json << "{\n"
-       << "  \"sessions\": " << kSessions << ",\n"
+  json << "{\n";
+  ace::bench::write_context_json(json, "  ");
+  json << "  \"sessions\": " << kSessions << ",\n"
        << "  \"requests\": " << stats.requests << ",\n"
        << "  \"steps\": " << stats.steps << ",\n"
        << "  \"parks\": " << stats.parks << ",\n"

@@ -256,11 +256,20 @@ std::optional<double> KrigingPolicy::try_interpolate(
   const auto distance = options_.use_l2_distance ? kriging::l2_distance
                                                  : kriging::l1_distance;
 
+  // Span of the support values for the sanity guard below, taken now
+  // because the cache-off path hands `values` to its system.
+  double lo = values.front(), hi = values.front();
+  for (double v : values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+
   // The solve itself runs on a kriging::KrigingSystem. Cache off (the
-  // default): a throwaway all-in-base system — bit-identical to the old
-  // kriging::krige() direct path. Cache on: look the support-index set up
-  // in the factor cache, reusing or extending an overlapping system's
-  // factorization instead of rebuilding it.
+  // default): a throwaway all-in-base system that takes the support by
+  // move — bit-identical to the old kriging::krige() direct path. Cache
+  // on: look the support-index set up in the factor cache, reusing or
+  // extending an overlapping system's factorization instead of rebuilding
+  // it.
   std::optional<kriging::KrigingResult> result;
   if (options_.factor_cache_capacity > 0) {
     FactorAcquire how = FactorAcquire::kFresh;
@@ -276,7 +285,8 @@ std::optional<double> KrigingPolicy::try_interpolate(
   } else {
     kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
     spec.noise_nugget = effective_nugget_;
-    kriging::KrigingSystem system(spec, points, values, *model_, distance);
+    kriging::KrigingSystem system(spec, std::move(points), std::move(values),
+                                  *model_, distance);
     result = system.query(query);
     stats_.full_factorizations += system.stats().full_factorizations;
   }
@@ -290,11 +300,6 @@ std::optional<double> KrigingPolicy::try_interpolate(
   // Sanity guard: a (residual) estimate far outside the support values'
   // own interval signals an ill-conditioned system, not information.
   if (options_.sanity_span > 0.0) {
-    double lo = values.front(), hi = values.front();
-    for (double v : values) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
     const double span = std::max(hi - lo, 1e-12);
     if (result->estimate < lo - options_.sanity_span * span ||
         result->estimate > hi + options_.sanity_span * span)

@@ -6,6 +6,7 @@
 
 #include "util/contract.hpp"
 #include "util/errors.hpp"
+#include "util/simd.hpp"
 
 namespace ace::kriging {
 
@@ -32,10 +33,25 @@ double l2_distance(const std::vector<double>& a,
   return std::sqrt(acc);
 }
 
+DistanceKind distance_kind(const DistanceFn& distance) {
+  // The defaulted built-ins are stored as raw function pointers inside the
+  // std::function; any other target (lambda, functor) is custom.
+  using RawDistance = double (*)(const std::vector<double>&,
+                                 const std::vector<double>&);
+  if (const RawDistance* raw = distance.target<RawDistance>()) {
+    if (*raw == &l1_distance) return DistanceKind::kL1;
+    if (*raw == &l2_distance) return DistanceKind::kL2;
+  }
+  return DistanceKind::kCustom;
+}
+
 EmpiricalVariogram::EmpiricalVariogram(DistanceFn distance, double bin_width)
-    : distance_(std::move(distance)), bin_width_(bin_width) {
-  if (bin_width_ <= 0.0)
-    throw std::invalid_argument("EmpiricalVariogram: bin_width must be > 0");
+    : distance_(std::move(distance)),
+      distance_kind_(distance_kind(distance_)),
+      bin_width_(bin_width) {
+  if (!(bin_width_ > 0.0) || !std::isfinite(bin_width_))
+    throw std::invalid_argument(
+        "EmpiricalVariogram: bin_width must be finite and > 0");
 }
 
 EmpiricalVariogram::EmpiricalVariogram(
@@ -47,6 +63,27 @@ EmpiricalVariogram::EmpiricalVariogram(
   if (points.size() < 2)
     throw std::invalid_argument("EmpiricalVariogram: need >= 2 points");
   extend(points, values);
+}
+
+void EmpiricalVariogram::distances_to_held(const std::vector<double>& point,
+                                           std::size_t count,
+                                           double* out) const {
+  if (distance_kind_ == DistanceKind::kCustom) {
+    // Rebuild each held sample's row from the columns; the functor sees
+    // (held, new) in the same argument order the pairing always used.
+    std::vector<double> held(dim_);
+    for (std::size_t j = 0; j < count; ++j) {
+      for (std::size_t d = 0; d < dim_; ++d) held[d] = cols_[d][j];
+      out[j] = distance_(held, point);
+    }
+    return;
+  }
+  std::vector<const double*> cols(dim_);
+  for (std::size_t d = 0; d < dim_; ++d) cols[d] = cols_[d].data();
+  if (distance_kind_ == DistanceKind::kL1)
+    util::simd::l1_distances_f64(cols.data(), dim_, point.data(), count, out);
+  else
+    util::simd::l2_distances_f64(cols.data(), dim_, point.data(), count, out);
 }
 
 void EmpiricalVariogram::extend(
@@ -66,41 +103,92 @@ void EmpiricalVariogram::extend(
         throw util::NonFiniteError(
             "EmpiricalVariogram::extend: non-finite coordinate");
   }
+  if (points.empty()) return;
 
   const util::LockGuard lock(mutex_);
-  for (std::size_t s = 0; s < points.size(); ++s) {
-    // Pair the new sample k against every sample already held — the same
-    // (j < k) enumeration a full rebuild performs, just arriving in
-    // chronological blocks.
-    for (std::size_t j = 0; j < points_.size(); ++j) {
-      const double d = distance_(points_[j], points[s]);
-      max_distance_ = std::max(max_distance_, d);
-      const auto bin = static_cast<long long>(std::floor(d / bin_width_));
-      auto& slot = accum_[bin];
-      const double diff = values_[j] - values[s];
-      slot.sum_sq_diff += diff * diff;
-      slot.sum_distance += d;
-      ++slot.pairs;
-      ++total_pairs_;
-    }
-    points_.push_back(points[s]);
-    values_.push_back(values[s]);
+  const std::size_t held = values_.size();
+  const std::size_t dim = held == 0 ? points.front().size() : dim_;
+  for (const auto& p : points)
+    if (p.size() != dim)
+      throw std::invalid_argument(
+          "EmpiricalVariogram::extend: dimension mismatch");
 
-    // Welford update of the running sample variance (sill estimate).
-    const double n = static_cast<double>(values_.size());
-    const double delta = values[s] - value_mean_;
-    value_mean_ += delta / n;
-    value_m2_ += delta * (values[s] - value_mean_);
-    value_variance_ = values_.size() > 1 ? value_m2_ / (n - 1.0) : 0.0;
+  // Stage every accumulator, commit only once the whole block folded: a
+  // bad pair distance (only known after the kernel ran) must leave the
+  // variogram exactly as it was. The bin array is small, so the copy is
+  // cheap next to the O(k·N) pairing.
+  std::vector<BinAccum> accum = accum_;
+  std::size_t total_pairs = total_pairs_;
+  double max_distance = max_distance_;
+  double mean = value_mean_;
+  double m2 = value_m2_;
+  dim_ = dim;
+  cols_.resize(dim);
+  std::vector<double> dists(held + points.size());
+  try {
+    for (std::size_t s = 0; s < points.size(); ++s) {
+      // Pair the new sample k against every sample already held — the
+      // same (j < k) enumeration a full rebuild performs, just arriving in
+      // chronological blocks.
+      const std::size_t k = values_.size();
+      distances_to_held(points[s], k, dists.data());
+      for (std::size_t j = 0; j < k; ++j) {
+        const double d = dists[j];
+        if (!std::isfinite(d))
+          throw util::NonFiniteError(
+              "EmpiricalVariogram::extend: non-finite pair distance");
+        if (d < 0.0)
+          throw std::invalid_argument(
+              "EmpiricalVariogram::extend: negative pair distance");
+        // floor(d / w) for the bin; d / w is non-negative here, where the
+        // truncating conversion is exactly floor.
+        const double bin = d / bin_width_;
+        if (!(bin < static_cast<double>(kMaxBins)))
+          throw std::invalid_argument(
+              "EmpiricalVariogram::extend: pair distance beyond the bin "
+              "range (kMaxBins · bin_width)");
+        const auto b = static_cast<std::size_t>(bin);
+        if (b >= accum.size()) accum.resize(b + 1);
+        max_distance = std::max(max_distance, d);
+        BinAccum& slot = accum[b];
+        const double diff = values_[j] - values[s];
+        slot.sum_sq_diff += diff * diff;
+        slot.sum_distance += d;
+        ++slot.pairs;
+        ++total_pairs;
+      }
+      for (std::size_t d = 0; d < dim; ++d) cols_[d].push_back(points[s][d]);
+      values_.push_back(values[s]);
+
+      // Welford update of the running sample variance (sill estimate).
+      const double n = static_cast<double>(values_.size());
+      const double delta = values[s] - mean;
+      mean += delta / n;
+      m2 += delta * (values[s] - mean);
+    }
+  } catch (...) {
+    for (auto& c : cols_) c.resize(held);
+    values_.resize(held);
+    if (held == 0) {
+      dim_ = 0;
+      cols_.clear();
+    }
+    throw;
   }
+  accum_ = std::move(accum);
+  total_pairs_ = total_pairs;
+  max_distance_ = max_distance;
+  value_mean_ = mean;
+  value_m2_ = m2;
+  const double n = static_cast<double>(values_.size());
+  value_variance_ = values_.size() > 1 ? m2 / (n - 1.0) : 0.0;
   rebuild_view();
 }
 
 void EmpiricalVariogram::rebuild_view() {
   bins_.clear();
-  bins_.reserve(accum_.size());
-  for (const auto& [bin, slot] : accum_) {
-    ACE_INVARIANT(slot.pairs > 0, "a materialized bin must hold >= 1 pair");
+  for (const BinAccum& slot : accum_) {
+    if (slot.pairs == 0) continue;
     VariogramBin out;
     out.distance = slot.sum_distance / static_cast<double>(slot.pairs);
     out.gamma = slot.sum_sq_diff / (2.0 * static_cast<double>(slot.pairs));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -33,12 +32,16 @@ struct WeightedFit {
 /// clamped to >= 0 (a variogram must be non-negative and non-decreasing for
 /// our basis choices). Solves the 2x2 normal equations directly and falls
 /// back to the boundary solutions when a coefficient goes negative.
-WeightedFit fit_basis(const std::vector<VariogramBin>& bins,
-                      const std::function<double(double)>& basis) {
+/// basis(d) is evaluated once per bin and reused by every SSE evaluation.
+template <class Basis>
+WeightedFit fit_basis(const std::vector<VariogramBin>& bins, Basis basis) {
+  std::vector<double> basis_values(bins.size());
   double sw = 0.0, sb = 0.0, sbb = 0.0, sg = 0.0, sbg = 0.0;
-  for (const auto& bin : bins) {
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    const VariogramBin& bin = bins[i];
     const double w = static_cast<double>(bin.pair_count);
     const double b = basis(bin.distance);
+    basis_values[i] = b;
     sw += w;
     sb += w * b;
     sbb += w * b * b;
@@ -47,9 +50,9 @@ WeightedFit fit_basis(const std::vector<VariogramBin>& bins,
   }
   auto sse_for = [&](double nugget, double scale) {
     double acc = 0.0;
-    for (const auto& bin : bins) {
-      const double r = bin.gamma - (nugget + scale * basis(bin.distance));
-      acc += static_cast<double>(bin.pair_count) * r * r;
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      const double r = bins[i].gamma - (nugget + scale * basis_values[i]);
+      acc += static_cast<double>(bins[i].pair_count) * r * r;
     }
     return acc;
   };
@@ -149,21 +152,22 @@ FitResult fit_family(const EmpiricalVariogram& ev, ModelFamily family,
         const double range =
             dmax * (0.25 + 2.75 * static_cast<double>(i) /
                                static_cast<double>(grid));
-        std::function<double(double)> basis;
+        WeightedFit fit;
         if (family == ModelFamily::kSpherical) {
-          basis = [range](double d) {
+          fit = fit_basis(bins, [range](double d) {
             const double h = d / range;
             return h >= 1.0 ? 1.0 : 1.5 * h - 0.5 * h * h * h;
-          };
+          });
         } else if (family == ModelFamily::kExponential) {
-          basis = [range](double d) { return 1.0 - std::exp(-3.0 * d / range); };
+          fit = fit_basis(bins, [range](double d) {
+            return 1.0 - std::exp(-3.0 * d / range);
+          });
         } else {
-          basis = [range](double d) {
+          fit = fit_basis(bins, [range](double d) {
             const double h = d / range;
             return 1.0 - std::exp(-3.0 * h * h);
-          };
+          });
         }
-        const auto fit = fit_basis(bins, basis);
         if (fit.sse < best.sse) {
           best = fit;
           best_range = range;

@@ -24,11 +24,6 @@ bool acceptable(const linalg::Vector& x) {
   return true;
 }
 
-/// Raw function-pointer form of DistanceFn — what the defaulted built-in
-/// distances are stored as inside the std::function.
-using RawDistance = double (*)(const std::vector<double>&,
-                               const std::vector<double>&);
-
 }  // namespace
 
 KrigingSystem::KrigingSystem(SystemSpec spec,
@@ -37,7 +32,7 @@ KrigingSystem::KrigingSystem(SystemSpec spec,
                              const VariogramModel& model, DistanceFn distance,
                              Layout layout)
     : spec_(spec), model_(model.clone()), distance_(std::move(distance)),
-      layout_(layout) {
+      layout_(layout), distance_kind_(distance_kind(distance_)) {
   if (support_points.empty())
     throw std::invalid_argument("KrigingSystem: empty support set");
   if (support_points.size() != support_values.size())
@@ -73,15 +68,7 @@ KrigingSystem::KrigingSystem(SystemSpec spec,
       slots_.push_back({u, false});
     }
   }
-  // Batched assembly can only vectorize distances it can prove identical
-  // to the configured functor: recognise the two built-ins by address.
-  if (const RawDistance* raw = distance_.target<RawDistance>()) {
-    if (*raw == &l1_distance)
-      distance_kind_ = DistanceKind::kL1;
-    else if (*raw == &l2_distance)
-      distance_kind_ = DistanceKind::kL2;
-  }
-  rebuild_columns();
+  rebuild_columns(points_.size());
   (void)refresh_border();
   base_points_ = layout_ == Layout::kAllInBase
                      ? points_.size()
@@ -89,23 +76,26 @@ KrigingSystem::KrigingSystem(SystemSpec spec,
                                 std::max<std::size_t>(1, border_));
 }
 
-void KrigingSystem::rebuild_columns() {
-  cols_.assign(dim_, {});
-  for (auto& c : cols_) c.reserve(points_.size());
-  for (const auto& p : points_)
-    for (std::size_t d = 0; d < dim_; ++d) cols_[d].push_back(p[d]);
+void KrigingSystem::rebuild_columns(std::size_t stride) {
+  stride_ = stride;
+  cols_.assign(dim_ * stride_, 0.0);
+  for (std::size_t u = 0; u < points_.size(); ++u)
+    for (std::size_t d = 0; d < dim_; ++d)
+      cols_[d * stride_ + u] = points_[u][d];
 }
 
 void KrigingSystem::distances_to(const std::vector<double>& x,
-                                 std::size_t first, double* out) const {
-  const std::size_t n = points_.size();
+                                 std::size_t first, std::size_t n,
+                                 std::vector<const double*>& cols,
+                                 double* out) const {
   if (distance_kind_ == DistanceKind::kCustom) {
     for (std::size_t k = first; k < n; ++k)
       out[k - first] = distance_(x, points_[k]);
     return;
   }
-  std::vector<const double*> cols(dim_);
-  for (std::size_t d = 0; d < dim_; ++d) cols[d] = cols_[d].data() + first;
+  cols.resize(dim_);
+  for (std::size_t d = 0; d < dim_; ++d)
+    cols[d] = cols_.data() + d * stride_ + first;
   if (distance_kind_ == DistanceKind::kL1)
     util::simd::l1_distances_f64(cols.data(), dim_, x.data(), n - first, out);
   else
@@ -139,6 +129,26 @@ bool KrigingSystem::refresh_border() {
 }
 
 double KrigingSystem::entry_of(double d) const {
+  // Neighbourhood distances on the configuration lattice are a handful of
+  // small integers (at most 2r+1 values inside an L1 ball of radius r), so
+  // each is mapped through the model once per system. The memo returns
+  // the very double the model produced; other distances (fractional, L2,
+  // large, −0.0) are not memoised.
+  if (!std::signbit(d) && d < static_cast<double>(kEntryMemo)) {
+    const auto i = static_cast<std::size_t>(d);
+    if (static_cast<double>(i) == d) {  // ace-lint: allow(float-equality)
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      if ((entry_known_ & bit) == 0) {
+        entry_memo_[i] = model_entry(d);
+        entry_known_ |= bit;
+      }
+      return entry_memo_[i];
+    }
+  }
+  return model_entry(d);
+}
+
+double KrigingSystem::model_entry(double d) const {
   if (spec_.kind == SystemKind::kSimple)
     return std::max(spec_.sill - model_->gamma(d), 0.0);
   return model_->gamma(d);
@@ -158,54 +168,39 @@ double KrigingSystem::pair_entry(std::size_t i, std::size_t j) const {
   return entry_of(distance_(points_[i], points_[j]));
 }
 
-double KrigingSystem::query_entry(const std::vector<double>& q,
-                                  std::size_t k) const {
-  return entry_of(distance_(q, points_[k]));
-}
-
-std::vector<double> KrigingSystem::drift_basis(
-    const std::vector<double>& x) const {
-  switch (spec_.kind) {
-    case SystemKind::kSimple:
-      return {};
-    case SystemKind::kOrdinary:
-      return {1.0};
-    case SystemKind::kUniversal:
-      break;
-  }
-  if (effective_drift_ == DriftKind::kConstant) return {1.0};
-  std::vector<double> f;
-  f.reserve(x.size() + 1);
-  f.push_back(1.0);
-  f.insert(f.end(), x.begin(), x.end());
-  return f;
+double KrigingSystem::drift_entry(const std::vector<double>& x,
+                                  std::size_t l) const {
+  // Border column l: the constant 1 (Lagrange row of ordinary kriging, the
+  // constant drift) first, then one column per coordinate for the linear
+  // drift. Simple kriging has no border, so it never gets here.
+  return l == 0 ? 1.0 : x[l - 1];
 }
 
 std::size_t KrigingSystem::matrix_index(std::size_t i) const {
   return i < base_points_ ? i : i + border_;
 }
 
-linalg::Matrix KrigingSystem::assemble(double shift) const {
-  const std::size_t n = points_.size();
-  const std::size_t m = system_size();
+linalg::Matrix KrigingSystem::assemble(double shift, std::size_t n) const {
+  const std::size_t m = n + border_;
   linalg::Matrix a(m, m);
   // Variogram block, one batched row at a time: distances from point j to
   // the contiguous tail j..n-1 stream the SoA columns through the SIMD
   // kernel (bit-identical per-entry to the scalar distance_ call).
   std::vector<double> dists(n);
+  std::vector<const double*> cols;
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t mj = matrix_index(j);
-    distances_to(points_[j], j, dists.data());
+    distances_to(points_[j], j, n, cols, dists.data());
     for (std::size_t k = j; k < n; ++k) {
       const std::size_t mk = matrix_index(k);
       const double g = k == j ? diagonal_entry() : entry_of(dists[k - j]);
       a(mj, mk) = g;
       a(mk, mj) = g;
     }
-    const auto fj = drift_basis(points_[j]);
     for (std::size_t l = 0; l < border_; ++l) {
-      a(mj, base_points_ + l) = fj[l];
-      a(base_points_ + l, mj) = fj[l];
+      const double f = drift_entry(points_[j], l);
+      a(mj, base_points_ + l) = f;
+      a(base_points_ + l, mj) = f;
     }
     a(mj, mj) += shift;
   }
@@ -217,11 +212,12 @@ linalg::Vector KrigingSystem::assemble_rhs(const std::vector<double>& q) const {
   const std::size_t n = points_.size();
   // Batched γ-vector: all query→support distances in one kernel pass.
   std::vector<double> dists(n);
-  distances_to(q, 0, dists.data());
+  std::vector<const double*> cols;
+  distances_to(q, 0, n, cols, dists.data());
   for (std::size_t k = 0; k < n; ++k)
     rhs[matrix_index(k)] = entry_of(dists[k]);
-  const auto fq = drift_basis(q);
-  for (std::size_t l = 0; l < border_; ++l) rhs[base_points_ + l] = fq[l];
+  for (std::size_t l = 0; l < border_; ++l)
+    rhs[base_points_ + l] = drift_entry(q, l);
   return rhs;
 }
 
@@ -231,8 +227,8 @@ std::vector<double> KrigingSystem::coupling_of(std::size_t i) const {
   std::vector<double> c(i + border_, 0.0);
   for (std::size_t j = 0; j < i; ++j)
     c[matrix_index(j)] = pair_entry(i, j);
-  const auto fi = drift_basis(points_[i]);
-  for (std::size_t l = 0; l < border_; ++l) c[base_points_ + l] = fi[l];
+  for (std::size_t l = 0; l < border_; ++l)
+    c[base_points_ + l] = drift_entry(points_[i], l);
   return c;
 }
 
@@ -243,7 +239,7 @@ double KrigingSystem::ladder_scale() const {
   for (const Factor& f : factors_)
     if (f.shift == 0.0)  // ace-lint: allow(float-equality)
       return std::max(f.ldlt->assembled().max_abs(), 1.0);
-  return std::max(assemble(0.0).max_abs(), 1.0);
+  return std::max(assemble(0.0, points_.size()).max_abs(), 1.0);
 }
 
 void KrigingSystem::invalidate_factors() {
@@ -265,7 +261,8 @@ linalg::BorderedLdlt* KrigingSystem::factor_at(double shift) {
   const std::size_t n = points_.size();
   auto build_all_in_base = [&]() -> std::unique_ptr<linalg::BorderedLdlt> {
     ++stats_.full_factorizations;
-    auto ldlt = std::make_unique<linalg::BorderedLdlt>(assemble(shift), shift);
+    auto ldlt =
+        std::make_unique<linalg::BorderedLdlt>(assemble(shift, n), shift);
     return ldlt->ok() ? std::move(ldlt) : nullptr;
   };
 
@@ -275,15 +272,12 @@ linalg::BorderedLdlt* KrigingSystem::factor_at(double shift) {
   } else {
     // Incremental layout: factor the minimal base (first points + border),
     // then fold the remaining support in one Schur pivot at a time.
-    const std::size_t nb = base_points_ + border_;
-    linalg::Matrix base(nb, nb);
-    {
-      const linalg::Matrix full = assemble(shift);
-      for (std::size_t r = 0; r < nb; ++r)
-        for (std::size_t c = 0; c < nb; ++c) base(r, c) = full(r, c);
-    }
+    // Every base point sits at its own index and the border right after
+    // it, so the base block is exactly the system over the first
+    // base_points_ points.
     ++stats_.full_factorizations;
-    ldlt = std::make_unique<linalg::BorderedLdlt>(std::move(base), shift);
+    ldlt = std::make_unique<linalg::BorderedLdlt>(
+        assemble(shift, base_points_), shift);
     bool incremental_ok = ldlt->ok();
     for (std::size_t u = base_points_; incremental_ok && u < n; ++u) {
       if (ldlt->append_point(coupling_of(u), diagonal_entry()))
@@ -439,9 +433,8 @@ std::optional<KrigingResult> KrigingSystem::finalize(
   }
   // Lagrange / drift multiplier terms of the kriging variance.
   if (spec_.kind != SystemKind::kSimple) {
-    const auto fq = drift_basis(q);
     for (std::size_t l = 0; l < border_; ++l)
-      variance += x[base_points_ + l] * fq[l];
+      variance += x[base_points_ + l] * drift_entry(q, l);
   }
   if (!std::isfinite(estimate)) return std::nullopt;
   result.estimate = estimate;
@@ -483,7 +476,12 @@ void KrigingSystem::append_point(std::vector<double> point, double value) {
   const std::size_t u = points_.size();
   points_.push_back(std::move(point));
   values_.push_back(value);
-  for (std::size_t d = 0; d < dim_; ++d) cols_[d].push_back(points_[u][d]);
+  if (u >= stride_) {
+    rebuild_columns(2 * u + 1);  // Amortized growth of every column.
+  } else {
+    for (std::size_t d = 0; d < dim_; ++d)
+      cols_[d * stride_ + u] = points_[u][d];
+  }
   slots_.push_back({u, true});
 
   if (layout_ == Layout::kAllInBase) {
@@ -535,7 +533,7 @@ bool KrigingSystem::remove_point(std::size_t slot) {
   const std::size_t u = victim.unique;
   points_.erase(points_.begin() + static_cast<std::ptrdiff_t>(u));
   values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(u));
-  for (auto& c : cols_) c.erase(c.begin() + static_cast<std::ptrdiff_t>(u));
+  rebuild_columns(stride_);
   for (Slot& s : slots_)
     if (s.unique > u) --s.unique;
 

@@ -32,9 +32,18 @@
 // factorization — does not depend on the query, only the acceptability
 // check does), so repeated queries against one support set skip the
 // refactorization entirely.
+//
+// Per-system costs are kept to the arithmetic the solve needs (DESIGN.md
+// §10): the support moves in (no copy), its SoA columns live in one
+// buffer, distances run through the util::simd kernels for the built-in
+// metrics, and the model entry γ(d) (or the covariance) is memoised per
+// system for small integer distances — lattice neighbourhoods take only a
+// few distinct values — returning exactly the double the model produced.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -167,38 +176,41 @@ class KrigingSystem {
     std::unique_ptr<linalg::BorderedLdlt> ldlt;
   };
 
-  /// How distance_ was constructed. The batched assembly dispatches the
-  /// util::simd column kernels only for the two known built-ins (their
-  /// kernels are bit-identical to the std::function call); custom
-  /// distances keep the per-pair path.
-  enum class DistanceKind { kL1, kL2, kCustom };
+  /// Distances below this that are exact non-negative integers have their
+  /// entry memoised (lattice L1 distances; one bit of entry_known_ each).
+  static constexpr std::size_t kEntryMemo = 64;
 
   /// Matrix entry between unique points i and j (γ or covariance).
   double pair_entry(std::size_t i, std::size_t j) const;
-  /// Matrix/rhs entry between the query and unique point k.
-  double query_entry(const std::vector<double>& q, std::size_t k) const;
-  /// Entry as a function of an already-computed distance.
+  /// Entry as a function of an already-computed distance, memoised for
+  /// small integer distances (the model is fixed for the system's life).
   double entry_of(double d) const;
+  /// The entry straight from the model: γ(d), or the covariance.
+  double model_entry(double d) const;
   /// Diagonal entry of a support point: entry_of(0) with the noise nugget
   /// folded in (+τ² covariance form, −τ² variogram form; exact no-op at 0).
   double diagonal_entry() const;
   /// Distances from x to unique points [first, n), written to out —
   /// batched over cols_ for the built-in distances.
+  /// `cols` is scratch for the kernel's column pointers.
   void distances_to(const std::vector<double>& x, std::size_t first,
+                    std::size_t n, std::vector<const double*>& cols,
                     double* out) const;
-  /// Rebuild the SoA column mirror of points_ from scratch.
-  void rebuild_columns();
-  /// Drift basis f(x) under the effective drift.
-  std::vector<double> drift_basis(const std::vector<double>& x) const;
+  /// Rebuild the SoA column mirror of points_ with room for `stride`
+  /// points per column.
+  void rebuild_columns(std::size_t stride);
+  /// Entry l < border_ of the drift basis f(x) under the effective drift.
+  double drift_entry(const std::vector<double>& x, std::size_t l) const;
 
   /// Matrix index of unique point i under the current layout.
   std::size_t matrix_index(std::size_t i) const;
   std::size_t border_cols() const { return border_; }
   std::size_t system_size() const { return points_.size() + border_; }
 
-  /// Assemble the full system matrix in layout order, with `shift` on
-  /// every non-border diagonal.
-  linalg::Matrix assemble(double shift) const;
+  /// Assemble the system over the first n unique points in layout order,
+  /// with `shift` on every non-border diagonal: n = unique_size() gives
+  /// the full matrix, n = base_points_ the incremental layout's base block.
+  linalg::Matrix assemble(double shift, std::size_t n) const;
   /// Assemble the right-hand side for a query, in layout order.
   linalg::Vector assemble_rhs(const std::vector<double>& q) const;
 
@@ -233,9 +245,13 @@ class KrigingSystem {
 
   std::vector<std::vector<double>> points_;  ///< Unique, insertion order.
   std::vector<double> values_;               ///< Values of unique points.
-  /// Columnar (SoA) mirror of points_: cols_[d][u] == points_[u][d], kept
-  /// in lockstep so assembly streams contiguous columns per dimension.
-  std::vector<std::vector<double>> cols_;
+  /// Columnar (SoA) mirror of points_ in one buffer: cols_[d·stride_ + u]
+  /// == points_[u][d], kept in lockstep so assembly streams contiguous
+  /// columns per dimension.
+  std::vector<double> cols_;
+  std::size_t stride_ = 0;  ///< Points of room per column (>= unique_size()).
+  /// Built-in distances batch through the util::simd column kernels (bit-
+  /// identical to the functor); custom ones are called per pair.
   DistanceKind distance_kind_ = DistanceKind::kCustom;
   std::vector<Slot> slots_;                  ///< Caller-visible order.
 
@@ -245,6 +261,12 @@ class KrigingSystem {
   std::vector<Factor> factors_;          ///< Plain + ladder-rung factors.
   std::vector<double> singular_shifts_;  ///< Shifts known to be singular.
   SystemStats stats_;
+
+  /// entry_of memo. Only the non-const entry points (query, append_point,
+  /// loo_residuals, factor builds) reach it, so a system shared read-only
+  /// across threads never writes it.
+  mutable std::array<double, kEntryMemo> entry_memo_{};
+  mutable std::uint64_t entry_known_ = 0;
 };
 
 }  // namespace ace::kriging

@@ -137,10 +137,10 @@ bool BorderedLdlt::remove_point(std::size_t appended_index) {
 
 Vector BorderedLdlt::block_solve(const Vector& b) const {
   const std::size_t k = appended();
+  if (k == 0) return lu_->solve(b);  // b is exactly the base block.
   Vector b1(base_n_);
   for (std::size_t i = 0; i < base_n_; ++i) b1[i] = b[i];
   const Vector u1 = lu_->solve(b1);
-  if (k == 0) return u1;
 
   // t = b2 − Uᵀ·B⁻¹·b1, then S·x2 = t via the LDLT factors.
   std::vector<double> t(k, 0.0);

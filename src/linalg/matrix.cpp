@@ -22,16 +22,8 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_)
-    throw std::out_of_range("Matrix::operator(): index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_)
-    throw std::out_of_range("Matrix::operator(): index out of range");
-  return data_[r * cols_ + c];
+void Matrix::throw_out_of_range() {
+  throw std::out_of_range("Matrix::operator(): index out of range");
 }
 
 namespace {

@@ -26,9 +26,19 @@ class Matrix {
   bool empty() const { return data_.empty(); }
   bool square() const { return rows_ == cols_; }
 
-  /// Checked element access.
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Checked element access: throws std::out_of_range. Inline, because
+  /// the O(n³) factorizations call it in their innermost loops; the throw
+  /// itself lives out of line.
+  double& operator()(std::size_t r, std::size_t c) {
+    if (r >= rows_ || c >= cols_) [[unlikely]]
+      throw_out_of_range();
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) [[unlikely]]
+      throw_out_of_range();
+    return data_[r * cols_ + c];
+  }
 
   bool operator==(const Matrix& rhs) const = default;
 
@@ -59,6 +69,8 @@ class Matrix {
   Vector col(std::size_t c) const;
 
  private:
+  [[noreturn]] static void throw_out_of_range();
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

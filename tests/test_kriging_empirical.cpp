@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -184,6 +186,199 @@ TEST(EmpiricalVariogram, ExtendRejectsNonFiniteWithoutTouchingBins) {
   // A clean batch afterwards still folds normally.
   ev.extend({{3.0}}, {9.0});
   EXPECT_EQ(ev.sample_count(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Batched (SoA kernel) pairing against the per-pair functor path.
+
+/// Bitwise equality of two doubles (EXPECT_EQ on doubles would accept
+/// 0.0 == -0.0 and reject NaN == NaN).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Everything extend() can change, read through the public surface.
+struct State {
+  std::vector<k::VariogramBin> bins;
+  std::size_t samples = 0;
+  std::size_t pairs = 0;
+  double max_distance = 0.0;
+  double variance = 0.0;
+};
+
+State state_of(const k::EmpiricalVariogram& ev) {
+  return {ev.bins(), ev.sample_count(), ev.total_pairs(), ev.max_distance(),
+          ev.value_variance()};
+}
+
+void expect_bitwise_equal(const State& a, const State& b) {
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_EQ(bits(a.max_distance), bits(b.max_distance));
+  EXPECT_EQ(bits(a.variance), bits(b.variance));
+  ASSERT_EQ(a.bins.size(), b.bins.size());
+  for (std::size_t i = 0; i < a.bins.size(); ++i) {
+    EXPECT_EQ(bits(a.bins[i].distance), bits(b.bins[i].distance)) << i;
+    EXPECT_EQ(bits(a.bins[i].gamma), bits(b.bins[i].gamma)) << i;
+    EXPECT_EQ(a.bins[i].pair_count, b.bins[i].pair_count) << i;
+  }
+}
+
+/// Folds `pts`/`vals` into `ev` in the given block sizes.
+void extend_in_blocks(k::EmpiricalVariogram& ev,
+                      const std::vector<std::vector<double>>& pts,
+                      const std::vector<double>& vals,
+                      const std::vector<std::size_t>& blocks) {
+  std::size_t at = 0;
+  for (const std::size_t n : blocks) {
+    const auto first = static_cast<std::ptrdiff_t>(at);
+    const auto last = static_cast<std::ptrdiff_t>(at + n);
+    ev.extend({pts.begin() + first, pts.begin() + last},
+              {vals.begin() + first, vals.begin() + last});
+    at += n;
+  }
+  ASSERT_EQ(at, pts.size());
+}
+
+TEST(EmpiricalVariogram, KernelPathMatchesFunctorPathBitwise) {
+  // A lambda wrapping l1_distance is not recognised as the built-in, so it
+  // forces the per-pair path; the built-in takes the SoA kernel. Both must
+  // fold to the same bits, block by block — lattice coordinates (the
+  // policy's case) and fractional ones, with wide bins so that bins mix
+  // distances and the accumulation order matters.
+  const k::DistanceFn wrapped = [](const std::vector<double>& a,
+                                   const std::vector<double>& b) {
+    return k::l1_distance(a, b);
+  };
+  ASSERT_EQ(k::distance_kind(k::DistanceFn(k::l1_distance)),
+            k::DistanceKind::kL1);
+  ASSERT_EQ(k::distance_kind(wrapped), k::DistanceKind::kCustom);
+
+  ace::util::Rng rng(77);
+  for (const bool lattice : {true, false}) {
+    for (const double width : {1.0, 2.5}) {
+      std::vector<std::vector<double>> pts;
+      std::vector<double> vals;
+      for (int i = 0; i < 90; ++i) {
+        std::vector<double> p(23);
+        for (auto& x : p)
+          x = lattice ? static_cast<double>(rng.uniform_int(0, 16))
+                      : rng.uniform(-4.0, 4.0);
+        pts.push_back(p);
+        vals.push_back(rng.uniform(-60.0, -20.0));
+      }
+      const std::vector<std::size_t> blocks = {1, 16, 5, 31, 37};
+      k::EmpiricalVariogram kernel(k::l1_distance, width);
+      k::EmpiricalVariogram functor(wrapped, width);
+      extend_in_blocks(kernel, pts, vals, blocks);
+      extend_in_blocks(functor, pts, vals, blocks);
+      SCOPED_TRACE(lattice ? "lattice" : "fractional");
+      expect_bitwise_equal(state_of(kernel), state_of(functor));
+    }
+  }
+}
+
+TEST(EmpiricalVariogram, L2KernelPathMatchesFunctorPathBitwise) {
+  const k::DistanceFn wrapped = [](const std::vector<double>& a,
+                                   const std::vector<double>& b) {
+    return k::l2_distance(a, b);
+  };
+  ace::util::Rng rng(78);
+  std::vector<std::vector<double>> pts;
+  std::vector<double> vals;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<double> p(7);
+    for (auto& x : p) x = static_cast<double>(rng.uniform_int(0, 16));
+    pts.push_back(p);
+    vals.push_back(rng.uniform(-1.0, 1.0));
+  }
+  k::EmpiricalVariogram kernel(k::l2_distance, 0.5);
+  k::EmpiricalVariogram functor(wrapped, 0.5);
+  extend_in_blocks(kernel, pts, vals, {9, 40, 11});
+  extend_in_blocks(functor, pts, vals, {9, 40, 11});
+  expect_bitwise_equal(state_of(kernel), state_of(functor));
+}
+
+// ---------------------------------------------------------------------------
+// Bad pair distances: rejected before any bin changes.
+
+/// Expects `bad` to throw E from extend() and leave `ev` bitwise as it was.
+template <class E, class F>
+void expect_rejected_untouched(k::EmpiricalVariogram& ev, F&& bad) {
+  const State before = state_of(ev);
+  EXPECT_THROW(bad(), E);
+  expect_bitwise_equal(state_of(ev), before);
+}
+
+TEST(EmpiricalVariogram, ExtendRejectsNanOrNegativeCustomDistances) {
+  // The distance is decided per pair by the functor; only the pair of the
+  // last new sample with the first held one is bad, so every earlier pair
+  // of the block has already been folded when it is seen.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad_value : {nan, -1.0}) {
+    const k::DistanceFn distance = [bad_value](const std::vector<double>& a,
+                                               const std::vector<double>& b) {
+      if (a[0] == 0.0 && b[0] == 9.0)  // ace-lint: allow(float-equality)
+        return bad_value;
+      return k::l1_distance(a, b);
+    };
+    k::EmpiricalVariogram ev({{0.0}, {1.0}, {2.0}}, {0.0, 1.0, 4.0},
+                             distance);
+    const auto bad = [&] { ev.extend({{3.0}, {4.0}, {9.0}}, {1.0, 2.0, 3.0}); };
+    if (bad_value < 0.0)
+      expect_rejected_untouched<std::invalid_argument>(ev, bad);
+    else
+      expect_rejected_untouched<ace::util::NonFiniteError>(ev, bad);
+    // A clean block still folds afterwards, onto the untouched state.
+    ev.extend({{3.0}}, {9.0});
+    EXPECT_EQ(ev.sample_count(), 4u);
+    EXPECT_EQ(ev.total_pairs(), 6u);
+  }
+}
+
+TEST(EmpiricalVariogram, ExtendRejectsL1DistanceOverflowingToInfinity) {
+  // Every coordinate is finite, but |1e308 − (−1e308)| overflows to ∞ —
+  // into an empty variogram, so that this is the block's only pair (any
+  // held point would first meet the finite 1e308, which is out of range).
+  k::EmpiricalVariogram ev;
+  expect_rejected_untouched<ace::util::NonFiniteError>(ev, [&] {
+    ev.extend({{1e308, 0.0}, {-1e308, 0.0}}, {1.0, 2.0});
+  });
+  EXPECT_EQ(ev.sample_count(), 0u);
+  // The rejected block did not fix the dimension either.
+  ev.extend({{2.0}, {3.0}}, {4.0, 5.0});
+  EXPECT_EQ(ev.sample_count(), 2u);
+  EXPECT_EQ(ev.total_pairs(), 1u);
+}
+
+TEST(EmpiricalVariogram, ExtendRejectsDistancesBeyondTheDenseBinRange) {
+  // Finite but huge: bins are dense, so this must be an error rather than
+  // an allocation of 1e9 / bin_width bins.
+  k::EmpiricalVariogram ev({{0.0}, {1.0}}, {0.0, 1.0});
+  expect_rejected_untouched<std::invalid_argument>(
+      ev, [&] { ev.extend({{1e9}}, {1.0}); });
+  const double edge = static_cast<double>(k::EmpiricalVariogram::kMaxBins);
+  expect_rejected_untouched<std::invalid_argument>(
+      ev, [&] { ev.extend({{edge}}, {1.0}); });
+  // Just inside the range is fine.
+  ev.extend({{edge - 0.5}}, {1.0});
+  EXPECT_EQ(ev.sample_count(), 3u);
+  EXPECT_EQ(ev.bins().back().pair_count, 1u);
+}
+
+TEST(EmpiricalVariogram, ExtendRejectsMismatchedDimensionsUpFront) {
+  k::EmpiricalVariogram ev({{0.0, 0.0}, {1.0, 1.0}}, {0.0, 1.0});
+  expect_rejected_untouched<std::invalid_argument>(
+      ev, [&] { ev.extend({{2.0, 2.0}, {3.0}}, {1.0, 2.0}); });
+  EXPECT_THROW(k::EmpiricalVariogram({{0.0}, {1.0, 1.0}}, {0.0, 1.0}),
+               std::invalid_argument);
+}
+
+TEST(EmpiricalVariogram, RejectsNonFiniteBinWidth) {
+  EXPECT_THROW(k::EmpiricalVariogram(k::l1_distance,
+                                     std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(k::EmpiricalVariogram(k::l1_distance,
+                                     std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 }  // namespace

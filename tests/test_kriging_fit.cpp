@@ -5,6 +5,8 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "kriging/empirical_variogram.hpp"
 #include "util/rng.hpp"
@@ -139,6 +141,68 @@ TEST(FitBest, PrefersLowestSse) {
   const auto all = k::fit_all(ev);
   const auto best = k::fit_best(ev);
   EXPECT_DOUBLE_EQ(best.weighted_sse, all.front().weighted_sse);
+}
+
+TEST(FitBest, PinnedOnALatticeVariogram) {
+  // Bit-level regression pin: the fitted family and parameters of a fixed
+  // 6-d lattice variogram, folded in three blocks, as hexfloats. Any change
+  // to the pairing, the binning or the fit's arithmetic order shows here.
+  ace::util::Rng rng(1337);
+  std::vector<std::vector<double>> pts;
+  std::vector<double> vals;
+  for (int i = 0; i < 120; ++i) {
+    std::vector<double> p(6);
+    double s = 0.0;
+    for (auto& x : p) {
+      x = static_cast<double>(rng.uniform_int(0, 12));
+      s += x;
+    }
+    pts.push_back(p);
+    vals.push_back(-2.5 * s + 0.1 * p[0] * p[1] + rng.normal(0.0, 1.5));
+  }
+  k::EmpiricalVariogram ev;
+  for (const auto& [first, last] :
+       {std::pair{0, 17}, std::pair{17, 64}, std::pair{64, 120}})
+    ev.extend({pts.begin() + first, pts.begin() + last},
+              {vals.begin() + first, vals.begin() + last});
+  ASSERT_EQ(ev.bins().size(), 51u);
+  ASSERT_EQ(ev.total_pairs(), 7140u);
+  EXPECT_EQ(ev.max_distance(), 0x1.b8p+5);
+  EXPECT_EQ(ev.value_variance(), 0x1.c9a502a1c626fp+8);
+
+  const auto best = k::fit_best(ev);
+  ASSERT_EQ(best.family, k::ModelFamily::kPower);
+  const auto* power = dynamic_cast<const k::PowerVariogram*>(best.model.get());
+  ASSERT_NE(power, nullptr);
+  EXPECT_EQ(best.weighted_sse, 0x1.62820333f0c9dp+25);
+  EXPECT_EQ(power->nugget(), 0x1.3b63039e4c55cp+3);
+  EXPECT_EQ(power->scale(), 0x1.247c3447e9e12p+1);
+  EXPECT_EQ(power->exponent(), 0x1.999999999999ap+0);
+
+  // Every family's fit, in ascending SSE order.
+  const auto all = k::fit_all(ev);
+  const std::vector<std::pair<k::ModelFamily, double>> expected = {
+      {k::ModelFamily::kPower, 0x1.62820333f0c9dp+25},
+      {k::ModelFamily::kGaussian, 0x1.6b1e8e699684ap+25},
+      {k::ModelFamily::kLinear, 0x1.37c3c464ab1d8p+26},
+      {k::ModelFamily::kSpherical, 0x1.436003a31cf42p+26},
+      {k::ModelFamily::kExponential, 0x1.c5c77e492707fp+26}};
+  ASSERT_EQ(all.size(), expected.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].family, expected[i].first) << i;
+    EXPECT_EQ(all[i].weighted_sse, expected[i].second) << i;
+  }
+  const auto* gaussian =
+      dynamic_cast<const k::GaussianVariogram*>(all[1].model.get());
+  ASSERT_NE(gaussian, nullptr);
+  EXPECT_EQ(gaussian->nugget(), 0x1.38a4647711547p+6);
+  EXPECT_EQ(gaussian->sill(), 0x1.2c43ce9cf83a8p+12);
+  EXPECT_EQ(gaussian->range(), 0x1.4ap+7);
+  const auto* linear =
+      dynamic_cast<const k::LinearVariogram*>(all[2].model.get());
+  ASSERT_NE(linear, nullptr);
+  EXPECT_EQ(linear->nugget(), 0.0);
+  EXPECT_EQ(linear->slope(), 0x1.208b2726a5a51p+4);
 }
 
 }  // namespace

@@ -51,6 +51,9 @@ TEST(Matrix, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m(0, 0), 7.0);
   EXPECT_THROW((void)m(2, 0), std::out_of_range);
   EXPECT_THROW((void)m(0, 3), std::out_of_range);
+  const Matrix& cm = m;
+  EXPECT_THROW((void)cm(2, 0), std::out_of_range);
+  EXPECT_THROW((void)cm(0, 3), std::out_of_range);
 }
 
 TEST(Matrix, InitializerListAndRagged) {
