@@ -3,6 +3,10 @@
 // function of support size, neighbour search, variogram fitting, and the
 // bit-accurate simulation primitives it replaces.
 //
+// BM_Simulate/<kernel> times one whole simulator call of a packaged
+// benchmark (core::make_*_benchmark) at a mid-lattice configuration: the
+// per-simulation cost the kriging policy saves each time it interpolates.
+//
 // The *_Scan/_Assembly benchmarks form a roofline-ish suite for
 // the SIMD/SoA layer (DESIGN.md §10): each streams the same data through
 // the scalar reference twin (arg0 = 0, a TU compiled with
@@ -20,6 +24,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/benchmarks.hpp"
 #include "dse/sim_store.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
@@ -266,6 +271,36 @@ void BM_QuantizedFft64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantizedFft64);
+
+void BM_Simulate(benchmark::State& state,
+                 const ace::core::ApplicationBenchmark& bench, int value) {
+  const ace::dse::Config config(bench.nv, value);
+  for (auto _ : state) {
+    double lambda = bench.simulate(config);
+    benchmark::DoNotOptimize(lambda);
+  }
+}
+
+ace::core::ApplicationBenchmark hevc_with_jobs(std::size_t jobs) {
+  ace::core::HevcBenchOptions o;
+  o.jobs = jobs;
+  return ace::core::make_hevc_benchmark(o);
+}
+
+ace::core::ApplicationBenchmark squeezenet_with_images(std::size_t images) {
+  ace::core::CnnBenchOptions o;
+  o.images = images;
+  return ace::core::make_squeezenet_benchmark(o);
+}
+
+BENCHMARK_CAPTURE(BM_Simulate, fir, ace::core::make_fir_benchmark(), 12)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Simulate, hevc_block, hevc_with_jobs(1), 12)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Simulate, hevc, hevc_with_jobs(24), 12)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Simulate, squeezenet, squeezenet_with_images(10), 8)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

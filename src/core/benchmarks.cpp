@@ -179,12 +179,10 @@ ApplicationBenchmark make_hevc_benchmark(const HevcBenchOptions& opt) {
   bench.simulate = [state](const dse::Config& w) {
     std::vector<double> approx;
     approx.reserve(state->reference.size());
-    for (const auto& job : state->jobs) {
-      const auto block = state->quantized->interpolate(job, w);
+    for (const auto& block : state->quantized->interpolate(state->jobs, w))
       for (std::size_t y = 0; y < video::kBlockSize; ++y)
         for (std::size_t x = 0; x < video::kBlockSize; ++x)
           approx.push_back(block.at(x, y));
-    }
     return accuracy_db(approx, state->reference);
   };
   return bench;

@@ -15,24 +15,7 @@ Quantizer::Quantizer(Format format, RoundingMode rounding,
       max_(format.max_value()),
       span_(max_ - min_ + format.step()) {}
 
-double Quantizer::quantize(double x) const {
-  double scaled = x * inv_step_;
-  double grid;
-  switch (rounding_) {
-    case RoundingMode::kTruncate:
-      grid = std::floor(scaled);
-      break;
-    case RoundingMode::kRoundNearest:
-      grid = std::floor(scaled + 0.5);
-      break;
-    case RoundingMode::kRoundConvergent:
-    default:
-      // Half-to-even via nearbyint (FE_TONEAREST is the C++ default mode).
-      grid = std::nearbyint(scaled);
-      break;
-  }
-  double value = grid * step_;
-  if (value >= min_ && value <= max_) return value;
+double Quantizer::out_of_range(double value) const {
   if (overflow_ == OverflowMode::kSaturate)
     return value < min_ ? min_ : max_;
   // Two's-complement wrap: shift into [min, min + span).

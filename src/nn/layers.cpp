@@ -34,30 +34,34 @@ Tensor Conv2d::forward(const Tensor& input) const {
   const std::size_t pad = k_ / 2;
   Tensor out(out_c_, h, w);
 
+  // Each output starts at its bias and adds its in-range taps in
+  // (ic, ky, kx) order, exactly as a per-pixel loop would; the nest is only
+  // turned so that the innermost loop is a contiguous axpy over x, with
+  // each tap's valid output rectangle computed up front.
+  const std::size_t plane = h * w;
   const double* in = input.data();
   double* o = out.data();
   for (std::size_t oc = 0; oc < out_c_; ++oc) {
-    for (std::size_t y = 0; y < h; ++y) {
-      for (std::size_t x = 0; x < w; ++x) {
-        double acc = bias_[oc];
-        for (std::size_t ic = 0; ic < in_c_; ++ic) {
-          const double* wbase =
-              &weights_[((oc * in_c_ + ic) * k_) * k_];
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y + ky) -
-                                      static_cast<std::ptrdiff_t>(pad);
-            if (sy < 0 || sy >= static_cast<std::ptrdiff_t>(h)) continue;
-            const double* irow =
-                &in[(ic * h + static_cast<std::size_t>(sy)) * w];
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(x + kx) -
-                                        static_cast<std::ptrdiff_t>(pad);
-              if (sx < 0 || sx >= static_cast<std::ptrdiff_t>(w)) continue;
-              acc += wbase[ky * k_ + kx] * irow[static_cast<std::size_t>(sx)];
-            }
+    double* oplane = o + oc * plane;
+    std::fill(oplane, oplane + plane, bias_[oc]);
+    for (std::size_t ic = 0; ic < in_c_; ++ic) {
+      const double* iplane = in + ic * plane;
+      const double* wbase = &weights_[((oc * in_c_ + ic) * k_) * k_];
+      for (std::size_t ky = 0; ky < k_; ++ky) {
+        // Output rows whose source row y + ky - pad lies in [0, h).
+        const std::size_t y0 = ky < pad ? pad - ky : 0;
+        const std::size_t y1 = h + pad > ky ? std::min(h, h + pad - ky) : 0;
+        for (std::size_t kx = 0; kx < k_; ++kx) {
+          const double wv = wbase[ky * k_ + kx];
+          const std::size_t x0 = kx < pad ? pad - kx : 0;
+          const std::size_t x1 = w + pad > kx ? std::min(w, w + pad - kx) : 0;
+          for (std::size_t y = y0; y < y1; ++y) {
+            double* orow = oplane + y * w;
+            const double* irow = iplane + (y + ky - pad) * w;
+            for (std::size_t x = x0; x < x1; ++x)
+              orow[x] += wv * irow[x + kx - pad];
           }
         }
-        o[(oc * h + y) * w + x] = acc;
       }
     }
   }
@@ -74,15 +78,21 @@ Tensor max_pool2(const Tensor& input) {
   const std::size_t h = input.height() / 2;
   const std::size_t w = input.width() / 2;
   Tensor out(input.channels(), h, w);
+  const std::size_t in_w = input.width();
+  const double* in = input.data();
+  double* o = out.data();
   for (std::size_t c = 0; c < input.channels(); ++c)
-    for (std::size_t y = 0; y < h; ++y)
+    for (std::size_t y = 0; y < h; ++y) {
+      const double* top = in + (c * input.height() + 2 * y) * in_w;
+      const double* bottom = top + in_w;
       for (std::size_t x = 0; x < w; ++x) {
-        const double a = input.at(c, 2 * y, 2 * x);
-        const double b = input.at(c, 2 * y, 2 * x + 1);
-        const double d = input.at(c, 2 * y + 1, 2 * x);
-        const double e = input.at(c, 2 * y + 1, 2 * x + 1);
-        out.at(c, y, x) = std::max(std::max(a, b), std::max(d, e));
+        const double a = top[2 * x];
+        const double b = top[2 * x + 1];
+        const double d = bottom[2 * x];
+        const double e = bottom[2 * x + 1];
+        o[(c * h + y) * w + x] = std::max(std::max(a, b), std::max(d, e));
       }
+    }
   return out;
 }
 

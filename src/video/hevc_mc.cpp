@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fixedpoint/quantizer.hpp"
 #include "fixedpoint/range_tracker.hpp"
 
 namespace ace::video {
@@ -30,24 +29,33 @@ std::array<double, kTaps> normalized(const std::array<int, kTaps>& c) {
 /// Shared dataflow: `observe(site, value)` is called at every quantization
 /// site and must return the value to keep (identity for the reference,
 /// a quantizer for the fixed-point path, a range recorder for calibration).
+/// Every observer is a pure function of (site, value), so each window pixel
+/// goes through site 0 once and all eight taps that read it reuse the
+/// result.
 template <typename Observe>
 Frame run_mc(const McJob& job, Observe&& observe) {
   const auto& ch = luma_filter(job.frac_x);
   const auto& cv = luma_filter(job.frac_y);
 
+  // Input read (site 0), once per window pixel.
+  std::array<double, kWindow * kWindow> window;
+  for (std::size_t y = 0; y < kWindow; ++y)
+    for (std::size_t x = 0; x < kWindow; ++x)
+      window[y * kWindow + x] = observe(0, job.window.at(x, y));
+
   // Horizontal pass: kWindow rows of kBlockSize intermediate samples.
-  Frame interm(kBlockSize, kWindow);
+  std::array<double, kWindow * kBlockSize> interm;
   for (std::size_t y = 0; y < kWindow; ++y) {
+    const double* row = &window[y * kWindow];
     for (std::size_t x = 0; x < kBlockSize; ++x) {
       double acc = 0.0;
       for (std::size_t t = 0; t < kTaps; ++t) {
-        const double pixel = observe(0, job.window.at(x + t, y));
-        const double product = observe(1 + t, ch[t] * pixel);
+        const double product = observe(1 + t, ch[t] * row[x + t]);
         // Accumulator-entry quantization: addends on the site-9 grid keep
         // every partial sum on the grid (no per-addition re-rounding).
         acc += observe(9, product);
       }
-      interm.at(x, y) = observe(10, acc);
+      interm[y * kBlockSize + x] = observe(10, acc);
     }
   }
 
@@ -57,7 +65,8 @@ Frame run_mc(const McJob& job, Observe&& observe) {
     for (std::size_t x = 0; x < kBlockSize; ++x) {
       double acc = 0.0;
       for (std::size_t t = 0; t < kTaps; ++t) {
-        const double product = observe(11 + t, cv[t] * interm.at(x, y + t));
+        const double product =
+            observe(11 + t, cv[t] * interm[(y + t) * kBlockSize + x]);
         acc += observe(19, product);
       }
       const double filtered = observe(20, acc);
@@ -115,8 +124,8 @@ QuantizedMotionCompensation::QuantizedMotionCompensation(
   site_iwl_ = tracker.all_integer_bits(margin_bits);
 }
 
-Frame QuantizedMotionCompensation::interpolate(const McJob& job,
-                                               const std::vector<int>& w) const {
+std::vector<fixedpoint::Quantizer>
+QuantizedMotionCompensation::site_quantizers(const std::vector<int>& w) const {
   if (w.size() != kVariables)
     throw std::invalid_argument(
         "QuantizedMotionCompensation: wrong word-length count");
@@ -128,10 +137,27 @@ Frame QuantizedMotionCompensation::interpolate(const McJob& job,
   std::vector<fixedpoint::Quantizer> q;
   q.reserve(kMcSites);
   for (std::size_t s = 0; s < kMcSites; ++s)
-    q.emplace_back(fixedpoint::Format::with_clamped_integer_bits(w[s], site_iwl_[s]));
+    q.emplace_back(
+        fixedpoint::Format::with_clamped_integer_bits(w[s], site_iwl_[s]));
+  return q;
+}
 
+Frame QuantizedMotionCompensation::interpolate(const McJob& job,
+                                               const std::vector<int>& w) const {
+  const auto q = site_quantizers(w);
   return run_mc(job,
                 [&](std::size_t site, double v) { return q[site](v); });
+}
+
+std::vector<Frame> QuantizedMotionCompensation::interpolate(
+    const std::vector<McJob>& jobs, const std::vector<int>& w) const {
+  const auto q = site_quantizers(w);
+  std::vector<Frame> blocks;
+  blocks.reserve(jobs.size());
+  for (const auto& job : jobs)
+    blocks.push_back(
+        run_mc(job, [&](std::size_t site, double v) { return q[site](v); }));
+  return blocks;
 }
 
 }  // namespace ace::video

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "fixedpoint/quantizer.hpp"
 #include "video/frame.hpp"
 
 namespace ace::video {
@@ -62,9 +63,18 @@ class QuantizedMotionCompensation {
   /// Interpolate with word lengths w (size 23, each in [2, 52]).
   Frame interpolate(const McJob& job, const std::vector<int>& w) const;
 
+  /// Interpolate every job with the same word lengths; the 23 site
+  /// quantizers are built once for the whole set.
+  std::vector<Frame> interpolate(const std::vector<McJob>& jobs,
+                                 const std::vector<int>& w) const;
+
   const std::vector<int>& site_integer_bits() const { return site_iwl_; }
 
  private:
+  /// Validates w and builds one quantizer per site.
+  std::vector<fixedpoint::Quantizer> site_quantizers(
+      const std::vector<int>& w) const;
+
   std::vector<int> site_iwl_;
 };
 

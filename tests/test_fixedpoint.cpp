@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +20,133 @@ using ace::fixedpoint::OverflowMode;
 using ace::fixedpoint::Quantizer;
 using ace::fixedpoint::RangeTracker;
 using ace::fixedpoint::RoundingMode;
+using ace::fixedpoint::round_half_even;
+
+/// Bitwise equality; any NaN matches any NaN (payloads are not compared).
+::testing::AssertionResult same_bits(double expected, double actual) {
+  if (std::isnan(expected) && std::isnan(actual))
+    return ::testing::AssertionSuccess();
+  if (std::bit_cast<std::uint64_t>(expected) ==
+      std::bit_cast<std::uint64_t>(actual))
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << std::hexfloat << "expected " << expected << ", got " << actual;
+}
+
+TEST(RoundHalfEven, MatchesNearbyintOnEdgeCases) {
+  constexpr double kTwo52 = 4503599627370496.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double cases[] = {
+      0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -0.3, 0.3, 0.49999999999999994,
+      -0.49999999999999994, 3.5, 1e15 + 0.5, kTwo52 - 0.5, -(kTwo52 - 0.5),
+      kTwo52 - 1.5, kTwo52, -kTwo52, kTwo52 + 1.0, 2 * kTwo52 + 2.0,
+      -(2 * kTwo52 + 2.0), 1e300, -1e300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  for (double x : cases)
+    EXPECT_TRUE(same_bits(std::nearbyint(x), round_half_even(x)))
+        << std::hexfloat << "x = " << x;
+  // The sign of a zero result follows the input.
+  EXPECT_TRUE(std::signbit(round_half_even(-0.3)));
+  EXPECT_TRUE(std::signbit(round_half_even(-0.0)));
+  EXPECT_FALSE(std::signbit(round_half_even(0.3)));
+}
+
+TEST(RoundHalfEven, MatchesNearbyintOnRandomDoubles) {
+  // 10^6 seeded doubles: most with an exponent in [-64, 64] (where the
+  // fraction bits matter), one in eight a raw 64-bit pattern (subnormals,
+  // huge values, ±inf and NaN).
+  std::mt19937_64 engine(20200309);
+  std::uniform_int_distribution<int> exponent(-64, 64);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t bits = engine();
+    double x;
+    if (i % 8 == 0) {
+      x = std::bit_cast<double>(bits);
+    } else {
+      const double mantissa =
+          1.0 + static_cast<double>(bits >> 12) * 0x1p-52;
+      x = std::ldexp((bits & 1) != 0 ? -mantissa : mantissa,
+                     exponent(engine));
+    }
+    const auto same = same_bits(std::nearbyint(x), round_half_even(x));
+    if (!same) {
+      ADD_FAILURE() << std::hexfloat << "x = " << x << ": " << same.message();
+      return;
+    }
+  }
+}
+
+/// The out-of-line quantize() every kernel called before it moved into the
+/// header, kept verbatim (libm nearbyint) as the equivalence oracle.
+double reference_quantize(const Format& format, RoundingMode rounding,
+                          OverflowMode overflow, double x) {
+  const double step = format.step();
+  const double min = format.min_value();
+  const double max = format.max_value();
+  const double span = max - min + step;
+  const double scaled = x * (1.0 / step);
+  double grid;
+  switch (rounding) {
+    case RoundingMode::kTruncate:
+      grid = std::floor(scaled);
+      break;
+    case RoundingMode::kRoundNearest:
+      grid = std::floor(scaled + 0.5);
+      break;
+    case RoundingMode::kRoundConvergent:
+    default:
+      grid = std::nearbyint(scaled);
+      break;
+  }
+  const double value = grid * step;
+  if (value >= min && value <= max) return value;
+  if (overflow == OverflowMode::kSaturate) return value < min ? min : max;
+  const double offset = value - min;
+  const double wrapped = offset - span * std::floor(offset / span);
+  return min + wrapped;
+}
+
+TEST(Quantizer, MatchesReferenceFormulaForEveryMode) {
+  std::mt19937_64 engine(52);
+  const std::vector<Format> formats = {Format(2, 0),  Format(2, 1),
+                                       Format(6, 2),  Format(12, 3),
+                                       Format(16, 0), Format(24, 8),
+                                       Format(52, 0), Format(52, 20)};
+  for (const auto rounding :
+       {RoundingMode::kTruncate, RoundingMode::kRoundNearest,
+        RoundingMode::kRoundConvergent}) {
+    for (const auto overflow : {OverflowMode::kSaturate, OverflowMode::kWrap}) {
+      for (const auto& f : formats) {
+        const Quantizer q{f, rounding, overflow};
+        const double range = -f.min_value();
+        std::vector<double> xs = {0.0, -0.0, f.max_value(), f.min_value(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()};
+        // Exact ties between grid points, inside and beyond the range.
+        for (int k = -40; k <= 40; ++k) {
+          const double tie = (k + 0.5) * f.step();
+          xs.insert(xs.end(), {tie, tie + 2.0 * range, tie - 2.0 * range});
+        }
+        // Random values over three times the range: in-range, saturating
+        // and wrapping alike.
+        std::uniform_real_distribution<double> u(-3.0 * range, 3.0 * range);
+        for (int i = 0; i < 2000; ++i) xs.push_back(u(engine));
+        for (double x : xs)
+          ASSERT_TRUE(
+              same_bits(reference_quantize(f, rounding, overflow, x), q(x)))
+              << f.to_string() << " rounding " << static_cast<int>(rounding)
+              << " overflow " << static_cast<int>(overflow) << std::hexfloat
+              << " x = " << x;
+      }
+    }
+  }
+}
 
 TEST(Format, ConstructionValidation) {
   EXPECT_THROW(Format(1, 0), std::invalid_argument);

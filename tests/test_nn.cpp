@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "metrics/classification.hpp"
@@ -101,6 +105,113 @@ TEST(Layers, MaxPool2TakesBlockMaxima) {
   EXPECT_DOUBLE_EQ(out.at(0, 0, 1), 6.0);
   nn::Tensor odd(1, 3, 2);
   EXPECT_THROW((void)nn::max_pool2(odd), std::invalid_argument);
+}
+
+/// The per-pixel convolution loop Conv2d::forward used before its loop nest
+/// was turned (x innermost), kept verbatim as the equivalence oracle: each
+/// output starts at the bias and adds its in-range taps in (ic, ky, kx)
+/// order. (Non-const: Conv2d exposes its parameters only mutably.)
+nn::Tensor reference_conv(nn::Conv2d& conv, const nn::Tensor& input) {
+  const std::size_t in_c = conv.in_channels(), out_c = conv.out_channels();
+  const std::size_t k = conv.kernel();
+  const std::size_t h = input.height(), w = input.width(), pad = k / 2;
+  nn::Tensor out(out_c, h, w);
+  const double* in = input.data();
+  double* o = out.data();
+  for (std::size_t oc = 0; oc < out_c; ++oc) {
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        double acc = conv.bias()[oc];
+        for (std::size_t ic = 0; ic < in_c; ++ic) {
+          const double* wbase = &conv.weights()[((oc * in_c + ic) * k) * k];
+          for (std::size_t ky = 0; ky < k; ++ky) {
+            const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y + ky) -
+                                      static_cast<std::ptrdiff_t>(pad);
+            if (sy < 0 || sy >= static_cast<std::ptrdiff_t>(h)) continue;
+            const double* irow =
+                &in[(ic * h + static_cast<std::size_t>(sy)) * w];
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              const std::ptrdiff_t sx = static_cast<std::ptrdiff_t>(x + kx) -
+                                        static_cast<std::ptrdiff_t>(pad);
+              if (sx < 0 || sx >= static_cast<std::ptrdiff_t>(w)) continue;
+              acc += wbase[ky * k + kx] * irow[static_cast<std::size_t>(sx)];
+            }
+          }
+        }
+        o[(oc * h + y) * w + x] = acc;
+      }
+    }
+  }
+  return out;
+}
+
+/// The checked-access 2×2 pooling loop max_pool2 used before it read the
+/// flat buffer directly.
+nn::Tensor reference_pool(const nn::Tensor& input) {
+  const std::size_t h = input.height() / 2, w = input.width() / 2;
+  nn::Tensor out(input.channels(), h, w);
+  for (std::size_t c = 0; c < input.channels(); ++c)
+    for (std::size_t y = 0; y < h; ++y)
+      for (std::size_t x = 0; x < w; ++x) {
+        const double a = input.at(c, 2 * y, 2 * x);
+        const double b = input.at(c, 2 * y, 2 * x + 1);
+        const double d = input.at(c, 2 * y + 1, 2 * x);
+        const double e = input.at(c, 2 * y + 1, 2 * x + 1);
+        out.at(c, y, x) = std::max(std::max(a, b), std::max(d, e));
+      }
+  return out;
+}
+
+/// Bit-for-bit equality of shape and every element (NaN payloads included).
+::testing::AssertionResult same_bits(const nn::Tensor& expected,
+                                     const nn::Tensor& actual) {
+  if (expected.channels() != actual.channels() ||
+      expected.height() != actual.height() ||
+      expected.width() != actual.width())
+    return ::testing::AssertionFailure() << "shape differs";
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(expected.flat()[i]) !=
+        std::bit_cast<std::uint64_t>(actual.flat()[i]))
+      return ::testing::AssertionFailure()
+             << std::hexfloat << "element " << i << ": expected "
+             << expected.flat()[i] << ", got " << actual.flat()[i];
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Conv2d, ForwardIsBitIdenticalToPerPixelLoop) {
+  ace::util::Rng rng(314);
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {2, 2}, {5, 7}, {7, 5}, {16, 16}};
+  const std::pair<std::size_t, std::size_t> channels[] = {
+      {1, 1}, {1, 4}, {3, 2}, {8, 5}};
+  for (std::size_t k : {1u, 3u, 5u})
+    for (const auto& [in_c, out_c] : channels)
+      for (const auto& [h, w] : sizes) {
+        nn::Conv2d conv(in_c, out_c, k);
+        conv.init_weights(rng);  // He-normal: negative weights and biases.
+        nn::Tensor input(in_c, h, w);
+        for (auto& v : input.flat()) v = rng.normal(0.0, 2.0);
+        EXPECT_TRUE(same_bits(reference_conv(conv, input), conv.forward(input)))
+            << "k=" << k << " in=" << in_c << " out=" << out_c << " " << h
+            << "x" << w;
+      }
+}
+
+TEST(Layers, MaxPool2IsBitIdenticalToCheckedLoop) {
+  ace::util::Rng rng(2718);
+  const double specials[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t c : {1u, 3u, 8u})
+    for (const auto& [h, w] :
+         {std::pair<std::size_t, std::size_t>{2, 2}, {4, 6}, {6, 4}, {16, 16}}) {
+      nn::Tensor input(c, h, w);
+      for (std::size_t i = 0; i < input.size(); ++i)
+        input.flat()[i] = i % 7 == 3 ? specials[(i / 7) % 5]
+                                     : rng.normal(0.0, 1.0);
+      EXPECT_TRUE(same_bits(reference_pool(input), nn::max_pool2(input)))
+          << c << "x" << h << "x" << w;
+    }
 }
 
 TEST(Layers, GlobalAvgPool) {

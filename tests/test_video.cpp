@@ -131,6 +131,8 @@ TEST(QuantizedMc, ValidationAndSiteCount) {
                std::invalid_argument);
   EXPECT_THROW((void)q.interpolate(jobs[0], std::vector<int>(23, 1)),
                std::invalid_argument);
+  EXPECT_THROW((void)q.interpolate(jobs, std::vector<int>(23, 53)),
+               std::invalid_argument);
 }
 
 TEST(QuantizedMc, WideWordsConvergeToReference) {
@@ -180,9 +182,16 @@ TEST(QuantizedMc, Deterministic) {
   const std::vector<int> w(v::kMcSites, 10);
   const auto a = q.interpolate(jobs[0], w);
   const auto b = q.interpolate(jobs[0], w);
+  // The batch form (quantizers built once for the set) gives the same blocks.
+  const auto batch = q.interpolate(jobs, w);
+  ASSERT_EQ(batch.size(), jobs.size());
+  const auto c = q.interpolate(jobs[1], w);
   for (std::size_t y = 0; y < v::kBlockSize; ++y)
-    for (std::size_t x = 0; x < v::kBlockSize; ++x)
+    for (std::size_t x = 0; x < v::kBlockSize; ++x) {
       EXPECT_EQ(a.at(x, y), b.at(x, y));
+      EXPECT_EQ(batch[0].at(x, y), a.at(x, y));
+      EXPECT_EQ(batch[1].at(x, y), c.at(x, y));
+    }
 }
 
 }  // namespace

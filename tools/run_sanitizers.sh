@@ -2,10 +2,13 @@
 # Sanitized verification flow for the fault-tolerant evaluation subsystem.
 #
 # Builds the ASan+UBSan and TSan trees (CMakePresets: asan / tsan) and runs
-# the dse / kriging / dist / util test subset under each. TSan specifically
-# covers the concurrent surfaces: evaluate_batch on a pool, the collecting
-# thread pool, the fault-injection counters, and the coordinator/worker
-# reader threads plus the chaos-injected transports.
+# the dse / kriging / dist / serve / util test subset under each, plus the
+# simulator kernels' tests (fixedpoint, signal, video, nn, core benchmarks),
+# whose hot loops index raw buffers. TSan specifically covers the concurrent
+# surfaces: evaluate_batch on a pool, the collecting thread pool, the
+# fault-injection counters, and the coordinator/worker reader threads plus
+# the chaos-injected transports. Each binary's wall time is printed after
+# it.
 #
 # Usage: tools/run_sanitizers.sh [address|thread|all]   (default: all)
 set -euo pipefail
@@ -18,17 +21,23 @@ run_flavour() {
   echo "=== [$preset] configure + build ==="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
-  echo "=== [$preset] dse/kriging/dist/serve/util test subset ==="
+  echo "=== [$preset] dse/kriging/dist/serve/util + kernel test subset ==="
   # Run the gtest binaries directly: binary names carry the subsystem
   # prefix (ctest registers individual suite.case names, which don't).
   for bin in "build-$preset"/tests/test_util_* \
              "build-$preset"/tests/test_dse_* \
              "build-$preset"/tests/test_dist_* \
              "build-$preset"/tests/test_serve_* \
-             "build-$preset"/tests/test_kriging_*; do
+             "build-$preset"/tests/test_kriging_* \
+             "build-$preset"/tests/test_fixedpoint \
+             "build-$preset"/tests/test_signal_* \
+             "build-$preset"/tests/test_video* \
+             "build-$preset"/tests/test_nn \
+             "build-$preset"/tests/test_core_benchmarks; do
     [ -x "$bin" ] || continue
     echo "--- $bin"
-    "$bin" --gtest_brief=1
+    TIMEFORMAT="--- $bin: %R s"
+    time "$bin" --gtest_brief=1
   done
 }
 
