@@ -29,11 +29,13 @@
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "kriging/ordinary_kriging.hpp"
+#include "serve/session.hpp"
 #include "signal/fft.hpp"
 #include "signal/fir.hpp"
 #include "signal/generator.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -244,6 +246,69 @@ void BM_VariogramExtend(benchmark::State& state) {
   state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
 }
 BENCHMARK(BM_VariogramExtend)->Arg(0)->Arg(1);
+
+// Park and resume one mid-run service session: a 64-point FFT word-length
+// min+1 (the serve_sessions shape) stepped until its store holds 60
+// points — 3 fit events under the neighbour-count gate (arg0 = 0), 4
+// under the LOO-calibrated gate (arg0 = 1), whose resume replays every
+// fit. Each iteration parks it (the policy snapshot becomes the session's
+// checkpoint), resumes it (a zero-step request restores the policy), and
+// sends one more zero-step request to the now-resident session. park_us,
+// resume_us and round_trip_us split the client-side wall time; the last
+// is the bare submit/wait hand-off to the service thread, so
+// resume_us − round_trip_us is the resume's own work.
+void BM_ParkResume(benchmark::State& state) {
+  ace::core::SignalBenchOptions signal;
+  signal.samples = 64;
+  signal.seed = 1;
+  signal.lambda_min_db = 43.0;
+  const ace::core::ApplicationBenchmark bench =
+      ace::core::make_fft_benchmark(signal);
+  ace::serve::SessionSpec spec;
+  spec.name = bench.name;
+  if (state.range(0) != 0)
+    spec.policy.gate = ace::dse::GateKind::kLooCalibrated;
+  spec.min_plus = bench.min_plus_one;
+  spec.simulate = bench.simulate;
+
+  ace::serve::SessionManagerOptions options;
+  options.service_threads = 1;
+  ace::serve::SessionManager manager(options);
+  const ace::serve::SessionId id = manager.create(spec);
+  ace::serve::SessionProgress progress = manager.progress(id);
+  while (progress.stats.simulated < 60 && !progress.finished) {
+    manager.wait(manager.submit(id, 1));
+    progress = manager.progress(id);
+  }
+  if (progress.finished) {
+    state.SkipWithError("session finished before reaching 60 points");
+    return;
+  }
+
+  double park_s = 0.0;
+  double resume_s = 0.0;
+  double round_trip_s = 0.0;
+  for (auto _ : state) {
+    ace::util::Stopwatch watch;
+    manager.park(id);
+    park_s += watch.seconds();
+    watch.restart();
+    manager.wait(manager.submit(id, 0));
+    resume_s += watch.seconds();
+    watch.restart();
+    manager.wait(manager.submit(id, 0));
+    round_trip_s += watch.seconds();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["park_us"] = park_s * 1e6 / n;
+  state.counters["resume_us"] = resume_s * 1e6 / n;
+  state.counters["round_trip_us"] = round_trip_s * 1e6 / n;
+  state.counters["points"] = static_cast<double>(progress.stats.simulated);
+  state.counters["fit_events"] = static_cast<double>(
+      progress.stats.refits + progress.stats.failed_refits);
+  state.SetLabel(ace::dse::gate_name(spec.policy.gate));
+}
+BENCHMARK(BM_ParkResume)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_FirSimulation(benchmark::State& state) {
   ace::util::Rng rng(4);

@@ -70,6 +70,20 @@ std::size_t Coordinator::healthy_workers() const {
   return healthy;
 }
 
+void Coordinator::await_handshakes(std::chrono::milliseconds timeout) {
+  const Clock::time_point until = Clock::now() + timeout;
+  // No batch is open, so no lease can resolve into a task here.
+  std::vector<Task> no_tasks;
+  const auto handshaking = [this] {
+    return std::any_of(slots_.begin(), slots_.end(), [](const Slot& slot) {
+      return slot.alive && !slot.ready;
+    });
+  };
+  Event event;
+  while (handshaking() && events_.pop(event, until))
+    handle_event(event, no_tasks, Clock::now());
+}
+
 bool Coordinator::can_spawn() const {
   return stats_.respawns < options_.respawn_budget;
 }

@@ -118,6 +118,12 @@ class Coordinator final : public dse::BatchSimulator {
   bool degraded() const { return degraded_; }
   std::size_t healthy_workers() const;
 
+  /// Between batches: handle worker events until every live worker has
+  /// finished its HELLO->READY handshake or `timeout` passes. A batch ends
+  /// as soon as its tasks are done, which can be before a slow worker's
+  /// READY has been read.
+  void await_handshakes(std::chrono::milliseconds timeout);
+
  private:
   using Clock = std::chrono::steady_clock;
 

@@ -3,11 +3,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
+#include <system_error>
 
 #include "dse/scheduler.hpp"
 
@@ -204,20 +207,26 @@ std::string serialize(const Checkpoint& ck) {
 
 // --- reading ---------------------------------------------------------------
 
+/// Whitespace-separated tokens over the whole payload, so every count can
+/// be checked against the bytes left before anything is allocated for it.
 class Reader {
  public:
-  explicit Reader(std::istream& in) : in_(in) {}
+  explicit Reader(std::istream& in)
+      : payload_(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>()) {}
 
   // A cut-off stream (worker crash mid-write, truncated download) is
   // reported as kTruncatedPayload, a token that exists but does not parse
   // as kCorruptPayload — both typed, so a partial file can never load
   // silently and callers can route the two failure classes differently.
   std::string token() {
-    std::string t;
-    if (!(in_ >> t))
+    while (pos_ < payload_.size() && is_space(payload_[pos_])) ++pos_;
+    const std::size_t begin = pos_;
+    while (pos_ < payload_.size() && !is_space(payload_[pos_])) ++pos_;
+    if (pos_ == begin)
       throw PayloadError(FaultCode::kTruncatedPayload,
                          "checkpoint: unexpected end of file");
-    return t;
+    return payload_.substr(begin, pos_ - begin);
   }
 
   void expect(const char* keyword) {
@@ -228,25 +237,30 @@ class Reader {
                              "', got '" + t + "'");
   }
 
-  std::size_t size() {
-    const std::string t = token();
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0')
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         "checkpoint: bad count '" + t + "'");
-    return static_cast<std::size_t>(v);
+  /// A non-negative decimal that fits std::size_t (no sign, no overflow).
+  std::size_t size() { return decimal<std::size_t>("count"); }
+
+  /// A count of records still to come: also rejected when the unread
+  /// payload cannot hold that many one-token records.
+  std::size_t count() {
+    const std::size_t n = size();
+    require_room(n, 1);
+    return n;
   }
 
-  int integer() {
-    const std::string t = token();
-    char* end = nullptr;
-    const long v = std::strtol(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0')
+  /// Throws kCorruptPayload unless `records` records of `tokens_each`
+  /// (>= 1) tokens fit in the unread payload. Every token takes at least
+  /// one byte plus a separator, so a corrupt count can never drive an
+  /// allocation larger than the payload itself.
+  void require_room(std::size_t records, std::size_t tokens_each) const {
+    const std::size_t room = (payload_.size() - pos_ + 1) / 2;
+    if (records != 0 && records > room / tokens_each)
       throw PayloadError(FaultCode::kCorruptPayload,
-                         "checkpoint: bad integer '" + t + "'");
-    return static_cast<int>(v);
+                         "checkpoint: count " + std::to_string(records) +
+                             " exceeds the remaining payload");
   }
+
+  int integer() { return decimal<int>("integer"); }
 
   bool boolean() { return integer() != 0; }
 
@@ -261,7 +275,26 @@ class Reader {
   }
 
  private:
-  std::istream& in_;
+  static bool is_space(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+
+  /// The whole token as a decimal T; out-of-range values are corrupt, not
+  /// wrapped.
+  template <typename T>
+  T decimal(const char* what) {
+    const std::string t = token();
+    T v{};
+    const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+    if (ec != std::errc() || end != t.data() + t.size())
+      throw PayloadError(FaultCode::kCorruptPayload,
+                         std::string("checkpoint: bad ") + what + " '" + t +
+                             "'");
+    return v;
+  }
+
+  std::string payload_;
+  std::size_t pos_ = 0;
 };
 
 Config read_config(Reader& r, std::size_t dim) {
@@ -271,13 +304,13 @@ Config read_config(Reader& r, std::size_t dim) {
 }
 
 std::vector<std::size_t> read_sized(Reader& r) {
-  std::vector<std::size_t> xs(r.size());
+  std::vector<std::size_t> xs(r.count());
   for (std::size_t& v : xs) v = r.size();
   return xs;
 }
 
 Config read_sized_config(Reader& r) {
-  const std::size_t n = r.size();
+  const std::size_t n = r.count();
   return read_config(r, n);
 }
 
@@ -337,8 +370,9 @@ Checkpoint parse(std::istream& in) {
   ck.optimizer = r.token();
 
   r.expect("store");
-  const std::size_t n = r.size();
-  const std::size_t dim = r.size();
+  const std::size_t n = r.count();
+  const std::size_t dim = r.count();
+  r.require_room(n, dim + 1);  // dim ints and a value per record.
   ck.policy.configs.reserve(n);
   ck.policy.values.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -346,8 +380,9 @@ Checkpoint parse(std::istream& in) {
     ck.policy.values.push_back(r.real());
   }
   r.expect("quarantine");
-  const std::size_t m = r.size();
-  const std::size_t qdim = r.size();
+  const std::size_t m = r.count();
+  const std::size_t qdim = r.count();
+  r.require_room(m, qdim + 1);  // A fault code and qdim ints per record.
   ck.policy.quarantine.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     const int raw_code = r.integer();

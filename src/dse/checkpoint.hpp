@@ -5,8 +5,13 @@
 // round trip is exact; the policy snapshot is restored by *replay*
 // (KrigingPolicy::restore), so the rebuilt store, variogram bins, fitted
 // model, trend and refit clocks are bit-identical to the snapshotted
-// policy. A run resumed from a checkpoint therefore makes exactly the
-// decisions the uninterrupted run would have made.
+// policy. The replay adds every stored point but refits only at the last
+// recorded fit event (at every event under a LOO-calibrated gate, whose
+// calibration folds each refit's LOO pass): the incremental variogram
+// extend is chunk-invariant and each refit overwrites everything earlier
+// ones produced, so the skipped fits are unobservable. A run resumed from
+// a checkpoint therefore makes exactly the decisions the uninterrupted run
+// would have made.
 //
 // Files are written atomically (temp file + rename): a crash mid-write
 // leaves the previous checkpoint intact.
@@ -46,12 +51,15 @@ struct Checkpoint {
 };
 
 /// The versioned text payload save_checkpoint writes, as a string. The
-/// session layer parks sessions through this (in-memory, no file), so a
-/// parked session is exactly a checkpoint the on-disk tooling could read.
+/// session layer parks sessions as in-memory Checkpoint values; this
+/// renders one as exactly the file the on-disk tooling would read.
 std::string serialize_checkpoint(const Checkpoint& checkpoint);
 
-/// Parse a checkpoint payload from a stream. Throws std::runtime_error on
-/// a malformed payload or unsupported version.
+/// Parse a checkpoint payload from a stream (read to its end). Throws
+/// PayloadError (a std::runtime_error): kTruncatedPayload when the payload
+/// ends early, kCorruptPayload on a malformed token, an unsupported
+/// version, a negative or out-of-range integer, or a count the rest of
+/// the payload cannot hold.
 Checkpoint parse_checkpoint(std::istream& in);
 
 /// Serialize to `path` atomically. Throws std::runtime_error on I/O error.

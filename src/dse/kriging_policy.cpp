@@ -369,11 +369,25 @@ void KrigingPolicy::restore(const PolicySnapshot& snapshot) {
     throw std::invalid_argument(
         "KrigingPolicy::restore: configs/values size mismatch");
 
-  // Replay: grow the store in insertion order and re-run each recorded fit
-  // attempt at the store size it originally happened at. The empirical
-  // variogram folds pairs in the same order as the original run, the fit
-  // sees the same bins, and the refit clocks land on the same values — so
-  // every subsequent evaluation behaves bit-identically.
+  // Replay: grow the store in insertion order and walk the recorded fit
+  // attempts at the store sizes they originally happened at; the walk
+  // keeps the events-vs-store consistency check. Only the last attempt
+  // refits, because nothing else an earlier refit leaves behind survives
+  // it:
+  //  - the constant-drift variogram extend is chunk-invariant —
+  //    extend(A ∪ B) folds the same (j < k) pairs and Welford updates in
+  //    the same order as extend(A); extend(B) — so one extend at the last
+  //    event leaves the bins and sill exactly where the full replay does;
+  //  - a linear-drift refit rebuilds trend and variogram from scratch;
+  //  - the fit, sill, nugget and refit clocks depend only on those bins
+  //    and the store size, and whether a fit succeeds is monotone in the
+  //    store (a bin's pair count depends on distances alone and only
+  //    grows as points arrive), so a failed last attempt means every
+  //    earlier one failed too;
+  //  - the factor cache is empty after any refit, and statistics and fit
+  //    events are overwritten from the snapshot below.
+  // The exception is a gate that wants_loo(): its calibration folds every
+  // refit's LOO pass, so there every recorded attempt replays.
   // Quarantine events replay *before* the adds. In the original run a
   // configuration appearing in both lists was necessarily quarantined
   // first and added cleanly later (a stored configuration is served from
@@ -382,12 +396,14 @@ void KrigingPolicy::restore(const PolicySnapshot& snapshot) {
   // run did, leaving the log entry for audit.
   for (const auto& [config, code] : snapshot.quarantine)
     (void)store_.quarantine(config, code);
+  const bool replay_every_fit = gate_->wants_loo();
   std::size_t next_event = 0;
   const auto replay_fits = [&] {
     while (next_event < snapshot.fit_events.size() &&
            snapshot.fit_events[next_event] == store_.size()) {
       ++next_event;
-      (void)refit_model_locked();
+      if (replay_every_fit || next_event == snapshot.fit_events.size())
+        (void)refit_model_locked();
     }
   };
   replay_fits();

@@ -230,10 +230,10 @@ struct PolicyStats {
 
 /// Everything needed to reconstruct a KrigingPolicy mid-run, bit-exactly:
 /// the store contents in insertion order, the quarantine log, the store
-/// sizes at which variogram (re)fits were attempted — replaying those
-/// attempts against the rebuilt store reproduces the fitted model, trend
-/// and refit clocks exactly — and the statistics. See dse/checkpoint for
-/// the on-disk format.
+/// sizes at which variogram (re)fits were attempted — replaying the last
+/// attempt (all of them under a LOO-calibrated gate) against the rebuilt
+/// store reproduces the fitted model, trend and refit clocks exactly — and
+/// the statistics. See dse/checkpoint for the on-disk format.
 struct PolicySnapshot {
   std::vector<Config> configs;
   std::vector<double> values;
@@ -330,9 +330,13 @@ class KrigingPolicy {
   /// Rebuild this policy from a snapshot. Must be called on a freshly
   /// constructed policy (same options as the snapshotting one); throws
   /// std::logic_error otherwise. Restoring replays the store in insertion
-  /// order and re-runs the recorded fit attempts, so the fitted model,
-  /// trend, variogram bins and refit clocks all match the snapshotted
-  /// policy bit-for-bit.
+  /// order and re-runs the last recorded fit attempt — every attempt when
+  /// the gate wants_loo(), whose calibration depends on each refit's LOO
+  /// pass — so the fitted model, trend, variogram bins and refit clocks
+  /// all match the snapshotted policy bit-for-bit. Skipping the earlier
+  /// attempts is unobservable: the incremental variogram extend is
+  /// chunk-invariant and every other refit product is overwritten by the
+  /// last one (see the comment in restore()).
   void restore(const PolicySnapshot& snapshot) ACE_EXCLUDES(mutex_);
 
   /// Bump the checkpoints_written counter (called by the dse::checkpoint
@@ -425,7 +429,8 @@ class KrigingPolicy {
   /// Sample variance of the kriged field.
   double sill_estimate_ ACE_GUARDED_BY(mutex_) = 0.0;
   /// Store size at every refit_model() entry, in call order — the replay
-  /// script that makes snapshot()/restore() bit-exact.
+  /// script that makes snapshot()/restore() bit-exact (and the consistency
+  /// check restore() runs against the store).
   std::vector<std::size_t> fit_events_ ACE_GUARDED_BY(mutex_);
   mutable util::Mutex mutex_{util::lock_order::Rank::kPolicy, "dse.policy"};
 };

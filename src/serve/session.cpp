@@ -1,6 +1,5 @@
 #include "serve/session.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +13,12 @@ namespace {
 const char* optimizer_tag(OptimizerKind kind) {
   return kind == OptimizerKind::kMinPlusOne ? "min_plus_one"
                                             : "steepest_descent";
+}
+
+/// The evaluator a finished session's steps run against: a finished
+/// cursor's step returns before evaluating, so this is never called.
+std::vector<double> no_policy(const std::vector<dse::Config>&) {
+  throw std::logic_error("SessionManager: finished session evaluated");
 }
 
 }  // namespace
@@ -114,46 +119,25 @@ void SessionManager::drain() {
 void SessionManager::park(SessionId id) {
   util::UniqueLock lock(mutex_);
   Session& s = session_locked(id);
-  while (s.in_service || !s.pending.empty() || s.parking) lock.wait(done_cv_);
-  if (!s.policy) return;
-  // Two phases: snapshot + detach under the lock (cheap copies), render
-  // the checkpoint text outside it. `parking` keeps resumers away until
-  // the commit makes `parked` valid.
-  ParkJob job = detach_park_locked(s);
-  lock.unlock();
-  std::string text = dse::serialize_checkpoint(job.checkpoint);
-  lock.lock();
-  // `s` stays valid across the gap: sessions are never destroyed before
-  // the manager, and `parking` pins its residency state.
-  commit_park_locked(s, std::move(text));
+  while (s.in_service || !s.pending.empty()) lock.wait(done_cv_);
+  if (s.policy) park_locked(s);
 }
 
-SessionManager::ParkJob SessionManager::detach_park_locked(Session& s) {
-  ParkJob job;
-  job.id = s.id;
+void SessionManager::park_locked(Session& s) {
+  dse::Checkpoint& checkpoint = s.parked.emplace();
   // snapshot() without record_checkpoint(): parking is a residency
   // decision, not a durability event, so the policy's statistics stay
   // bit-identical to a standalone run that never parked.
-  job.checkpoint.policy = s.policy->snapshot();
-  job.checkpoint.optimizer = optimizer_tag(s.spec.optimizer);
-  job.checkpoint.min_plus = s.min_cursor;
-  job.checkpoint.sensitivity = s.sens_cursor;
+  checkpoint.policy = s.policy->snapshot();
+  checkpoint.optimizer = optimizer_tag(s.spec.optimizer);
+  checkpoint.min_plus = s.min_cursor;
+  checkpoint.sensitivity = s.sens_cursor;
   s.policy.reset();
   --resident_;
-  s.parking = true;
-  return job;
-}
-
-void SessionManager::commit_park_locked(Session& s, std::string text) {
-  s.parked = std::move(text);
-  s.parking = false;
   ++stats_.parks;
-  done_cv_.notify_all();
 }
 
-std::vector<SessionManager::ParkJob> SessionManager::collect_victims_locked(
-    const Session* keep) {
-  std::vector<ParkJob> jobs;
+void SessionManager::park_victims_locked(const Session* keep) {
   while (resident_ > options_.resident_capacity) {
     Session* victim = nullptr;
     for (auto& [id, session] : sessions_) {
@@ -163,10 +147,9 @@ std::vector<SessionManager::ParkJob> SessionManager::collect_victims_locked(
       if (&s == keep) continue;
       if (victim == nullptr || s.last_touch < victim->last_touch) victim = &s;
     }
-    if (victim == nullptr) break;  // Everything live is busy: defer.
-    jobs.push_back(detach_park_locked(*victim));
+    if (victim == nullptr) return;  // Everything live is busy: defer.
+    park_locked(*victim);
   }
-  return jobs;
 }
 
 void SessionManager::service_loop() {
@@ -185,84 +168,51 @@ void SessionManager::service_loop() {
     --pending_total_;
     space_cv_.notify_all();
 
-    // A parker may hold this session's detached snapshot while rendering
-    // its checkpoint off-lock; resuming before the commit would lose it.
-    while (s.parking) lock.wait(done_cv_);
-
-    // Build or resume the policy, and make room by parking idle LRU
-    // victims. The blocking work — checkpoint parse, restore replay,
-    // victim serialization — runs OUTSIDE the manager lock: a slow resume
-    // must not stall submits and steps for every other session. The
-    // resident slot is reserved up front so concurrent residency
-    // enforcement counts this session; in_service keeps every other
-    // thread away from its cursors and policy slot, and spec is immutable
-    // after create(), so the off-lock reads are race-free.
-    const bool resume = s.policy == nullptr;
-    std::vector<ParkJob> victims;
+    // A finished cursor never evaluates again, so its request runs without
+    // a policy. Otherwise build or resume the policy, and make room by
+    // parking idle LRU victims. The restore replay runs OUTSIDE the
+    // manager lock: a slow resume must not stall submits and steps for
+    // every other session. The resident slot is reserved up front so
+    // concurrent residency enforcement counts this session; in_service
+    // keeps every other thread away from its cursors and policy slot, and
+    // spec is immutable after create(), so the off-lock reads are
+    // race-free.
+    const bool resume = !s.finished() && !s.policy;
+    std::optional<dse::Checkpoint> parked;
     if (resume) {
       ++resident_;
-      std::string parked = std::move(s.parked);
-      s.parked.clear();
-      victims = collect_victims_locked(&s);
-      s.last_touch = ++clock_;
+      parked = std::exchange(s.parked, std::nullopt);
+    }
+    park_victims_locked(&s);
+    s.last_touch = ++clock_;
+    if (resume) {
       lock.unlock();
-
-      std::vector<std::pair<SessionId, std::string>> rendered;
-      rendered.reserve(victims.size());
-      for (ParkJob& job : victims)
-        rendered.emplace_back(job.id,
-                              dse::serialize_checkpoint(job.checkpoint));
       auto policy = std::make_unique<dse::KrigingPolicy>(s.spec.policy);
-      dse::Checkpoint checkpoint;
-      const bool restored = !parked.empty();
-      if (restored) {
-        std::istringstream in(parked);
-        checkpoint = dse::parse_checkpoint(in);
-        // Replay is bit-exact: the rebuilt store, variogram and model are
-        // exactly the snapshotted policy's (checkpoint.hpp contract).
-        policy->restore(checkpoint.policy);
-      }
+      // Replay is bit-exact: the rebuilt store, variogram and model are
+      // exactly the snapshotted policy's (checkpoint.hpp contract).
+      if (parked) policy->restore(parked->policy);
 
       lock.lock();
-      for (auto& [vid, text] : rendered)
-        commit_park_locked(*sessions_.at(vid), std::move(text));
       s.policy = std::move(policy);
-      if (restored) {
-        s.min_cursor = checkpoint.min_plus;
-        s.sens_cursor = checkpoint.sensitivity;
-        ++stats_.resumes;
-      }
-    } else {
-      victims = collect_victims_locked(&s);
-      s.last_touch = ++clock_;
-      if (!victims.empty()) {
-        lock.unlock();
-        std::vector<std::pair<SessionId, std::string>> rendered;
-        rendered.reserve(victims.size());
-        for (ParkJob& job : victims)
-          rendered.emplace_back(job.id,
-                                dse::serialize_checkpoint(job.checkpoint));
-        lock.lock();
-        for (auto& [vid, text] : rendered)
-          commit_park_locked(*sessions_.at(vid), std::move(text));
-      }
+      if (parked) ++stats_.resumes;
     }
 
     // The cursor is stepped on a local copy outside the lock; the session
     // is flagged in_service, so no other thread touches its state (parking
     // skips in-service sessions, a second service thread cannot pop it —
     // it is not in ready_ while in_service).
-    dse::KrigingPolicy& policy = *s.policy;
+    dse::KrigingPolicy* policy = s.policy.get();
     const SessionSpec& spec = s.spec;
     dse::MinPlusOneCursor min_cursor = s.min_cursor;
     dse::SensitivityCursor sens_cursor = s.sens_cursor;
     lock.unlock();
 
-    const dse::BatchEvaluateFn evaluate =
-        shared_backend_
-            ? dse::policy_batch_evaluator(policy, *shared_backend_)
-            : dse::policy_batch_evaluator(policy, spec.simulate,
-                                          options_.pool);
+    dse::BatchEvaluateFn evaluate = no_policy;
+    if (policy != nullptr)
+      evaluate = shared_backend_
+                     ? dse::policy_batch_evaluator(*policy, *shared_backend_)
+                     : dse::policy_batch_evaluator(*policy, spec.simulate,
+                                                   options_.pool);
     std::size_t executed = 0;
     for (std::size_t i = 0; i < request.steps; ++i) {
       bool more = false;
@@ -274,12 +224,21 @@ void SessionManager::service_loop() {
       ++executed;
       if (!more) break;
     }
-    const dse::PolicyStats policy_stats = policy.stats();
+    // last_stats is written only by the thread holding the session in
+    // service, so reading it here is race-free.
+    const dse::PolicyStats policy_stats =
+        policy != nullptr ? policy->stats() : s.last_stats;
 
     lock.lock();
     s.min_cursor = std::move(min_cursor);
     s.sens_cursor = std::move(sens_cursor);
     s.last_stats = policy_stats;
+    // The slice finished the cursor: release the policy outright. There
+    // is nothing to park — no later request can evaluate through it.
+    if (s.policy && s.finished()) {
+      s.policy.reset();
+      --resident_;
+    }
     s.executed_steps += executed;
     stats_.steps += executed;
     s.in_service = false;
@@ -304,14 +263,11 @@ SessionProgress SessionManager::progress(SessionId id) const {
   const Session& s = *it->second;
   out.exists = true;
   out.resident = s.policy != nullptr;
+  out.finished = s.finished();
   out.steps = s.executed_steps;
-  if (s.spec.optimizer == OptimizerKind::kMinPlusOne) {
-    out.finished = s.min_cursor.finished();
-    out.decisions = s.min_cursor.decisions;
-  } else {
-    out.finished = s.sens_cursor.finished();
-    out.decisions = s.sens_cursor.decisions;
-  }
+  out.decisions = s.spec.optimizer == OptimizerKind::kMinPlusOne
+                      ? s.min_cursor.decisions
+                      : s.sens_cursor.decisions;
   // stats() is itself a snapshot accessor, so reading a live policy here
   // is race-free even while a service thread steps it.
   out.stats = s.policy ? s.policy->stats() : s.last_stats;

@@ -18,12 +18,15 @@
 // Session state vs policy state: the *session* is the durable object (its
 // spec, cursor and ticket queue live for the manager's lifetime); the
 // *policy* — store, variogram bins, fitted model, factor cache — is a
-// resident that can be parked at any quiescent point. Parking serializes
-// the policy snapshot and cursor through the dse/checkpoint text format
-// (in memory, no file), so a parked session is exactly a checkpoint the
-// on-disk tooling could read, and resuming replays it bit-identically.
-// An LRU cap on resident policies bounds memory: thousands of sessions
-// fit in a process with only `resident_capacity` stores live.
+// resident that can be parked at any quiescent point. Parking keeps the
+// policy snapshot and cursors as an in-memory dse::Checkpoint value (no
+// text), so a parked session is exactly a checkpoint the on-disk tooling
+// could write with serialize_checkpoint, and resuming replays it
+// bit-identically through KrigingPolicy::restore. An LRU cap on resident
+// policies bounds memory: thousands of sessions fit in a process with only
+// `resident_capacity` stores live. A session whose cursor has finished
+// holds no policy at all — it can never evaluate again, so its policy is
+// released (not parked) at the end of the slice that finished it.
 #pragma once
 
 #include <condition_variable>
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -64,10 +68,10 @@ enum class OptimizerKind { kMinPlusOne, kSteepestDescent };
 ///
 /// The acquisition gate is part of `policy` (PolicyOptions::gate and its
 /// thresholds), so each session picks its own simulate-vs-interpolate
-/// rule. Gate calibration state is NOT serialized when a session parks:
-/// restore replays the recorded refits, which re-run the LOO calibration
-/// pass, so a resumed session's gate is bit-identical to one that never
-/// parked.
+/// rule. Gate calibration state is NOT kept when a session parks: for the
+/// LOO-calibrated gates restore replays every recorded refit, which re-runs
+/// the LOO calibration passes, so a resumed session's gate is
+/// bit-identical to one that never parked.
 struct SessionSpec {
   std::string name;
   dse::PolicyOptions policy;
@@ -99,7 +103,7 @@ struct SessionManagerOptions {
 struct SessionProgress {
   bool exists = false;
   bool finished = false;
-  bool resident = false;             ///< Policy live (not parked).
+  bool resident = false;             ///< Policy live (not parked/finished).
   std::size_t steps = 0;             ///< Optimizer steps executed so far.
   std::vector<std::size_t> decisions;
   dse::PolicyStats stats;
@@ -131,9 +135,9 @@ class SessionManager {
   SessionId create(SessionSpec spec) ACE_EXCLUDES(mutex_);
 
   /// Queue `steps` optimizer steps for the session (0 = just make it
-  /// resident). Blocks while the request queue is at capacity. Requests
-  /// for one session run FIFO, one at a time. Throws std::out_of_range on
-  /// an unknown id.
+  /// resident; a finished session stays non-resident). Blocks while the
+  /// request queue is at capacity. Requests for one session run FIFO, one
+  /// at a time. Throws std::out_of_range on an unknown id.
   Ticket submit(SessionId id, std::size_t steps) ACE_EXCLUDES(mutex_);
 
   /// Block until the request behind `ticket` has completed (returns
@@ -143,9 +147,10 @@ class SessionManager {
   /// Block until every queued request has completed.
   void drain() ACE_EXCLUDES(mutex_);
 
-  /// Serialize the session's policy + cursor into the in-memory
-  /// checkpoint and release the resident state. Waits for the session to
-  /// go idle first. No-op if already parked.
+  /// Snapshot the session's policy + cursor into its in-memory checkpoint
+  /// and release the resident state. Waits for the session to go idle
+  /// first. No-op if the session holds no policy (parked, finished or
+  /// never started).
   void park(SessionId id) ACE_EXCLUDES(mutex_);
 
   SessionProgress progress(SessionId id) const ACE_EXCLUDES(mutex_);
@@ -178,43 +183,35 @@ class SessionManager {
     SessionSpec spec;
     dse::MinPlusOneCursor min_cursor;
     dse::SensitivityCursor sens_cursor;
-    /// Live policy; null when parked (or never started).
+    /// Live policy; null when parked, finished or never started.
     std::unique_ptr<dse::KrigingPolicy> policy;
-    /// Serialized checkpoint of a parked session ("" = fresh start).
-    std::string parked;
+    /// Checkpoint of a parked session (empty = fresh start, resident or
+    /// finished). Resume restores the policy from it; its cursors equal
+    /// min_cursor/sens_cursor, which nothing steps while parked.
+    std::optional<dse::Checkpoint> parked;
     std::deque<Request> pending;
     bool in_service = false;  ///< A service thread is stepping it.
     bool queued = false;      ///< Present in ready_.
-    /// Policy detached by a service thread that is serializing the
-    /// checkpoint off-lock; `parked` is not yet valid. Nobody may resume
-    /// the session until the serializer commits and clears this.
-    bool parking = false;
     std::size_t last_touch = 0;
     dse::PolicyStats last_stats;  ///< Stats at last service completion.
     std::size_t executed_steps = 0;
-  };
 
-  /// A policy detached from its session for off-lock serialization: the
-  /// snapshot is taken under the manager lock (cheap — copies of columnar
-  /// store state), the checkpoint text is rendered outside it.
-  struct ParkJob {
-    SessionId id = 0;
-    dse::Checkpoint checkpoint;
+    bool finished() const {
+      return spec.optimizer == OptimizerKind::kMinPlusOne
+                 ? min_cursor.finished()
+                 : sens_cursor.finished();
+    }
   };
 
   void service_loop();
   Session& session_locked(SessionId id) const ACE_REQUIRES(mutex_);
-  /// Snapshot the policy + cursors and release the resident slot; the
-  /// session is left `parking` until commit_park_locked. Caller serializes
-  /// the returned checkpoint OUTSIDE the lock.
-  ParkJob detach_park_locked(Session& s) ACE_REQUIRES(mutex_);
-  /// Store the rendered checkpoint text and clear `parking`.
-  void commit_park_locked(Session& s, std::string text) ACE_REQUIRES(mutex_);
-  /// LRU-detach idle residents until the resident cap holds (sessions in
-  /// service or with queued work are never victims). Returned jobs are
-  /// serialized by the caller off-lock and committed afterwards.
-  std::vector<ParkJob> collect_victims_locked(const Session* keep)
-      ACE_REQUIRES(mutex_);
+  /// Snapshot the policy + cursors into `parked` and release the resident
+  /// slot. The snapshot copies the store's rows and renders no text, so
+  /// this runs under the lock.
+  void park_locked(Session& s) ACE_REQUIRES(mutex_);
+  /// Park idle LRU residents until the resident cap holds (sessions in
+  /// service or with queued work are never victims).
+  void park_victims_locked(const Session* keep) ACE_REQUIRES(mutex_);
 
   SessionManagerOptions options_;
   std::unique_ptr<dse::SerializingBatchSimulator> shared_backend_;
@@ -222,9 +219,9 @@ class SessionManager {
 
   /// Outermost rank in the lock hierarchy — everything the service
   /// reaches (policy, store, backend, transports) ranks above it. Nothing
-  /// blocking runs under it: checkpoint parse/serialize and restore
-  /// replay happen off-lock in service_loop/park (two-phase via
-  /// Session::parking), simulations off-lock via the in_service flag.
+  /// blocking runs under it: restore replay happens off-lock in
+  /// service_loop, simulations off-lock via the in_service flag. Parking
+  /// (a snapshot copy) runs under it.
   mutable util::Mutex mutex_{util::lock_order::Rank::kSessionManager,
                              "serve.manager"};
   std::condition_variable ready_cv_;  ///< Work available / stopping.

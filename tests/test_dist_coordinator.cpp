@@ -102,6 +102,8 @@ TEST(DistCoordinator, HappyPathMatchesLocalBitwise) {
   EXPECT_EQ(coordinator.stats().worker_deaths, 0u);
   EXPECT_EQ(coordinator.stats().local_fallbacks, 0u);
   EXPECT_FALSE(coordinator.degraded());
+  // The batch can finish before every worker's READY has been read.
+  coordinator.await_handshakes(options.handshake_ms);
   EXPECT_EQ(coordinator.healthy_workers(), options.workers);
 }
 

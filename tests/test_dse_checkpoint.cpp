@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,82 @@ TEST(CheckpointFile, RejectsGarbageAndUnsupportedVersion) {
   }
   EXPECT_THROW((void)d::load_checkpoint(truncated), std::runtime_error);
   std::remove(truncated.c_str());
+}
+
+// A small valid checkpoint whose payload the corruption tests edit one
+// token at a time.
+d::Checkpoint small_checkpoint() {
+  d::Checkpoint ck;
+  ck.optimizer = "min_plus_one";
+  ck.policy.configs = {{8, 8}, {7, 8}};
+  ck.policy.values = {0.5, -2.25};
+  ck.policy.fit_events = {6, 11};
+  ck.min_plus.w_min = {2, 2};
+  ck.min_plus.w = {8, 8};
+  return ck;
+}
+
+/// The fault code parse_checkpoint reports for `payload` (kNone if it
+/// parses).
+d::FaultCode parse_fault(const std::string& payload) {
+  std::istringstream in(payload);
+  try {
+    (void)d::parse_checkpoint(in);
+  } catch (const d::PayloadError& error) {
+    return error.code();
+  }
+  return d::FaultCode::kNone;
+}
+
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(CheckpointFile, ImpossibleCountsAndIntegersAreCorruptPayloads) {
+  const std::string valid = d::serialize_checkpoint(small_checkpoint());
+  ASSERT_EQ(parse_fault(valid), d::FaultCode::kNone);
+
+  // A negative count, a count no payload this size can hold, a count at
+  // the top of the size_t range, and a version that only wraps into range
+  // through long -> int: all four are corrupt, never an allocation
+  // failure or a silently accepted version.
+  EXPECT_EQ(parse_fault(replaced(valid, "store 2 2", "store -1 2")),
+            d::FaultCode::kCorruptPayload);
+  EXPECT_EQ(parse_fault(
+                replaced(valid, "store 2 2", "store 99999999999999 2")),
+            d::FaultCode::kCorruptPayload);
+  EXPECT_EQ(parse_fault(replaced(valid, "fit_events 2 ",
+                                 "fit_events 18446744073709551615 ")),
+            d::FaultCode::kCorruptPayload);
+  EXPECT_EQ(parse_fault(replaced(valid, "ACE-CHECKPOINT 3",
+                                 "ACE-CHECKPOINT 4294967299")),
+            d::FaultCode::kCorruptPayload);
+
+  // The same bounds guard the dimension, the quarantine and the sized
+  // cursor lists; an int token beyond int range is corrupt too.
+  EXPECT_EQ(parse_fault(replaced(valid, "store 2 2", "store 2 9999999")),
+            d::FaultCode::kCorruptPayload);
+  EXPECT_EQ(parse_fault(replaced(valid, "quarantine 0 0",
+                                 "quarantine 9999999 2")),
+            d::FaultCode::kCorruptPayload);
+  EXPECT_EQ(parse_fault(replaced(valid, "w_min 2 ", "w_min 9999999 ")),
+            d::FaultCode::kCorruptPayload);
+  EXPECT_EQ(parse_fault(replaced(valid, "\n8 8 ", "\n8 2147483648 ")),
+            d::FaultCode::kCorruptPayload);
+
+  // A payload cut off mid-token stream is still reported as truncated.
+  EXPECT_EQ(parse_fault(valid.substr(0, valid.find("cursor_min_plus"))),
+            d::FaultCode::kTruncatedPayload);
+}
+
+TEST(CheckpointFile, ValidPayloadReserializesByteForByte) {
+  const std::string valid = d::serialize_checkpoint(small_checkpoint());
+  std::istringstream in(valid);
+  EXPECT_EQ(d::serialize_checkpoint(d::parse_checkpoint(in)), valid);
 }
 
 // Hand-written fixtures in the historical formats: a version-N writer
@@ -325,6 +402,92 @@ TEST(PolicySnapshot, RestoreRequiresFreshPolicy) {
   const d::PolicySnapshot snap = used.snapshot();
   EXPECT_THROW(used.restore(snap), std::logic_error);
 }
+
+// restore() refits only at the last recorded fit event (every event under
+// a LOO-calibrated gate). Prove the skipped refits unobservable: snapshot
+// the live policy after every step, restore into a fresh one, and run the
+// same next batch through both — outcomes, statistics and the snapshot
+// that follows must be bit-identical, for every gate and both drifts.
+struct RestoreCase {
+  d::GateKind gate;
+  ace::kriging::DriftKind drift;
+};
+
+class RestoreEquivalence : public ::testing::TestWithParam<RestoreCase> {};
+
+TEST_P(RestoreEquivalence, EveryStepSnapshotEvaluatesTheNextBatchIdentically) {
+  d::PolicyOptions options = kriging_options();
+  options.gate = GetParam().gate;
+  options.drift = GetParam().drift;
+  options.gate_nn_floor = 2;
+  options.loo_gate = 2.0;
+  options.gate_lambda_min = 6.0;
+  // Fit from three stored points, every two new simulations. The first
+  // batch stores three points pairwise two L1 steps apart, so the first
+  // attempt sees a one-bin variogram and fails before the fits start
+  // succeeding.
+  options.min_fit_points = 3;
+  options.refit_period = 2;
+
+  std::vector<d::Config> work = {{0, 0}, {1, 1}, {2, 0}};
+  for (int x = 0; x < 8; ++x)
+    for (int y = 0; y < 8; ++y) work.push_back({(x * 3 + y) % 8, y});
+  constexpr std::size_t kBatch = 3;
+
+  d::KrigingPolicy live(options);
+  std::size_t restored_with_fits = 0;
+  for (std::size_t at = 0; at < work.size(); at += kBatch) {
+    const d::PolicySnapshot snapshot = live.snapshot();
+    if (!snapshot.fit_events.empty()) ++restored_with_fits;
+    d::KrigingPolicy restored(options);
+    restored.restore(snapshot);
+    EXPECT_EQ(restored.gate_calibration(), live.gate_calibration());
+
+    const std::vector<d::Config> batch(
+        work.begin() + static_cast<std::ptrdiff_t>(at),
+        work.begin() + static_cast<std::ptrdiff_t>(
+                           std::min(at + kBatch, work.size())));
+    const auto a = live.evaluate_batch(batch, smooth);
+    const auto b = restored.evaluate_batch(batch, smooth);
+    EXPECT_EQ(a, b) << "diverged on the batch at work item " << at;
+    EXPECT_TRUE(live.stats() == restored.stats()) << "at work item " << at;
+    expect_snapshots_equal(restored.snapshot(), live.snapshot());
+  }
+  // The sweep covered snapshots before, across and after the failed
+  // attempts, and some interpolations were actually made.
+  const d::PolicyStats stats = live.stats();
+  EXPECT_GT(stats.failed_refits, 0u);
+  EXPECT_GT(stats.refits, 1u);
+  EXPECT_GT(stats.interpolated, 0u);
+  EXPECT_GT(restored_with_fits, 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GatesAndDrifts, RestoreEquivalence,
+    ::testing::Values(
+        RestoreCase{d::GateKind::kNeighbourCount,
+                    ace::kriging::DriftKind::kConstant},
+        RestoreCase{d::GateKind::kNeighbourCount,
+                    ace::kriging::DriftKind::kLinear},
+        RestoreCase{d::GateKind::kVariance, ace::kriging::DriftKind::kConstant},
+        RestoreCase{d::GateKind::kVariance, ace::kriging::DriftKind::kLinear},
+        RestoreCase{d::GateKind::kLooCalibrated,
+                    ace::kriging::DriftKind::kConstant},
+        RestoreCase{d::GateKind::kLooCalibrated,
+                    ace::kriging::DriftKind::kLinear},
+        RestoreCase{d::GateKind::kSequentialDesign,
+                    ace::kriging::DriftKind::kConstant},
+        RestoreCase{d::GateKind::kSequentialDesign,
+                    ace::kriging::DriftKind::kLinear}),
+    [](const ::testing::TestParamInfo<RestoreCase>& info) {
+      std::string name = d::gate_name(info.param.gate);
+      name += info.param.drift == ace::kriging::DriftKind::kLinear
+                  ? "_linear"
+                  : "_constant";
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
 
 TEST(CheckpointedRuns, KilledMinPlusOneResumesBitIdentically) {
   d::MinPlusOneOptions mpo;

@@ -42,9 +42,10 @@ s::SessionSpec min_plus_spec(std::size_t salt) {
   return spec;
 }
 
-/// A spec whose finished run leaves a large store with frequent refits —
-/// its checkpoint replay takes real work, which is what the off-lock
-/// resume test needs to observe.
+/// A spec whose mid-run checkpoint holds a large store with frequent
+/// refits under a LOO-calibrated gate — restore replays every one of those
+/// refits with its LOO pass, so the replay takes real work, which is what
+/// the off-lock resume test needs to observe.
 s::SessionSpec heavy_spec() {
   s::SessionSpec spec;
   spec.name = "heavy";
@@ -53,6 +54,7 @@ s::SessionSpec heavy_spec() {
   // expensive checkpoint.
   spec.policy.distance = 1;
   spec.policy.refit_period = 2;
+  spec.policy.gate = d::GateKind::kLooCalibrated;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
   spec.min_plus.nv = 8;
   spec.min_plus.w_max = 24;
@@ -85,10 +87,13 @@ TEST(ServeConcurrency, SlowResumeDoesNotBlockOtherSessions) {
   options.service_threads = 2;
   s::SessionManager manager(options);
 
-  // Session A: run to completion (big store), then park. Its resume must
-  // replay the whole checkpoint.
+  // Session A: run most of the way (a store of ~290 points and ~70 fit
+  // events), then park mid-run. Its resume must replay the whole
+  // checkpoint, every refit included (the gate wants LOO). A finished
+  // session would not do: it holds no policy and never resumes.
   const s::SessionId a = manager.create(heavy_spec());
-  manager.wait(manager.submit(a, 1000));
+  manager.wait(manager.submit(a, 60));
+  ASSERT_FALSE(manager.progress(a).finished);
   manager.park(a);
   ASSERT_FALSE(manager.progress(a).resident);
 
@@ -115,14 +120,15 @@ TEST(ServeConcurrency, SlowResumeDoesNotBlockOtherSessions) {
   manager.wait(resume_ticket);
   EXPECT_TRUE(manager.progress(a).resident);
   EXPECT_EQ(manager.stats().resumes, 1u);
+  manager.wait(manager.submit(a, 1000));  // Finish A on the resumed policy.
   expect_identical(manager.min_plus_one_result(a),
                    standalone_min_plus(heavy_spec()));
 }
 
 TEST(ServeConcurrency, ParkResumeRacingSubmitsStaysIdentical) {
   // 12 sessions, a resident cache of 3 and explicit park() calls racing
-  // the submit stream: every combination of {parking, parked, resuming,
-  // resident} meets concurrent submits. Decision identity must survive.
+  // the submit stream: every combination of {parked, resuming, resident}
+  // meets concurrent submits. Decision identity must survive.
   constexpr std::size_t kSessions = 12;
   s::SessionManagerOptions options;
   options.service_threads = 4;

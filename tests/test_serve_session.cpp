@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -290,6 +291,59 @@ TEST(SessionManager, TinyQueueStaysLive) {
   manager.drain();
   EXPECT_EQ(manager.stats().requests, 8u);
   EXPECT_EQ(manager.stats().steps, 8u);
+}
+
+TEST(SessionManager, FinishedSessionReleasesItsPolicy) {
+  // A finished cursor never evaluates again, so the slice that finishes it
+  // drops the policy outright — no park, no checkpoint — and later
+  // requests run without building or resuming one.
+  s::SessionSpec spec = min_plus_spec(4);
+  std::atomic<std::size_t> simulations{0};
+  spec.simulate = [&simulations, inner = spec.simulate](const d::Config& c) {
+    ++simulations;
+    return inner(c);
+  };
+  d::KrigingPolicy reference_policy(spec.policy);
+  const auto evaluate =
+      d::policy_batch_evaluator(reference_policy, spec.simulate);
+  d::MinPlusOneCursor cursor = d::make_min_plus_one_cursor(spec.min_plus);
+  while (d::min_plus_one_step(evaluate, spec.min_plus, cursor)) {
+  }
+  const d::MinPlusOneResult reference =
+      d::min_plus_one_result(cursor, spec.min_plus);
+  const d::PolicyStats reference_stats = reference_policy.stats();
+
+  s::SessionManager manager;
+  const s::SessionId id = manager.create(spec);
+  manager.wait(manager.submit(id, 1));
+  EXPECT_TRUE(manager.progress(id).resident);
+  EXPECT_EQ(manager.resident_count(), 1u);
+
+  manager.wait(manager.submit(id, 1000));
+  const s::SessionProgress done = manager.progress(id);
+  ASSERT_TRUE(done.finished);
+  EXPECT_FALSE(done.resident);
+  EXPECT_EQ(manager.resident_count(), 0u);
+  EXPECT_TRUE(done.stats == reference_stats);
+  expect_identical(manager.min_plus_one_result(id), reference);
+
+  // park() has nothing to do, and a later request completes with no
+  // resume and no evaluation; progress, stats and result are unchanged
+  // apart from the step call the request executed.
+  manager.park(id);
+  const std::size_t simulations_before = simulations.load();
+  manager.wait(manager.submit(id, 5));
+  const s::SessionProgress after = manager.progress(id);
+  EXPECT_EQ(simulations.load(), simulations_before);
+  EXPECT_TRUE(after.finished);
+  EXPECT_FALSE(after.resident);
+  EXPECT_EQ(manager.resident_count(), 0u);
+  EXPECT_EQ(after.steps, done.steps + 1);
+  EXPECT_EQ(after.decisions, done.decisions);
+  EXPECT_TRUE(after.stats == done.stats);
+  expect_identical(manager.min_plus_one_result(id), reference);
+  EXPECT_EQ(manager.stats().parks, 0u);
+  EXPECT_EQ(manager.stats().resumes, 0u);
 }
 
 TEST(SessionManager, ZeroStepSubmitWarmsSessionOnly) {
