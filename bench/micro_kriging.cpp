@@ -21,6 +21,7 @@
 #include <complex>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "kriging/ordinary_kriging.hpp"
+#include "kriging/system.hpp"
 #include "serve/session.hpp"
 #include "signal/fft.hpp"
 #include "signal/fir.hpp"
@@ -69,6 +71,40 @@ void BM_KrigingSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KrigingSolve)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+// The same systems as BM_KrigingSolve, solved the way KrigingPolicy solves
+// them: one warm KrigingSystem workspace, reloaded every iteration with
+// the neighbourhood written straight from a SimulationStore's columns and
+// solved into a reused result — no allocation per solve.
+void BM_KrigingSolveWarm(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t dim = 10;
+  ace::util::Rng rng(1);
+  const auto pts = lattice_points(rng, n, dim);
+  const auto vals = rng.uniform_vector(n, -60.0, -20.0);
+  ace::dse::SimulationStore store;
+  ace::dse::Neighborhood hood;
+  for (std::size_t i = 0; i < n; ++i) {
+    store.add(ace::dse::Config(pts[i].begin(), pts[i].end()), vals[i]);
+    hood.indices.push_back(i);
+  }
+  const ace::kriging::SphericalVariogram model(0.0, 10.0, 12.0);
+  ace::kriging::KrigingSystem system(
+      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, model);
+  const std::vector<double> query(dim, 8.0);
+  ace::kriging::KrigingResult result;
+  for (auto _ : state) {
+    system.load(n, dim,
+                [&](std::span<double> columns, std::size_t stride,
+                    std::span<double> values) {
+                  store.gather_columns(hood, columns, stride, values);
+                });
+    const bool solved = system.query(query, result);
+    benchmark::DoNotOptimize(solved);
+    benchmark::DoNotOptimize(result.estimate);
+  }
+}
+BENCHMARK(BM_KrigingSolveWarm)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void fill_store(ace::dse::SimulationStore& store, std::size_t n,
                 std::size_t dim, unsigned seed) {

@@ -126,6 +126,8 @@ void put_stats(std::string& out, const PolicyStats& s) {
   // Version-2 tail: conditioning / factorization counters.
   put(out, s.ridge_fallbacks);
   put(out, s.full_factorizations);
+  // The retired factor cache's counters: 0 from a live policy, kept so
+  // the v3 layout (and every file written in it) stays unchanged.
   put(out, s.factor_cache_hits);
   put(out, s.factor_extends);
   put_running_stats(out, s.rcond_per_solve);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -56,11 +57,21 @@ std::vector<double> fit_linear_trend(
   return std::vector<double>(beta.data().begin(), beta.data().end());
 }
 
+/// Trend β0 + Σ β_i x_i (0 when no trend is fitted) at a point whose
+/// coordinate d is x[d·step] — a row (step 1) or an SoA column.
+double trend_at(const std::vector<double>& trend, const double* x,
+                std::size_t step) {
+  if (trend.empty()) return 0.0;
+  double acc = trend[0];
+  for (std::size_t i = 1; i < trend.size(); ++i)
+    acc += trend[i] * x[(i - 1) * step];
+  return acc;
+}
+
 }  // namespace
 
 KrigingPolicy::KrigingPolicy(PolicyOptions options)
-    : options_(std::move(options)),
-      factor_cache_(options_.factor_cache_capacity) {
+    : options_(std::move(options)) {
   if (options_.distance < 0)
     throw std::invalid_argument("KrigingPolicy: distance must be >= 0");
   if (options_.variance_gate <= 0.0 || !std::isfinite(options_.variance_gate))
@@ -81,10 +92,7 @@ KrigingPolicy::KrigingPolicy(PolicyOptions options)
 }
 
 double KrigingPolicy::trend_value(const std::vector<double>& x) const {
-  if (trend_.empty()) return 0.0;
-  double acc = trend_[0];
-  for (std::size_t i = 1; i < trend_.size(); ++i) acc += trend_[i] * x[i - 1];
-  return acc;
+  return trend_at(trend_, x.data(), 1);
 }
 
 bool KrigingPolicy::refit_model() {
@@ -148,16 +156,18 @@ bool KrigingPolicy::refit_model_locked() {
   sill_estimate_ = variogram->value_variance();
   sims_at_last_fit_ = store_.size();
   ++stats_.refits;
-  // The model (and, under regression kriging, the trend residuals) just
-  // changed: every cached factorization interpolates the old field. The
-  // generation bump makes any surviving (pinned) entry unmatchable even
-  // without the clear — the cache's own staleness defence.
-  ++model_generation_;
-  factor_cache_.clear();
   // Stochastic-kriging nugget from the fit: the fitted variogram's γ(0)
   // read as measurement noise τ². Updated before the LOO pass so the
   // calibration sees the systems future queries will actually assemble.
   if (options_.nugget_from_fit) effective_nugget_ = model_->nugget();
+  // Rebind the interpolation workspace: the only model clone and γ-memo
+  // reset until the next refit.
+  kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
+  spec.noise_nugget = effective_nugget_;
+  if (system_)
+    system_->set_model(spec, *model_);
+  else
+    system_.emplace(spec, *model_, distance);
   run_loo_calibration_locked();
   return true;
 }
@@ -241,68 +251,46 @@ std::optional<double> KrigingPolicy::try_interpolate(
     EvalOutcome& outcome) {
   if (!model_ready_locked()) return std::nullopt;
 
-  std::vector<std::vector<double>> points;
-  std::vector<double> values;
-  store_.gather(neighborhood, points, values);
-  const std::vector<double> query = to_real(config);
+  // Reload the workspace with the neighbourhood, written straight from the
+  // store's columns. Regression kriging interpolates the residual field
+  // (the global trend comes back at the query below); with no trend this
+  // is the paper's ordinary kriging verbatim. The span of the support
+  // values feeds the sanity guard.
+  double lo = 0.0;
+  double hi = 0.0;
+  const std::vector<double>& trend = trend_;
+  system_->load(neighborhood.count(), config.size(),
+                [&](std::span<double> columns, std::size_t stride,
+                    std::span<double> values) {
+                  store_.gather_columns(neighborhood, columns, stride, values);
+                  if (!trend.empty())
+                    for (std::size_t k = 0; k < values.size(); ++k)
+                      values[k] -= trend_at(trend, columns.data() + k, stride);
+                  lo = hi = values.front();
+                  for (const double v : values) {
+                    lo = std::min(lo, v);
+                    hi = std::max(hi, v);
+                  }
+                });
+  query_.assign(config.begin(), config.end());
 
-  // Regression kriging: interpolate the residual field and add the global
-  // trend back at the query. With no trend this is the paper's ordinary
-  // kriging verbatim.
-  if (!trend_.empty())
-    for (std::size_t i = 0; i < values.size(); ++i)
-      values[i] -= trend_value(points[i]);
-
-  const auto distance = options_.use_l2_distance ? kriging::l2_distance
-                                                 : kriging::l1_distance;
-
-  // Span of the support values for the sanity guard below, taken now
-  // because the cache-off path hands `values` to its system.
-  double lo = values.front(), hi = values.front();
-  for (double v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-
-  // The solve itself runs on a kriging::KrigingSystem. Cache off (the
-  // default): a throwaway all-in-base system that takes the support by
-  // move — bit-identical to the old kriging::krige() direct path. Cache
-  // on: look the support-index set up in the factor cache, reusing or
-  // extending an overlapping system's factorization instead of rebuilding
-  // it.
-  std::optional<kriging::KrigingResult> result;
-  if (options_.factor_cache_capacity > 0) {
-    FactorAcquire how = FactorAcquire::kFresh;
-    const FactorCache::Pin system = factor_cache_.acquire(
-        neighborhood.indices, points, values, *model_, distance,
-        effective_nugget_, model_generation_, how);
-    if (how == FactorAcquire::kHit) ++stats_.factor_cache_hits;
-    if (how == FactorAcquire::kExtend) ++stats_.factor_extends;
-    const std::size_t before = system->stats().full_factorizations;
-    result = system->query(query);
-    stats_.full_factorizations +=
-        system->stats().full_factorizations - before;
-  } else {
-    kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
-    spec.noise_nugget = effective_nugget_;
-    kriging::KrigingSystem system(spec, std::move(points), std::move(values),
-                                  *model_, distance);
-    result = system.query(query);
-    stats_.full_factorizations += system.stats().full_factorizations;
-  }
-  if (!result) return std::nullopt;
+  const std::size_t factorizations = system_->stats().full_factorizations;
+  const bool solved = system_->query(query_, result_);
+  stats_.full_factorizations +=
+      system_->stats().full_factorizations - factorizations;
+  if (!solved) return std::nullopt;
 
   // Conditioning observability: every solved system reports its pivot-
   // ratio condition estimate and whether the ridge ladder was needed.
-  stats_.rcond_per_solve.add(result->rcond);
-  if (result->regularized) ++stats_.ridge_fallbacks;
+  stats_.rcond_per_solve.add(result_.rcond);
+  if (result_.regularized) ++stats_.ridge_fallbacks;
 
   // Sanity guard: a (residual) estimate far outside the support values'
   // own interval signals an ill-conditioned system, not information.
   if (options_.sanity_span > 0.0) {
     const double span = std::max(hi - lo, 1e-12);
-    if (result->estimate < lo - options_.sanity_span * span ||
-        result->estimate > hi + options_.sanity_span * span)
+    if (result_.estimate < lo - options_.sanity_span * span ||
+        result_.estimate > hi + options_.sanity_span * span)
       return std::nullopt;
   }
 
@@ -312,12 +300,12 @@ std::optional<double> KrigingPolicy::try_interpolate(
   // simulation — the variance ceiling, LOO-calibrated ceiling and
   // sequential-design criteria all live behind this one seam
   // (dse/acquisition.hpp). Vetoes bump the gate's own counter.
-  const double estimate = result->estimate + trend_value(query);
-  if (!gate_->accept(GateSolution{estimate, result->variance, sill_estimate_},
+  const double estimate = result_.estimate + trend_value(query_);
+  if (!gate_->accept(GateSolution{estimate, result_.variance, sill_estimate_},
                      stats_))
     return std::nullopt;
 
-  outcome.regularized = result->regularized;
+  outcome.regularized = result_.regularized;
   ACE_ENSURE(std::isfinite(estimate),
              "kriging interpolation must yield a finite estimate");
   return estimate;
@@ -384,8 +372,9 @@ void KrigingPolicy::restore(const PolicySnapshot& snapshot) {
   //    store (a bin's pair count depends on distances alone and only
   //    grows as points arrive), so a failed last attempt means every
   //    earlier one failed too;
-  //  - the factor cache is empty after any refit, and statistics and fit
-  //    events are overwritten from the snapshot below.
+  //  - the interpolation workspace is rebound at every refit and
+  //    reloaded per query, and statistics and fit events are overwritten
+  //    from the snapshot below.
   // The exception is a gate that wants_loo(): its calibration folds every
   // refit's LOO pass, so there every recorded attempt replays.
   // Quarantine events replay *before* the adds. In the original run a
@@ -441,10 +430,14 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
   enum class Plan : unsigned char {
     kStoreHit, kAlias, kInterpolate, kSimulate, kFault
   };
-  std::vector<Plan> plan(n, Plan::kStoreHit);
-  std::vector<std::size_t> slot(n, 0);  ///< Simulation slot (owner or alias).
-  std::vector<unsigned char> interp_failed(n, 0);
-  std::vector<FaultCode> fault(n, FaultCode::kNone);  ///< For kFault plans.
+  /// Phase-1 verdict for one candidate, read back by the phase-3 fold.
+  struct Step {
+    Plan plan = Plan::kStoreHit;
+    bool interp_failed = false;
+    FaultCode fault = FaultCode::kNone;  ///< For kFault plans.
+    std::size_t slot = 0;  ///< Simulation slot (owner or alias).
+  };
+  std::vector<Step> steps(n);
   std::vector<std::size_t> owners;  ///< Batch index owning each slot.
   std::unordered_map<Config, std::size_t, ConfigHash> pending;
 
@@ -453,16 +446,17 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
   // independent of how the simulations will later be scheduled.
   for (std::size_t i = 0; i < n; ++i) {
     EvalOutcome& out = outcomes[i];
+    Step& step = steps[i];
     if (const auto hit = store_.find(batch[i])) {
       out.value = store_.value(*hit);
       out.cached = true;
       out.source = EvalSource::kExactHit;
-      plan[i] = Plan::kStoreHit;
+      step.plan = Plan::kStoreHit;
       continue;
     }
     if (const auto it = pending.find(batch[i]); it != pending.end()) {
-      plan[i] = Plan::kAlias;
-      slot[i] = it->second;
+      step.plan = Plan::kAlias;
+      step.slot = it->second;
       continue;
     }
     const auto neighborhood = neighborhood_of(batch[i]);
@@ -472,20 +466,20 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
         out.value = *estimate;
         out.interpolated = true;
         out.source = EvalSource::kInterpolated;
-        plan[i] = Plan::kInterpolate;
+        step.plan = Plan::kInterpolate;
         continue;
       }
-      interp_failed[i] = 1;
+      step.interp_failed = true;
     }
     // Quarantined candidates never re-simulate: their retry budget is
     // spent, and interpolation (above) was their only remaining path.
     if (const auto code = store_.quarantined(batch[i])) {
-      plan[i] = Plan::kFault;
-      fault[i] = interp_failed[i] ? FaultCode::kKrigingUnsolvable : *code;
+      step.plan = Plan::kFault;
+      step.fault = step.interp_failed ? FaultCode::kKrigingUnsolvable : *code;
       continue;
     }
-    plan[i] = Plan::kSimulate;
-    slot[i] = owners.size();
+    step.plan = Plan::kSimulate;
+    step.slot = owners.size();
     pending.emplace(batch[i], owners.size());
     owners.push_back(i);
   }
@@ -514,12 +508,13 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
   // folded exactly as in a fault-free batch.
   for (std::size_t i = 0; i < n; ++i) {
     ++stats_.total;
-    switch (plan[i]) {
+    const Step& step = steps[i];
+    switch (step.plan) {
       case Plan::kStoreHit:
         ++stats_.exact_hits;
         break;
       case Plan::kAlias: {
-        const util::GuardedCall& sim = sims[slot[i]];
+        const util::GuardedCall& sim = sims[step.slot];
         if (sim.ok()) {
           outcomes[i].value = sim.value;
           outcomes[i].cached = true;
@@ -540,14 +535,14 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
             static_cast<double>(outcomes[i].neighbors));
         break;
       case Plan::kFault:
-        if (interp_failed[i]) ++stats_.kriging_failures;
+        if (step.interp_failed) ++stats_.kriging_failures;
         outcomes[i].value = kFaultedValue;
         outcomes[i].source = EvalSource::kFaulted;
-        outcomes[i].fault = fault[i];
+        outcomes[i].fault = step.fault;
         break;
       case Plan::kSimulate:
-        if (interp_failed[i]) ++stats_.kriging_failures;
-        fold_simulation(batch[i], sims[slot[i]], outcomes[i]);
+        if (step.interp_failed) ++stats_.kriging_failures;
+        fold_simulation(batch[i], sims[step.slot], outcomes[i]);
         break;
     }
   }

@@ -23,18 +23,17 @@
 // a duplicate support point; kriging::KrigingSystem additionally dedupes
 // coincident support as a backstop for callers outside this policy).
 //
-// The interpolation hot path runs through kriging::KrigingSystem. With
-// `factor_cache_capacity` > 0 the policy keeps a FactorCache of whole
-// systems keyed by support-index sets, so overlapping neighbourhoods
-// reuse or extend factorizations instead of rebuilding (see
-// bench/solver_cache). The default keeps the cache off: the cache-off
-// path is bit-identical to the pre-cache direct solve, which the
-// checkpoint tests' stats-equality assertions rely on (a resumed run
-// starts with a cold cache, so warm-cache counters would diverge).
+// The interpolation hot path runs through one kriging::KrigingSystem
+// workspace per policy (phase 1 is serial under the policy lock, so one
+// is enough). Each refit rebinds it to the new model; each interpolation
+// reloads it with the neighbourhood straight from the store's columns
+// (SimulationStore::gather_columns) and solves into a reused result, so a
+// steady-state interpolation allocates nothing in the solve. Every solve
+// is a fresh factorization of its own neighbourhood, bit-identical to the
+// direct path, so a resumed run's counters match an uninterrupted one's.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -43,11 +42,11 @@
 
 #include "dse/acquisition.hpp"
 #include "dse/config.hpp"
-#include "dse/factor_cache.hpp"
 #include "dse/fault.hpp"
 #include "dse/sim_store.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
+#include "kriging/system.hpp"
 #include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/mutex.hpp"
@@ -149,16 +148,6 @@ struct PolicyOptions {
   /// attempt, no deadline) adds no retries, but faults are still captured
   /// into typed outcomes and quarantined instead of propagating.
   util::RetryOptions retry;
-
-  /// Factorization cache (extension): when > 0, keep up to this many
-  /// kriging systems keyed by support-index set and reuse/extend their
-  /// factorizations across queries with overlapping neighbourhoods
-  /// (bench/solver_cache measures the win). 0 — the default — disables
-  /// the cache and solves each query on a fresh system, bit-identical to
-  /// the pre-cache behaviour; checkpoint resume relies on this default
-  /// (a resumed run's cold cache would otherwise skew the factor
-  /// counters against an uninterrupted run's).
-  std::size_t factor_cache_capacity = 0;
 };
 
 /// Outcome of evaluating one configuration through the policy. A faulted
@@ -202,9 +191,10 @@ struct PolicyStats {
   /// each solve's pivot-ratio condition estimate, so a conditioning
   /// regression shows up as a falling mean/min long before solves fail.
   std::size_t ridge_fallbacks = 0;
-  /// Factorization-work counters: full (re)factorizations performed, and
-  /// how the factor cache avoided them (exact hits / incremental extends).
-  /// With the cache off, full_factorizations is the direct path's cost.
+  /// Factorizations performed by interpolation solves, singular ridge
+  /// rungs included. factor_cache_hits / factor_extends belonged to a
+  /// retired factor cache: a live policy leaves them 0, and they stay in
+  /// the v3 checkpoint layout so existing checkpoint files load unchanged.
   std::size_t full_factorizations = 0;
   std::size_t factor_cache_hits = 0;
   std::size_t factor_extends = 0;
@@ -415,14 +405,14 @@ class KrigingPolicy {
   /// forces a full rebuild there).
   std::unique_ptr<kriging::EmpiricalVariogram> variogram_
       ACE_GUARDED_BY(mutex_);
-  /// Factorization cache (empty when options_.factor_cache_capacity == 0).
-  /// No lock of its own: reachable only under mutex_, and its lock
+  /// The interpolation workspace: bound to model_ at every successful
+  /// refit (empty before the first), reloaded per interpolation. Its lock
   /// ordering is the policy's (policy mutex, then the store's inside
-  /// gather/value reads).
-  FactorCache factor_cache_ ACE_GUARDED_BY(mutex_);
-  /// Bumped on every successful (re)fit; stamps FactorCache entries so an
-  /// exact index-set hit can never return factors of a superseded model.
-  std::uint64_t model_generation_ ACE_GUARDED_BY(mutex_) = 0;
+  /// gather_columns).
+  std::optional<kriging::KrigingSystem> system_ ACE_GUARDED_BY(mutex_);
+  /// Reused query coordinates and solve result of try_interpolate.
+  std::vector<double> query_ ACE_GUARDED_BY(mutex_);
+  kriging::KrigingResult result_ ACE_GUARDED_BY(mutex_);
   std::size_t sims_at_last_fit_ ACE_GUARDED_BY(mutex_) = 0;
   std::size_t sims_at_last_attempt_ ACE_GUARDED_BY(mutex_) = 0;
   bool fit_attempted_ ACE_GUARDED_BY(mutex_) = false;

@@ -220,4 +220,24 @@ void SimulationStore::gather(const Neighborhood& n,
   }
 }
 
+void SimulationStore::gather_columns(const Neighborhood& n,
+                                     std::span<double> columns,
+                                     std::size_t stride,
+                                     std::span<double> values) const {
+  const std::size_t count = n.indices.size();
+  const util::LockGuard lock(mutex_);
+  if (stride < count || values.size() != count ||
+      columns.size() != soa_.size() * stride)
+    throw std::invalid_argument(
+        "SimulationStore::gather_columns: buffer size mismatch");
+  for (std::size_t k = 0; k < count; ++k)
+    values[k] = values_.at(n.indices[k]);
+  for (std::size_t d = 0; d < soa_.size(); ++d) {
+    const int* column = soa_[d].data();
+    double* out = columns.data() + d * stride;
+    for (std::size_t k = 0; k < count; ++k)
+      out[k] = static_cast<double>(column[n.indices[k]]);
+  }
+}
+
 }  // namespace ace::dse

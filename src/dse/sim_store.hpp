@@ -50,6 +50,7 @@
 #include <cstddef>
 #include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -137,6 +138,17 @@ class SimulationStore {
   /// their metric values.
   void gather(const Neighborhood& n, std::vector<std::vector<double>>& points,
               std::vector<double>& values) const ACE_EXCLUDES(mutex_);
+
+  /// The same support set written into caller-owned buffers as real-valued
+  /// SoA columns, straight from the columnar mirror: columns[d·stride + k]
+  /// is coordinate d of the k-th neighbour and values[k] its value. Needs
+  /// stride >= count, columns of dim·stride entries and values of count
+  /// (std::invalid_argument otherwise); an index outside the store throws
+  /// std::out_of_range. Allocation-free — kriging::KrigingSystem::load
+  /// fills its workspace through it.
+  void gather_columns(const Neighborhood& n, std::span<double> columns,
+                      std::size_t stride, std::span<double> values) const
+      ACE_EXCLUDES(mutex_);
 
   /// Quarantine a configuration whose simulation exhausted its retry
   /// budget. Returns true when newly quarantined, false when the

@@ -42,11 +42,11 @@ std::optional<KrigingResult> krige(
 class KrigingSystem;
 
 /// Reusable estimator: factors Γ once for a fixed support set, then serves
-/// many queries (the shared KrigingSystem memoizes the factorization, so
+/// many queries (the KrigingSystem keeps its factor across queries, so
 /// repeated estimates pay only the O(N²) solve). Used by the
 /// exhaustive-surface benches where hundreds of queries share one
 /// neighbourhood. Not thread-safe: concurrent estimate() calls race on the
-/// internal factor cache.
+/// system's reused buffers.
 class OrdinaryKriging {
  public:
   /// Throws std::invalid_argument on empty/ragged support.
@@ -63,7 +63,7 @@ class OrdinaryKriging {
   std::size_t support_size() const;
 
  private:
-  /// Mutable: queries memoize factorizations inside the system.
+  /// Mutable: queries reuse the system's buffers and factor.
   mutable std::unique_ptr<KrigingSystem> system_;
 };
 

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/lu.hpp"
+#include "linalg/matrix.hpp"
 #include "util/contract.hpp"
 #include "util/simd.hpp"
 
@@ -17,123 +19,193 @@ constexpr double kMaxRidge = 1e-2;
 constexpr double kMaxSolutionNorm = 1e6;
 
 /// The legacy robust_solve acceptability test: finite and norm-bounded.
-bool acceptable(const linalg::Vector& x) {
-  for (std::size_t i = 0; i < x.size(); ++i)
-    if (!std::isfinite(x[i]) || std::abs(x[i]) > kMaxSolutionNorm)
-      return false;
+bool acceptable(const std::vector<double>& x) {
+  for (const double v : x)
+    if (!std::isfinite(v) || std::abs(v) > kMaxSolutionNorm) return false;
   return true;
 }
 
 }  // namespace
 
-KrigingSystem::KrigingSystem(SystemSpec spec,
-                             std::vector<std::vector<double>> support_points,
-                             std::vector<double> support_values,
-                             const VariogramModel& model, DistanceFn distance,
-                             Layout layout)
-    : spec_(spec), model_(model.clone()), distance_(std::move(distance)),
-      layout_(layout), distance_kind_(distance_kind(distance_)) {
+KrigingSystem::KrigingSystem(SystemSpec spec, const VariogramModel& model,
+                             DistanceFn distance)
+    : distance_(std::move(distance)),
+      distance_kind_(distance_kind(distance_)) {
+  set_model(spec, model);
+}
+
+KrigingSystem::KrigingSystem(
+    SystemSpec spec, const std::vector<std::vector<double>>& support_points,
+    const std::vector<double>& support_values, const VariogramModel& model,
+    DistanceFn distance)
+    : KrigingSystem(spec, model, std::move(distance)) {
+  load(support_points, support_values);
+}
+
+void KrigingSystem::set_model(SystemSpec spec, const VariogramModel& model) {
+  if (spec.kind == SystemKind::kSimple &&
+      (spec.sill <= 0.0 || !std::isfinite(spec.sill)))
+    throw std::invalid_argument("KrigingSystem: sill must be positive");
+  if (spec.noise_nugget < 0.0 || !std::isfinite(spec.noise_nugget))
+    throw std::invalid_argument(
+        "KrigingSystem: noise nugget must be finite and non-negative");
+  spec_ = spec;
+  model_ = model.clone();
+  entry_known_ = 0;
+  loaded_ = false;
+  clear_factors();
+}
+
+void KrigingSystem::load(const std::vector<std::vector<double>>& support_points,
+                         const std::vector<double>& support_values) {
   if (support_points.empty())
     throw std::invalid_argument("KrigingSystem: empty support set");
   if (support_points.size() != support_values.size())
     throw std::invalid_argument("KrigingSystem: points/values mismatch");
-  dim_ = support_points.front().size();
+  const std::size_t dim = support_points.front().size();
   for (const auto& p : support_points)
-    if (p.size() != dim_)
+    if (p.size() != dim)
       throw std::invalid_argument("KrigingSystem: ragged support set");
-  if (spec_.kind == SystemKind::kSimple &&
-      (spec_.sill <= 0.0 || !std::isfinite(spec_.sill)))
-    throw std::invalid_argument("KrigingSystem: sill must be positive");
-  if (spec_.noise_nugget < 0.0 || !std::isfinite(spec_.noise_nugget))
-    throw std::invalid_argument(
-        "KrigingSystem: noise nugget must be finite and non-negative");
-
-  // Dedupe coincident support points: duplicates make the variogram block
-  // rank deficient (two identical rows), which used to push every solve
-  // into the ridge fallback. The first occurrence carries the weight;
-  // later copies become zero-weight slots.
-  for (std::size_t s = 0; s < support_points.size(); ++s) {
-    auto& p = support_points[s];
-    std::size_t u = points_.size();
-    for (std::size_t i = 0; i < points_.size(); ++i)
-      if (points_[i] == p) {
-        u = i;
-        break;
-      }
-    if (u == points_.size()) {
-      points_.push_back(std::move(p));
-      values_.push_back(support_values[s]);
-      slots_.push_back({u, true});
-    } else {
-      slots_.push_back({u, false});
-    }
-  }
-  rebuild_columns(points_.size());
-  (void)refresh_border();
-  base_points_ = layout_ == Layout::kAllInBase
-                     ? points_.size()
-                     : std::min(points_.size(),
-                                std::max<std::size_t>(1, border_));
+  const std::size_t n = support_points.size();
+  load(n, dim,
+       [&](std::span<double> columns, std::size_t stride,
+           std::span<double> values) {
+         for (std::size_t k = 0; k < n; ++k) {
+           for (std::size_t d = 0; d < dim; ++d)
+             columns[d * stride + k] = support_points[k][d];
+           values[k] = support_values[k];
+         }
+       });
 }
 
-void KrigingSystem::rebuild_columns(std::size_t stride) {
-  stride_ = stride;
-  cols_.assign(dim_ * stride_, 0.0);
-  for (std::size_t u = 0; u < points_.size(); ++u)
+void KrigingSystem::begin_load(std::size_t n, std::size_t dim) {
+  if (n == 0) throw std::invalid_argument("KrigingSystem: empty support set");
+  loaded_ = false;
+  dim_ = dim;
+  stride_ = (n + 3) & ~std::size_t{3};
+  cols_.resize(dim * stride_);
+  values_.resize(n);
+  slots_.resize(n);
+  keys_.resize(n);
+  dists_.resize(stride_);
+}
+
+void KrigingSystem::finish_load() {
+  // Dedupe coincident support points in place: duplicates make the
+  // variogram block rank deficient (two identical rows), which would push
+  // every solve into the ridge fallback. The first occurrence carries the
+  // weight and moves to the front of its columns; later copies become
+  // zero-weight slots. Equal points have equal keys, so coordinates are
+  // compared only where the keys match (or a key is NaN, which never
+  // compares equal).
+  const std::size_t n = slots_.size();
+  std::fill(keys_.begin(), keys_.end(), 0.0);
+  for (std::size_t d = 0; d < dim_; ++d) {
+    const double weight = 1.0 + 0.6180339887498949 * static_cast<double>(d);
+    const double* column = cols_.data() + d * stride_;
+    for (std::size_t s = 0; s < n; ++s) keys_[s] += column[s] * weight;
+  }
+  const auto same_point = [&](std::size_t u, std::size_t s) {
     for (std::size_t d = 0; d < dim_; ++d)
-      cols_[d * stride_ + u] = points_[u][d];
-}
-
-void KrigingSystem::distances_to(const std::vector<double>& x,
-                                 std::size_t first, std::size_t n,
-                                 std::vector<const double*>& cols,
-                                 double* out) const {
-  if (distance_kind_ == DistanceKind::kCustom) {
-    for (std::size_t k = first; k < n; ++k)
-      out[k - first] = distance_(x, points_[k]);
-    return;
+      if (coord(u, d) != coord(s, d))  // ace-lint: allow(float-equality)
+        return false;
+    return true;
+  };
+  unique_ = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    std::size_t u = 0;
+    for (; u < unique_; ++u)
+      if ((keys_[u] == keys_[s] ||  // ace-lint: allow(float-equality)
+           std::isnan(keys_[s])) &&
+          same_point(u, s))
+        break;
+    if (u < unique_) {
+      slots_[s] = {u, false};
+      continue;
+    }
+    if (u != s) {
+      for (std::size_t d = 0; d < dim_; ++d)
+        cols_[d * stride_ + u] = coord(s, d);
+      values_[u] = values_[s];
+      keys_[u] = keys_[s];
+    }
+    slots_[s] = {u, true};
+    ++unique_;
   }
-  cols.resize(dim_);
-  for (std::size_t d = 0; d < dim_; ++d)
-    cols[d] = cols_.data() + d * stride_ + first;
-  if (distance_kind_ == DistanceKind::kL1)
-    util::simd::l1_distances_f64(cols.data(), dim_, x.data(), n - first, out);
-  else
-    util::simd::l2_distances_f64(cols.data(), dim_, x.data(), n - first, out);
+  if (distance_kind_ == DistanceKind::kCustom) {
+    if (rows_.size() < unique_) rows_.resize(unique_);
+    for (std::size_t u = 0; u < unique_; ++u) {
+      rows_[u].resize(dim_);
+      for (std::size_t d = 0; d < dim_; ++d) rows_[u][d] = coord(u, d);
+    }
+  } else {
+    point_.resize(dim_);
+  }
+  refresh_border();
+  const std::size_t m = system_size();
+  rhs_.resize(m);
+  x_.resize(m);
+  // Size both factors now, so that a ladder climb at or below this size
+  // never allocates later.
+  for (Factor* f : {&plain_, &ridge_}) {
+    f->lu.reserve(m * m);
+    f->perm.reserve(m);
+  }
+  clear_factors();
+  assemble();
+  loaded_ = true;
 }
 
-bool KrigingSystem::refresh_border() {
-  DriftKind effective = spec_.drift;
-  std::size_t border = 0;
+void KrigingSystem::refresh_border() {
+  effective_drift_ = spec_.drift;
   switch (spec_.kind) {
     case SystemKind::kOrdinary:
-      border = 1;
+      border_ = 1;
       break;
     case SystemKind::kSimple:
-      border = 0;
+      border_ = 0;
       break;
     case SystemKind::kUniversal:
       // A linear drift adds dim + 1 constraints; identifying it needs at
       // least dim + 2 support points — otherwise degrade gracefully to the
       // constant drift (= ordinary kriging), as the legacy wrapper did.
-      if (effective == DriftKind::kLinear && points_.size() < dim_ + 2)
-        effective = DriftKind::kConstant;
-      border = effective == DriftKind::kConstant ? 1 : dim_ + 1;
+      if (effective_drift_ == DriftKind::kLinear && unique_ < dim_ + 2)
+        effective_drift_ = DriftKind::kConstant;
+      border_ = effective_drift_ == DriftKind::kConstant ? 1 : dim_ + 1;
       break;
   }
-  const bool changed =
-      border != border_ || effective != effective_drift_;
-  effective_drift_ = effective;
-  border_ = border;
-  return changed;
 }
 
-double KrigingSystem::entry_of(double d) const {
+const std::vector<double>& KrigingSystem::row(std::size_t u) {
+  if (distance_kind_ == DistanceKind::kCustom) return rows_[u];
+  for (std::size_t d = 0; d < dim_; ++d) point_[d] = coord(u, d);
+  return point_;
+}
+
+void KrigingSystem::distances_to(const std::vector<double>& x,
+                                 std::size_t first) {
+  if (distance_kind_ == DistanceKind::kCustom) {
+    for (std::size_t k = first; k < unique_; ++k)
+      dists_[k - first] = distance_(x, rows_[k]);
+    return;
+  }
+  col_ptrs_.resize(dim_);
+  for (std::size_t d = 0; d < dim_; ++d)
+    col_ptrs_[d] = cols_.data() + d * stride_ + first;
+  if (distance_kind_ == DistanceKind::kL1)
+    util::simd::l1_distances_f64(col_ptrs_.data(), dim_, x.data(),
+                                 stride_ - first, dists_.data());
+  else
+    util::simd::l2_distances_f64(col_ptrs_.data(), dim_, x.data(),
+                                 stride_ - first, dists_.data());
+}
+
+double KrigingSystem::entry_of(double d) {
   // Neighbourhood distances on the configuration lattice are a handful of
   // small integers (at most 2r+1 values inside an L1 ball of radius r), so
-  // each is mapped through the model once per system. The memo returns
-  // the very double the model produced; other distances (fractional, L2,
-  // large, −0.0) are not memoised.
+  // each is mapped through the model once per model binding. The memo
+  // returns the very double the model produced; other distances
+  // (fractional, L2, large, −0.0) are not memoised.
   if (!std::signbit(d) && d < static_cast<double>(kEntryMemo)) {
     const auto i = static_cast<std::size_t>(d);
     if (static_cast<double>(i) == d) {  // ace-lint: allow(float-equality)
@@ -154,7 +226,7 @@ double KrigingSystem::model_entry(double d) const {
   return model_->gamma(d);
 }
 
-double KrigingSystem::diagonal_entry() const {
+double KrigingSystem::diagonal_entry() {
   // Guard the zero case exactly: τ² = 0 must assemble bit-identically to
   // the pre-nugget system (the policy's default-gate identity contract).
   if (spec_.noise_nugget == 0.0)  // ace-lint: allow(float-equality)
@@ -164,185 +236,132 @@ double KrigingSystem::diagonal_entry() const {
              : entry_of(0.0) - spec_.noise_nugget;
 }
 
-double KrigingSystem::pair_entry(std::size_t i, std::size_t j) const {
-  return entry_of(distance_(points_[i], points_[j]));
-}
-
-double KrigingSystem::drift_entry(const std::vector<double>& x,
-                                  std::size_t l) const {
-  // Border column l: the constant 1 (Lagrange row of ordinary kriging, the
-  // constant drift) first, then one column per coordinate for the linear
-  // drift. Simple kriging has no border, so it never gets here.
-  return l == 0 ? 1.0 : x[l - 1];
-}
-
-std::size_t KrigingSystem::matrix_index(std::size_t i) const {
-  return i < base_points_ ? i : i + border_;
-}
-
-linalg::Matrix KrigingSystem::assemble(double shift, std::size_t n) const {
-  const std::size_t m = n + border_;
-  linalg::Matrix a(m, m);
+void KrigingSystem::assemble() {
+  const std::size_t n = unique_;
+  const std::size_t m = system_size();
+  gamma_.resize(m * m);
+  double* a = gamma_.data();
   // Variogram block, one batched row at a time: distances from point j to
-  // the contiguous tail j..n-1 stream the SoA columns through the SIMD
-  // kernel (bit-identical per-entry to the scalar distance_ call).
-  std::vector<double> dists(n);
-  std::vector<const double*> cols;
+  // the contiguous tail stream the SoA columns through the SIMD kernel
+  // (bit-identical per-entry to the scalar distance_ call). The tail
+  // starts at j rounded down to a multiple of 4 and ends at the padded
+  // stride, so the kernel runs whole 4-lane vectors only.
   for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t mj = matrix_index(j);
-    distances_to(points_[j], j, n, cols, dists.data());
+    const std::size_t first =
+        distance_kind_ == DistanceKind::kCustom ? j : j & ~std::size_t{3};
+    distances_to(row(j), first);
     for (std::size_t k = j; k < n; ++k) {
-      const std::size_t mk = matrix_index(k);
-      const double g = k == j ? diagonal_entry() : entry_of(dists[k - j]);
-      a(mj, mk) = g;
-      a(mk, mj) = g;
+      const double g =
+          k == j ? diagonal_entry() : entry_of(dists_[k - first]);
+      a[j * m + k] = g;
+      a[k * m + j] = g;
     }
     for (std::size_t l = 0; l < border_; ++l) {
-      const double f = drift_entry(points_[j], l);
-      a(mj, base_points_ + l) = f;
-      a(base_points_ + l, mj) = f;
+      const double f = drift_entry(cols_.data() + j, stride_, l);
+      a[j * m + n + l] = f;
+      a[(n + l) * m + j] = f;
     }
-    a(mj, mj) += shift;
+    // The direct path added its shift here even at 0: + 0.0 turns a −0.0
+    // diagonal into +0.0, so keep it for bit identity.
+    a[j * m + j] += 0.0;
   }
-  return a;
+  for (std::size_t l = n; l < m; ++l)
+    for (std::size_t c = n; c < m; ++c) a[l * m + c] = 0.0;
 }
 
-linalg::Vector KrigingSystem::assemble_rhs(const std::vector<double>& q) const {
-  linalg::Vector rhs(system_size());
-  const std::size_t n = points_.size();
+void KrigingSystem::assemble_rhs(const std::vector<double>& q) {
+  const std::size_t n = unique_;
   // Batched γ-vector: all query→support distances in one kernel pass.
-  std::vector<double> dists(n);
-  std::vector<const double*> cols;
-  distances_to(q, 0, n, cols, dists.data());
-  for (std::size_t k = 0; k < n; ++k)
-    rhs[matrix_index(k)] = entry_of(dists[k]);
+  distances_to(q, 0);
+  for (std::size_t k = 0; k < n; ++k) rhs_[k] = entry_of(dists_[k]);
   for (std::size_t l = 0; l < border_; ++l)
-    rhs[base_points_ + l] = drift_entry(q, l);
-  return rhs;
-}
-
-std::vector<double> KrigingSystem::coupling_of(std::size_t i) const {
-  // Coupling of unique point i against points 0..i-1 plus the border — the
-  // exact state of a factor that already holds everything before i.
-  std::vector<double> c(i + border_, 0.0);
-  for (std::size_t j = 0; j < i; ++j)
-    c[matrix_index(j)] = pair_entry(i, j);
-  for (std::size_t l = 0; l < border_; ++l)
-    c[base_points_ + l] = drift_entry(points_[i], l);
-  return c;
+    rhs_[n + l] = drift_entry(q.data(), 1, l);
 }
 
 double KrigingSystem::ladder_scale() const {
   // The exact scale of linalg::robust_solve: max(|A|, 1) over the
-  // *unshifted* matrix. Reuse the plain factor's assembled copy when one
-  // exists; otherwise assemble once.
-  for (const Factor& f : factors_)
-    if (f.shift == 0.0)  // ace-lint: allow(float-equality)
-      return std::max(f.ldlt->assembled().max_abs(), 1.0);
-  return std::max(assemble(0.0, points_.size()).max_abs(), 1.0);
+  // *unshifted* matrix.
+  return std::max(linalg::max_abs(gamma_.data(), gamma_.size()), 1.0);
 }
 
-void KrigingSystem::invalidate_factors() {
-  factors_.clear();
-  singular_shifts_.clear();
+void KrigingSystem::clear_factors() {
+  plain_.rung = -1;
+  ridge_.rung = -1;
+  singular_rungs_ = 0;
 }
 
-linalg::BorderedLdlt* KrigingSystem::factor_at(double shift) {
-  // Shifts are recomputed identically per query while the support stands
-  // still (ridge · scale over the same matrix), so exact comparison is the
-  // correct memo key; both memos are cleared on any support change.
-  for (Factor& f : factors_)
-    if (f.shift == shift)  // ace-lint: allow(float-equality)
-      return f.ldlt.get();
-  for (double s : singular_shifts_)
-    if (s == shift)  // ace-lint: allow(float-equality)
-      return nullptr;
+const KrigingSystem::Factor* KrigingSystem::factor_at(int rung, double shift) {
+  // Within one load the shift of a rung is recomputed identically (ridge ·
+  // scale over the same matrix), so the rung number is the memo key.
+  Factor& f = rung == 0 ? plain_ : ridge_;
+  if (f.rung == rung) return &f;
+  const std::uint32_t bit = std::uint32_t{1} << rung;
+  if ((singular_rungs_ & bit) != 0) return nullptr;
 
-  const std::size_t n = points_.size();
-  auto build_all_in_base = [&]() -> std::unique_ptr<linalg::BorderedLdlt> {
-    ++stats_.full_factorizations;
-    auto ldlt =
-        std::make_unique<linalg::BorderedLdlt>(assemble(shift, n), shift);
-    return ldlt->ok() ? std::move(ldlt) : nullptr;
-  };
-
-  std::unique_ptr<linalg::BorderedLdlt> ldlt;
-  if (base_points_ >= n) {
-    ldlt = build_all_in_base();
-  } else {
-    // Incremental layout: factor the minimal base (first points + border),
-    // then fold the remaining support in one Schur pivot at a time.
-    // Every base point sits at its own index and the border right after
-    // it, so the base block is exactly the system over the first
-    // base_points_ points.
-    ++stats_.full_factorizations;
-    ldlt = std::make_unique<linalg::BorderedLdlt>(
-        assemble(shift, base_points_), shift);
-    bool incremental_ok = ldlt->ok();
-    for (std::size_t u = base_points_; incremental_ok && u < n; ++u) {
-      if (ldlt->append_point(coupling_of(u), diagonal_entry()))
-        ++stats_.appends;
-      else
-        incremental_ok = false;
-    }
-    // Degrade rather than fail: a base or pivot collapse the whole-matrix
-    // pivoted LU could still handle (e.g. a collinear base in universal
-    // kriging) must not make the incremental layout reject a query the
-    // direct path would answer — that would let optimizer decisions
-    // diverge between the cached and direct paths.
-    if (!incremental_ok) ldlt = build_all_in_base();
-  }
-
-  if (!ldlt) {
-    singular_shifts_.push_back(shift);
+  ++stats_.full_factorizations;
+  const std::size_t m = system_size();
+  f.lu.assign(gamma_.begin(), gamma_.end());
+  if (rung > 0)
+    for (std::size_t i = 0; i < unique_; ++i) f.lu[i * m + i] += shift;
+  f.perm.resize(m);
+  int perm_sign = 1;
+  if (!linalg::lu_factor_inplace(f.lu.data(), m, f.perm.data(), perm_sign)) {
+    f.rung = -1;
+    singular_rungs_ |= bit;
     return nullptr;
   }
-  factors_.push_back(Factor{shift, std::move(ldlt)});
-  return factors_.back().ldlt.get();
+  f.rung = rung;
+  return &f;
 }
 
-std::optional<KrigingResult> KrigingSystem::query(
-    const std::vector<double>& q) {
+bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
+  if (!loaded_)
+    throw std::logic_error("KrigingSystem::query: no support loaded");
   if (q.size() != dim_)
     throw std::invalid_argument("KrigingSystem: dimension mismatch");
   ++stats_.solves;
-  const linalg::Vector rhs = assemble_rhs(q);
+  assemble_rhs(q);
+  const std::size_t m = system_size();
+  const auto solves_acceptably = [&](const Factor& f) {
+    linalg::lu_solve_inplace(f.lu.data(), m, f.perm.data(), rhs_.data(),
+                             x_.data());
+    return acceptable(x_);
+  };
 
   // The legacy robust_solve ladder, rung for rung: plain solve first, then
-  // growing ridge on the non-border diagonal. Factor construction (and its
-  // singularity) depends only on the matrix, so factors and singularity
-  // verdicts are memoized across queries; the acceptability test depends
-  // on the right-hand side and is re-run per query.
+  // growing ridge on the non-border diagonal. Factors and singularity
+  // verdicts depend only on the matrix and are kept across queries; the
+  // acceptability test depends on the right-hand side and is re-run.
   double shift = 0.0;
-  std::optional<linalg::Vector> solution;
-  linalg::BorderedLdlt* used = nullptr;
-  if (linalg::BorderedLdlt* f = factor_at(0.0)) {
-    linalg::Vector x = f->solve(rhs);
-    if (acceptable(x)) {
-      solution = std::move(x);
-      used = f;
-    }
-  }
-  if (!solution) {
+  const Factor* used = factor_at(0, 0.0);
+  if (used && !solves_acceptably(*used)) used = nullptr;
+  if (!used) {
     const double scale = ladder_scale();
-    for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0) {
+    int rung = 1;
+    for (double ridge = kInitialRidge; ridge <= kMaxRidge;
+         ridge *= 100.0, ++rung) {
       shift = ridge * scale;
-      linalg::BorderedLdlt* f = factor_at(shift);
-      if (!f) continue;
-      linalg::Vector x = f->solve(rhs);
-      if (acceptable(x)) {
-        solution = std::move(x);
+      const Factor* f = factor_at(rung, shift);
+      if (f && solves_acceptably(*f)) {
         used = f;
         break;
       }
     }
-    if (!solution) return std::nullopt;
+    if (!used) return false;
   }
-  return finalize(q, rhs, *solution, shift, used);
+  return finalize(q, shift, *used, out);
+}
+
+std::optional<KrigingResult> KrigingSystem::query(const std::vector<double>& q) {
+  KrigingResult result;
+  if (!query(q, result)) return std::nullopt;
+  return result;
 }
 
 std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
-  const std::size_t n = points_.size();
+  if (!loaded_)
+    throw std::logic_error("KrigingSystem::loo_residuals: no support loaded");
+  const std::size_t n = unique_;
   // One point leaves nothing to predict from; universal kriging further
   // needs the LOO subsets to keep the same effective drift as the full
   // system for Dubrule's identity to describe a real scratch refit.
@@ -352,12 +371,12 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
     return std::nullopt;
   const std::size_t m = system_size();
 
-  // z̃ in layout order: (centred) values on data rows, zeros on the border.
-  linalg::Vector z(m);
+  // z̃: (centred) values on data rows, zeros on the border.
+  std::vector<double> z(m, 0.0);
   for (std::size_t k = 0; k < n; ++k)
-    z[matrix_index(k)] = spec_.kind == SystemKind::kSimple
-                             ? values_[k] - spec_.mean
-                             : values_[k];
+    z[k] = spec_.kind == SystemKind::kSimple ? values_[k] - spec_.mean
+                                             : values_[k];
+  std::vector<double> u(m), diag(m), e(m), x(m);
 
   // Dubrule's identity on whichever shifted matrix actually factors: with
   // B = A⁻¹, u = B·z̃, e_i = u_i / B_ii and σ²₍ᵢ₎ = 1/B_ii (covariance
@@ -365,26 +384,27 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   // flip S = diag(I, −I_border), so its data-block inverse diagonal is the
   // negated covariance one: the residual ratio is unchanged and the LOO
   // variance becomes −1/B_ii.
-  const auto attempt = [&](double shift) -> std::optional<LooReport> {
-    linalg::BorderedLdlt* f = factor_at(shift);
+  const auto attempt = [&](int rung, double shift) -> std::optional<LooReport> {
+    const Factor* f = factor_at(rung, shift);
     if (!f) return std::nullopt;
-    const linalg::Vector u = f->solve(z);
-    const linalg::Vector diag = f->inverse_diagonal();
+    linalg::lu_solve_inplace(f->lu.data(), m, f->perm.data(), z.data(),
+                             u.data());
+    linalg::lu_inverse_diagonal(f->lu.data(), m, f->perm.data(), e.data(),
+                                x.data(), diag.data());
     LooReport report;
     report.shift = shift;
     report.regularized = shift > 0.0;
     report.residuals.resize(n);
     report.variances.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t mk = matrix_index(k);
-      const double d = diag[mk];
+      const double d = diag[k];
       if (!std::isfinite(d) || d == 0.0 ||  // ace-lint: allow(float-equality)
-          !std::isfinite(u[mk]))
+          !std::isfinite(u[k]))
         return std::nullopt;
-      const double e = u[mk] / d;
-      if (!std::isfinite(e) || std::abs(e) > kMaxSolutionNorm)
+      const double res = u[k] / d;
+      if (!std::isfinite(res) || std::abs(res) > kMaxSolutionNorm)
         return std::nullopt;
-      report.residuals[k] = e;
+      report.residuals[k] = res;
       const double var =
           spec_.kind == SystemKind::kSimple ? 1.0 / d : -1.0 / d;
       report.variances[k] = std::max(var, 0.0);
@@ -393,55 +413,51 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   };
 
   // The same ladder as query(): plain solve first, then growing ridge.
-  if (auto report = attempt(0.0)) return report;
+  if (auto report = attempt(0, 0.0)) return report;
   const double scale = ladder_scale();
-  for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0)
-    if (auto report = attempt(ridge * scale)) return report;
+  int rung = 1;
+  for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0, ++rung)
+    if (auto report = attempt(rung, ridge * scale)) return report;
   return std::nullopt;
 }
 
-std::optional<KrigingResult> KrigingSystem::finalize(
-    const std::vector<double>& q, const linalg::Vector& rhs,
-    const linalg::Vector& x, double shift,
-    const linalg::BorderedLdlt* used) const {
-  const std::size_t n = points_.size();
-  KrigingResult result;
-  result.regularized = shift > 0.0;
-  result.ridge = shift;
-  result.rcond = used->rcond_estimate();
+bool KrigingSystem::finalize(const std::vector<double>& q, double shift,
+                             const Factor& used, KrigingResult& out) const {
+  const std::size_t n = unique_;
+  out.regularized = shift > 0.0;
+  out.ridge = shift;
+  out.rcond = linalg::lu_rcond_estimate(used.lu.data(), system_size());
 
   double estimate = spec_.kind == SystemKind::kSimple ? spec_.mean : 0.0;
   double variance =
       spec_.kind == SystemKind::kSimple
           ? std::max(spec_.sill - model_->gamma(0.0), 0.0)
           : 0.0;
-  std::vector<double> unique_weights(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const double w = x[matrix_index(k)];
-    unique_weights[k] = w;
+    const double w = x_[k];
     switch (spec_.kind) {
       case SystemKind::kOrdinary:
       case SystemKind::kUniversal:
         estimate += w * values_[k];
-        variance += w * rhs[matrix_index(k)];
+        variance += w * rhs_[k];
         break;
       case SystemKind::kSimple:
         estimate += w * (values_[k] - spec_.mean);
-        variance -= w * rhs[matrix_index(k)];
+        variance -= w * rhs_[k];
         break;
     }
   }
   // Lagrange / drift multiplier terms of the kriging variance.
   if (spec_.kind != SystemKind::kSimple) {
     for (std::size_t l = 0; l < border_; ++l)
-      variance += x[base_points_ + l] * drift_entry(q, l);
+      variance += x_[n + l] * drift_entry(q.data(), 1, l);
   }
-  if (!std::isfinite(estimate)) return std::nullopt;
-  result.estimate = estimate;
-  result.variance = std::max(variance, 0.0);
-  result.weights.resize(slots_.size(), 0.0);
+  if (!std::isfinite(estimate)) return false;
+  out.estimate = estimate;
+  out.variance = std::max(variance, 0.0);
+  out.weights.resize(slots_.size());
   for (std::size_t s = 0; s < slots_.size(); ++s)
-    result.weights[s] = slots_[s].owner ? unique_weights[slots_[s].unique] : 0.0;
+    out.weights[s] = slots_[s].owner ? x_[slots_[s].unique] : 0.0;
 
 #if ACE_CONTRACTS_ENABLED
   // The first border row (Σ w_k = 1, unbiasedness) is an *exact* equation
@@ -452,106 +468,15 @@ std::optional<KrigingResult> KrigingSystem::finalize(
     double weight_sum = 0.0;
     double abs_sum = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
-      weight_sum += unique_weights[k];
-      abs_sum += std::abs(unique_weights[k]);
+      weight_sum += x_[k];
+      abs_sum += std::abs(x_[k]);
     }
     ACE_ENSURE(std::abs(weight_sum - 1.0) <= 1e-8 * std::max(1.0, abs_sum),
                "kriging weights must sum to 1 (unbiasedness)");
   }
 #endif
-  ACE_ENSURE(std::isfinite(result.variance) && result.variance >= 0.0,
+  ACE_ENSURE(std::isfinite(out.variance) && out.variance >= 0.0,
              "kriging variance must be finite and non-negative");
-  return result;
-}
-
-void KrigingSystem::append_point(std::vector<double> point, double value) {
-  if (point.size() != dim_)
-    throw std::invalid_argument("KrigingSystem: dimension mismatch");
-  for (std::size_t i = 0; i < points_.size(); ++i)
-    if (points_[i] == point) {
-      slots_.push_back({i, false});  // Coincident: zero-weight slot.
-      return;
-    }
-
-  const std::size_t u = points_.size();
-  points_.push_back(std::move(point));
-  values_.push_back(value);
-  if (u >= stride_) {
-    rebuild_columns(2 * u + 1);  // Amortized growth of every column.
-  } else {
-    for (std::size_t d = 0; d < dim_; ++d)
-      cols_[d * stride_ + u] = points_[u][d];
-  }
-  slots_.push_back({u, true});
-
-  if (layout_ == Layout::kAllInBase) {
-    base_points_ = points_.size();
-    (void)refresh_border();
-    invalidate_factors();
-    return;
-  }
-  if (refresh_border()) {
-    // The border width changed (universal kriging crossing the dim + 2
-    // threshold): the layout itself moved, so every factor is stale.
-    base_points_ = std::min(points_.size(),
-                            std::max<std::size_t>(1, border_));
-    invalidate_factors();
-    return;
-  }
-  // Extend the plain factor in place; ladder-rung factors and singularity
-  // memos are matrix-dependent and must be rebuilt on demand.
-  std::unique_ptr<linalg::BorderedLdlt> primary;
-  for (Factor& f : factors_)
-    if (f.shift == 0.0)  // ace-lint: allow(float-equality)
-      primary = std::move(f.ldlt);
-  factors_.clear();
-  singular_shifts_.clear();
-  if (primary && primary->size() == system_size() - 1 &&
-      primary->append_point(coupling_of(u), diagonal_entry())) {
-    ++stats_.appends;
-    factors_.push_back(Factor{0.0, std::move(primary)});
-  }
-}
-
-bool KrigingSystem::removable(std::size_t slot) const {
-  if (slot >= slots_.size()) return false;
-  if (!slots_[slot].owner) return true;  // Zero-weight duplicate.
-  if (slots_[slot].unique < base_points_) return false;
-  // An owner with remaining duplicate slots cannot be dropped: the
-  // duplicates would dangle.
-  for (std::size_t s = 0; s < slots_.size(); ++s)
-    if (s != slot && slots_[s].unique == slots_[slot].unique) return false;
-  return true;
-}
-
-bool KrigingSystem::remove_point(std::size_t slot) {
-  if (!removable(slot)) return false;
-  const Slot victim = slots_[slot];
-  slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(slot));
-  if (!victim.owner) return true;  // No factor content to touch.
-
-  const std::size_t u = victim.unique;
-  points_.erase(points_.begin() + static_cast<std::ptrdiff_t>(u));
-  values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(u));
-  rebuild_columns(stride_);
-  for (Slot& s : slots_)
-    if (s.unique > u) --s.unique;
-
-  // Downdate the plain factor when possible; a degenerate downdate (or a
-  // border-width change) just invalidates, and the next query refactors.
-  std::unique_ptr<linalg::BorderedLdlt> primary;
-  for (Factor& f : factors_)
-    if (f.shift == 0.0)  // ace-lint: allow(float-equality)
-      primary = std::move(f.ldlt);
-  factors_.clear();
-  singular_shifts_.clear();
-  if (refresh_border()) {
-    base_points_ = std::min(points_.size(),
-                            std::max<std::size_t>(1, border_));
-  } else if (primary && primary->remove_point(u - base_points_)) {
-    ++stats_.removals;
-    factors_.push_back(Factor{0.0, std::move(primary)});
-  }
   return true;
 }
 

@@ -1,10 +1,6 @@
 // Shared kriging-system layer: one owner for system assembly and the
 // robust-solve ladder across all three estimators.
 //
-// ordinary_kriging / simple_kriging / universal_kriging used to each
-// assemble their (bordered) matrix and call linalg::robust_solve — three
-// copies of the same logic paying a full O(N³) factorization per query
-// even when consecutive queries share an almost identical support set.
 // KrigingSystem centralizes:
 //
 //   * assembly — variogram block (γ for ordinary/universal, the
@@ -14,31 +10,38 @@
 //     rung-for-rung (plain solve, then ridge = 1e-10 … 1e-2 ×100 on the
 //     non-border diagonal, acceptability = finite and max-abs <= 1e6) so
 //     callers see the exact legacy semantics;
-//   * coincident-support dedupe — duplicate points used to degenerate the
-//     system and were only avoided by the store's exact-match memo; here
-//     the first occurrence wins, duplicates get weight 0;
-//   * incremental support editing (Layout::kIncremental): append_point()
-//     extends the underlying linalg::BorderedLdlt by one Schur pivot
-//     instead of refactorizing, remove_point() downdates, and the
-//     dse::FactorCache reuses whole systems across queries whose
-//     neighbourhoods overlap.
+//   * coincident-support dedupe — duplicate points would degenerate the
+//     system; the first occurrence wins, duplicates get weight 0.
 //
-// Layout::kAllInBase puts the entire system into the factorization's base
-// block: every solve then reproduces the legacy direct path bit-for-bit
-// (same matrix, same pivoted LU, same ladder), which is what keeps
-// optimizer decisions identical whether or not the factor cache is on.
-// Within one layout, a factor built at some ladder rung is kept and
+// It is a workspace: bound to an estimator and a model once (set_model
+// clones the model and clears the γ memo), then reloaded with a support
+// set per query. load(points, values) copies rows in; load(n, dim, fill)
+// hands the caller the SoA column and value buffers to write directly
+// (dse::SimulationStore::gather_columns). Every buffer — the columns, Γ,
+// the factors, the right-hand side and the solution — keeps its capacity
+// across loads, and query(q, out) writes into a caller-owned result, so
+// once a workspace has held its largest support, reloading and solving at
+// any size up to it allocates nothing (tests/test_kriging_alloc.cpp).
+// dse::KrigingPolicy owns one per policy.
+//
+// Each solve runs the floating-point operations of the direct path
+// linalg::robust_solve takes on the same matrix: Γ assembled into a
+// reused buffer and kept unshifted, copied with + shift on the core
+// diagonal for each ladder rung, factored in place by
+// linalg::lu_factor_inplace (the kernel behind LuDecomposition), and the
+// same estimate and variance sums — so results are bit-identical to an
+// independently assembled system (tests/test_kriging_system.cpp). Within
+// one load the plain factor and the last ladder-rung factor are kept and
 // re-solved for later queries (the matrix — hence its singularity and its
 // factorization — does not depend on the query, only the acceptability
-// check does), so repeated queries against one support set skip the
-// refactorization entirely.
+// check does), and rungs found singular are remembered.
 //
 // Per-system costs are kept to the arithmetic the solve needs (DESIGN.md
-// §10): the support moves in (no copy), its SoA columns live in one
-// buffer, distances run through the util::simd kernels for the built-in
-// metrics, and the model entry γ(d) (or the covariance) is memoised per
-// system for small integer distances — lattice neighbourhoods take only a
-// few distinct values — returning exactly the double the model produced.
+// §10): distances run through the util::simd kernels over the SoA columns
+// for the built-in metrics, and the model entry γ(d) (or the covariance)
+// is memoised for small integer distances — lattice neighbourhoods take
+// only a few distinct values — returning exactly the double the model
+// produced. The memo lives as long as the model binding, not one load.
 #pragma once
 
 #include <array>
@@ -46,13 +49,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/ordinary_kriging.hpp"
 #include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
-#include "linalg/ldlt.hpp"
 
 namespace ace::kriging {
 
@@ -81,59 +84,65 @@ struct SystemSpec {
 };
 
 /// Factorization-work counters, harvested by KrigingPolicy into
-/// PolicyStats (the bench/solver_cache acceptance metric).
+/// PolicyStats.
 struct SystemStats {
-  std::size_t full_factorizations = 0;  ///< Whole-system factor builds.
-  std::size_t appends = 0;              ///< One-point Schur extensions.
-  std::size_t removals = 0;             ///< One-point downdates.
+  std::size_t full_factorizations = 0;  ///< Factor builds, singular included.
   std::size_t solves = 0;               ///< Queries answered.
 };
 
-/// A reusable kriging system over one support set.
+/// A reusable kriging workspace over one support set at a time.
 class KrigingSystem {
  public:
-  enum class Layout {
-    kAllInBase,    ///< Whole system in the LU base: legacy bit-identity.
-    kIncremental,  ///< Minimal base + Schur appends: cheap extend/downdate.
-  };
+  /// An empty workspace bound to an estimator and a model; load() a
+  /// support set before querying. Throws std::invalid_argument on a
+  /// non-positive sill (simple kriging) or a negative/non-finite nugget.
+  KrigingSystem(SystemSpec spec, const VariogramModel& model,
+                DistanceFn distance = l1_distance);
 
-  /// Builds (but does not yet factor) the system. Coincident support
-  /// points are deduplicated — the first occurrence becomes the support
-  /// point, later copies are recorded as zero-weight slots. Throws
-  /// std::invalid_argument on empty/ragged support, size mismatches, or
-  /// (simple kriging) a non-positive sill.
+  /// One-shot system: the workspace constructor followed by load().
   KrigingSystem(SystemSpec spec,
-                std::vector<std::vector<double>> support_points,
-                std::vector<double> support_values,
+                const std::vector<std::vector<double>>& support_points,
+                const std::vector<double>& support_values,
                 const VariogramModel& model,
-                DistanceFn distance = l1_distance,
-                Layout layout = Layout::kAllInBase);
+                DistanceFn distance = l1_distance);
 
   KrigingSystem(const KrigingSystem&) = delete;
   KrigingSystem& operator=(const KrigingSystem&) = delete;
 
-  /// Estimate at `query` (paper Eq. 8-10 for ordinary kriging). Returns
-  /// nullopt when no ladder rung produces an acceptable solution — the
-  /// caller falls back to simulation. The result's weights are indexed by
-  /// support *slot* (construction order plus append order; deduplicated
-  /// slots hold 0).
+  /// Rebind to a new estimator and model: clones the model and clears the
+  /// γ memo. Validates like the constructor; the next query needs a load().
+  void set_model(SystemSpec spec, const VariogramModel& model);
+
+  /// Reload from row-form support. Coincident points are deduplicated —
+  /// the first occurrence becomes the support point, later copies are
+  /// zero-weight slots. Throws std::invalid_argument (workspace
+  /// unchanged) on empty/ragged support or a size mismatch.
+  void load(const std::vector<std::vector<double>>& support_points,
+            const std::vector<double>& support_values);
+
+  /// In-place reload of n points of dimension dim:
+  /// `fill(columns, stride, values)` writes coordinate d of point k to
+  /// columns[d·stride + k] and its value to values[k] (stride >= n is the
+  /// workspace's column pitch); the points are then deduplicated and
+  /// assembled like load(points, values). Throws std::invalid_argument
+  /// when n is 0.
+  template <class Fill>
+  void load(std::size_t n, std::size_t dim, Fill&& fill) {
+    begin_load(n, dim);
+    fill(std::span<double>(cols_.data(), cols_.size()), stride_,
+         std::span<double>(values_.data(), n));
+    finish_load();
+  }
+
+  /// Estimate at `query` (paper Eq. 8-10 for ordinary kriging) into `out`,
+  /// reusing its weight buffer. Returns false — `out` then unspecified —
+  /// when no ladder rung produces an acceptable solution; the caller falls
+  /// back to simulation. Weights are indexed by support slot (load order;
+  /// deduplicated slots hold 0).
+  bool query(const std::vector<double>& q, KrigingResult& out);
+
+  /// query(q, out) into a fresh result; nullopt when unsolvable.
   std::optional<KrigingResult> query(const std::vector<double>& q);
-
-  /// Add one support slot. A point coincident with an existing one
-  /// becomes a zero-weight slot (no factor change). In the kIncremental
-  /// layout a genuinely new point extends the factor by one Schur pivot;
-  /// a failed extension (or the kAllInBase layout) invalidates the factor
-  /// so the next query refactorizes. Dimension mismatches throw.
-  void append_point(std::vector<double> point, double value);
-
-  /// True when the slot's point entered the factorization as an appended
-  /// row — i.e. remove_point(slot) is a cheap downdate.
-  bool removable(std::size_t slot) const;
-
-  /// Drop one support slot. Zero-weight duplicate slots always succeed;
-  /// appended points downdate the factor; base points (or a degenerate
-  /// downdate) return false and leave the system unchanged.
-  bool remove_point(std::size_t slot);
 
   /// Leave-one-out cross-validation over the unique support, from one
   /// factorization. Entry i describes the system with unique point i
@@ -159,114 +168,124 @@ class KrigingSystem {
 
   std::size_t support_size() const { return slots_.size(); }
   /// Unique support points actually in the system (dedupe applied).
-  std::size_t unique_size() const { return points_.size(); }
+  std::size_t unique_size() const { return unique_; }
   std::size_t dimension() const { return dim_; }
   const SystemSpec& spec() const { return spec_; }
   const SystemStats& stats() const { return stats_; }
 
  private:
   struct Slot {
-    std::size_t unique = 0;  ///< Index into points_/values_.
+    std::size_t unique = 0;  ///< Index of the unique point it maps to.
     bool owner = false;      ///< First occurrence: carries the weight.
   };
 
-  /// One cached factorization at one ridge shift.
+  /// One in-place factorization of Γ + shift·I_core.
   struct Factor {
-    double shift = 0.0;  ///< Absolute diagonal shift (ridge · scale).
-    std::unique_ptr<linalg::BorderedLdlt> ldlt;
+    int rung = -1;  ///< Ladder rung held (0 = plain); -1 when empty.
+    std::vector<double> lu;
+    std::vector<std::size_t> perm;
   };
 
   /// Distances below this that are exact non-negative integers have their
   /// entry memoised (lattice L1 distances; one bit of entry_known_ each).
   static constexpr std::size_t kEntryMemo = 64;
 
-  /// Matrix entry between unique points i and j (γ or covariance).
-  double pair_entry(std::size_t i, std::size_t j) const;
+  /// Size the buffers for n slots of dimension dim (begins a load).
+  void begin_load(std::size_t n, std::size_t dim);
+  /// Dedupe the filled columns in place, then assemble Γ.
+  void finish_load();
+  /// Assemble the unshifted Γ of the loaded unique support.
+  void assemble();
+  /// Assemble the right-hand side of a query into rhs_.
+  void assemble_rhs(const std::vector<double>& q);
+
   /// Entry as a function of an already-computed distance, memoised for
-  /// small integer distances (the model is fixed for the system's life).
-  double entry_of(double d) const;
+  /// small integer distances (the model is fixed until set_model).
+  double entry_of(double d);
   /// The entry straight from the model: γ(d), or the covariance.
   double model_entry(double d) const;
   /// Diagonal entry of a support point: entry_of(0) with the noise nugget
   /// folded in (+τ² covariance form, −τ² variogram form; exact no-op at 0).
-  double diagonal_entry() const;
-  /// Distances from x to unique points [first, n), written to out —
-  /// batched over cols_ for the built-in distances.
-  /// `cols` is scratch for the kernel's column pointers.
-  void distances_to(const std::vector<double>& x, std::size_t first,
-                    std::size_t n, std::vector<const double*>& cols,
-                    double* out) const;
-  /// Rebuild the SoA column mirror of points_ with room for `stride`
-  /// points per column.
-  void rebuild_columns(std::size_t stride);
-  /// Entry l < border_ of the drift basis f(x) under the effective drift.
-  double drift_entry(const std::vector<double>& x, std::size_t l) const;
+  double diagonal_entry();
+  /// Distances from x to unique points from `first` on, written to dists_
+  /// from index 0 — batched over the SoA columns for the built-in
+  /// distances (through the padded end of the columns), per pair on rows_
+  /// for custom ones.
+  void distances_to(const std::vector<double>& x, std::size_t first);
+  /// Unique point u as a row: rows_[u] for custom distances, else copied
+  /// from the columns into point_.
+  const std::vector<double>& row(std::size_t u);
+  /// Coordinate d of slot or unique point u.
+  double coord(std::size_t u, std::size_t d) const {
+    return cols_[d * stride_ + u];
+  }
+  /// Entry l < border_ of the drift basis at a point whose coordinate d is
+  /// x[d·step]: the constant 1 first, then one coordinate per column.
+  static double drift_entry(const double* x, std::size_t step, std::size_t l) {
+    return l == 0 ? 1.0 : x[(l - 1) * step];
+  }
+  /// Recompute the effective drift / border width from the unique count.
+  void refresh_border();
+  std::size_t system_size() const { return unique_ + border_; }
 
-  /// Matrix index of unique point i under the current layout.
-  std::size_t matrix_index(std::size_t i) const;
-  std::size_t border_cols() const { return border_; }
-  std::size_t system_size() const { return points_.size() + border_; }
-
-  /// Assemble the system over the first n unique points in layout order,
-  /// with `shift` on every non-border diagonal: n = unique_size() gives
-  /// the full matrix, n = base_points_ the incremental layout's base block.
-  linalg::Matrix assemble(double shift, std::size_t n) const;
-  /// Assemble the right-hand side for a query, in layout order.
-  linalg::Vector assemble_rhs(const std::vector<double>& q) const;
-
-  /// Coupling column of unique point i against the current factor.
-  std::vector<double> coupling_of(std::size_t i) const;
-
-  /// Turn one accepted ladder solution into a KrigingResult (estimate,
-  /// variance, slot-indexed weights, contracts).
-  std::optional<KrigingResult> finalize(const std::vector<double>& q,
-                                        const linalg::Vector& rhs,
-                                        const linalg::Vector& x, double shift,
-                                        const linalg::BorderedLdlt* used) const;
-
-  /// Find or build the factor at `shift`; nullptr when singular there.
-  linalg::BorderedLdlt* factor_at(double shift);
-  /// Drop all cached factors and singularity memos (support changed).
-  void invalidate_factors();
-  /// Recompute the effective drift / border width from the unique count;
-  /// returns true when the border width changed (factor invalid).
-  bool refresh_border();
-
+  /// The factor of ladder rung `rung` at `shift`, built in place on first
+  /// use; nullptr when that matrix is singular.
+  const Factor* factor_at(int rung, double shift);
   /// Scale for the ridge ladder: max(|A|, 1) of the unshifted matrix —
   /// the exact scale linalg::robust_solve uses.
   double ladder_scale() const;
+  /// Forget every factor and singularity verdict (support or model changed).
+  void clear_factors();
+
+  /// Turn the accepted solution x_ into `out` (estimate, variance,
+  /// slot-indexed weights, contracts); false on a non-finite estimate.
+  bool finalize(const std::vector<double>& q, double shift,
+                const Factor& used, KrigingResult& out) const;
 
   SystemSpec spec_;
   DriftKind effective_drift_ = DriftKind::kConstant;
   std::unique_ptr<VariogramModel> model_;
   DistanceFn distance_;
-  Layout layout_;
-  std::size_t dim_ = 0;
-
-  std::vector<std::vector<double>> points_;  ///< Unique, insertion order.
-  std::vector<double> values_;               ///< Values of unique points.
-  /// Columnar (SoA) mirror of points_ in one buffer: cols_[d·stride_ + u]
-  /// == points_[u][d], kept in lockstep so assembly streams contiguous
-  /// columns per dimension.
-  std::vector<double> cols_;
-  std::size_t stride_ = 0;  ///< Points of room per column (>= unique_size()).
   /// Built-in distances batch through the util::simd column kernels (bit-
-  /// identical to the functor); custom ones are called per pair.
+  /// identical to the functor); custom ones are called per pair on rows_.
   DistanceKind distance_kind_ = DistanceKind::kCustom;
-  std::vector<Slot> slots_;                  ///< Caller-visible order.
 
-  std::size_t border_ = 0;     ///< Lagrange/drift columns.
-  std::size_t base_points_ = 0;  ///< Unique points inside the base block.
+  std::size_t dim_ = 0;
+  std::size_t unique_ = 0;   ///< Unique support points loaded.
+  std::size_t border_ = 0;   ///< Lagrange/drift columns.
+  bool loaded_ = false;
+  /// SoA columns: coordinate d of unique point u at cols_[d·stride_ + u].
+  /// stride_ is the load's slot count rounded up to the distance kernels'
+  /// 4-lane width, so every kernel call runs whole vectors; the padding
+  /// lanes hold zeros or earlier loads' coordinates, whose distances are
+  /// never read.
+  /// Dedupe compacts the unique points to the front.
+  std::vector<double> cols_;
+  std::size_t stride_ = 0;
+  /// Weighted coordinate sum per slot: equal points have equal keys, so
+  /// the dedupe compares coordinates only where keys match.
+  std::vector<double> keys_;
+  std::vector<double> values_;  ///< Values of unique points.
+  std::vector<Slot> slots_;     ///< Caller-visible order.
+  /// Row copies of the unique points, kept for custom distances only.
+  /// Never shrunk, so the inner buffers keep their capacity.
+  std::vector<std::vector<double>> rows_;
 
-  std::vector<Factor> factors_;          ///< Plain + ladder-rung factors.
-  std::vector<double> singular_shifts_;  ///< Shifts known to be singular.
+  /// Unshifted Γ (system_size()² row-major), the ladder's source matrix.
+  std::vector<double> gamma_;
+  Factor plain_;  ///< Rung 0.
+  Factor ridge_;  ///< The last ridge rung factored.
+  std::uint32_t singular_rungs_ = 0;  ///< Bit r: rung r is singular.
+
+  std::vector<double> rhs_;       ///< Query right-hand side.
+  std::vector<double> x_;         ///< Solution of the last solve.
+  std::vector<double> dists_;     ///< Distance scratch.
+  std::vector<double> point_;     ///< One support point as a row.
+  std::vector<const double*> col_ptrs_;  ///< Kernel column pointers.
   SystemStats stats_;
 
-  /// entry_of memo. Only the non-const entry points (query, append_point,
-  /// loo_residuals, factor builds) reach it, so a system shared read-only
-  /// across threads never writes it.
-  mutable std::array<double, kEntryMemo> entry_memo_{};
-  mutable std::uint64_t entry_known_ = 0;
+  std::array<double, kEntryMemo> entry_memo_{};
+  std::uint64_t entry_known_ = 0;
 };
 
 }  // namespace ace::kriging

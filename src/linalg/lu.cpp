@@ -1,5 +1,6 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -8,45 +9,91 @@
 
 namespace ace::linalg {
 
-LuDecomposition::LuDecomposition(Matrix a, double pivot_tolerance)
-    : lu_(std::move(a)) {
-  if (!lu_.square())
-    throw std::invalid_argument("LuDecomposition: matrix must be square");
-  const std::size_t n = lu_.rows();
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+bool lu_factor_inplace(double* a, std::size_t n, std::size_t* perm,
+                       int& perm_sign, double pivot_tolerance) {
+  perm_sign = 1;
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
 
-  const double scale = std::max(lu_.max_abs(), 1e-300);
+  const double scale = std::max(max_abs(a, n * n), 1e-300);
   for (std::size_t k = 0; k < n; ++k) {
     // Pivot search in column k.
     std::size_t pivot_row = k;
-    double pivot_mag = std::abs(lu_(k, k));
+    double pivot_mag = std::abs(a[k * n + k]);
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double mag = std::abs(lu_(r, k));
+      const double mag = std::abs(a[r * n + k]);
       if (mag > pivot_mag) {
         pivot_mag = mag;
         pivot_row = r;
       }
     }
-    if (pivot_mag <= pivot_tolerance * scale) {
-      singular_ = true;
-      return;
-    }
+    if (pivot_mag <= pivot_tolerance * scale) return false;
     if (pivot_row != k) {
-      for (std::size_t c = 0; c < n; ++c)
-        std::swap(lu_(k, c), lu_(pivot_row, c));
-      std::swap(perm_[k], perm_[pivot_row]);
-      perm_sign_ = -perm_sign_;
+      std::swap_ranges(a + k * n, a + (k + 1) * n, a + pivot_row * n);
+      std::swap(perm[k], perm[pivot_row]);
+      perm_sign = -perm_sign;
     }
-    const double pivot = lu_(k, k);
+    const double pivot = a[k * n + k];
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = lu_(r, k) / pivot;
-      lu_(r, k) = factor;
+      const double factor = a[r * n + k] / pivot;
+      a[r * n + k] = factor;
       if (factor == 0.0) continue;  // ace-lint: allow(float-equality)
       for (std::size_t c = k + 1; c < n; ++c)
-        lu_(r, c) -= factor * lu_(k, c);
+        a[r * n + c] -= factor * a[k * n + c];
     }
   }
+  return true;
+}
+
+void lu_solve_inplace(const double* lu, std::size_t n, const std::size_t* perm,
+                      const double* b, double* x) {
+  // Forward substitution on permuted b (L has unit diagonal); x holds y.
+  for (std::size_t r = 0; r < n; ++r) {
+    double acc = b[perm[r]];
+    for (std::size_t c = 0; c < r; ++c) acc -= lu[r * n + c] * x[c];
+    x[r] = acc;
+  }
+  // Back substitution through U, overwriting y with x from the bottom up.
+  for (std::size_t ri = n; ri-- > 0;) {
+    // The factorization reports singular on any degenerate pivot, so a
+    // zero divisor here means the caller solved against a failed factor.
+    ACE_INVARIANT(lu[ri * n + ri] != 0.0,  // ace-lint: allow(float-equality)
+                  "non-singular LU must have non-zero pivots");
+    double acc = x[ri];
+    for (std::size_t c = ri + 1; c < n; ++c) acc -= lu[ri * n + c] * x[c];
+    x[ri] = acc / lu[ri * n + ri];
+  }
+}
+
+void lu_inverse_diagonal(const double* lu, std::size_t n,
+                         const std::size_t* perm, double* e, double* x,
+                         double* diag) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) e[j] = (j == i) ? 1.0 : 0.0;
+    lu_solve_inplace(lu, n, perm, e, x);
+    diag[i] = x[i];
+  }
+}
+
+double lu_rcond_estimate(const double* lu, std::size_t n) {
+  if (n == 0) return 0.0;
+  double lo = std::abs(lu[0]);
+  double hi = lo;
+  for (std::size_t i = 1; i < n; ++i) {
+    const double p = std::abs(lu[i * n + i]);
+    lo = std::min(lo, p);
+    hi = std::max(hi, p);
+  }
+  // Exact-zero test: hi is a max of absolute values, so == 0 is precise.
+  return hi == 0.0 ? 0.0 : lo / hi;  // ace-lint: allow(float-equality)
+}
+
+LuDecomposition::LuDecomposition(Matrix a, double pivot_tolerance)
+    : lu_(std::move(a)) {
+  if (!lu_.square())
+    throw std::invalid_argument("LuDecomposition: matrix must be square");
+  perm_.resize(lu_.rows());
+  singular_ = !lu_factor_inplace(lu_.data(), lu_.rows(), perm_.data(),
+                                 perm_sign_, pivot_tolerance);
 }
 
 Vector LuDecomposition::solve(const Vector& b) const {
@@ -55,25 +102,9 @@ Vector LuDecomposition::solve(const Vector& b) const {
   const std::size_t n = size();
   if (b.size() != n)
     throw std::invalid_argument("LuDecomposition::solve: size mismatch");
-
-  // Forward substitution on permuted b (L has unit diagonal).
-  Vector y(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    double acc = b[perm_[r]];
-    for (std::size_t c = 0; c < r; ++c) acc -= lu_(r, c) * y[c];
-    y[r] = acc;
-  }
-  // Back substitution through U.
   Vector x(n);
-  for (std::size_t ri = n; ri-- > 0;) {
-    // The factorization bailed to singular_ on any degenerate pivot, so a
-    // zero divisor here means the object's invariant was corrupted.
-    ACE_INVARIANT(lu_(ri, ri) != 0.0,  // ace-lint: allow(float-equality)
-                  "non-singular LU must have non-zero pivots");
-    double acc = y[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) acc -= lu_(ri, c) * x[c];
-    x[ri] = acc / lu_(ri, ri);
-  }
+  lu_solve_inplace(lu_.data(), n, perm_.data(), b.data().data(),
+                   x.data().data());
   return x;
 }
 
@@ -100,43 +131,21 @@ Matrix LuDecomposition::inverse() const {
 }
 
 Vector LuDecomposition::inverse_diagonal() const {
+  if (singular_)
+    throw std::runtime_error(
+        "LuDecomposition::inverse_diagonal: singular matrix");
   const std::size_t n = size();
   Vector diag(n);
   Vector e(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) e[j] = (j == i) ? 1.0 : 0.0;
-    diag[i] = solve(e)[i];
-  }
+  Vector x(n);
+  lu_inverse_diagonal(lu_.data(), n, perm_.data(), e.data().data(),
+                      x.data().data(), diag.data().data());
   return diag;
 }
 
-double LuDecomposition::min_abs_pivot() const {
-  if (singular_ || size() == 0) return 0.0;
-  double lo = std::abs(lu_(0, 0));
-  for (std::size_t i = 1; i < size(); ++i)
-    lo = std::min(lo, std::abs(lu_(i, i)));
-  return lo;
-}
-
-double LuDecomposition::max_abs_pivot() const {
-  if (singular_ || size() == 0) return 0.0;
-  double hi = std::abs(lu_(0, 0));
-  for (std::size_t i = 1; i < size(); ++i)
-    hi = std::max(hi, std::abs(lu_(i, i)));
-  return hi;
-}
-
 double LuDecomposition::rcond_estimate() const {
-  if (singular_ || size() == 0) return 0.0;
-  double lo = std::abs(lu_(0, 0));
-  double hi = lo;
-  for (std::size_t i = 1; i < size(); ++i) {
-    const double p = std::abs(lu_(i, i));
-    lo = std::min(lo, p);
-    hi = std::max(hi, p);
-  }
-  // Exact-zero test: hi is a max of absolute values, so == 0 is precise.
-  return hi == 0.0 ? 0.0 : lo / hi;  // ace-lint: allow(float-equality)
+  if (singular_) return 0.0;
+  return lu_rcond_estimate(lu_.data(), size());
 }
 
 }  // namespace ace::linalg

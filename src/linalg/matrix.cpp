@@ -1,5 +1,6 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -85,11 +86,27 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::abs(x));
-  return m;
+double max_abs(const double* data, std::size_t count) {
+  // Four independent accumulators break the latency chain of one serial
+  // std::max. Each lane skips NaN entries exactly as the serial chain
+  // does (std::max(m, NaN) keeps m) and max is exact, so the result is the
+  // serial chain's value bit for bit.
+  double m0 = 0.0;
+  double m1 = 0.0;
+  double m2 = 0.0;
+  double m3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    m0 = std::max(m0, std::abs(data[i]));
+    m1 = std::max(m1, std::abs(data[i + 1]));
+    m2 = std::max(m2, std::abs(data[i + 2]));
+    m3 = std::max(m3, std::abs(data[i + 3]));
+  }
+  for (; i < count; ++i) m0 = std::max(m0, std::abs(data[i]));
+  return std::max(std::max(m0, m1), std::max(m2, m3));
 }
+
+double Matrix::max_abs() const { return linalg::max_abs(data(), data_.size()); }
 
 double Matrix::frobenius_norm() const {
   double acc = 0.0;

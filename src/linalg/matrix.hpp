@@ -40,6 +40,10 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major storage (rows()·cols() entries) for the in-place kernels.
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   bool operator==(const Matrix& rhs) const = default;
 
   Matrix& operator+=(const Matrix& rhs);
@@ -75,5 +79,10 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Largest |x| over `count` contiguous entries (NaN entries are skipped;
+/// 0 when there are none): Matrix::max_abs and the in-place LU's pivot
+/// scale share it.
+double max_abs(const double* data, std::size_t count);
 
 }  // namespace ace::linalg

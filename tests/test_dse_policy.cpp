@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "dse/min_plus_one.hpp"
+#include "dse/scheduler.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -408,30 +410,56 @@ TEST(KrigingPolicyBatch, PartitionSeesTheStoreAtEntryOnly) {
 TEST(KrigingPolicyBatch, ScalarEvaluateIsABatchOfOne) {
   // evaluate(c) is documented as exactly evaluate_batch({c}): the same walk
   // through both entry points must agree on every outcome, counter and
-  // stored value, with the factor cache off and on.
+  // stored value.
   std::vector<d::Config> walk;
   for (int x = 0; x < 4; ++x)
     for (int y = 0; y < 4; ++y) walk.push_back({x, y});
   walk.push_back({0, 0});  // Exact repeat of the first (simulated) point.
   walk.push_back({5, 4});
   auto sim = [](const d::Config& c) { return linear_surface(c); };
-  for (const std::size_t capacity : {0u, 8u}) {
-    d::PolicyOptions o = small_fit_options(3);
-    o.factor_cache_capacity = capacity;
-    d::KrigingPolicy scalar(o);
-    d::KrigingPolicy batched(o);
-    for (std::size_t i = 0; i < walk.size(); ++i) {
-      const auto a = scalar.evaluate(walk[i], sim);
-      const auto b = batched.evaluate_batch({walk[i]}, sim);
-      ASSERT_EQ(b.size(), 1u);
-      EXPECT_EQ(a, b.front()) << "capacity=" << capacity << " step=" << i;
-    }
-    EXPECT_EQ(scalar.stats(), batched.stats()) << "capacity=" << capacity;
-    EXPECT_EQ(scalar.store().values(), batched.store().values());
-    // The walk exercises every branch: simulate, interpolate, store hit.
-    EXPECT_GT(scalar.stats().interpolated, 0u);
-    EXPECT_GT(scalar.stats().exact_hits, 0u);
+  const d::PolicyOptions o = small_fit_options(3);
+  d::KrigingPolicy scalar(o);
+  d::KrigingPolicy batched(o);
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    const auto a = scalar.evaluate(walk[i], sim);
+    const auto b = batched.evaluate_batch({walk[i]}, sim);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(a, b.front()) << "step=" << i;
   }
+  EXPECT_EQ(scalar.stats(), batched.stats());
+  EXPECT_EQ(scalar.store().values(), batched.store().values());
+  // The walk exercises every branch: simulate, interpolate, store hit.
+  EXPECT_GT(scalar.stats().interpolated, 0u);
+  EXPECT_GT(scalar.stats().exact_hits, 0u);
+}
+
+// The solve counters a min+1 run folds into PolicyStats: every solved
+// system reports a condition estimate — including solves later rejected
+// by the sanity/variance gates, so at least one per interpolation — each
+// solve pays at least one full factorization, and the retired factor
+// cache's counters stay 0 (they remain only in the checkpoint layout).
+TEST(KrigingPolicy, MinPlusOneRunPopulatesSolveCounters) {
+  d::KrigingPolicy policy;
+  d::MinPlusOneOptions opt;
+  opt.nv = 3;
+  opt.w_max = 12;
+  opt.w_min = 2;
+  opt.lambda_min = 25.0;
+  const auto sim = [](const d::Config& w) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < w.size(); ++i)
+      acc += (1.0 + 0.1 * static_cast<double>(i)) * static_cast<double>(w[i]);
+    return acc;
+  };
+  (void)d::min_plus_one(d::policy_batch_evaluator(policy, sim), opt);
+  const d::PolicyStats stats = policy.stats();
+  ASSERT_GT(stats.interpolated, 0u);
+  EXPECT_GE(stats.rcond_per_solve.count(), stats.interpolated);
+  EXPECT_GT(stats.rcond_per_solve.mean(), 0.0);
+  EXPECT_LE(stats.ridge_fallbacks, stats.rcond_per_solve.count());
+  EXPECT_GE(stats.full_factorizations, stats.interpolated);
+  EXPECT_EQ(stats.factor_cache_hits, 0u);
+  EXPECT_EQ(stats.factor_extends, 0u);
 }
 
 TEST(KrigingPolicy, ConstantSurfaceInterpolatesToConstant) {

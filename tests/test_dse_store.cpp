@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "kriging/ordinary_kriging.hpp"
@@ -64,6 +65,62 @@ TEST(SimulationStore, GatherProducesAlignedPointsAndValues) {
   EXPECT_DOUBLE_EQ(points[1][0], 2.0);
   EXPECT_DOUBLE_EQ(values[0], 1.0);
   EXPECT_DOUBLE_EQ(values[1], 2.0);
+}
+
+// gather_columns writes the row gather's coordinates and values into
+// caller-owned SoA columns at the caller's stride, leaving the padding alone.
+TEST(SimulationStore, GatherColumnsMatchesRowGather) {
+  ace::util::Rng rng(5);
+  d::SimulationStore store;
+  for (std::size_t i = 0; i < 60; ++i)
+    store.add({rng.uniform_int(0, 5), rng.uniform_int(-3, 3),
+               rng.uniform_int(0, 5)},
+              rng.uniform(-10.0, 10.0));
+  const auto n = store.neighbors_within({2, 0, 2}, 3);
+  ASSERT_GE(n.count(), 3u);
+  std::vector<std::vector<double>> points;
+  std::vector<double> values;
+  store.gather(n, points, values);
+
+  const std::size_t stride = n.count() + 5;
+  const double pad = -777.0;
+  std::vector<double> columns(3 * stride, pad);
+  std::vector<double> column_values(n.count(), pad);
+  store.gather_columns(n, columns, stride, column_values);
+  for (std::size_t k = 0; k < n.count(); ++k) {
+    EXPECT_EQ(column_values[k], values[k]);
+    for (std::size_t dim = 0; dim < 3; ++dim)
+      EXPECT_EQ(columns[dim * stride + k], points[k][dim]);
+  }
+  for (std::size_t dim = 0; dim < 3; ++dim)
+    for (std::size_t k = n.count(); k < stride; ++k)
+      EXPECT_EQ(columns[dim * stride + k], pad);
+}
+
+TEST(SimulationStore, GatherColumnsRejectsMismatchedBuffers) {
+  d::SimulationStore store;
+  store.add({0, 0}, 1.0);
+  store.add({1, 0}, 2.0);
+  store.add({0, 1}, 3.0);
+  const auto n = store.neighbors_within({0, 0}, 1);
+  ASSERT_EQ(n.count(), 3u);
+  std::vector<double> columns(2 * 4);
+  std::vector<double> values(3);
+  EXPECT_NO_THROW(store.gather_columns(n, columns, 4, values));
+  // Stride below the count, columns not dim·stride, values not count.
+  EXPECT_THROW(store.gather_columns(n, std::span<double>(columns.data(), 4),
+                                    2, values),
+               std::invalid_argument);
+  EXPECT_THROW(store.gather_columns(n, std::span<double>(columns.data(), 7),
+                                    4, values),
+               std::invalid_argument);
+  EXPECT_THROW(store.gather_columns(n, columns, 4,
+                                    std::span<double>(values.data(), 2)),
+               std::invalid_argument);
+  // An index outside the store.
+  d::Neighborhood stale{{0, 1, 9}};
+  EXPECT_THROW(store.gather_columns(stale, columns, 4, values),
+               std::out_of_range);
 }
 
 TEST(SimulationStore, EmptyStoreHasNoNeighbors) {

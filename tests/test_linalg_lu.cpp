@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -12,6 +18,17 @@ namespace {
 using ace::linalg::LuDecomposition;
 using ace::linalg::Matrix;
 using ace::linalg::Vector;
+namespace la = ace::linalg;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Row-major copy of a matrix, the in-place kernels' layout.
+std::vector<double> row_major(const Matrix& m) {
+  std::vector<double> a;
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c) a.push_back(m(r, c));
+  return a;
+}
 
 Matrix random_matrix(ace::util::Rng& rng, std::size_t n) {
   Matrix m(n, n);
@@ -126,6 +143,12 @@ TEST(Lu, InverseDiagonalMatchesSchurComplementOfDeletedSystems) {
   }
 }
 
+TEST(Lu, InverseDiagonalThrowsOnSingularMatrix) {
+  const LuDecomposition lu(Matrix{{1.0, 2.0}, {2.0, 4.0}});
+  ASSERT_TRUE(lu.singular());
+  EXPECT_THROW((void)lu.inverse_diagonal(), std::runtime_error);
+}
+
 TEST(Lu, RcondEstimatePositiveForWellConditioned) {
   EXPECT_GT(LuDecomposition(Matrix::identity(4)).rcond_estimate(), 0.5);
 }
@@ -153,5 +176,175 @@ INSTANTIATE_TEST_SUITE_P(
     SizesAndSeeds, LuResidualTest,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 5, 8, 13, 21),
                        ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5)));
+
+/// Property sweep over the in-place kernels on caller-owned buffers: the
+/// factor reproduces P·A = L·U, the permutation and its sign agree, and the
+/// solve is bit-identical to LuDecomposition's (the wrapper runs the same
+/// kernels, so a second LU creeping in would show here).
+class LuInplaceTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
+
+TEST_P(LuInplaceTest, FactorReproducesPermutedMatrixAndWrapperSolve) {
+  const auto [n, seed] = GetParam();
+  ace::util::Rng rng(seed);
+  const Matrix a = random_matrix(rng, n);
+  std::vector<double> lu = row_major(a);
+  std::vector<std::size_t> perm(n);
+  int sign = 0;
+  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data(), sign));
+
+  // perm is a permutation of 0..n-1 whose parity is the reported sign.
+  std::vector<std::size_t> sorted = perm;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::size_t> iota(n);
+  std::iota(iota.begin(), iota.end(), std::size_t{0});
+  ASSERT_EQ(sorted, iota);
+  int parity = 1;
+  std::vector<bool> seen(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (seen[i]) continue;
+    std::size_t len = 0;
+    for (std::size_t j = i; !seen[j]; j = perm[j], ++len) seen[j] = true;
+    if (len % 2 == 0) parity = -parity;
+  }
+  EXPECT_EQ(sign, parity);
+
+  // (L·U)(r, c) equals A(perm[r], c) up to rounding.
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k <= std::min(r, c); ++k)
+        acc += (k == r ? 1.0 : lu[r * n + k]) * lu[k * n + c];
+      EXPECT_NEAR(acc, a(perm[r], c), 1e-11) << r << "," << c;
+    }
+
+  Vector b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-5.0, 5.0);
+  std::vector<double> x(n);
+  la::lu_solve_inplace(lu.data(), n, perm.data(), b.data().data(), x.data());
+  const Vector want = LuDecomposition(a).solve(b);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(bits(x[i]), bits(want[i]));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndSeeds, LuInplaceTest,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 5, 8, 13),
+                       ::testing::Values<std::uint64_t>(6, 7)));
+
+TEST(LuInplace, ReportsSingularMatrices) {
+  std::vector<std::size_t> perm(3);
+  int sign = 0;
+  // Rank 2: row 2 = row 0 + row 1.
+  std::vector<double> rank2 = {1, 2, 3, 4, 5, 6, 5, 7, 9};
+  EXPECT_FALSE(la::lu_factor_inplace(rank2.data(), 3, perm.data(), sign));
+  std::vector<double> zero(9, 0.0);
+  EXPECT_FALSE(la::lu_factor_inplace(zero.data(), 3, perm.data(), sign));
+  // LuDecomposition's verdict comes from the same kernel.
+  EXPECT_TRUE(LuDecomposition(Matrix{{1, 2, 3}, {4, 5, 6}, {5, 7, 9}})
+                  .singular());
+}
+
+TEST(LuInplace, EmptySystemFactorsTrivially) {
+  double unused = 0.0;
+  std::size_t perm = 0;
+  int sign = 0;
+  EXPECT_TRUE(la::lu_factor_inplace(&unused, 0, &perm, sign));
+  EXPECT_EQ(sign, 1);
+  EXPECT_EQ(la::lu_rcond_estimate(&unused, 0), 0.0);
+}
+
+// The pivot test is relative to max|A|: scaling a matrix does not change
+// its verdict, and the tolerance argument moves the threshold.
+TEST(LuInplace, PivotToleranceIsRelativeToTheMatrixScale) {
+  std::vector<std::size_t> perm(2);
+  int sign = 0;
+  for (const double scale : {1e-200, 1.0, 1e200}) {
+    std::vector<double> a = {2.0 * scale, 1.0 * scale, 1.0 * scale,
+                             3.0 * scale};
+    EXPECT_TRUE(la::lu_factor_inplace(a.data(), 2, perm.data(), sign))
+        << scale;
+  }
+  // Second pivot 1e-14 relative to max|A| = 1: under the default 1e-13,
+  // over an explicit 1e-15.
+  const std::vector<double> near = {1.0, 1.0, 1.0, 1.0 + 1e-14};
+  std::vector<double> a = near;
+  EXPECT_FALSE(la::lu_factor_inplace(a.data(), 2, perm.data(), sign));
+  a = near;
+  EXPECT_TRUE(la::lu_factor_inplace(a.data(), 2, perm.data(), sign, 1e-15));
+}
+
+TEST(LuInplace, InverseDiagonalAndRcondMatchTheWrapperBitwise) {
+  ace::util::Rng rng(41);
+  const std::size_t n = 7;
+  const Matrix a = random_matrix(rng, n);
+  std::vector<double> lu = row_major(a);
+  std::vector<std::size_t> perm(n);
+  int sign = 0;
+  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data(), sign));
+  std::vector<double> e(n), x(n), diag(n);
+  la::lu_inverse_diagonal(lu.data(), n, perm.data(), e.data(), x.data(),
+                          diag.data());
+  const LuDecomposition wrapper(a);
+  const Vector want = wrapper.inverse_diagonal();
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(bits(diag[i]), bits(want[i]));
+
+  // rcond is min|pivot| / max|pivot| over U's diagonal.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    lo = std::min(lo, std::abs(lu[i * n + i]));
+    hi = std::max(hi, std::abs(lu[i * n + i]));
+  }
+  EXPECT_EQ(la::lu_rcond_estimate(lu.data(), n), lo / hi);
+  EXPECT_EQ(bits(wrapper.rcond_estimate()),
+            bits(la::lu_rcond_estimate(lu.data(), n)));
+}
+
+TEST(LuInplace, SolveReadsButNeverWritesFactorOrRightHandSide) {
+  ace::util::Rng rng(43);
+  const std::size_t n = 6;
+  std::vector<double> lu = row_major(random_matrix(rng, n));
+  std::vector<std::size_t> perm(n);
+  int sign = 0;
+  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data(), sign));
+  std::vector<double> b(n);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  const std::vector<double> lu_before = lu;
+  const std::vector<std::size_t> perm_before = perm;
+  const std::vector<double> b_before = b;
+  std::vector<double> x(n), x2(n);
+  la::lu_solve_inplace(lu.data(), n, perm.data(), b.data(), x.data());
+  la::lu_solve_inplace(lu.data(), n, perm.data(), b.data(), x2.data());
+  EXPECT_EQ(lu, lu_before);
+  EXPECT_EQ(perm, perm_before);
+  EXPECT_EQ(b, b_before);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(bits(x[i]), bits(x2[i]));
+}
+
+// A reused buffer that held a larger factor: factoring a smaller system in
+// its prefix gives exactly what a fresh buffer gives (no stale entry is
+// read), which is how kriging::KrigingSystem reuses its factor storage.
+TEST(LuInplace, SmallerSystemInAReusedBufferMatchesAFreshOne) {
+  ace::util::Rng rng(47);
+  const std::size_t big = 9;
+  const std::size_t small = 4;
+  std::vector<double> buffer = row_major(random_matrix(rng, big));
+  std::vector<std::size_t> perm(big);
+  int sign = 0;
+  ASSERT_TRUE(la::lu_factor_inplace(buffer.data(), big, perm.data(), sign));
+
+  const std::vector<double> a = row_major(random_matrix(rng, small));
+  std::copy(a.begin(), a.end(), buffer.begin());
+  ASSERT_TRUE(la::lu_factor_inplace(buffer.data(), small, perm.data(), sign));
+  std::vector<double> fresh = a;
+  std::vector<std::size_t> fresh_perm(small);
+  int fresh_sign = 0;
+  ASSERT_TRUE(la::lu_factor_inplace(fresh.data(), small, fresh_perm.data(),
+                                    fresh_sign));
+  for (std::size_t i = 0; i < small * small; ++i)
+    EXPECT_EQ(bits(buffer[i]), bits(fresh[i])) << i;
+  EXPECT_TRUE(std::equal(fresh_perm.begin(), fresh_perm.end(), perm.begin()));
+  EXPECT_EQ(sign, fresh_sign);
+}
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -111,6 +116,26 @@ TEST(Matrix, RowAndColumnExtraction) {
   Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   EXPECT_EQ(m.row(1), Vector({4.0, 5.0, 6.0}));
   EXPECT_EQ(m.col(2), Vector({3.0, 6.0}));
+}
+
+// The four-lane max_abs returns the serial std::max chain's value bit for
+// bit, NaN entries skipped, at every length and remainder.
+TEST(Matrix, MaxAbsMatchesSerialChain) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {-0.0, 3.5, nan, -7.25, 0.0, 1e-310, -inf,
+                            2.0,  nan, -9.5, 4.0,  -1e300, 6.0};
+  for (std::size_t rotate = 0; rotate < xs.size(); ++rotate) {
+    std::rotate(xs.begin(), xs.begin() + 1, xs.end());
+    for (std::size_t count = 0; count <= xs.size(); ++count) {
+      double serial = 0.0;
+      for (std::size_t i = 0; i < count; ++i)
+        serial = std::max(serial, std::abs(xs[i]));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ace::linalg::max_abs(xs.data(), count)),
+                std::bit_cast<std::uint64_t>(serial))
+          << "count " << count << " rotate " << rotate;
+    }
+  }
 }
 
 }  // namespace

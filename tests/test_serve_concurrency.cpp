@@ -32,7 +32,6 @@ d::SimulatorFn make_surface(std::size_t salt) {
 s::SessionSpec min_plus_spec(std::size_t salt) {
   s::SessionSpec spec;
   spec.name = "min+1 #" + std::to_string(salt);
-  spec.policy.factor_cache_capacity = 4;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
   spec.min_plus.nv = 3;
   spec.min_plus.w_max = 10;

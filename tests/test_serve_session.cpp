@@ -35,7 +35,6 @@ d::SimulatorFn make_surface(std::size_t salt) {
 s::SessionSpec min_plus_spec(std::size_t salt) {
   s::SessionSpec spec;
   spec.name = "min+1 #" + std::to_string(salt);
-  spec.policy.factor_cache_capacity = 4;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
   spec.min_plus.nv = 3;
   spec.min_plus.w_max = 10;
@@ -145,12 +144,9 @@ TEST(SessionManager, GateBearingSessionParksAndResumesWithEqualStats) {
   // persist — restore replays the recorded refits, which re-run the LOO
   // passes. Parking mid-run must therefore be invisible: the resumed
   // session's *entire* PolicyStats (gate counters and the loo_abs_error
-  // moments included) equals the never-parked run's. The factor cache
-  // stays off — stats equality is exactly the contract that relies on the
-  // cache-off default (a resumed run's cold cache would skew counters).
+  // moments included) equals the never-parked run's.
   s::SessionSpec spec = min_plus_spec(9);
   spec.name = "gated min+1";
-  spec.policy.factor_cache_capacity = 0;
   spec.policy.gate = d::GateKind::kLooCalibrated;
   spec.policy.gate_nn_floor = 2;
   spec.policy.loo_gate = 2.0;

@@ -24,9 +24,9 @@ kriging-direct-solve
                   linalg::robust_solve / lu_solve / LuDecomposition in an
                   estimator wrapper (*_kriging.cpp/.hpp). The wrappers must
                   route every solve through kriging::KrigingSystem — it
-                  owns assembly, the ridge ladder, dedupe and the
-                  factorization reuse; a direct solver call would fork the
-                  numerics the factor cache relies on being identical.
+                  owns assembly, the ridge ladder, dedupe and the single
+                  in-place LU solve; a direct solver call would fork the
+                  numerics every estimator and the policy share.
 raw-distance-loop Hand-rolled distance accumulation
                   (`acc += abs(a - b)` and friends) outside the SIMD
                   kernel layer (src/util/simd*). Scans and assembly must
@@ -148,7 +148,7 @@ RULES = [
         ),
         "direct linear solve in an estimator wrapper; route the solve "
         "through kriging::KrigingSystem (it owns assembly, the ridge "
-        "ladder and factor reuse)",
+        "ladder and the single in-place LU solve)",
     ),
     (
         "raw-distance-loop",
