@@ -15,7 +15,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/vector.hpp"
 
@@ -34,8 +33,6 @@
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "kriging/ordinary_kriging.hpp"
-#include "kriging/simple_kriging.hpp"
-#include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 
 // Approximate arithmetic operators.
@@ -65,7 +62,6 @@
 #include "dse/annealing.hpp"
 #include "dse/config.hpp"
 #include "dse/cost.hpp"
-#include "dse/doe.hpp"
 #include "dse/interp1d.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/min_plus_one.hpp"

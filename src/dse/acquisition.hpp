@@ -53,7 +53,7 @@ struct GateQuery {
 
 /// What accept() sees: one solved interpolation.
 struct GateSolution {
-  double estimate = 0.0;  ///< Full-field estimate (trend added back).
+  double estimate = 0.0;  ///< The kriging estimate.
   double variance = 0.0;  ///< Kriging variance of the solved system.
   double sill = 0.0;      ///< Sample variance of the kriged field (0 if
                           ///< unknown); the natural variance scale.

@@ -4,7 +4,7 @@
 // versioned text file. Doubles are written as C99 hexfloats ("%a"), so the
 // round trip is exact; the policy snapshot is restored by *replay*
 // (KrigingPolicy::restore), so the rebuilt store, variogram bins, fitted
-// model, trend and refit clocks are bit-identical to the snapshotted
+// model and refit clocks are bit-identical to the snapshotted
 // policy. The replay adds every stored point but refits only at the last
 // recorded fit event (at every event under a LOO-calibrated gate, whose
 // calibration folds each refit's LOO pass): the incremental variogram

@@ -1,6 +1,5 @@
 #include "dse/config.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -15,17 +14,6 @@ int l1_distance(const Config& a, const Config& b) {
   // ace-lint: allow(raw-distance-loop)
   for (std::size_t i = 0; i < a.size(); ++i) acc += std::abs(a[i] - b[i]);
   return acc;
-}
-
-double l2_distance(const Config& a, const Config& b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("l2_distance: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
 }
 
 std::vector<double> to_real(const Config& c) {

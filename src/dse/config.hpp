@@ -19,9 +19,6 @@ using Config = std::vector<int>;
 /// L1 distance between two configurations. Throws on size mismatch.
 int l1_distance(const Config& a, const Config& b);
 
-/// Euclidean distance between two configurations (extension ablation).
-double l2_distance(const Config& a, const Config& b);
-
 /// Lattice point as doubles (kriging operates on real coordinates).
 std::vector<double> to_real(const Config& c);
 

@@ -8,9 +8,6 @@
 #include <unordered_map>
 
 #include "dse/batch_sim.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
-#include "linalg/vector.hpp"
 #include "util/contract.hpp"
 
 namespace ace::dse {
@@ -29,43 +26,6 @@ FaultCode fault_code_of(util::CallFault fault) {
     case util::CallFault::kNone: break;
   }
   return FaultCode::kNone;
-}
-
-/// Least-squares fit of λ ≈ β0 + Σ β_i x_i over the store. Returns the
-/// mean-only coefficient vector {mean} when the design is rank deficient
-/// (e.g. every stored configuration lies on one axis sweep).
-std::vector<double> fit_linear_trend(
-    const std::vector<std::vector<double>>& points,
-    const std::vector<double>& values) {
-  const std::size_t n = points.size();
-  const std::size_t dim = points.front().size();
-  double mean = 0.0;
-  for (double v : values) mean += v;
-  mean /= static_cast<double>(n);
-  if (n < dim + 2) return {mean};
-
-  linalg::Matrix design(n, dim + 1);
-  linalg::Vector rhs(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    design(r, 0) = 1.0;
-    for (std::size_t c = 0; c < dim; ++c) design(r, c + 1) = points[r][c];
-    rhs[r] = values[r];
-  }
-  const linalg::QrDecomposition qr(design);
-  if (qr.rank_deficient()) return {mean};
-  const linalg::Vector beta = qr.solve(rhs);
-  return std::vector<double>(beta.data().begin(), beta.data().end());
-}
-
-/// Trend β0 + Σ β_i x_i (0 when no trend is fitted) at a point whose
-/// coordinate d is x[d·step] — a row (step 1) or an SoA column.
-double trend_at(const std::vector<double>& trend, const double* x,
-                std::size_t step) {
-  if (trend.empty()) return 0.0;
-  double acc = trend[0];
-  for (std::size_t i = 1; i < trend.size(); ++i)
-    acc += trend[i] * x[(i - 1) * step];
-  return acc;
 }
 
 }  // namespace
@@ -88,11 +48,6 @@ KrigingPolicy::KrigingPolicy(PolicyOptions options)
     throw std::invalid_argument(
         "KrigingPolicy: noise_nugget must be finite and >= 0");
   gate_ = make_gate(options_);
-  effective_nugget_ = options_.noise_nugget;
-}
-
-double KrigingPolicy::trend_value(const std::vector<double>& x) const {
-  return trend_at(trend_, x.data(), 1);
 }
 
 bool KrigingPolicy::refit_model() {
@@ -102,9 +57,9 @@ bool KrigingPolicy::refit_model() {
 
 bool KrigingPolicy::refit_model_locked() {
   // Record the attempt for checkpoint replay: re-running the same attempts
-  // at the same store sizes against the rebuilt store reproduces the model,
-  // trend and refit clocks exactly (store values are immutable once added
-  // on every policy path — exact-match memoization prevents duplicates).
+  // at the same store sizes against the rebuilt store reproduces the model
+  // and refit clocks exactly (store values are immutable once added on
+  // every policy path — exact-match memoization prevents duplicates).
   fit_events_.push_back(store_.size());
   fit_attempted_ = true;
   sims_at_last_attempt_ = store_.size();
@@ -113,61 +68,33 @@ bool KrigingPolicy::refit_model_locked() {
     return false;
   }
 
-  const auto distance = options_.use_l2_distance ? kriging::l2_distance
-                                                 : kriging::l1_distance;
-  const kriging::EmpiricalVariogram* variogram = nullptr;
-  if (options_.drift == kriging::DriftKind::kLinear) {
-    // Regression kriging: identify the global trend first, then model the
-    // spatial structure of the residuals. The residual field changes with
-    // the trend, so this path rebuilds the variogram from scratch.
-    std::vector<std::vector<double>> points;
-    points.reserve(store_.size());
-    for (const auto& c : store_.configs()) points.push_back(to_real(c));
-    std::vector<double> field = store_.values();
-    trend_ = fit_linear_trend(points, field);
-    for (std::size_t i = 0; i < field.size(); ++i)
-      field[i] -= trend_value(points[i]);
-    variogram_ = std::make_unique<kriging::EmpiricalVariogram>(
-        points, field, distance, 1.0);
-    variogram = variogram_.get();
-  } else {
-    // Ordinary kriging: the field is the stored values themselves, so the
-    // variogram only needs the pairs the new simulations introduce —
-    // O(k·N) per refit instead of the O(N²) full rebuild.
-    trend_.clear();
-    if (!variogram_)
-      variogram_ =
-          std::make_unique<kriging::EmpiricalVariogram>(distance, 1.0);
-    std::vector<std::vector<double>> new_points;
-    std::vector<double> new_values;
-    for (std::size_t i = variogram_->sample_count(); i < store_.size(); ++i) {
-      new_points.push_back(to_real(store_.config(i)));
-      new_values.push_back(store_.value(i));
-    }
-    variogram_->extend(new_points, new_values);
-    variogram = variogram_.get();
+  // The field is the stored values themselves, so the variogram only needs
+  // the pairs the new simulations introduce — O(k·N) per refit instead of
+  // the O(N²) full rebuild.
+  std::vector<std::vector<double>> new_points;
+  std::vector<double> new_values;
+  for (std::size_t i = variogram_.sample_count(); i < store_.size(); ++i) {
+    new_points.push_back(to_real(store_.config(i)));
+    new_values.push_back(store_.value(i));
   }
+  variogram_.extend(new_points, new_values);
 
-  if (variogram->bins().size() < 2) {
+  if (variogram_.bins().size() < 2) {
     ++stats_.failed_refits;
     return false;
   }
-  model_ = kriging::fit_best(*variogram, options_.fit).model;
-  sill_estimate_ = variogram->value_variance();
+  model_ = kriging::fit_best(variogram_, options_.fit).model;
+  sill_estimate_ = variogram_.value_variance();
   sims_at_last_fit_ = store_.size();
   ++stats_.refits;
-  // Stochastic-kriging nugget from the fit: the fitted variogram's γ(0)
-  // read as measurement noise τ². Updated before the LOO pass so the
-  // calibration sees the systems future queries will actually assemble.
-  if (options_.nugget_from_fit) effective_nugget_ = model_->nugget();
   // Rebind the interpolation workspace: the only model clone and γ-memo
   // reset until the next refit.
   kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
-  spec.noise_nugget = effective_nugget_;
+  spec.noise_nugget = options_.noise_nugget;
   if (system_)
     system_->set_model(spec, *model_);
   else
-    system_.emplace(spec, *model_, distance);
+    system_.emplace(spec, *model_, kriging::l1_distance);
   run_loo_calibration_locked();
   return true;
 }
@@ -188,15 +115,10 @@ void KrigingPolicy::run_loo_calibration_locked() {
     points.push_back(to_real(store_.config(i)));
     values.push_back(store_.value(i));
   }
-  if (!trend_.empty())
-    for (std::size_t i = 0; i < values.size(); ++i)
-      values[i] -= trend_value(points[i]);
-  const auto distance = options_.use_l2_distance ? kriging::l2_distance
-                                                 : kriging::l1_distance;
   kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
-  spec.noise_nugget = effective_nugget_;
+  spec.noise_nugget = options_.noise_nugget;
   kriging::KrigingSystem system(spec, std::move(points), std::move(values),
-                                *model_, distance);
+                                *model_, kriging::l1_distance);
   const auto report = system.loo_residuals();
   if (!report || report->residuals.empty()) return;
 
@@ -222,13 +144,6 @@ void KrigingPolicy::run_loo_calibration_locked() {
   gate_->calibrate(summary);
 }
 
-Neighborhood KrigingPolicy::neighborhood_of(const Config& config) const {
-  return options_.use_l2_distance
-             ? store_.neighbors_within_l2(
-                   config, static_cast<double>(options_.distance))
-             : store_.neighbors_within(config, options_.distance);
-}
-
 bool KrigingPolicy::model_ready_locked() {
   // Identify (or periodically re-identify) the semi-variogram. A failed
   // attempt resets the refit clock, so the O(N²)-ish work is not retried
@@ -252,20 +167,14 @@ std::optional<double> KrigingPolicy::try_interpolate(
   if (!model_ready_locked()) return std::nullopt;
 
   // Reload the workspace with the neighbourhood, written straight from the
-  // store's columns. Regression kriging interpolates the residual field
-  // (the global trend comes back at the query below); with no trend this
-  // is the paper's ordinary kriging verbatim. The span of the support
-  // values feeds the sanity guard.
+  // store's columns. The span of the support values feeds the sanity
+  // guard.
   double lo = 0.0;
   double hi = 0.0;
-  const std::vector<double>& trend = trend_;
   system_->load(neighborhood.count(), config.size(),
                 [&](std::span<double> columns, std::size_t stride,
                     std::span<double> values) {
                   store_.gather_columns(neighborhood, columns, stride, values);
-                  if (!trend.empty())
-                    for (std::size_t k = 0; k < values.size(); ++k)
-                      values[k] -= trend_at(trend, columns.data() + k, stride);
                   lo = hi = values.front();
                   for (const double v : values) {
                     lo = std::min(lo, v);
@@ -285,8 +194,8 @@ std::optional<double> KrigingPolicy::try_interpolate(
   stats_.rcond_per_solve.add(result_.rcond);
   if (result_.regularized) ++stats_.ridge_fallbacks;
 
-  // Sanity guard: a (residual) estimate far outside the support values'
-  // own interval signals an ill-conditioned system, not information.
+  // Sanity guard: an estimate far outside the support values' own
+  // interval signals an ill-conditioned system, not information.
   if (options_.sanity_span > 0.0) {
     const double span = std::max(hi - lo, 1e-12);
     if (result_.estimate < lo - options_.sanity_span * span ||
@@ -300,7 +209,7 @@ std::optional<double> KrigingPolicy::try_interpolate(
   // simulation — the variance ceiling, LOO-calibrated ceiling and
   // sequential-design criteria all live behind this one seam
   // (dse/acquisition.hpp). Vetoes bump the gate's own counter.
-  const double estimate = result_.estimate + trend_value(query_);
+  const double estimate = result_.estimate;
   if (!gate_->accept(GateSolution{estimate, result_.variance, sill_estimate_},
                      stats_))
     return std::nullopt;
@@ -362,12 +271,11 @@ void KrigingPolicy::restore(const PolicySnapshot& snapshot) {
   // keeps the events-vs-store consistency check. Only the last attempt
   // refits, because nothing else an earlier refit leaves behind survives
   // it:
-  //  - the constant-drift variogram extend is chunk-invariant —
+  //  - the variogram extend is chunk-invariant —
   //    extend(A ∪ B) folds the same (j < k) pairs and Welford updates in
   //    the same order as extend(A); extend(B) — so one extend at the last
   //    event leaves the bins and sill exactly where the full replay does;
-  //  - a linear-drift refit rebuilds trend and variogram from scratch;
-  //  - the fit, sill, nugget and refit clocks depend only on those bins
+  //  - the fit, sill and refit clocks depend only on those bins
   //    and the store size, and whether a fit succeeds is monotone in the
   //    store (a bin's pair count depends on distances alone and only
   //    grows as points arrive), so a failed last attempt means every
@@ -459,7 +367,8 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
       step.slot = it->second;
       continue;
     }
-    const auto neighborhood = neighborhood_of(batch[i]);
+    const auto neighborhood = store_.neighbors_within(batch[i],
+                                                      options_.distance);
     out.neighbors = neighborhood.count();
     if (gate_->attempt(GateQuery{neighborhood.count()})) {
       if (auto estimate = try_interpolate(batch[i], neighborhood, out)) {

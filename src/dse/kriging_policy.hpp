@@ -10,9 +10,8 @@
 // first time kriging is attempted (once enough points exist) and refitted
 // every `refit_period` new simulations; the paper notes identification is
 // done "once for a particular metric and application". Refits are
-// incremental for the default (constant-drift) estimator: the empirical
-// variogram folds only the new points' pairs into its bins (O(k·N))
-// instead of rebuilding all O(N²) pairs.
+// incremental: the empirical variogram folds only the new points' pairs
+// into its bins (O(k·N)) instead of rebuilding all O(N²) pairs.
 //
 // There is one decision path: evaluate_batch() partitions a candidate set,
 // simulates the pending ones through a backend and folds the results in
@@ -47,7 +46,6 @@
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "kriging/system.hpp"
-#include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/mutex.hpp"
 #include "util/retry.hpp"
@@ -65,24 +63,14 @@ namespace ace::dse {
 /// to call concurrently (the library's simulators are pure functions).
 using SimulatorFn = std::function<double(const Config&)>;
 
-/// Knobs of the policy (the d and Nn_min of Table I, plus the extensions
-/// ablated in bench/ablation_*).
+/// Knobs of the policy: the d and Nn_min of Table I, the variogram
+/// schedule, the acquisition gate and the fault model.
 struct PolicyOptions {
   int distance = 3;          ///< L1 search radius d.
   std::size_t nn_min = 1;    ///< Interpolate only when neighbours > nn_min.
   std::size_t min_fit_points = 10;  ///< Sims required before fitting γ.
   std::size_t refit_period = 16;    ///< Refit γ every this many new sims.
   kriging::FitOptions fit;          ///< Variogram families to consider.
-
-  /// Drift model: kConstant reproduces the paper's ordinary kriging;
-  /// kLinear enables *regression kriging* (extension): a global linear
-  /// trend is least-squares-fitted over the whole simulated store, the
-  /// variogram is identified on the residuals, and local kriging
-  /// interpolates the residual field. A global trend sidesteps the
-  /// small-neighbourhood limitation of classical universal kriging (the
-  /// typical support here is 2-3 points — too few to identify a local
-  /// drift in Nv dimensions). See bench/ablation_estimator.
-  kriging::DriftKind drift = kriging::DriftKind::kConstant;
 
   /// VarianceGate ceiling (gate == kVariance only; every other gate
   /// ignores it): an interpolation whose kriging variance exceeds
@@ -123,17 +111,6 @@ struct PolicyOptions {
   /// system diagonal (see kriging::SystemSpec::noise_nugget). 0 — the
   /// default — assembles bit-identically to the pre-nugget system.
   double noise_nugget = 0.0;
-
-  /// When set, τ² follows the *fitted* variogram nugget after every refit
-  /// (the classical geostatistical reading of the nugget as measurement
-  /// noise) instead of the fixed `noise_nugget` — for intrinsically noisy
-  /// metrics like a classification rate over a finite image set.
-  bool nugget_from_fit = false;
-
-  /// Use Euclidean instead of Manhattan distance for both the neighbour
-  /// search and the variogram (extension ablation). The radius `distance`
-  /// is interpreted in the selected metric.
-  bool use_l2_distance = false;
 
   /// Estimate sanity guard: reject an interpolation that lands more than
   /// `sanity_span` × (support value range) outside the support's value
@@ -222,7 +199,7 @@ struct PolicyStats {
 /// the store contents in insertion order, the quarantine log, the store
 /// sizes at which variogram (re)fits were attempted — replaying the last
 /// attempt (all of them under a LOO-calibrated gate) against the rebuilt
-/// store reproduces the fitted model, trend and refit clocks exactly — and
+/// store reproduces the fitted model and refit clocks exactly — and
 /// the statistics. See dse/checkpoint for the on-disk format.
 struct PolicySnapshot {
   std::vector<Config> configs;
@@ -235,7 +212,7 @@ struct PolicySnapshot {
 /// The policy object: owns the simulated-configuration store and the
 /// fitted variogram model.
 ///
-/// Thread-safety: the fitted model, trend, refit clocks and statistics are
+/// Thread-safety: the fitted model, refit clocks and statistics are
 /// guarded by an annotated policy mutex; every public entry point takes it,
 /// so concurrent callers are serialized and the lock discipline is proven
 /// by the Clang capability analysis. During evaluate_batch the mutex stays
@@ -298,15 +275,6 @@ class KrigingPolicy {
     return model_;
   }
 
-  /// Fitted global trend coefficients [β0, β1, …, β_Nv] (empty before the
-  /// first fit; size 1 when only a mean could be identified). Only
-  /// populated when options().drift == kLinear. Returned by value — same
-  /// snapshot rationale as stats().
-  std::vector<double> trend() const ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    return trend_;
-  }
-
   /// Force a (re)fit from the current store; returns false when the store
   /// is still too small to produce a variogram. Every attempt — failed or
   /// not — resets the refit clock, so a failing fit is retried only after
@@ -322,7 +290,7 @@ class KrigingPolicy {
   /// std::logic_error otherwise. Restoring replays the store in insertion
   /// order and re-runs the last recorded fit attempt — every attempt when
   /// the gate wants_loo(), whose calibration depends on each refit's LOO
-  /// pass — so the fitted model, trend, variogram bins and refit clocks
+  /// pass — so the fitted model, variogram bins and refit clocks
   /// all match the snapshotted policy bit-for-bit. Skipping the earlier
   /// attempts is unobservable: the incremental variogram extend is
   /// chunk-invariant and every other refit product is overwritten by the
@@ -372,12 +340,6 @@ class KrigingPolicy {
                                         EvalOutcome& outcome)
       ACE_REQUIRES(mutex_);
 
-  /// Reads only immutable options and the internally-synchronized store.
-  Neighborhood neighborhood_of(const Config& config) const;
-
-  /// Global trend value at a configuration (0 when no trend is fitted).
-  double trend_value(const std::vector<double>& x) const ACE_REQUIRES(mutex_);
-
   /// Fold a guarded simulation result into outcome/store/stats.
   /// Quarantines on fault. `config` is the evaluated configuration.
   void fold_simulation(const Config& config, const util::GuardedCall& sim,
@@ -390,21 +352,13 @@ class KrigingPolicy {
   /// Constructed from the immutable options; its online calibration state
   /// mutates only under the policy mutex.
   std::unique_ptr<AcquisitionGate> gate_ ACE_GUARDED_BY(mutex_);
-  /// Measurement-noise variance τ² currently applied to assembled kriging
-  /// systems: options_.noise_nugget, or the fitted variogram nugget after
-  /// each refit when options_.nugget_from_fit is set.
-  double effective_nugget_ ACE_GUARDED_BY(mutex_) = 0.0;
   /// Shared so model() can hand out a lifetime-safe snapshot; the policy
   /// itself treats it as the unique owner (replaced only on refit).
   std::shared_ptr<const kriging::VariogramModel> model_
       ACE_GUARDED_BY(mutex_);
-  /// Regression-kriging trend (may be empty).
-  std::vector<double> trend_ ACE_GUARDED_BY(mutex_);
-  /// Incrementally extended empirical variogram (constant drift only; the
-  /// linear-drift residual field changes with every trend refit, which
-  /// forces a full rebuild there).
-  std::unique_ptr<kriging::EmpiricalVariogram> variogram_
-      ACE_GUARDED_BY(mutex_);
+  /// Incrementally extended empirical variogram.
+  kriging::EmpiricalVariogram variogram_ ACE_GUARDED_BY(mutex_){
+      kriging::l1_distance, 1.0};
   /// The interpolation workspace: bound to model_ at every successful
   /// refit (empty before the first), reloaded per interpolation. Its lock
   /// ordering is the policy's (policy mutex, then the store's inside

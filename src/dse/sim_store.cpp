@@ -138,47 +138,6 @@ Neighborhood SimulationStore::neighbors_within(const Config& query,
   return n;
 }
 
-Neighborhood SimulationStore::neighbors_within_l2(const Config& query,
-                                                  double radius) const {
-  ACE_REQUIRE(radius >= 0.0,
-              "neighbors_within_l2: negative radius is a caller sign bug");
-  Neighborhood n;
-  if (radius < 0.0) return n;  // Same Release-mode degradation as above.
-  const util::LockGuard lock(mutex_);
-  if (configs_.empty()) return n;
-  check_dimensions(query, "neighbors_within_l2");
-  // ||a − q||₁ <= √Nv · ||a − q||₂, so an L2 ball of radius r only reaches
-  // buckets within ±⌈√Nv·r⌉ of the query's coordinate sum.
-  const int band = static_cast<int>(
-      std::ceil(std::sqrt(static_cast<double>(query.size())) * radius));
-  const int qsum = coordinate_sum(query);
-  if (2 * band_population(qsum - band, qsum + band) >= configs_.size()) {
-    // Blocked scan over the mirror: the kernel yields the exact squared
-    // distance (integer-valued doubles), and std::sqrt of it is the very
-    // computation l2_distance performs — bit-identical accept decisions.
-    const std::size_t dim = query.size();
-    const std::size_t total = configs_.size();
-    std::vector<const int*> cols(dim);
-    std::array<double, kScanBlock> sq;
-    for (std::size_t base = 0; base < total; base += kScanBlock) {
-      const std::size_t count = std::min(kScanBlock, total - base);
-      for (std::size_t d = 0; d < dim; ++d) cols[d] = soa_[d].data() + base;
-      util::simd::l2_sq_distances_i32(cols.data(), dim, query.data(), count,
-                                      sq.data());
-      for (std::size_t i = 0; i < count; ++i)
-        if (std::sqrt(sq[i]) <= radius) n.indices.push_back(base + i);
-    }
-    return n;
-  }
-  const auto first = sum_buckets_.lower_bound(qsum - band);
-  const auto last = sum_buckets_.upper_bound(qsum + band);
-  for (auto it = first; it != last; ++it)
-    for (const std::size_t i : it->second)
-      if (l2_distance(configs_[i], query) <= radius) n.indices.push_back(i);
-  std::sort(n.indices.begin(), n.indices.end());
-  return n;
-}
-
 Neighborhood SimulationStore::neighbors_within_linear(const Config& query,
                                                       int radius) const {
   ACE_REQUIRE(radius >= 0,
@@ -189,20 +148,6 @@ Neighborhood SimulationStore::neighbors_within_linear(const Config& query,
   check_dimensions(query, "neighbors_within_linear");
   for (std::size_t i = 0; i < configs_.size(); ++i)
     if (l1_distance(configs_[i], query) <= radius) n.indices.push_back(i);
-  return n;
-}
-
-Neighborhood SimulationStore::neighbors_within_l2_linear(const Config& query,
-                                                         double radius) const {
-  ACE_REQUIRE(
-      radius >= 0.0,
-      "neighbors_within_l2_linear: negative radius is a caller sign bug");
-  Neighborhood n;
-  const util::LockGuard lock(mutex_);
-  if (configs_.empty()) return n;
-  check_dimensions(query, "neighbors_within_l2_linear");
-  for (std::size_t i = 0; i < configs_.size(); ++i)
-    if (l2_distance(configs_[i], query) <= radius) n.indices.push_back(i);
   return n;
 }
 

@@ -9,8 +9,7 @@
 //     configuration are O(1) memo lookups instead of fresh simulations;
 //   * a coordinate-sum bucket index for radius queries: for any two
 //     configurations |Σa − Σb| <= ||a − b||₁, so only buckets whose sum
-//     falls in [Σq − r, Σq + r] can hold L1 neighbours of query q (and
-//     within ±⌈√Nv·r⌉ for L2 queries, since ||·||₁ <= √Nv·||·||₂). This
+//     falls in [Σq − r, Σq + r] can hold L1 neighbours of query q. This
 //     replaces the O(N) linear scan per neighbourhood lookup with a scan
 //     of the few populated buckets in the band.
 //
@@ -32,9 +31,8 @@
 // most of the store, neighbors_within switches from the bucket walk to a
 // blocked contiguous scan over the mirror using the util::simd kernels
 // (AVX2 when configured, scalar otherwise). Both paths — and both
-// backends — return bit-identical neighbourhoods: L1 is integer-exact and
-// the L2 scan compares the same exact integer-valued squared distance the
-// scalar code computes (DESIGN.md §10 has the full contract).
+// backends — return bit-identical neighbourhoods: L1 is integer-exact
+// (DESIGN.md §10 has the full contract).
 //
 // Thread-safety: every member — writes *and* reads — takes the annotated
 // `mutex_`, so the Clang capability analysis (-Wthread-safety) proves the
@@ -119,19 +117,11 @@ class SimulationStore {
   Neighborhood neighbors_within(const Config& query, int radius) const
       ACE_EXCLUDES(mutex_);
 
-  /// Same with Euclidean distance (extension ablation). ACE_REQUIREs
-  /// radius >= 0.0 like the L1 variant.
-  Neighborhood neighbors_within_l2(const Config& query, double radius) const
-      ACE_EXCLUDES(mutex_);
-
-  /// Reference implementations: plain AoS linear scans with no bucket
+  /// Reference implementation: a plain AoS linear scan with no bucket
   /// index and no SIMD. Deliberately unoptimized — the decision-identity
   /// oracle for the property tests and the baseline denominator for
   /// bench/micro_kriging's neighbour-search speedup attribution.
   Neighborhood neighbors_within_linear(const Config& query, int radius) const
-      ACE_EXCLUDES(mutex_);
-  Neighborhood neighbors_within_l2_linear(const Config& query,
-                                          double radius) const
       ACE_EXCLUDES(mutex_);
 
   /// Kriging support set for a neighborhood: real-coordinate points and

@@ -43,7 +43,7 @@ using DistanceFn =
 /// L1 (Manhattan) distance — the paper's choice (Algs. 1-2 line 9).
 double l1_distance(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Euclidean distance (provided for comparison/ablation).
+/// Euclidean distance, a built-in alternative DistanceFn.
 double l2_distance(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Which distance a DistanceFn holds. Batched consumers (variogram

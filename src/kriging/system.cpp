@@ -43,9 +43,6 @@ KrigingSystem::KrigingSystem(
 }
 
 void KrigingSystem::set_model(SystemSpec spec, const VariogramModel& model) {
-  if (spec.kind == SystemKind::kSimple &&
-      (spec.sill <= 0.0 || !std::isfinite(spec.sill)))
-    throw std::invalid_argument("KrigingSystem: sill must be positive");
   if (spec.noise_nugget < 0.0 || !std::isfinite(spec.noise_nugget))
     throw std::invalid_argument(
         "KrigingSystem: noise nugget must be finite and non-negative");
@@ -141,7 +138,6 @@ void KrigingSystem::finish_load() {
   } else {
     point_.resize(dim_);
   }
-  refresh_border();
   const std::size_t m = system_size();
   rhs_.resize(m);
   x_.resize(m);
@@ -154,26 +150,6 @@ void KrigingSystem::finish_load() {
   clear_factors();
   assemble();
   loaded_ = true;
-}
-
-void KrigingSystem::refresh_border() {
-  effective_drift_ = spec_.drift;
-  switch (spec_.kind) {
-    case SystemKind::kOrdinary:
-      border_ = 1;
-      break;
-    case SystemKind::kSimple:
-      border_ = 0;
-      break;
-    case SystemKind::kUniversal:
-      // A linear drift adds dim + 1 constraints; identifying it needs at
-      // least dim + 2 support points — otherwise degrade gracefully to the
-      // constant drift (= ordinary kriging), as the legacy wrapper did.
-      if (effective_drift_ == DriftKind::kLinear && unique_ < dim_ + 2)
-        effective_drift_ = DriftKind::kConstant;
-      border_ = effective_drift_ == DriftKind::kConstant ? 1 : dim_ + 1;
-      break;
-  }
 }
 
 const std::vector<double>& KrigingSystem::row(std::size_t u) {
@@ -211,18 +187,12 @@ double KrigingSystem::entry_of(double d) {
     if (static_cast<double>(i) == d) {  // ace-lint: allow(float-equality)
       const std::uint64_t bit = std::uint64_t{1} << i;
       if ((entry_known_ & bit) == 0) {
-        entry_memo_[i] = model_entry(d);
+        entry_memo_[i] = model_->gamma(d);
         entry_known_ |= bit;
       }
       return entry_memo_[i];
     }
   }
-  return model_entry(d);
-}
-
-double KrigingSystem::model_entry(double d) const {
-  if (spec_.kind == SystemKind::kSimple)
-    return std::max(spec_.sill - model_->gamma(d), 0.0);
   return model_->gamma(d);
 }
 
@@ -231,9 +201,7 @@ double KrigingSystem::diagonal_entry() {
   // the pre-nugget system (the policy's default-gate identity contract).
   if (spec_.noise_nugget == 0.0)  // ace-lint: allow(float-equality)
     return entry_of(0.0);
-  return spec_.kind == SystemKind::kSimple
-             ? entry_of(0.0) + spec_.noise_nugget
-             : entry_of(0.0) - spec_.noise_nugget;
+  return entry_of(0.0) - spec_.noise_nugget;
 }
 
 void KrigingSystem::assemble() {
@@ -256,17 +224,13 @@ void KrigingSystem::assemble() {
       a[j * m + k] = g;
       a[k * m + j] = g;
     }
-    for (std::size_t l = 0; l < border_; ++l) {
-      const double f = drift_entry(cols_.data() + j, stride_, l);
-      a[j * m + n + l] = f;
-      a[(n + l) * m + j] = f;
-    }
+    a[j * m + n] = 1.0;
+    a[n * m + j] = 1.0;
     // The direct path added its shift here even at 0: + 0.0 turns a −0.0
     // diagonal into +0.0, so keep it for bit identity.
     a[j * m + j] += 0.0;
   }
-  for (std::size_t l = n; l < m; ++l)
-    for (std::size_t c = n; c < m; ++c) a[l * m + c] = 0.0;
+  a[n * m + n] = 0.0;
 }
 
 void KrigingSystem::assemble_rhs(const std::vector<double>& q) {
@@ -274,8 +238,7 @@ void KrigingSystem::assemble_rhs(const std::vector<double>& q) {
   // Batched γ-vector: all query→support distances in one kernel pass.
   distances_to(q, 0);
   for (std::size_t k = 0; k < n; ++k) rhs_[k] = entry_of(dists_[k]);
-  for (std::size_t l = 0; l < border_; ++l)
-    rhs_[n + l] = drift_entry(q.data(), 1, l);
+  rhs_[n] = 1.0;
 }
 
 double KrigingSystem::ladder_scale() const {
@@ -349,7 +312,7 @@ bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
     }
     if (!used) return false;
   }
-  return finalize(q, shift, *used, out);
+  return finalize(shift, *used, out);
 }
 
 std::optional<KrigingResult> KrigingSystem::query(const std::vector<double>& q) {
@@ -362,26 +325,19 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   if (!loaded_)
     throw std::logic_error("KrigingSystem::loo_residuals: no support loaded");
   const std::size_t n = unique_;
-  // One point leaves nothing to predict from; universal kriging further
-  // needs the LOO subsets to keep the same effective drift as the full
-  // system for Dubrule's identity to describe a real scratch refit.
+  // One point leaves nothing to predict from.
   if (n < 2) return std::nullopt;
-  if (spec_.kind == SystemKind::kUniversal &&
-      effective_drift_ == DriftKind::kLinear && n < dim_ + 3)
-    return std::nullopt;
   const std::size_t m = system_size();
 
-  // z̃: (centred) values on data rows, zeros on the border.
+  // z̃: values on data rows, zero on the border.
   std::vector<double> z(m, 0.0);
-  for (std::size_t k = 0; k < n; ++k)
-    z[k] = spec_.kind == SystemKind::kSimple ? values_[k] - spec_.mean
-                                             : values_[k];
+  for (std::size_t k = 0; k < n; ++k) z[k] = values_[k];
   std::vector<double> u(m), diag(m), e(m), x(m);
 
   // Dubrule's identity on whichever shifted matrix actually factors: with
-  // B = A⁻¹, u = B·z̃, e_i = u_i / B_ii and σ²₍ᵢ₎ = 1/B_ii (covariance
-  // form). The γ-form bordered matrix is A_γ = −S·A_cov·S for the sign
-  // flip S = diag(I, −I_border), so its data-block inverse diagonal is the
+  // B = A⁻¹, u = B·z̃, e_i = u_i / B_ii. In covariance form σ²₍ᵢ₎ would be
+  // 1/B_ii; the γ-form bordered matrix is A_γ = −S·A_cov·S for the sign
+  // flip S = diag(I, −1), so its data-block inverse diagonal is the
   // negated covariance one: the residual ratio is unchanged and the LOO
   // variance becomes −1/B_ii.
   const auto attempt = [&](int rung, double shift) -> std::optional<LooReport> {
@@ -405,9 +361,7 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
       if (!std::isfinite(res) || std::abs(res) > kMaxSolutionNorm)
         return std::nullopt;
       report.residuals[k] = res;
-      const double var =
-          spec_.kind == SystemKind::kSimple ? 1.0 / d : -1.0 / d;
-      report.variances[k] = std::max(var, 0.0);
+      report.variances[k] = std::max(-1.0 / d, 0.0);
     }
     return report;
   };
@@ -421,37 +375,22 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   return std::nullopt;
 }
 
-bool KrigingSystem::finalize(const std::vector<double>& q, double shift,
-                             const Factor& used, KrigingResult& out) const {
+bool KrigingSystem::finalize(double shift, const Factor& used,
+                             KrigingResult& out) const {
   const std::size_t n = unique_;
   out.regularized = shift > 0.0;
   out.ridge = shift;
   out.rcond = linalg::lu_rcond_estimate(used.lu.data(), system_size());
 
-  double estimate = spec_.kind == SystemKind::kSimple ? spec_.mean : 0.0;
-  double variance =
-      spec_.kind == SystemKind::kSimple
-          ? std::max(spec_.sill - model_->gamma(0.0), 0.0)
-          : 0.0;
+  double estimate = 0.0;
+  double variance = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const double w = x_[k];
-    switch (spec_.kind) {
-      case SystemKind::kOrdinary:
-      case SystemKind::kUniversal:
-        estimate += w * values_[k];
-        variance += w * rhs_[k];
-        break;
-      case SystemKind::kSimple:
-        estimate += w * (values_[k] - spec_.mean);
-        variance -= w * rhs_[k];
-        break;
-    }
+    estimate += w * values_[k];
+    variance += w * rhs_[k];
   }
-  // Lagrange / drift multiplier terms of the kriging variance.
-  if (spec_.kind != SystemKind::kSimple) {
-    for (std::size_t l = 0; l < border_; ++l)
-      variance += x_[n + l] * drift_entry(q.data(), 1, l);
-  }
+  // The Lagrange multiplier term of the kriging variance.
+  variance += x_[n];
   if (!std::isfinite(estimate)) return false;
   out.estimate = estimate;
   out.variance = std::max(variance, 0.0);
@@ -460,11 +399,11 @@ bool KrigingSystem::finalize(const std::vector<double>& q, double shift,
     out.weights[s] = slots_[s].owner ? x_[slots_[s].unique] : 0.0;
 
 #if ACE_CONTRACTS_ENABLED
-  // The first border row (Σ w_k = 1, unbiasedness) is an *exact* equation
-  // of the solved system — the ridge fallback shifts only the non-border
+  // The border row (Σ w_k = 1, unbiasedness) is an *exact* equation of
+  // the solved system — the ridge fallback shifts only the non-border
   // diagonal, never the border — so the solved weights must honour it to
-  // solver precision. Simple kriging has no such constraint (known mean).
-  if (spec_.kind != SystemKind::kSimple) {
+  // solver precision.
+  {
     double weight_sum = 0.0;
     double abs_sum = 0.0;
     for (std::size_t k = 0; k < n; ++k) {

@@ -1,11 +1,10 @@
-// Shared kriging-system layer: one owner for system assembly and the
-// robust-solve ladder across all three estimators.
+// The kriging-system layer: one owner for the assembly and the
+// robust-solve ladder of the paper's ordinary kriging.
 //
 // KrigingSystem centralizes:
 //
-//   * assembly — variogram block (γ for ordinary/universal, the
-//     covariance C(d) = max(sill − γ(d), 0) for simple), the Lagrange
-//     ones-border (ordinary), and the drift columns F (universal);
+//   * assembly — the variogram block γ and the Lagrange ones-border of the
+//     bordered Γ (paper Eq. 9);
 //   * the ridge-fallback ladder of linalg::robust_solve, replicated
 //     rung-for-rung (plain solve, then ridge = 1e-10 … 1e-2 ×100 on the
 //     non-border diagonal, acceptability = finite and max-abs <= 1e6) so
@@ -13,10 +12,10 @@
 //   * coincident-support dedupe — duplicate points would degenerate the
 //     system; the first occurrence wins, duplicates get weight 0.
 //
-// It is a workspace: bound to an estimator and a model once (set_model
-// clones the model and clears the γ memo), then reloaded with a support
-// set per query. load(points, values) copies rows in; load(n, dim, fill)
-// hands the caller the SoA column and value buffers to write directly
+// It is a workspace: bound to a model once (set_model clones the model
+// and clears the γ memo), then reloaded with a support set per query.
+// load(points, values) copies rows in; load(n, dim, fill) hands the
+// caller the SoA column and value buffers to write directly
 // (dse::SimulationStore::gather_columns). Every buffer — the columns, Γ,
 // the factors, the right-hand side and the solution — keeps its capacity
 // across loads, and query(q, out) writes into a caller-owned result, so
@@ -38,10 +37,10 @@
 //
 // Per-system costs are kept to the arithmetic the solve needs (DESIGN.md
 // §10): distances run through the util::simd kernels over the SoA columns
-// for the built-in metrics, and the model entry γ(d) (or the covariance)
-// is memoised for small integer distances — lattice neighbourhoods take
-// only a few distinct values — returning exactly the double the model
-// produced. The memo lives as long as the model binding, not one load.
+// for the built-in metrics, and the model entry γ(d) is memoised for
+// small integer distances — lattice neighbourhoods take only a few
+// distinct values — returning exactly the double the model produced. The
+// memo lives as long as the model binding, not one load.
 #pragma once
 
 #include <array>
@@ -54,32 +53,29 @@
 
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/ordinary_kriging.hpp"
-#include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 
 namespace ace::kriging {
 
-/// Which estimator's system to assemble.
+/// The estimator whose system is assembled. Ordinary kriging — the
+/// bordered Γ of paper Eq. 9 (ones-border, Lagrange) — is the only one;
+/// the enum stays because callers spell SystemSpec{SystemKind::kOrdinary}.
 enum class SystemKind {
-  kOrdinary,   ///< Bordered Γ of paper Eq. 9 (ones-border, Lagrange).
-  kSimple,     ///< Covariance system C·w = c_q (no border).
-  kUniversal,  ///< Drift-bordered [Γ F; Fᵀ 0] system.
+  kOrdinary,
 };
 
-/// Full description of one kriging system's estimator.
+/// Full description of one kriging system.
 struct SystemSpec {
   SystemKind kind = SystemKind::kOrdinary;
-  DriftKind drift = DriftKind::kConstant;  ///< Universal kriging only.
-  double sill = 0.0;                       ///< Simple kriging only.
-  double mean = 0.0;                       ///< Simple kriging only.
   /// Stochastic-kriging measurement-noise variance τ² (Wang & Haaland,
-  /// PAPERS.md) for intrinsically noisy metrics. Applied to the system
-  /// diagonal only: covariance form gains C_ii + τ², and by the constant-
-  /// shift invariance of the constrained γ-form (Γ + c·J leaves the
-  /// weights unchanged under Σw = 1) the equivalent variogram-form move is
-  /// γ_ii − τ². Off-diagonals and query right-hand sides are untouched, so
-  /// τ² = 0 assembles bit-identically to the pre-nugget system. The
-  /// predictor then smooths instead of honouring noisy support exactly.
+  /// PAPERS.md) for intrinsically noisy metrics. In covariance form the
+  /// diagonal would gain C_ii + τ²; by the constant-shift invariance of
+  /// the constrained γ-form (Γ + c·J leaves the weights unchanged under
+  /// Σw = 1) the equivalent variogram-form move is γ_ii − τ², applied to
+  /// the diagonal only. Off-diagonals and query right-hand sides are
+  /// untouched, so τ² = 0 assembles bit-identically to the pre-nugget
+  /// system. The predictor then smooths instead of honouring noisy
+  /// support exactly.
   double noise_nugget = 0.0;
 };
 
@@ -93,9 +89,9 @@ struct SystemStats {
 /// A reusable kriging workspace over one support set at a time.
 class KrigingSystem {
  public:
-  /// An empty workspace bound to an estimator and a model; load() a
-  /// support set before querying. Throws std::invalid_argument on a
-  /// non-positive sill (simple kriging) or a negative/non-finite nugget.
+  /// An empty workspace bound to a model; load() a support set before
+  /// querying. Throws std::invalid_argument on a negative/non-finite
+  /// nugget.
   KrigingSystem(SystemSpec spec, const VariogramModel& model,
                 DistanceFn distance = l1_distance);
 
@@ -109,7 +105,7 @@ class KrigingSystem {
   KrigingSystem(const KrigingSystem&) = delete;
   KrigingSystem& operator=(const KrigingSystem&) = delete;
 
-  /// Rebind to a new estimator and model: clones the model and clears the
+  /// Rebind to a new spec and model: clones the model and clears the
   /// γ memo. Validates like the constructor; the next query needs a load().
   void set_model(SystemSpec spec, const VariogramModel& model);
 
@@ -134,7 +130,7 @@ class KrigingSystem {
     finish_load();
   }
 
-  /// Estimate at `query` (paper Eq. 8-10 for ordinary kriging) into `out`,
+  /// Estimate at `query` (paper Eq. 8-10) into `out`,
   /// reusing its weight buffer. Returns false — `out` then unspecified —
   /// when no ladder rung produces an acceptable solution; the caller falls
   /// back to simulation. Weights are indexed by support slot (load order;
@@ -155,8 +151,8 @@ class KrigingSystem {
   };
 
   /// All unique-support LOO residuals via Dubrule's identity: with
-  /// B = A⁻¹ of the assembled system and z̃ the (centred) values padded
-  /// with border zeros, e_i = [B·z̃]_i / B_ii and σ²₍ᵢ₎ = ±1/B_ii — each
+  /// B = A⁻¹ of the assembled system and z̃ the values padded with a
+  /// border zero, e_i = [B·z̃]_i / B_ii and σ²₍ᵢ₎ = −1/B_ii — each
   /// residual costs one O(n²) solve against the already-built factor
   /// instead of the O(n³) scratch refit it is provably equal to
   /// (tests/test_kriging_loo.cpp pins the match at 1e-10). Climbs the same
@@ -199,13 +195,11 @@ class KrigingSystem {
   /// Assemble the right-hand side of a query into rhs_.
   void assemble_rhs(const std::vector<double>& q);
 
-  /// Entry as a function of an already-computed distance, memoised for
-  /// small integer distances (the model is fixed until set_model).
+  /// γ(d) of an already-computed distance, memoised for small integer
+  /// distances (the model is fixed until set_model).
   double entry_of(double d);
-  /// The entry straight from the model: γ(d), or the covariance.
-  double model_entry(double d) const;
-  /// Diagonal entry of a support point: entry_of(0) with the noise nugget
-  /// folded in (+τ² covariance form, −τ² variogram form; exact no-op at 0).
+  /// Diagonal entry of a support point: entry_of(0) − τ² (exact no-op at
+  /// τ² = 0).
   double diagonal_entry();
   /// Distances from x to unique points from `first` on, written to dists_
   /// from index 0 — batched over the SoA columns for the built-in
@@ -219,14 +213,8 @@ class KrigingSystem {
   double coord(std::size_t u, std::size_t d) const {
     return cols_[d * stride_ + u];
   }
-  /// Entry l < border_ of the drift basis at a point whose coordinate d is
-  /// x[d·step]: the constant 1 first, then one coordinate per column.
-  static double drift_entry(const double* x, std::size_t step, std::size_t l) {
-    return l == 0 ? 1.0 : x[(l - 1) * step];
-  }
-  /// Recompute the effective drift / border width from the unique count.
-  void refresh_border();
-  std::size_t system_size() const { return unique_ + border_; }
+  /// The unique support plus the Lagrange row of the ones-border.
+  std::size_t system_size() const { return unique_ + 1; }
 
   /// The factor of ladder rung `rung` at `shift`, built in place on first
   /// use; nullptr when that matrix is singular.
@@ -239,11 +227,9 @@ class KrigingSystem {
 
   /// Turn the accepted solution x_ into `out` (estimate, variance,
   /// slot-indexed weights, contracts); false on a non-finite estimate.
-  bool finalize(const std::vector<double>& q, double shift,
-                const Factor& used, KrigingResult& out) const;
+  bool finalize(double shift, const Factor& used, KrigingResult& out) const;
 
   SystemSpec spec_;
-  DriftKind effective_drift_ = DriftKind::kConstant;
   std::unique_ptr<VariogramModel> model_;
   DistanceFn distance_;
   /// Built-in distances batch through the util::simd column kernels (bit-
@@ -252,7 +238,6 @@ class KrigingSystem {
 
   std::size_t dim_ = 0;
   std::size_t unique_ = 0;   ///< Unique support points loaded.
-  std::size_t border_ = 0;   ///< Lagrange/drift columns.
   bool loaded_ = false;
   /// SoA columns: coordinate d of unique point u at cols_[d·stride_ + u].
   /// stride_ is the load's slot count rounded up to the distance kernels'

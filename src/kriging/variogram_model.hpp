@@ -32,9 +32,7 @@ class VariogramModel {
 
   /// Fitted nugget — the discontinuity γ(0) at the origin. Every model in
   /// the catalogue satisfies γ(0) = nugget, so the default forwards there;
-  /// concrete models return the parameter directly. The stochastic-kriging
-  /// policy reads this as its measurement-noise estimate τ² when
-  /// `PolicyOptions::nugget_from_fit` is set (see SystemSpec::noise_nugget).
+  /// concrete models return the parameter directly.
   virtual double nugget() const { return gamma(0.0); }
 
  protected:

@@ -48,33 +48,6 @@ void l1_i32_avx2(const int* const* cols, std::size_t dim, const int* query,
   }
 }
 
-// Squared L2 over i32 columns, accumulated in doubles exactly like the
-// scalar loop (integer subtract, convert, multiply, add — per lane, per
-// dimension, in order).
-void l2sq_i32_avx2(const int* const* cols, std::size_t dim, const int* query,
-                   std::size_t count, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t d = 0; d < dim; ++d) {
-      const __m128i v =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols[d] + i));
-      const __m128i q = _mm_set1_epi32(query[d]);
-      const __m256d diff = _mm256_cvtepi32_pd(_mm_sub_epi32(v, q));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-    }
-    _mm256_storeu_pd(out + i, acc);
-  }
-  for (; i < count; ++i) {
-    double acc = 0.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      const double diff = cols[d][i] - query[d];
-      acc += diff * diff;
-    }
-    out[i] = acc;
-  }
-}
-
 // 4 f64 lanes per step: acc_i = Σ_d |cols[d][i] − q_d|. abs via sign-mask
 // clear — bit-exact with std::abs on doubles.
 void l1_f64_avx2(const double* const* cols, std::size_t dim,
@@ -152,17 +125,6 @@ void l1_distances_i32(const int* const* cols, std::size_t dim,
   }
 #endif
   l1_distances_i32_scalar(cols, dim, query, count, out);
-}
-
-void l2_sq_distances_i32(const int* const* cols, std::size_t dim,
-                         const int* query, std::size_t count, double* out) {
-#if defined(ACE_SIMD_AVX2)
-  if (enabled()) {
-    l2sq_i32_avx2(cols, dim, query, count, out);
-    return;
-  }
-#endif
-  l2_sq_distances_i32_scalar(cols, dim, query, count, out);
 }
 
 void l1_distances_f64(const double* const* cols, std::size_t dim,

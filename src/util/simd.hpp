@@ -11,7 +11,7 @@
 // This header exposes *distance kernels over columns*, not a general
 // vector-register abstraction: every consumer (SimulationStore scans,
 // KrigingSystem assembly) iterates points in lanes and dimensions in
-// sequence, so the whole contract fits in four functions. Each kernel has
+// sequence, so the whole contract fits in three functions. Each kernel has
 //   * a dispatching entry point (`l1_distances_i32`, ...) that uses the
 //     AVX2 backend when it was compiled in (configure-time `ACE_SIMD`
 //     option) *and* the runtime toggle is on;
@@ -22,9 +22,6 @@
 // Numerical contract (see DESIGN.md §10): the vector kernels are
 // *bit-identical* to their scalar twins, not merely close —
 //   * i32 L1: pure integer arithmetic, same wrap-around semantics;
-//   * i32 squared-L2: integer differences converted to double and
-//     accumulated in dimension order, exactly as the scalar loop
-//     (products and sums of integer-valued doubles < 2⁵³ are exact);
 //   * f64 L1/L2: per-lane accumulation walks dimensions in the same order
 //     as the scalar loop, so every rounding step matches; _mm256_sqrt_pd
 //     is correctly rounded, like std::sqrt.
@@ -62,11 +59,6 @@ void set_enabled(bool on);
 void l1_distances_i32(const int* const* cols, std::size_t dim,
                       const int* query, std::size_t count, int* out);
 
-/// out[i] = Σ_d double(cols[d][i] − query[d])²  — the *squared* Euclidean
-/// distance, exact for coordinate differences below 2²⁶.
-void l2_sq_distances_i32(const int* const* cols, std::size_t dim,
-                         const int* query, std::size_t count, double* out);
-
 /// out[i] = Σ_d |cols[d][i] − query[d]|  over double columns.
 void l1_distances_f64(const double* const* cols, std::size_t dim,
                       const double* query, std::size_t count, double* out);
@@ -81,9 +73,6 @@ void l2_distances_f64(const double* const* cols, std::size_t dim,
 
 void l1_distances_i32_scalar(const int* const* cols, std::size_t dim,
                              const int* query, std::size_t count, int* out);
-void l2_sq_distances_i32_scalar(const int* const* cols, std::size_t dim,
-                                const int* query, std::size_t count,
-                                double* out);
 void l1_distances_f64_scalar(const double* const* cols, std::size_t dim,
                              const double* query, std::size_t count,
                              double* out);

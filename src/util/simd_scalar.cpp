@@ -21,19 +21,6 @@ void l1_distances_i32_scalar(const int* const* cols, std::size_t dim,
   }
 }
 
-void l2_sq_distances_i32_scalar(const int* const* cols, std::size_t dim,
-                                const int* query, std::size_t count,
-                                double* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    double acc = 0.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      const double diff = cols[d][i] - query[d];
-      acc += diff * diff;
-    }
-    out[i] = acc;
-  }
-}
-
 void l1_distances_f64_scalar(const double* const* cols, std::size_t dim,
                              const double* query, std::size_t count,
                              double* out) {

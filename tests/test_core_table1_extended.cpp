@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "core/table1.hpp"
-#include "kriging/universal_kriging.hpp"
 
 namespace {
 
@@ -90,12 +89,6 @@ TEST(Table1, PolicyKnobsArePlumbedThrough) {
   strict.nn_min = 1000;
   const auto result = c::run_table1(bench, {4}, strict);
   EXPECT_DOUBLE_EQ(result.rows[0].p_percent, 0.0);
-
-  // Regression-kriging drift plumbed through without breaking anything.
-  d::PolicyOptions drifted;
-  drifted.drift = ace::kriging::DriftKind::kLinear;
-  const auto result2 = c::run_table1(bench, {4}, drifted);
-  EXPECT_GE(result2.rows[0].p_percent, 0.0);
 }
 
 TEST(Table1, SameTrajectoryAcrossPolicyKnobs) {

@@ -407,18 +407,12 @@ TEST(PolicySnapshot, RestoreRequiresFreshPolicy) {
 // a LOO-calibrated gate). Prove the skipped refits unobservable: snapshot
 // the live policy after every step, restore into a fresh one, and run the
 // same next batch through both — outcomes, statistics and the snapshot
-// that follows must be bit-identical, for every gate and both drifts.
-struct RestoreCase {
-  d::GateKind gate;
-  ace::kriging::DriftKind drift;
-};
-
-class RestoreEquivalence : public ::testing::TestWithParam<RestoreCase> {};
+// that follows must be bit-identical, for every gate.
+class RestoreEquivalence : public ::testing::TestWithParam<d::GateKind> {};
 
 TEST_P(RestoreEquivalence, EveryStepSnapshotEvaluatesTheNextBatchIdentically) {
   d::PolicyOptions options = kriging_options();
-  options.gate = GetParam().gate;
-  options.drift = GetParam().drift;
+  options.gate = GetParam();
   options.gate_nn_floor = 2;
   options.loo_gate = 2.0;
   options.gate_lambda_min = 6.0;
@@ -464,26 +458,13 @@ TEST_P(RestoreEquivalence, EveryStepSnapshotEvaluatesTheNextBatchIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(
     GatesAndDrifts, RestoreEquivalence,
-    ::testing::Values(
-        RestoreCase{d::GateKind::kNeighbourCount,
-                    ace::kriging::DriftKind::kConstant},
-        RestoreCase{d::GateKind::kNeighbourCount,
-                    ace::kriging::DriftKind::kLinear},
-        RestoreCase{d::GateKind::kVariance, ace::kriging::DriftKind::kConstant},
-        RestoreCase{d::GateKind::kVariance, ace::kriging::DriftKind::kLinear},
-        RestoreCase{d::GateKind::kLooCalibrated,
-                    ace::kriging::DriftKind::kConstant},
-        RestoreCase{d::GateKind::kLooCalibrated,
-                    ace::kriging::DriftKind::kLinear},
-        RestoreCase{d::GateKind::kSequentialDesign,
-                    ace::kriging::DriftKind::kConstant},
-        RestoreCase{d::GateKind::kSequentialDesign,
-                    ace::kriging::DriftKind::kLinear}),
-    [](const ::testing::TestParamInfo<RestoreCase>& info) {
-      std::string name = d::gate_name(info.param.gate);
-      name += info.param.drift == ace::kriging::DriftKind::kLinear
-                  ? "_linear"
-                  : "_constant";
+    ::testing::Values(d::GateKind::kNeighbourCount, d::GateKind::kVariance,
+                      d::GateKind::kLooCalibrated,
+                      d::GateKind::kSequentialDesign),
+    [](const ::testing::TestParamInfo<d::GateKind>& info) {
+      // "_constant": the constant-mean field of ordinary kriging.
+      std::string name = d::gate_name(info.param);
+      name += "_constant";
       for (char& c : name)
         if (c == '-') c = '_';
       return name;

@@ -165,13 +165,6 @@ TEST(SimulationStore, IndexedRadiusQueriesMatchBruteForce) {
           expected.push_back(i);
       EXPECT_EQ(store.neighbors_within(query, radius).indices, expected);
     }
-    for (const double radius : {0.5, 1.5, 2.5, 4.0}) {
-      std::vector<std::size_t> expected;
-      for (std::size_t i = 0; i < configs.size(); ++i)
-        if (d::l2_distance(configs[i], query) <= radius)
-          expected.push_back(i);
-      EXPECT_EQ(store.neighbors_within_l2(query, radius).indices, expected);
-    }
   }
 }
 
@@ -179,8 +172,6 @@ TEST(SimulationStore, NeighborQueryRejectsDimensionMismatch) {
   d::SimulationStore store;
   store.add({1, 2, 3}, 0.0);
   EXPECT_THROW((void)store.neighbors_within({1, 2}, 3), std::invalid_argument);
-  EXPECT_THROW((void)store.neighbors_within_l2({1, 2}, 3.0),
-               std::invalid_argument);
 }
 
 TEST(SimulationStore, DeduplicationKeepsKrigingWellPosed) {
@@ -302,17 +293,11 @@ TEST(SimulationStore, NegativeRadiusIsAContractViolation) {
 #if ACE_CONTRACTS_ENABLED
   EXPECT_THROW((void)store.neighbors_within({1, 1}, -1),
                ace::util::ContractViolation);
-  EXPECT_THROW((void)store.neighbors_within_l2({1, 1}, -0.5),
-               ace::util::ContractViolation);
   EXPECT_THROW((void)store.neighbors_within_linear({1, 1}, -1),
-               ace::util::ContractViolation);
-  EXPECT_THROW((void)store.neighbors_within_l2_linear({1, 1}, -0.5),
                ace::util::ContractViolation);
 #else
   EXPECT_EQ(store.neighbors_within({1, 1}, -1).count(), 0u);
-  EXPECT_EQ(store.neighbors_within_l2({1, 1}, -0.5).count(), 0u);
   EXPECT_EQ(store.neighbors_within_linear({1, 1}, -1).count(), 0u);
-  EXPECT_EQ(store.neighbors_within_l2_linear({1, 1}, -0.5).count(), 0u);
 #endif
 }
 

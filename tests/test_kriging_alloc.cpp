@@ -111,10 +111,7 @@ TEST(KrigingAlloc, WarmReloadAndSolveAllocateNothing) {
   supports.push_back(dup);
 
   for (const k::SystemSpec spec :
-       {k::SystemSpec{k::SystemKind::kOrdinary},
-        k::SystemSpec{k::SystemKind::kUniversal, k::DriftKind::kLinear},
-        k::SystemSpec{k::SystemKind::kSimple, k::DriftKind::kConstant, 9.0,
-                      0.5}}) {
+       {k::SystemSpec{k::SystemKind::kOrdinary}}) {
     k::KrigingSystem ws(spec, model);
     std::size_t solved = 0;
     EXPECT_EQ(reload_allocations(ws, supports, warmup, solved), 0u)

@@ -1,15 +1,15 @@
 // Factorization-backed leave-one-out cross-validation (ISSUE 10): the
 // property at stake is that KrigingSystem::loo_residuals() — Dubrule's
 // identity against the one existing factorization, O(n²) per residual —
-// matches n scratch LOO refits within 1e-10, across all three estimator
-// kinds, the ridge-fallback path, coincident-support dedupe, and a
-// non-zero noise nugget.
+// matches n scratch LOO refits within 1e-10, for ordinary kriging, the
+// ridge-fallback path, coincident-support dedupe, and a non-zero noise
+// nugget.
 //
 // Two independent comparators pin the identity:
 //   * a matrix-level scratch solve: assemble the full (shifted) system
 //     the way KrigingSystem does, delete row/column i, solve the deleted
 //     system with a plain LU — by block inversion the deleted solve
-//     yields both the LOO residual and ±(A_ii − bᵀx) = 1/B_ii, i.e. the
+//     yields both the LOO residual and −(A_ii − bᵀx) = −1/B_ii, i.e. the
 //     LOO variance;
 //   * real (n−1)-point KrigingSystem refits queried at the held-out
 //     point, for the unridged zero-nugget case where the refit's own
@@ -58,63 +58,33 @@ std::vector<double> random_values(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Border width the system uses (test-local mirror of refresh_border;
-/// callers keep n >= dim + 2 so a linear drift never demotes).
-std::size_t border_width(const k::SystemSpec& spec, std::size_t dim) {
-  switch (spec.kind) {
-    case k::SystemKind::kOrdinary:
-      return 1;
-    case k::SystemKind::kSimple:
-      return 0;
-    case k::SystemKind::kUniversal:
-      return spec.drift == k::DriftKind::kLinear ? dim + 1 : 1;
-  }
-  return 0;
-}
-
-double entry_of(const k::SystemSpec& spec, const k::VariogramModel& model,
-                double d) {
-  if (spec.kind == k::SystemKind::kSimple)
-    return std::max(spec.sill - model.gamma(d), 0.0);
-  return model.gamma(d);
-}
-
-/// The full system matrix exactly as KrigingSystem::assemble lays it out
-/// for the all-in-base layout: unique points first, border last, `shift`
-/// and the noise nugget on the data diagonal only.
+/// The full system matrix exactly as KrigingSystem::assemble lays it out:
+/// unique points first, the ones-border last, `shift` and the noise nugget
+/// on the data diagonal only.
 la::Matrix assemble_full(const k::SystemSpec& spec,
                          const k::VariogramModel& model,
                          const std::vector<std::vector<double>>& pts,
                          double shift) {
   const std::size_t n = pts.size();
-  const std::size_t dim = pts.front().size();
-  const std::size_t border = border_width(spec, dim);
-  const std::size_t m = n + border;
-  double diagonal = entry_of(spec, model, 0.0);
+  const std::size_t m = n + 1;
+  double diagonal = model.gamma(0.0);
   if (spec.noise_nugget != 0.0)  // ace-lint: allow(float-equality)
-    diagonal += spec.kind == k::SystemKind::kSimple ? spec.noise_nugget
-                                                    : -spec.noise_nugget;
+    diagonal -= spec.noise_nugget;
   la::Matrix a(m, m);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j)
       a(i, j) = i == j ? diagonal + shift
-                       : entry_of(spec, model, k::l1_distance(pts[i], pts[j]));
-    for (std::size_t l = 0; l < border; ++l) {
-      const double f = l == 0 ? 1.0 : pts[i][l - 1];
-      a(i, n + l) = f;
-      a(n + l, i) = f;
-    }
+                       : model.gamma(k::l1_distance(pts[i], pts[j]));
+    a(i, n) = 1.0;
+    a(n, i) = 1.0;
   }
   return a;
 }
 
-/// z̃ in matrix order: (centred) values on data rows, zeros on the border.
-la::Vector padded_values(const k::SystemSpec& spec,
-                         const std::vector<double>& values, std::size_t m) {
+/// z̃ in matrix order: values on data rows, zero on the border.
+la::Vector padded_values(const std::vector<double>& values, std::size_t m) {
   la::Vector z(m);
-  for (std::size_t i = 0; i < values.size(); ++i)
-    z[i] = spec.kind == k::SystemKind::kSimple ? values[i] - spec.mean
-                                               : values[i];
+  for (std::size_t i = 0; i < values.size(); ++i) z[i] = values[i];
   return z;
 }
 
@@ -126,7 +96,7 @@ struct ScratchLoo {
 /// n scratch LOO solves from the deleted systems: drop row/column i of
 /// the assembled (shifted) matrix, solve A₋ᵢ·x = A[−i, i] with a plain
 /// LU, and read off e_i = z̃_i − xᵀ·z̃₋ᵢ and the block-inverse variance
-/// ±(A_ii − bᵀx). This is exactly the system "with point i deleted,
+/// −(A_ii − bᵀx). This is exactly the system "with point i deleted,
 /// predicting at point i" — the O(n³)-per-point computation Dubrule's
 /// identity replaces.
 ScratchLoo scratch_loo(const k::SystemSpec& spec,
@@ -136,7 +106,7 @@ ScratchLoo scratch_loo(const k::SystemSpec& spec,
   const std::size_t n = pts.size();
   const la::Matrix a = assemble_full(spec, model, pts, shift);
   const std::size_t m = a.rows();
-  const la::Vector z = padded_values(spec, values, m);
+  const la::Vector z = padded_values(values, m);
   ScratchLoo out;
   for (std::size_t i = 0; i < n; ++i) {
     la::Matrix deleted(m - 1, m - 1);
@@ -164,18 +134,14 @@ ScratchLoo scratch_loo(const k::SystemSpec& spec,
     }
     const double raw = a(i, i) - quad;
     out.residuals.push_back(z[i] - predicted);
-    out.variances.push_back(
-        std::max(spec.kind == k::SystemKind::kSimple ? raw : -raw, 0.0));
+    out.variances.push_back(std::max(-raw, 0.0));
   }
   return out;
 }
 
 std::vector<k::SystemSpec> all_specs() {
   k::SystemSpec ordinary{k::SystemKind::kOrdinary};
-  k::SystemSpec simple{k::SystemKind::kSimple, k::DriftKind::kConstant, 30.0,
-                       0.5};
-  k::SystemSpec universal{k::SystemKind::kUniversal, k::DriftKind::kLinear};
-  return {ordinary, simple, universal};
+  return {ordinary};
 }
 
 TEST(KrigingLoo, MatchesScratchDeletedSolvesAcrossEstimators) {
@@ -327,12 +293,6 @@ TEST(KrigingLoo, DegenerateSupportsReturnNullopt) {
   k::KrigingSystem single({k::SystemKind::kOrdinary}, {{1.0, 2.0}}, {3.0},
                           model);
   EXPECT_FALSE(single.loo_residuals().has_value());
-  // Universal kriging with a linear drift needs dim + 3 unique points for
-  // every LOO subset to keep the full system's effective drift.
-  k::KrigingSystem small({k::SystemKind::kUniversal, k::DriftKind::kLinear},
-                         {{0.0, 0.0}, {1.0, 3.0}, {4.0, 1.0}, {2.0, 2.0}},
-                         {1.0, 2.0, 3.0, 4.0}, model);
-  EXPECT_FALSE(small.loo_residuals().has_value());
 }
 
 }  // namespace

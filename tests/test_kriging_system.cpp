@@ -1,8 +1,8 @@
-// KrigingSystem: the shared assembly/solve workspace behind all three
-// estimators. The property at stake: a workspace reloaded with support set
-// after support set answers bit-identically to an independently assembled
-// system solved by linalg::robust_solve — estimate, variance, weights,
-// ridge and rcond — across all three estimators, L1/L2/custom distances,
+// KrigingSystem: the ordinary-kriging assembly/solve workspace. The
+// property at stake: a workspace reloaded with support set after support
+// set answers bit-identically to an independently assembled system solved
+// by linalg::robust_solve — estimate, variance, weights, ridge and rcond —
+// across L1/L2/custom distances,
 // a noise nugget, coincident support, ridge-forcing supports, a large
 // support followed by smaller ones (stale buffer contents must not leak),
 // and loo_residuals() after a reload.
@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "kriging/ordinary_kriging.hpp"
-#include "kriging/simple_kriging.hpp"
 #include "kriging/system.hpp"
-#include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -57,13 +55,8 @@ Instance make_instance(std::size_t dim, std::size_t n, std::uint64_t seed) {
 }
 
 std::vector<k::SystemSpec> all_specs() {
-  k::SystemSpec ordinary{k::SystemKind::kOrdinary, k::DriftKind::kConstant,
-                         0.0, 0.0};
-  k::SystemSpec simple{k::SystemKind::kSimple, k::DriftKind::kConstant, 25.0,
-                       0.5};
-  k::SystemSpec universal{k::SystemKind::kUniversal, k::DriftKind::kLinear,
-                          0.0, 0.0};
-  return {ordinary, simple, universal};
+  k::SystemSpec ordinary{k::SystemKind::kOrdinary, 0.0};
+  return {ordinary};
 }
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
@@ -84,9 +77,8 @@ void expect_identical(const std::optional<k::KrigingResult>& got,
 }
 
 /// A system assembled independently of KrigingSystem, in the documented
-/// entry order: Γ (γ, or the covariance for simple kriging) over the
-/// deduplicated support with the nugget on the diagonal, the ones/drift
-/// border, and the query right-hand side.
+/// entry order: Γ over the deduplicated support with the nugget on the
+/// diagonal, the ones-border, and the query right-hand side.
 struct ReferenceSystem {
   std::vector<std::vector<double>> points;  ///< Unique support.
   std::vector<double> values;
@@ -112,39 +104,24 @@ ReferenceSystem assemble_reference(
     r.values.push_back(values[s]);
   }
   const std::size_t n = r.points.size();
-  const std::size_t dim = q.size();
-  const bool simple = spec.kind == k::SystemKind::kSimple;
-  r.border = simple ? 0 : 1;
-  if (spec.kind == k::SystemKind::kUniversal &&
-      spec.drift == k::DriftKind::kLinear && n >= dim + 2)
-    r.border = dim + 1;
-  const auto entry = [&](double d) {
-    return simple ? std::max(spec.sill - model.gamma(d), 0.0)
-                  : model.gamma(d);
-  };
-  const auto drift = [](const std::vector<double>& x, std::size_t l) {
-    return l == 0 ? 1.0 : x[l - 1];
-  };
+  r.border = 1;
   const std::size_t m = n + r.border;
   r.a = la::Matrix(m, m);
   r.rhs = la::Vector(m);
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = entry(0.0);
-    if (spec.noise_nugget != 0.0)
-      diag = simple ? diag + spec.noise_nugget : diag - spec.noise_nugget;
+    double diag = model.gamma(0.0);
+    if (spec.noise_nugget != 0.0) diag -= spec.noise_nugget;
     r.a(j, j) = diag + 0.0;  // The direct path's zero shift.
     for (std::size_t c = j + 1; c < n; ++c) {
-      const double g = entry(distance(r.points[j], r.points[c]));
+      const double g = model.gamma(distance(r.points[j], r.points[c]));
       r.a(j, c) = g;
       r.a(c, j) = g;
     }
-    for (std::size_t l = 0; l < r.border; ++l) {
-      r.a(j, n + l) = drift(r.points[j], l);
-      r.a(n + l, j) = drift(r.points[j], l);
-    }
-    r.rhs[j] = entry(distance(q, r.points[j]));
+    r.a(j, n) = 1.0;
+    r.a(n, j) = 1.0;
+    r.rhs[j] = model.gamma(distance(q, r.points[j]));
   }
-  for (std::size_t l = 0; l < r.border; ++l) r.rhs[n + l] = drift(q, l);
+  r.rhs[n] = 1.0;
   return r;
 }
 
@@ -160,23 +137,14 @@ std::optional<k::KrigingResult> reference_solve(
   const auto x = la::robust_solve(r.a, r.rhs, report, r.border);
   if (!x) return std::nullopt;
   const std::size_t n = r.points.size();
-  const bool simple = spec.kind == k::SystemKind::kSimple;
-  double estimate = simple ? spec.mean : 0.0;
-  double variance =
-      simple ? std::max(spec.sill - model.gamma(0.0), 0.0) : 0.0;
+  double estimate = 0.0;
+  double variance = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     const double w = (*x)[j];
-    if (simple) {
-      estimate += w * (r.values[j] - spec.mean);
-      variance -= w * r.rhs[j];
-    } else {
-      estimate += w * r.values[j];
-      variance += w * r.rhs[j];
-    }
+    estimate += w * r.values[j];
+    variance += w * r.rhs[j];
   }
-  if (!simple)
-    for (std::size_t l = 0; l < r.border; ++l)
-      variance += (*x)[n + l] * (l == 0 ? 1.0 : q[l - 1]);
+  variance += (*x)[n] * 1.0;  // The query's ones-border entry.
   if (!std::isfinite(estimate)) return std::nullopt;
   k::KrigingResult result;
   result.estimate = estimate;
@@ -211,46 +179,21 @@ TEST(KrigingSystem, AllInBaseMatchesLegacyEstimatorsExactly) {
       EXPECT_EQ(got->variance, expect->variance);
       EXPECT_EQ(got->weights, expect->weights);
     }
-    {
-      k::KrigingSystem sys(
-          {k::SystemKind::kSimple, k::DriftKind::kConstant, 25.0, 0.5},
-          inst.points, inst.values, model);
-      const auto got = sys.query(inst.query);
-      const auto expect = k::simple_krige(inst.points, inst.values,
-                                          inst.query, model, 25.0, 0.5);
-      ASSERT_TRUE(got && expect);
-      EXPECT_EQ(got->estimate, expect->estimate);
-      EXPECT_EQ(got->weights, expect->weights);
-    }
-    {
-      k::KrigingSystem sys({k::SystemKind::kUniversal, k::DriftKind::kLinear},
-                           inst.points, inst.values, model);
-      const auto got = sys.query(inst.query);
-      const auto expect =
-          k::krige_with_drift(inst.points, inst.values, inst.query, model,
-                              k::DriftKind::kLinear);
-      ASSERT_TRUE(got && expect);
-      EXPECT_EQ(got->estimate, expect->estimate);
-      EXPECT_EQ(got->weights, expect->weights);
-    }
   }
 }
 
-// Unbiasedness survives the border: ordinary/universal weights sum to 1
-// (the Lagrange/drift border enforces it exactly).
+// Unbiasedness survives the border: the weights sum to 1 (the Lagrange
+// border enforces it exactly).
 TEST(KrigingSystem, BorderKeepsWeightsUnbiased) {
   const k::SphericalVariogram model(0.0, 1.0, 5.0);
-  for (const auto kind :
-       {k::SystemKind::kOrdinary, k::SystemKind::kUniversal}) {
-    const auto inst = make_instance(2, 7, 42);
-    k::KrigingSystem sys({kind, k::DriftKind::kLinear}, inst.points,
-                         inst.values, model);
-    const auto r = sys.query(inst.query);
-    ASSERT_TRUE(r);
-    double sum = 0.0;
-    for (double w : r->weights) sum += w;
-    EXPECT_NEAR(sum, 1.0, 1e-8);
-  }
+  const auto inst = make_instance(2, 7, 42);
+  k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
+                       model);
+  const auto r = sys.query(inst.query);
+  ASSERT_TRUE(r);
+  double sum = 0.0;
+  for (double w : r->weights) sum += w;
+  EXPECT_NEAR(sum, 1.0, 1e-8);
 }
 
 TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
@@ -293,22 +236,6 @@ TEST(KrigingSystem, FactorIsReusedAcrossQueries) {
   EXPECT_EQ(sys.stats().solves, 2u);
 }
 
-TEST(KrigingSystem, UniversalDriftDegradesOnTinySupport) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  // 3 points in 2-D: fewer than dim + 2, so the drift degrades to the
-  // constant border — and must match the legacy estimator doing the same.
-  const auto inst = make_instance(2, 3, 55);
-  k::KrigingSystem sys({k::SystemKind::kUniversal, k::DriftKind::kLinear},
-                       inst.points, inst.values, model);
-  const auto got = sys.query(inst.query);
-  const auto expect = k::krige_with_drift(inst.points, inst.values,
-                                          inst.query, model,
-                                          k::DriftKind::kLinear);
-  ASSERT_EQ(got.has_value(), expect.has_value());
-  ASSERT_TRUE(got);
-  EXPECT_EQ(got->estimate, expect->estimate);
-}
-
 TEST(KrigingSystem, ValidatesInput) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   EXPECT_THROW(k::KrigingSystem({k::SystemKind::kOrdinary}, {}, {}, model),
@@ -319,11 +246,6 @@ TEST(KrigingSystem, ValidatesInput) {
   EXPECT_THROW(k::KrigingSystem({k::SystemKind::kOrdinary},
                                 {{1.0, 2.0}, {1.0}}, {1.0, 2.0}, model),
                std::invalid_argument);
-  EXPECT_THROW(
-      k::KrigingSystem({k::SystemKind::kSimple, k::DriftKind::kConstant, 0.0,
-                        0.0},
-                       {{1.0}}, {1.0}, model),
-      std::invalid_argument);
 }
 
 // The property test proper: one workspace per (estimator, distance) is
@@ -403,9 +325,7 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
       const la::LuDecomposition lu(r.a);
       ASSERT_FALSE(lu.singular());
       la::Vector z(r.a.rows());
-      const bool simple = spec.kind == k::SystemKind::kSimple;
-      for (std::size_t i = 0; i < n; ++i)
-        z[i] = simple ? r.values[i] - spec.mean : r.values[i];
+      for (std::size_t i = 0; i < n; ++i) z[i] = r.values[i];
       const la::Vector u = lu.solve(z);
       const la::Vector diag = lu.inverse_diagonal();
       ASSERT_TRUE(got) << "n=" << n;
@@ -413,7 +333,7 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
       ASSERT_EQ(got->residuals.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(bits(got->residuals[i]), bits(u[i] / diag[i])) << i;
-        const double var = simple ? 1.0 / diag[i] : -1.0 / diag[i];
+        const double var = -1.0 / diag[i];
         EXPECT_EQ(bits(got->variances[i]), bits(std::max(var, 0.0))) << i;
       }
       // The query path still answers from the same load afterwards.
@@ -425,7 +345,7 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
 }
 
 /// A fresh one-shot system's answer: the path bench/e2e's replay probe and
-/// the legacy estimators take.
+/// kriging::krige take.
 std::optional<k::KrigingResult> one_shot(
     const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
     const std::vector<double>& values, const std::vector<double>& q,
@@ -483,7 +403,6 @@ TEST(KrigingSystem, ShrinkingReloadsMatchOneShotSystems) {
 TEST(KrigingSystem, RidgeLadderReloadsMatchOneShotSystems) {
   const k::LinearVariogram flat(0.0, 0.0);
   for (const auto& spec : all_specs()) {
-    if (spec.kind == k::SystemKind::kSimple) continue;  // C ≡ sill: rank 1.
     k::KrigingSystem ws(spec, flat);
     std::uint64_t seed = 70;
     std::size_t ridge_answers = 0;
@@ -564,10 +483,6 @@ TEST(KrigingSystem, RejectedLoadOrRebindKeepsTheWorkspace) {
   EXPECT_THROW(ws.load(0, 2, [](auto, std::size_t, auto) {}),
                std::invalid_argument);
   expect_identical(ws.query(inst.query), want);
-  EXPECT_THROW(ws.set_model({k::SystemKind::kSimple, k::DriftKind::kConstant,
-                             0.0, 0.0},
-                            other),
-               std::invalid_argument);
   k::SystemSpec bad_nugget{k::SystemKind::kOrdinary};
   bad_nugget.noise_nugget = -1.0;
   EXPECT_THROW(ws.set_model(bad_nugget, other), std::invalid_argument);
@@ -577,7 +492,7 @@ TEST(KrigingSystem, RejectedLoadOrRebindKeepsTheWorkspace) {
   EXPECT_EQ(ws.spec().kind, k::SystemKind::kOrdinary);
 }
 
-// set_model rebinds the estimator, the model and the nugget in place:
+// set_model rebinds the model and the nugget in place:
 // after each rebind and reload the workspace answers like a fresh system.
 TEST(KrigingSystem, SetModelRebindsEstimatorModelAndNugget) {
   const k::SphericalVariogram spherical(0.1, 2.0, 8.0);

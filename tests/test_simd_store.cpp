@@ -76,13 +76,6 @@ TEST(SimdKernels, DispatchMatchesScalarTwinExactly) {
                                     l1i_ref.data());
       EXPECT_EQ(l1i, l1i_ref) << "count=" << count << " dim=" << dim;
 
-      std::vector<double> l2i(count), l2i_ref(count);
-      simd::l2_sq_distances_i32(iptrs.data(), dim, iquery.data(), count,
-                                l2i.data());
-      simd::l2_sq_distances_i32_scalar(iptrs.data(), dim, iquery.data(),
-                                       count, l2i_ref.data());
-      EXPECT_EQ(l2i, l2i_ref) << "count=" << count << " dim=" << dim;
-
       std::vector<double> l1f(count), l1f_ref(count);
       simd::l1_distances_f64(fptrs.data(), dim, fquery.data(), count,
                              l1f.data());
@@ -178,20 +171,13 @@ TEST(SimdStore, BlockedScansMatchLinearScansIndexIdentically) {
               << "seed=" << seed << " radius=" << radius
               << " simd=" << simd_on;
         }
-        for (const double radius : {0.0, 1.0, 1.5, 3.2, 12.0}) {
-          const auto fast = store.neighbors_within_l2(query, radius);
-          const auto ref = store.neighbors_within_l2_linear(query, radius);
-          EXPECT_EQ(fast.indices, ref.indices)
-              << "seed=" << seed << " radius=" << radius
-              << " simd=" << simd_on;
-        }
       }
     }
   }
 }
 
 TEST(SimdStore, LinearScansMatchBruteForceDistances) {
-  // Anchors the linear scans themselves to the distance definitions, so
+  // Anchors the linear scan itself to the distance definition, so
   // the index-identity test above cannot pass by both paths being wrong.
   d::SimulationStore store;
   std::vector<d::Config> configs;
@@ -206,14 +192,6 @@ TEST(SimdStore, LinearScansMatchBruteForceDistances) {
         if (d::l1_distance(configs[i], query) <= radius)
           expected.push_back(i);
       EXPECT_EQ(store.neighbors_within_linear(query, radius).indices,
-                expected);
-    }
-    for (const double radius : {1.0, 2.5, 6.0}) {
-      std::vector<std::size_t> expected;
-      for (std::size_t i = 0; i < configs.size(); ++i)
-        if (d::l2_distance(configs[i], query) <= radius)
-          expected.push_back(i);
-      EXPECT_EQ(store.neighbors_within_l2_linear(query, radius).indices,
                 expected);
     }
   }

@@ -22,11 +22,11 @@ wallclock-time    Wall-clock time sources (system_clock, time(), localtime,
                   durations must use steady_clock.
 kriging-direct-solve
                   linalg::robust_solve / lu_solve / LuDecomposition in an
-                  estimator wrapper (*_kriging.cpp/.hpp). The wrappers must
+                  estimator wrapper (*_kriging.cpp/.hpp). The wrapper must
                   route every solve through kriging::KrigingSystem — it
                   owns assembly, the ridge ladder, dedupe and the single
                   in-place LU solve; a direct solver call would fork the
-                  numerics every estimator and the policy share.
+                  numerics the estimator and the policy share.
 raw-distance-loop Hand-rolled distance accumulation
                   (`acc += abs(a - b)` and friends) outside the SIMD
                   kernel layer (src/util/simd*). Scans and assembly must
@@ -236,9 +236,9 @@ class _Guard:
 # wrappers are implemented there.
 RAW_MUTEX_EXEMPT = re.compile(r"(?:^|/)src/util/[^/]+$")
 
-# kriging-direct-solve is scoped *to* the estimator wrappers: any file
-# whose basename matches *_kriging.<c++ ext> (ordinary_kriging.cpp,
-# simple_kriging.cpp, universal_kriging.cpp — and the selftest fixture
+# kriging-direct-solve is scoped *to* the estimator wrapper: any file
+# whose basename matches *_kriging.<c++ ext> (ordinary_kriging.cpp, which
+# must route through kriging::KrigingSystem, and the selftest fixture
 # violations_kriging.cpp). Everywhere else the solver types are legal.
 KRIGING_WRAPPER_SCOPE = re.compile(
     r"(?:^|/)[^/]*_kriging\.(?:cpp|hpp|cc|hh|cxx|h)$"
