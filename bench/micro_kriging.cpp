@@ -29,7 +29,6 @@
 #include "dse/sim_store.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
-#include "kriging/ordinary_kriging.hpp"
 #include "kriging/system.hpp"
 #include "serve/session.hpp"
 #include "signal/fft.hpp"
@@ -66,7 +65,10 @@ void BM_KrigingSolve(benchmark::State& state) {
   const ace::kriging::SphericalVariogram model(0.0, 10.0, 12.0);
   const std::vector<double> query(10, 8.0);
   for (auto _ : state) {
-    auto r = ace::kriging::krige(pts, vals, query, model);
+    ace::kriging::KrigingSystem system(
+        ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
+        vals, model);
+    auto r = system.query(query);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -21,8 +21,7 @@ void analyze(const ace::core::ApplicationBenchmark& bench,
   points.reserve(result.trajectory.size());
   for (const auto& c : result.trajectory.configs)
     points.push_back(ace::dse::to_real(c));
-  const ace::kriging::EmpiricalVariogram ev(points, result.trajectory.values,
-                                            ace::kriging::l1_distance);
+  const ace::kriging::EmpiricalVariogram ev(points, result.trajectory.values);
   const auto fits = ace::kriging::fit_all(ev);
   for (std::size_t i = 0; i < fits.size(); ++i) {
     table.add_row({bench.name, ace::kriging::family_name(fits[i].family),

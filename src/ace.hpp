@@ -32,7 +32,7 @@
 // Kriging.
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
-#include "kriging/ordinary_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 
 // Approximate arithmetic operators.

@@ -16,6 +16,12 @@ namespace {
 
 constexpr double kFaultedValue = -std::numeric_limits<double>::infinity();
 
+/// Refit-time LOO-CV window: the pass runs over the most recent kLooWindow
+/// stored points. Each residual costs O(window²) against the shared
+/// factorization, so the full store would make refits O(N³)-ish again.
+/// Only paid by gates that want_loo().
+constexpr std::size_t kLooWindow = 96;
+
 FaultCode fault_code_of(util::CallFault fault) {
   switch (fault) {
     case util::CallFault::kThrew: return FaultCode::kSimulatorThrow;
@@ -94,7 +100,7 @@ bool KrigingPolicy::refit_model_locked() {
   if (system_)
     system_->set_model(spec, *model_);
   else
-    system_.emplace(spec, *model_, kriging::l1_distance);
+    system_.emplace(spec, *model_);
   run_loo_calibration_locked();
   return true;
 }
@@ -103,10 +109,7 @@ void KrigingPolicy::run_loo_calibration_locked() {
   if (!gate_->wants_loo() || !model_) return;
   const std::size_t n = store_.size();
   if (n < 2) return;
-  // Window the pass: each residual is O(window²) against the shared
-  // factorization, so the full store would make refits O(N³)-ish again.
-  const std::size_t window = std::max<std::size_t>(2, options_.loo_window);
-  const std::size_t first = n > window ? n - window : 0;
+  const std::size_t first = n > kLooWindow ? n - kLooWindow : 0;
   std::vector<std::vector<double>> points;
   std::vector<double> values;
   points.reserve(n - first);
@@ -117,8 +120,7 @@ void KrigingPolicy::run_loo_calibration_locked() {
   }
   kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
   spec.noise_nugget = options_.noise_nugget;
-  kriging::KrigingSystem system(spec, std::move(points), std::move(values),
-                                *model_, kriging::l1_distance);
+  kriging::KrigingSystem system(spec, points, values, *model_);
   const auto report = system.loo_residuals();
   if (!report || report->residuals.empty()) return;
 

@@ -102,11 +102,6 @@ struct PolicyOptions {
   /// by every other.
   std::optional<double> gate_lambda_min;
 
-  /// Refit-time LOO-CV window: the pass runs over the most recent
-  /// `loo_window` stored points (each residual costs O(window²) against
-  /// the shared factorization). Only paid by gates that want_loo().
-  std::size_t loo_window = 96;
-
   /// Stochastic-kriging measurement-noise variance τ² applied to the
   /// system diagonal (see kriging::SystemSpec::noise_nugget). 0 — the
   /// default — assembles bit-identically to the pre-nugget system.
@@ -357,8 +352,7 @@ class KrigingPolicy {
   std::shared_ptr<const kriging::VariogramModel> model_
       ACE_GUARDED_BY(mutex_);
   /// Incrementally extended empirical variogram.
-  kriging::EmpiricalVariogram variogram_ ACE_GUARDED_BY(mutex_){
-      kriging::l1_distance, 1.0};
+  kriging::EmpiricalVariogram variogram_ ACE_GUARDED_BY(mutex_);
   /// The interpolation workspace: bound to model_ at every successful
   /// refit (empty before the first), reloaded per interpolation. Its lock
   /// ordering is the policy's (policy mutex, then the store's inside

@@ -10,8 +10,8 @@
 
 namespace ace::kriging {
 
-double l1_distance(const std::vector<double>& a,
-                   const std::vector<double>& b) {
+double L1Distance::operator()(const std::vector<double>& a,
+                              const std::vector<double>& b) const {
   if (a.size() != b.size())
     throw std::invalid_argument("l1_distance: dimension mismatch");
   double acc = 0.0;
@@ -21,34 +21,8 @@ double l1_distance(const std::vector<double>& a,
   return acc;
 }
 
-double l2_distance(const std::vector<double>& a,
-                   const std::vector<double>& b) {
-  if (a.size() != b.size())
-    throw std::invalid_argument("l2_distance: dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
-}
-
-DistanceKind distance_kind(const DistanceFn& distance) {
-  // The defaulted built-ins are stored as raw function pointers inside the
-  // std::function; any other target (lambda, functor) is custom.
-  using RawDistance = double (*)(const std::vector<double>&,
-                                 const std::vector<double>&);
-  if (const RawDistance* raw = distance.target<RawDistance>()) {
-    if (*raw == &l1_distance) return DistanceKind::kL1;
-    if (*raw == &l2_distance) return DistanceKind::kL2;
-  }
-  return DistanceKind::kCustom;
-}
-
-EmpiricalVariogram::EmpiricalVariogram(DistanceFn distance, double bin_width)
-    : distance_(std::move(distance)),
-      distance_kind_(distance_kind(distance_)),
-      bin_width_(bin_width) {
+EmpiricalVariogram::EmpiricalVariogram(L1Distance, double bin_width)
+    : bin_width_(bin_width) {
   if (!(bin_width_ > 0.0) || !std::isfinite(bin_width_))
     throw std::invalid_argument(
         "EmpiricalVariogram: bin_width must be finite and > 0");
@@ -56,8 +30,8 @@ EmpiricalVariogram::EmpiricalVariogram(DistanceFn distance, double bin_width)
 
 EmpiricalVariogram::EmpiricalVariogram(
     const std::vector<std::vector<double>>& points,
-    const std::vector<double>& values, DistanceFn distance, double bin_width)
-    : EmpiricalVariogram(std::move(distance), bin_width) {
+    const std::vector<double>& values, L1Distance distance, double bin_width)
+    : EmpiricalVariogram(distance, bin_width) {
   if (points.size() != values.size())
     throw std::invalid_argument("EmpiricalVariogram: size mismatch");
   if (points.size() < 2)
@@ -68,22 +42,9 @@ EmpiricalVariogram::EmpiricalVariogram(
 void EmpiricalVariogram::distances_to_held(const std::vector<double>& point,
                                            std::size_t count,
                                            double* out) const {
-  if (distance_kind_ == DistanceKind::kCustom) {
-    // Rebuild each held sample's row from the columns; the functor sees
-    // (held, new) in the same argument order the pairing always used.
-    std::vector<double> held(dim_);
-    for (std::size_t j = 0; j < count; ++j) {
-      for (std::size_t d = 0; d < dim_; ++d) held[d] = cols_[d][j];
-      out[j] = distance_(held, point);
-    }
-    return;
-  }
   std::vector<const double*> cols(dim_);
   for (std::size_t d = 0; d < dim_; ++d) cols[d] = cols_[d].data();
-  if (distance_kind_ == DistanceKind::kL1)
-    util::simd::l1_distances_f64(cols.data(), dim_, point.data(), count, out);
-  else
-    util::simd::l2_distances_f64(cols.data(), dim_, point.data(), count, out);
+  util::simd::l1_distances_f64(cols.data(), dim_, point.data(), count, out);
 }
 
 void EmpiricalVariogram::extend(
@@ -137,9 +98,7 @@ void EmpiricalVariogram::extend(
         if (!std::isfinite(d))
           throw util::NonFiniteError(
               "EmpiricalVariogram::extend: non-finite pair distance");
-        if (d < 0.0)
-          throw std::invalid_argument(
-              "EmpiricalVariogram::extend: negative pair distance");
+        ACE_ENSURE(d >= 0.0, "an L1 sum of absolute differences is >= 0");
         // floor(d / w) for the bin; d / w is non-negative here, where the
         // truncating conversion is exactly floor.
         const double bin = d / bin_width_;

@@ -13,13 +13,12 @@
 // designs, Le Gratiet & Cannamela, arXiv:1210.6187).
 //
 // Held samples are stored as SoA columns (one contiguous array per
-// coordinate). With the built-in l1_distance / l2_distance, each new
-// sample is paired with every held sample in one util::simd column-kernel
-// call (bit-identical to the scalar functor, DESIGN.md §10); a custom
-// DistanceFn is called per pair. Bins are a dense array indexed by
+// coordinate), and each new sample is paired with every held sample in one
+// util::simd::l1_distances_f64 column-kernel call (bit-identical to
+// l1_distance, DESIGN.md §10). Bins are a dense array indexed by
 // floor(d / bin_width), folded in the same (j < k) pair order as a full
-// rebuild, so every accumulator sums its terms in the same order on either
-// path and the result does not depend on how samples were blocked.
+// rebuild, so every accumulator sums its terms in the same order however
+// the samples were blocked.
 //
 // Thread-safety: all mutable state is guarded by an annotated mutex, so
 // the Clang capability analysis (-Wthread-safety) proves that extend() and
@@ -28,7 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "util/mutex.hpp"
@@ -36,23 +34,16 @@
 
 namespace ace::kriging {
 
-/// Distance function over configuration vectors.
-using DistanceFn =
-    std::function<double(const std::vector<double>&, const std::vector<double>&)>;
-
-/// L1 (Manhattan) distance — the paper's choice (Algs. 1-2 line 9).
-double l1_distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Euclidean distance, a built-in alternative DistanceFn.
-double l2_distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// Which distance a DistanceFn holds. Batched consumers (variogram
-/// extend, KrigingSystem assembly) run the util::simd column kernels only
-/// for the two built-ins, recognised by function address, because only
-/// those kernels are proven bit-identical to the functor; anything else is
-/// kCustom and is called per pair.
-enum class DistanceKind { kL1, kL2, kCustom };
-DistanceKind distance_kind(const DistanceFn& distance);
+/// L1 (Manhattan) distance — the paper's choice (Algs. 1-2 line 9) and the
+/// kriging layer's only metric. A stateless function object: the
+/// EmpiricalVariogram and KrigingSystem constructors take it as a tag, so
+/// no other metric can be passed in. Throws std::invalid_argument on a
+/// dimension mismatch.
+struct L1Distance {
+  double operator()(const std::vector<double>& a,
+                    const std::vector<double>& b) const;
+};
+inline constexpr L1Distance l1_distance{};
 
 /// One bin of the empirical semi-variogram.
 struct VariogramBin {
@@ -71,16 +62,16 @@ class EmpiricalVariogram {
 
   /// Empty, extendable variogram. bin_width groups pairwise distances into
   /// [k·w, (k+1)·w) bins represented by their mean distance. Throws
-  /// std::invalid_argument unless bin_width is finite and positive.
-  explicit EmpiricalVariogram(DistanceFn distance = l1_distance,
-                              double bin_width = 1.0);
+  /// std::invalid_argument unless bin_width is finite and positive. The
+  /// L1Distance parameter carries no choice; it stays because callers
+  /// (bench/e2e) spell EmpiricalVariogram(kriging::l1_distance, w).
+  explicit EmpiricalVariogram(L1Distance = {}, double bin_width = 1.0);
 
   /// Compute from points/values in one shot. Throws std::invalid_argument
   /// on size mismatch, < 2 points, a bad bin width, or anything extend()
   /// rejects.
   EmpiricalVariogram(const std::vector<std::vector<double>>& points,
-                     const std::vector<double>& values,
-                     DistanceFn distance = l1_distance,
+                     const std::vector<double>& values, L1Distance = {},
                      double bin_width = 1.0);
 
   /// Fold new samples into the variogram: each new point is paired against
@@ -88,11 +79,11 @@ class EmpiricalVariogram {
   /// the existing bins in place. All or nothing — on any throw the
   /// variogram is unchanged:
   ///   * std::invalid_argument on a points/values size mismatch, a point
-  ///     whose dimension differs from the held samples', a negative pair
-  ///     distance, or a distance at or beyond kMaxBins·bin_width;
+  ///     whose dimension differs from the held samples', or a distance at
+  ///     or beyond kMaxBins·bin_width;
   ///   * util::NonFiniteError when a value, a coordinate or a pair
   ///     distance is NaN/Inf (finite coordinates can still overflow the
-  ///     L1 sum to ∞, and a custom DistanceFn can return anything).
+  ///     L1 sum to ∞).
   void extend(const std::vector<std::vector<double>>& points,
               const std::vector<double>& values) ACE_EXCLUDES(mutex_);
 
@@ -141,9 +132,7 @@ class EmpiricalVariogram {
   void distances_to_held(const std::vector<double>& point, std::size_t count,
                          double* out) const ACE_REQUIRES(mutex_);
 
-  DistanceFn distance_;        ///< Immutable after construction.
-  DistanceKind distance_kind_; ///< Immutable after construction.
-  double bin_width_;           ///< Immutable after construction.
+  double bin_width_;  ///< Immutable after construction.
   std::size_t dim_ ACE_GUARDED_BY(mutex_) = 0;  ///< Set by the first sample.
   /// Held sample coordinates, SoA: cols_[d][j] is coordinate d of sample j.
   std::vector<std::vector<double>> cols_ ACE_GUARDED_BY(mutex_);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -28,17 +27,15 @@ bool acceptable(const std::vector<double>& x) {
 }  // namespace
 
 KrigingSystem::KrigingSystem(SystemSpec spec, const VariogramModel& model,
-                             DistanceFn distance)
-    : distance_(std::move(distance)),
-      distance_kind_(distance_kind(distance_)) {
+                             L1Distance) {
   set_model(spec, model);
 }
 
 KrigingSystem::KrigingSystem(
     SystemSpec spec, const std::vector<std::vector<double>>& support_points,
     const std::vector<double>& support_values, const VariogramModel& model,
-    DistanceFn distance)
-    : KrigingSystem(spec, model, std::move(distance)) {
+    L1Distance)
+    : KrigingSystem(spec, model) {
   load(support_points, support_values);
 }
 
@@ -129,15 +126,7 @@ void KrigingSystem::finish_load() {
     slots_[s] = {u, true};
     ++unique_;
   }
-  if (distance_kind_ == DistanceKind::kCustom) {
-    if (rows_.size() < unique_) rows_.resize(unique_);
-    for (std::size_t u = 0; u < unique_; ++u) {
-      rows_[u].resize(dim_);
-      for (std::size_t d = 0; d < dim_; ++d) rows_[u][d] = coord(u, d);
-    }
-  } else {
-    point_.resize(dim_);
-  }
+  point_.resize(dim_);
   const std::size_t m = system_size();
   rhs_.resize(m);
   x_.resize(m);
@@ -153,27 +142,17 @@ void KrigingSystem::finish_load() {
 }
 
 const std::vector<double>& KrigingSystem::row(std::size_t u) {
-  if (distance_kind_ == DistanceKind::kCustom) return rows_[u];
   for (std::size_t d = 0; d < dim_; ++d) point_[d] = coord(u, d);
   return point_;
 }
 
 void KrigingSystem::distances_to(const std::vector<double>& x,
                                  std::size_t first) {
-  if (distance_kind_ == DistanceKind::kCustom) {
-    for (std::size_t k = first; k < unique_; ++k)
-      dists_[k - first] = distance_(x, rows_[k]);
-    return;
-  }
   col_ptrs_.resize(dim_);
   for (std::size_t d = 0; d < dim_; ++d)
     col_ptrs_[d] = cols_.data() + d * stride_ + first;
-  if (distance_kind_ == DistanceKind::kL1)
-    util::simd::l1_distances_f64(col_ptrs_.data(), dim_, x.data(),
-                                 stride_ - first, dists_.data());
-  else
-    util::simd::l2_distances_f64(col_ptrs_.data(), dim_, x.data(),
-                                 stride_ - first, dists_.data());
+  util::simd::l1_distances_f64(col_ptrs_.data(), dim_, x.data(),
+                               stride_ - first, dists_.data());
 }
 
 double KrigingSystem::entry_of(double d) {
@@ -181,7 +160,7 @@ double KrigingSystem::entry_of(double d) {
   // small integers (at most 2r+1 values inside an L1 ball of radius r), so
   // each is mapped through the model once per model binding. The memo
   // returns the very double the model produced; other distances
-  // (fractional, L2, large, −0.0) are not memoised.
+  // (fractional, large, −0.0) are not memoised.
   if (!std::signbit(d) && d < static_cast<double>(kEntryMemo)) {
     const auto i = static_cast<std::size_t>(d);
     if (static_cast<double>(i) == d) {  // ace-lint: allow(float-equality)
@@ -211,12 +190,11 @@ void KrigingSystem::assemble() {
   double* a = gamma_.data();
   // Variogram block, one batched row at a time: distances from point j to
   // the contiguous tail stream the SoA columns through the SIMD kernel
-  // (bit-identical per-entry to the scalar distance_ call). The tail
-  // starts at j rounded down to a multiple of 4 and ends at the padded
-  // stride, so the kernel runs whole 4-lane vectors only.
+  // (bit-identical per-entry to l1_distance). The tail starts at j rounded
+  // down to a multiple of 4 and ends at the padded stride, so the kernel
+  // runs whole 4-lane vectors only.
   for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t first =
-        distance_kind_ == DistanceKind::kCustom ? j : j & ~std::size_t{3};
+    const std::size_t first = j & ~std::size_t{3};
     distances_to(row(j), first);
     for (std::size_t k = j; k < n; ++k) {
       const double g =

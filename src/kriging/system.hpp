@@ -36,11 +36,14 @@
 // check does), and rungs found singular are remembered.
 //
 // Per-system costs are kept to the arithmetic the solve needs (DESIGN.md
-// §10): distances run through the util::simd kernels over the SoA columns
-// for the built-in metrics, and the model entry γ(d) is memoised for
+// §10): L1 distances — the only metric — run through the util::simd
+// kernel over the SoA columns, and the model entry γ(d) is memoised for
 // small integer distances — lattice neighbourhoods take only a few
 // distinct values — returning exactly the double the model produced. The
 // memo lives as long as the model binding, not one load.
+//
+// KrigingSystem is the kriging layer's only entry point: a one-shot
+// estimate is the one-shot constructor followed by query(q).
 #pragma once
 
 #include <array>
@@ -52,10 +55,19 @@
 #include <vector>
 
 #include "kriging/empirical_variogram.hpp"
-#include "kriging/ordinary_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 
 namespace ace::kriging {
+
+/// Result of one kriging interpolation (paper Eq. 3, 8-10).
+struct KrigingResult {
+  double estimate = 0.0;       ///< λ̂(e_i).
+  double variance = 0.0;       ///< Kriging variance (>= 0 up to round-off).
+  bool regularized = false;    ///< Ridge fallback was used on Γ.
+  double ridge = 0.0;          ///< Diagonal shift used (0 when unregularized).
+  double rcond = 0.0;          ///< Pivot-ratio condition estimate of the solve.
+  std::vector<double> weights; ///< The μ_k of Eq. 3 (size N).
+};
 
 /// The estimator whose system is assembled. Ordinary kriging — the
 /// bordered Γ of paper Eq. 9 (ones-border, Lagrange) — is the only one;
@@ -91,16 +103,16 @@ class KrigingSystem {
  public:
   /// An empty workspace bound to a model; load() a support set before
   /// querying. Throws std::invalid_argument on a negative/non-finite
-  /// nugget.
+  /// nugget. The L1Distance parameter carries no choice; it stays because
+  /// callers (bench/e2e) pass kriging::l1_distance.
   KrigingSystem(SystemSpec spec, const VariogramModel& model,
-                DistanceFn distance = l1_distance);
+                L1Distance = {});
 
   /// One-shot system: the workspace constructor followed by load().
   KrigingSystem(SystemSpec spec,
                 const std::vector<std::vector<double>>& support_points,
                 const std::vector<double>& support_values,
-                const VariogramModel& model,
-                DistanceFn distance = l1_distance);
+                const VariogramModel& model, L1Distance = {});
 
   KrigingSystem(const KrigingSystem&) = delete;
   KrigingSystem& operator=(const KrigingSystem&) = delete;
@@ -201,13 +213,11 @@ class KrigingSystem {
   /// Diagonal entry of a support point: entry_of(0) − τ² (exact no-op at
   /// τ² = 0).
   double diagonal_entry();
-  /// Distances from x to unique points from `first` on, written to dists_
-  /// from index 0 — batched over the SoA columns for the built-in
-  /// distances (through the padded end of the columns), per pair on rows_
-  /// for custom ones.
+  /// L1 distances from x to unique points from `first` on, written to
+  /// dists_ from index 0 — one kernel call over the SoA columns, through
+  /// their padded end.
   void distances_to(const std::vector<double>& x, std::size_t first);
-  /// Unique point u as a row: rows_[u] for custom distances, else copied
-  /// from the columns into point_.
+  /// Unique point u as a row, copied from the columns into point_.
   const std::vector<double>& row(std::size_t u);
   /// Coordinate d of slot or unique point u.
   double coord(std::size_t u, std::size_t d) const {
@@ -231,10 +241,6 @@ class KrigingSystem {
 
   SystemSpec spec_;
   std::unique_ptr<VariogramModel> model_;
-  DistanceFn distance_;
-  /// Built-in distances batch through the util::simd column kernels (bit-
-  /// identical to the functor); custom ones are called per pair on rows_.
-  DistanceKind distance_kind_ = DistanceKind::kCustom;
 
   std::size_t dim_ = 0;
   std::size_t unique_ = 0;   ///< Unique support points loaded.
@@ -252,9 +258,6 @@ class KrigingSystem {
   std::vector<double> keys_;
   std::vector<double> values_;  ///< Values of unique points.
   std::vector<Slot> slots_;     ///< Caller-visible order.
-  /// Row copies of the unique points, kept for custom distances only.
-  /// Never shrunk, so the inner buffers keep their capacity.
-  std::vector<std::vector<double>> rows_;
 
   /// Unshifted Γ (system_size()² row-major), the ladder's source matrix.
   std::vector<double> gamma_;

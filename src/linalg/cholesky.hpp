@@ -1,6 +1,8 @@
-// Cholesky factorization for symmetric positive-definite systems — used by
-// the variogram least-squares fit (normal equations) where the Gram matrix
-// is SPD.
+// Cholesky factorization for symmetric positive-definite systems. No
+// library path factors with it: the bordered kriging matrix is indefinite
+// (pivoted LU, linalg/lu.hpp), and the variogram fit (kriging/fit.cpp)
+// solves its 2×2 normal equations in closed form. It is exercised by its
+// own tests and the library-contract tests.
 #pragma once
 
 #include "linalg/matrix.hpp"

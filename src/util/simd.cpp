@@ -10,7 +10,6 @@
 #include "util/simd.hpp"
 
 #include <atomic>
-#include <cmath>
 
 #if defined(ACE_SIMD_AVX2)
 #include <immintrin.h>
@@ -74,28 +73,6 @@ void l1_f64_avx2(const double* const* cols, std::size_t dim,
   }
 }
 
-void l2_f64_avx2(const double* const* cols, std::size_t dim,
-                 const double* query, std::size_t count, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t d = 0; d < dim; ++d) {
-      const __m256d diff =
-          _mm256_sub_pd(_mm256_loadu_pd(cols[d] + i), _mm256_set1_pd(query[d]));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-    }
-    _mm256_storeu_pd(out + i, _mm256_sqrt_pd(acc));
-  }
-  for (; i < count; ++i) {
-    double acc = 0.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      const double diff = cols[d][i] - query[d];
-      acc += diff * diff;
-    }
-    out[i] = std::sqrt(acc);
-  }
-}
-
 #endif  // ACE_SIMD_AVX2
 
 }  // namespace
@@ -136,17 +113,6 @@ void l1_distances_f64(const double* const* cols, std::size_t dim,
   }
 #endif
   l1_distances_f64_scalar(cols, dim, query, count, out);
-}
-
-void l2_distances_f64(const double* const* cols, std::size_t dim,
-                      const double* query, std::size_t count, double* out) {
-#if defined(ACE_SIMD_AVX2)
-  if (enabled()) {
-    l2_f64_avx2(cols, dim, query, count, out);
-    return;
-  }
-#endif
-  l2_distances_f64_scalar(cols, dim, query, count, out);
 }
 
 }  // namespace ace::util::simd

@@ -8,10 +8,12 @@
 // (blocked scans over contiguous columns, STREAM-style GB/s accounting in
 // bench/micro_kriging) applies directly.
 //
-// This header exposes *distance kernels over columns*, not a general
+// This header exposes *L1 distance kernels over columns*, not a general
 // vector-register abstraction: every consumer (SimulationStore scans,
-// KrigingSystem assembly) iterates points in lanes and dimensions in
-// sequence, so the whole contract fits in three functions. Each kernel has
+// EmpiricalVariogram pairing, KrigingSystem assembly) iterates points in
+// lanes and dimensions in sequence, so the whole contract fits in two
+// functions — i32 columns for the store, f64 columns for the kriging
+// layer. Each kernel has
 //   * a dispatching entry point (`l1_distances_i32`, ...) that uses the
 //     AVX2 backend when it was compiled in (configure-time `ACE_SIMD`
 //     option) *and* the runtime toggle is on;
@@ -22,9 +24,8 @@
 // Numerical contract (see DESIGN.md §10): the vector kernels are
 // *bit-identical* to their scalar twins, not merely close —
 //   * i32 L1: pure integer arithmetic, same wrap-around semantics;
-//   * f64 L1/L2: per-lane accumulation walks dimensions in the same order
-//     as the scalar loop, so every rounding step matches; _mm256_sqrt_pd
-//     is correctly rounded, like std::sqrt.
+//   * f64 L1: per-lane accumulation walks dimensions in the same order as
+//     the scalar loop, so every rounding step matches.
 // Consumers therefore produce identical neighbourhoods and identical
 // assembled systems whether the toggle is on or off; the toggle exists for
 // A/B benchmarking (bench/micro_kriging, bench/decision_divergence), not
@@ -63,10 +64,6 @@ void l1_distances_i32(const int* const* cols, std::size_t dim,
 void l1_distances_f64(const double* const* cols, std::size_t dim,
                       const double* query, std::size_t count, double* out);
 
-/// out[i] = sqrt(Σ_d (cols[d][i] − query[d])²) over double columns.
-void l2_distances_f64(const double* const* cols, std::size_t dim,
-                      const double* query, std::size_t count, double* out);
-
 // --- scalar reference twins ----------------------------------------------
 // Compiled in simd_scalar.cpp with auto-vectorization off: the portable
 // fallback and the denominator of every scalar-vs-SIMD bench ratio.
@@ -74,9 +71,6 @@ void l2_distances_f64(const double* const* cols, std::size_t dim,
 void l1_distances_i32_scalar(const int* const* cols, std::size_t dim,
                              const int* query, std::size_t count, int* out);
 void l1_distances_f64_scalar(const double* const* cols, std::size_t dim,
-                             const double* query, std::size_t count,
-                             double* out);
-void l2_distances_f64_scalar(const double* const* cols, std::size_t dim,
                              const double* query, std::size_t count,
                              double* out);
 

@@ -6,7 +6,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "kriging/ordinary_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/contract.hpp"
 #include "util/errors.hpp"
@@ -192,8 +192,10 @@ TEST(SimulationStore, DeduplicationKeepsKrigingWellPosed) {
   store.gather(n, points, values);
 
   const ace::kriging::LinearVariogram model(0.0, 1.0);
-  const auto result =
-      ace::kriging::krige(points, values, {1.0, 1.0}, model);
+  ace::kriging::KrigingSystem system(
+      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, points,
+      values, model);
+  const auto result = system.query({1.0, 1.0});
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->regularized);
 }

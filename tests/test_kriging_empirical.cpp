@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "util/errors.hpp"
@@ -17,10 +19,48 @@ namespace k = ace::kriging;
 
 TEST(Distances, L1AndL2) {
   EXPECT_DOUBLE_EQ(k::l1_distance({0.0, 0.0}, {3.0, 4.0}), 7.0);
-  EXPECT_DOUBLE_EQ(k::l2_distance({0.0, 0.0}, {3.0, 4.0}), 5.0);
   EXPECT_DOUBLE_EQ(k::l1_distance({1.0}, {1.0}), 0.0);
   EXPECT_THROW((void)k::l1_distance({1.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW((void)k::l2_distance({1.0}, {1.0, 2.0}), std::invalid_argument);
+}
+
+// l1_distance is a constant of an empty, trivially copyable type: passing
+// it carries no state, so every EmpiricalVariogram and KrigingSystem
+// measures with the same metric.
+TEST(Distances, L1DistanceIsAStatelessFunctionObject) {
+  static_assert(std::is_empty_v<k::L1Distance>);
+  static_assert(std::is_trivially_copyable_v<k::L1Distance>);
+  static_assert(std::is_same_v<decltype(k::l1_distance), const k::L1Distance>);
+  static_assert(
+      std::is_invocable_r_v<double, const k::L1Distance&,
+                            const std::vector<double>&,
+                            const std::vector<double>&>);
+  const k::L1Distance copy = k::l1_distance;
+  const k::L1Distance fresh{};
+  const std::vector<double> a = {0.5, -2.0, 3.0};
+  const std::vector<double> b = {1.5, 2.0, -1.0};
+  EXPECT_EQ(copy(a, b), k::l1_distance(a, b));
+  EXPECT_EQ(fresh(a, b), 9.0);
+}
+
+TEST(Distances, L1DistanceIsSymmetricAndObeysTheTriangleInequality) {
+  // Lattice coordinates keep every sum exact, so the metric axioms hold
+  // without rounding slack.
+  ace::util::Rng rng(31);
+  const auto lattice_point = [&rng] {
+    std::vector<double> p(5);
+    for (auto& x : p) x = static_cast<double>(rng.uniform_int(-8, 8));
+    return p;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto a = lattice_point();
+    const auto b = lattice_point();
+    const auto c = lattice_point();
+    EXPECT_EQ(k::l1_distance(a, a), 0.0);
+    EXPECT_EQ(k::l1_distance(a, b), k::l1_distance(b, a));
+    EXPECT_GE(k::l1_distance(a, b), 0.0);
+    EXPECT_LE(k::l1_distance(a, c),
+              k::l1_distance(a, b) + k::l1_distance(b, c));
+  }
 }
 
 TEST(EmpiricalVariogram, HandComputedTwoPoints) {
@@ -88,12 +128,16 @@ TEST(EmpiricalVariogram, Validation) {
       std::invalid_argument);
 }
 
-TEST(EmpiricalVariogram, L2DistanceOption) {
+TEST(EmpiricalVariogram, DiagonalPairIsBinnedAtItsL1Distance) {
+  // A 3-4 diagonal: L1 puts the pair at 7, where a Euclidean metric would
+  // put it at 5.
   const std::vector<std::vector<double>> pts = {{0.0, 0.0}, {3.0, 4.0}};
   const std::vector<double> vals = {0.0, 2.0};
-  k::EmpiricalVariogram ev(pts, vals, k::l2_distance);
+  k::EmpiricalVariogram ev(pts, vals, k::l1_distance);
   ASSERT_EQ(ev.bins().size(), 1u);
-  EXPECT_DOUBLE_EQ(ev.bins()[0].distance, 5.0);
+  EXPECT_DOUBLE_EQ(ev.bins()[0].distance, 7.0);
+  EXPECT_DOUBLE_EQ(ev.bins()[0].gamma, 2.0);
+  EXPECT_DOUBLE_EQ(ev.max_distance(), 7.0);
 }
 
 TEST(EmpiricalVariogram, ExtendFromEmptyAccumulates) {
@@ -161,8 +205,9 @@ TEST(EmpiricalVariogram, ExtendValidatesSizes) {
 
 TEST(EmpiricalVariogram, ExtendRejectsNonFiniteWithoutTouchingBins) {
   // Regression guard: one NaN sample used to poison every bin its pairs
-  // fell into, silently degrading krige() from then on. Now the batch is
-  // validated up front and a bad batch leaves the accumulators untouched.
+  // fell into, silently degrading every estimate from then on. Now the
+  // batch is validated up front and a bad batch leaves the accumulators
+  // untouched.
   k::EmpiricalVariogram ev({{0.0}, {1.0}, {2.0}}, {0.0, 1.0, 4.0});
   const auto bins_before = ev.bins();
   const std::size_t pairs_before = ev.total_pairs();
@@ -189,7 +234,7 @@ TEST(EmpiricalVariogram, ExtendRejectsNonFiniteWithoutTouchingBins) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched (SoA kernel) pairing against the per-pair functor path.
+// Batched (SoA kernel) pairing against a per-pair fold.
 
 /// Bitwise equality of two doubles (EXPECT_EQ on doubles would accept
 /// 0.0 == -0.0 and reject NaN == NaN).
@@ -238,20 +283,54 @@ void extend_in_blocks(k::EmpiricalVariogram& ev,
   ASSERT_EQ(at, pts.size());
 }
 
+/// The fold extend() must reproduce, one pair at a time: every (j < k)
+/// pair in sample order, its distance from l1_distance, binned into dense
+/// [b·w, (b+1)·w) bins; Welford's running variance over the values.
+State per_pair_fold(const std::vector<std::vector<double>>& pts,
+                    const std::vector<double>& vals, double width) {
+  struct Accum {
+    double sum_sq_diff = 0.0;
+    double sum_distance = 0.0;
+    std::size_t pairs = 0;
+  };
+  std::vector<Accum> accum;
+  State s;
+  double mean = 0.0;
+  double m2 = 0.0;
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const double d = k::l1_distance(pts[j], pts[k]);
+      const auto b = static_cast<std::size_t>(d / width);
+      if (b >= accum.size()) accum.resize(b + 1);
+      const double diff = vals[j] - vals[k];
+      accum[b].sum_sq_diff += diff * diff;
+      accum[b].sum_distance += d;
+      ++accum[b].pairs;
+      ++s.pairs;
+      s.max_distance = std::max(s.max_distance, d);
+    }
+    const double n = static_cast<double>(k + 1);
+    const double delta = vals[k] - mean;
+    mean += delta / n;
+    m2 += delta * (vals[k] - mean);
+  }
+  s.samples = pts.size();
+  const double n = static_cast<double>(pts.size());
+  s.variance = pts.size() > 1 ? m2 / (n - 1.0) : 0.0;
+  for (const Accum& a : accum) {
+    if (a.pairs == 0) continue;
+    const double pairs = static_cast<double>(a.pairs);
+    s.bins.push_back({a.sum_distance / pairs, a.sum_sq_diff / (2.0 * pairs),
+                      a.pairs});
+  }
+  return s;
+}
+
 TEST(EmpiricalVariogram, KernelPathMatchesFunctorPathBitwise) {
-  // A lambda wrapping l1_distance is not recognised as the built-in, so it
-  // forces the per-pair path; the built-in takes the SoA kernel. Both must
-  // fold to the same bits, block by block — lattice coordinates (the
+  // The SoA kernel path, fed in blocks, must fold to the same bits as the
+  // per-pair fold over all samples at once — lattice coordinates (the
   // policy's case) and fractional ones, with wide bins so that bins mix
   // distances and the accumulation order matters.
-  const k::DistanceFn wrapped = [](const std::vector<double>& a,
-                                   const std::vector<double>& b) {
-    return k::l1_distance(a, b);
-  };
-  ASSERT_EQ(k::distance_kind(k::DistanceFn(k::l1_distance)),
-            k::DistanceKind::kL1);
-  ASSERT_EQ(k::distance_kind(wrapped), k::DistanceKind::kCustom);
-
   ace::util::Rng rng(77);
   for (const bool lattice : {true, false}) {
     for (const double width : {1.0, 2.5}) {
@@ -267,34 +346,11 @@ TEST(EmpiricalVariogram, KernelPathMatchesFunctorPathBitwise) {
       }
       const std::vector<std::size_t> blocks = {1, 16, 5, 31, 37};
       k::EmpiricalVariogram kernel(k::l1_distance, width);
-      k::EmpiricalVariogram functor(wrapped, width);
       extend_in_blocks(kernel, pts, vals, blocks);
-      extend_in_blocks(functor, pts, vals, blocks);
       SCOPED_TRACE(lattice ? "lattice" : "fractional");
-      expect_bitwise_equal(state_of(kernel), state_of(functor));
+      expect_bitwise_equal(state_of(kernel), per_pair_fold(pts, vals, width));
     }
   }
-}
-
-TEST(EmpiricalVariogram, L2KernelPathMatchesFunctorPathBitwise) {
-  const k::DistanceFn wrapped = [](const std::vector<double>& a,
-                                   const std::vector<double>& b) {
-    return k::l2_distance(a, b);
-  };
-  ace::util::Rng rng(78);
-  std::vector<std::vector<double>> pts;
-  std::vector<double> vals;
-  for (int i = 0; i < 60; ++i) {
-    std::vector<double> p(7);
-    for (auto& x : p) x = static_cast<double>(rng.uniform_int(0, 16));
-    pts.push_back(p);
-    vals.push_back(rng.uniform(-1.0, 1.0));
-  }
-  k::EmpiricalVariogram kernel(k::l2_distance, 0.5);
-  k::EmpiricalVariogram functor(wrapped, 0.5);
-  extend_in_blocks(kernel, pts, vals, {9, 40, 11});
-  extend_in_blocks(functor, pts, vals, {9, 40, 11});
-  expect_bitwise_equal(state_of(kernel), state_of(functor));
 }
 
 // ---------------------------------------------------------------------------
@@ -306,32 +362,6 @@ void expect_rejected_untouched(k::EmpiricalVariogram& ev, F&& bad) {
   const State before = state_of(ev);
   EXPECT_THROW(bad(), E);
   expect_bitwise_equal(state_of(ev), before);
-}
-
-TEST(EmpiricalVariogram, ExtendRejectsNanOrNegativeCustomDistances) {
-  // The distance is decided per pair by the functor; only the pair of the
-  // last new sample with the first held one is bad, so every earlier pair
-  // of the block has already been folded when it is seen.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const double bad_value : {nan, -1.0}) {
-    const k::DistanceFn distance = [bad_value](const std::vector<double>& a,
-                                               const std::vector<double>& b) {
-      if (a[0] == 0.0 && b[0] == 9.0)  // ace-lint: allow(float-equality)
-        return bad_value;
-      return k::l1_distance(a, b);
-    };
-    k::EmpiricalVariogram ev({{0.0}, {1.0}, {2.0}}, {0.0, 1.0, 4.0},
-                             distance);
-    const auto bad = [&] { ev.extend({{3.0}, {4.0}, {9.0}}, {1.0, 2.0, 3.0}); };
-    if (bad_value < 0.0)
-      expect_rejected_untouched<std::invalid_argument>(ev, bad);
-    else
-      expect_rejected_untouched<ace::util::NonFiniteError>(ev, bad);
-    // A clean block still folds afterwards, onto the untouched state.
-    ev.extend({{3.0}}, {9.0});
-    EXPECT_EQ(ev.sample_count(), 4u);
-    EXPECT_EQ(ev.total_pairs(), 6u);
-  }
 }
 
 TEST(EmpiricalVariogram, ExtendRejectsL1DistanceOverflowingToInfinity) {
@@ -347,6 +377,40 @@ TEST(EmpiricalVariogram, ExtendRejectsL1DistanceOverflowingToInfinity) {
   ev.extend({{2.0}, {3.0}}, {4.0, 5.0});
   EXPECT_EQ(ev.sample_count(), 2u);
   EXPECT_EQ(ev.total_pairs(), 1u);
+}
+
+TEST(EmpiricalVariogram, ExtendRejectsABadLastPairWithoutTouchingBins) {
+  // Only the first pair of the block's last sample is bad, so the block's
+  // earlier samples have already been paired and stored when it is seen:
+  // the rejection must take all of them back out. The pair distance
+  // overflows to ∞ in one case and leaves the dense bin range in the
+  // other.
+  const std::vector<std::vector<double>> held = {
+      {0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
+  const std::vector<double> held_vals = {0.0, 1.0, 4.0};
+  for (const bool overflow : {true, false}) {
+    SCOPED_TRACE(overflow ? "overflow" : "out of range");
+    k::EmpiricalVariogram ev(held, held_vals);
+    const std::vector<double> last =
+        overflow ? std::vector<double>{1e308, 1e308}
+                 : std::vector<double>{1e9, 0.0};
+    const auto bad = [&] {
+      ev.extend({{3.0, 0.0}, {4.0, 0.0}, last}, {1.0, 2.0, 3.0});
+    };
+    if (overflow)
+      expect_rejected_untouched<ace::util::NonFiniteError>(ev, bad);
+    else
+      expect_rejected_untouched<std::invalid_argument>(ev, bad);
+    // A clean block still folds afterwards, onto the untouched state: the
+    // result is the one-shot build of the four samples.
+    ev.extend({{3.0, 0.0}}, {9.0});
+    EXPECT_EQ(ev.sample_count(), 4u);
+    EXPECT_EQ(ev.total_pairs(), 6u);
+    const k::EmpiricalVariogram rebuilt(
+        {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}},
+        {0.0, 1.0, 4.0, 9.0});
+    expect_bitwise_equal(state_of(ev), state_of(rebuilt));
+  }
 }
 
 TEST(EmpiricalVariogram, ExtendRejectsDistancesBeyondTheDenseBinRange) {

@@ -2,10 +2,10 @@
 // property at stake: a workspace reloaded with support set after support
 // set answers bit-identically to an independently assembled system solved
 // by linalg::robust_solve — estimate, variance, weights, ridge and rcond —
-// across L1/L2/custom distances,
-// a noise nugget, coincident support, ridge-forcing supports, a large
-// support followed by smaller ones (stale buffer contents must not leak),
-// and loo_residuals() after a reload.
+// across a noise nugget, coincident support, ridge-forcing supports, a
+// large support followed by smaller ones (stale buffer contents must not
+// leak), and loo_residuals() after a reload. The system's metric is L1,
+// fixed by the L1Distance type.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,10 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "kriging/ordinary_kriging.hpp"
+#include "kriging/empirical_variogram.hpp"
 #include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "linalg/lu.hpp"
@@ -91,7 +92,7 @@ struct ReferenceSystem {
 ReferenceSystem assemble_reference(
     const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
     const std::vector<double>& values, const std::vector<double>& q,
-    const k::VariogramModel& model, const k::DistanceFn& distance) {
+    const k::VariogramModel& model) {
   ReferenceSystem r;
   for (std::size_t s = 0; s < points.size(); ++s) {
     if (std::find(r.points.begin(), r.points.end(), points[s]) !=
@@ -113,13 +114,13 @@ ReferenceSystem assemble_reference(
     if (spec.noise_nugget != 0.0) diag -= spec.noise_nugget;
     r.a(j, j) = diag + 0.0;  // The direct path's zero shift.
     for (std::size_t c = j + 1; c < n; ++c) {
-      const double g = model.gamma(distance(r.points[j], r.points[c]));
+      const double g = model.gamma(k::l1_distance(r.points[j], r.points[c]));
       r.a(j, c) = g;
       r.a(c, j) = g;
     }
     r.a(j, n) = 1.0;
     r.a(n, j) = 1.0;
-    r.rhs[j] = model.gamma(distance(q, r.points[j]));
+    r.rhs[j] = model.gamma(k::l1_distance(q, r.points[j]));
   }
   r.rhs[n] = 1.0;
   return r;
@@ -130,9 +131,8 @@ ReferenceSystem assemble_reference(
 std::optional<k::KrigingResult> reference_solve(
     const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
     const std::vector<double>& values, const std::vector<double>& q,
-    const k::VariogramModel& model, const k::DistanceFn& distance) {
-  const ReferenceSystem r =
-      assemble_reference(spec, points, values, q, model, distance);
+    const k::VariogramModel& model) {
+  const ReferenceSystem r = assemble_reference(spec, points, values, q, model);
   la::SolveReport report;
   const auto x = la::robust_solve(r.a, r.rhs, report, r.border);
   if (!x) return std::nullopt;
@@ -156,30 +156,59 @@ std::optional<k::KrigingResult> reference_solve(
   return result;
 }
 
-/// A distance with no SIMD kernel: per-pair calls on row copies.
-double chebyshev(const std::vector<double>& a, const std::vector<double>& b) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    d = std::max(d, std::abs(a[i] - b[i]));
-  return d;
+/// A fresh one-shot system's answer: the path bench/e2e's replay probe
+/// takes.
+std::optional<k::KrigingResult> one_shot(
+    const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
+    const std::vector<double>& values, const std::vector<double>& q,
+    const k::VariogramModel& model) {
+  k::KrigingSystem sys(spec, points, values, model);
+  return sys.query(q);
 }
 
-TEST(KrigingSystem, AllInBaseMatchesLegacyEstimatorsExactly) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto inst = make_instance(3, 6, seed);
-    {
-      k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points,
-                           inst.values, model);
-      const auto got = sys.query(inst.query);
-      const auto expect =
-          k::krige(inst.points, inst.values, inst.query, model);
-      ASSERT_TRUE(got && expect);
-      EXPECT_EQ(got->estimate, expect->estimate);
-      EXPECT_EQ(got->variance, expect->variance);
-      EXPECT_EQ(got->weights, expect->weights);
-    }
-  }
+// The metric is fixed by the type: the distance parameter of both
+// constructors is L1Distance, so no other callable fits it.
+TEST(KrigingSystem, MetricIsFixedByTheType) {
+  using Lambda = decltype([](const std::vector<double>& a,
+                             const std::vector<double>& b) {
+    return k::l1_distance(a, b);
+  });
+  using Points = std::vector<std::vector<double>>;
+  using Values = std::vector<double>;
+  static_assert(!std::is_constructible_v<k::KrigingSystem, k::SystemSpec,
+                                         const k::VariogramModel&, Lambda>);
+  static_assert(
+      !std::is_constructible_v<k::KrigingSystem, k::SystemSpec,
+                               const Points&, const Values&,
+                               const k::VariogramModel&, Lambda>);
+  static_assert(
+      !std::is_constructible_v<k::EmpiricalVariogram, Lambda, double>);
+  static_assert(!std::is_constructible_v<k::EmpiricalVariogram, const Points&,
+                                         const Values&, Lambda, double>);
+  // The spelling bench/e2e uses still compiles.
+  static_assert(std::is_constructible_v<k::KrigingSystem, k::SystemSpec,
+                                        const k::VariogramModel&,
+                                        const k::L1Distance&>);
+  static_assert(std::is_constructible_v<k::EmpiricalVariogram,
+                                        const k::L1Distance&, double>);
+}
+
+// A hand-solved two-point system with γ(h) = h, where L1 and L2 disagree:
+// the support pair sits 7 apart and the query (1, 1) sits 2 and 5 from it,
+// so the border gives 7·(λ2 − λ1) = 2 − 5 with λ1 + λ2 = 1, i.e.
+// λ = (5/7, 2/7) and an estimate of 2/7 · 7 = 2. Euclidean distances
+// (5; √2 and √13) would give other weights.
+TEST(KrigingSystem, SolvesOverL1Distances) {
+  const k::LinearVariogram model(0.0, 1.0);
+  k::KrigingSystem sys({k::SystemKind::kOrdinary}, {{0.0, 0.0}, {3.0, 4.0}},
+                       {0.0, 7.0}, model, k::l1_distance);
+  const auto r = sys.query({1.0, 1.0});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->regularized);
+  ASSERT_EQ(r->weights.size(), 2u);
+  EXPECT_NEAR(r->weights[0], 5.0 / 7.0, 1e-12);
+  EXPECT_NEAR(r->weights[1], 2.0 / 7.0, 1e-12);
+  EXPECT_NEAR(r->estimate, 2.0, 1e-12);
 }
 
 // Unbiasedness survives the border: the weights sum to 1 (the Lagrange
@@ -212,7 +241,8 @@ TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
   EXPECT_EQ(sys.unique_size(), 5u);
 
   const auto got = sys.query(inst.query);
-  const auto expect = k::krige(inst.points, inst.values, inst.query, model);
+  const auto expect = one_shot({k::SystemKind::kOrdinary}, inst.points,
+                               inst.values, inst.query, model);
   ASSERT_TRUE(got && expect);
   EXPECT_EQ(got->estimate, expect->estimate);
   ASSERT_EQ(got->weights.size(), 7u);
@@ -248,10 +278,10 @@ TEST(KrigingSystem, ValidatesInput) {
                std::invalid_argument);
 }
 
-// The property test proper: one workspace per (estimator, distance) is
-// reloaded with support sets of shrinking and growing size — largest
-// first, so every later load sits in buffers holding a bigger system's
-// entries — some with a coincident duplicate, then rebound to an
+// The property test proper: one workspace per spec is reloaded with
+// support sets of shrinking and growing size — largest first, so every
+// later load sits in buffers holding a bigger system's entries — some
+// with a coincident duplicate, then rebound to an
 // all-zero variogram whose supports force the ridge ladder (except under
 // the nugget, which keeps the diagonal apart), then back.
 // Every answer must equal the independent robust_solve reference bit for
@@ -263,48 +293,44 @@ TEST(KrigingSystem, ReloadedWorkspaceIsBitIdenticalToRobustSolve) {
   k::SystemSpec nugget{k::SystemKind::kOrdinary};
   nugget.noise_nugget = 0.3;
   specs.push_back(nugget);
-  const std::vector<std::pair<const char*, k::DistanceFn>> distances = {
-      {"l1", k::l1_distance}, {"l2", k::l2_distance}, {"custom", chebyshev}};
   const std::vector<std::size_t> sizes = {12, 3, 9, 1, 6, 2, 12, 4, 5};
   for (std::size_t si = 0; si < specs.size(); ++si) {
     const k::SystemSpec& spec = specs[si];
-    for (const auto& [name, distance] : distances) {
-      k::KrigingSystem ws(spec, model, distance);
-      k::KrigingResult reused;
-      std::uint64_t seed = 100 * si;
-      const auto check = [&](const k::VariogramModel& bound,
-                             std::size_t n,
-                             bool duplicate) -> std::optional<k::KrigingResult> {
-        auto inst = make_instance(3, n, ++seed);
-        if (duplicate) {
-          inst.points.insert(inst.points.begin() + 1, inst.points.back());
-          inst.values.insert(inst.values.begin() + 1, inst.values.back());
-        }
-        SCOPED_TRACE(::testing::Message()
-                     << "spec " << si << " " << name << " n=" << n
-                     << (duplicate ? " +dup" : ""));
-        ws.load(inst.points, inst.values);
-        const auto want = reference_solve(spec, inst.points, inst.values,
-                                          inst.query, bound, distance);
-        expect_identical(ws.query(inst.query), want);
-        const bool solved = ws.query(inst.query, reused);
-        EXPECT_EQ(solved, want.has_value());
-        if (solved && want) expect_identical(reused, want);
-        return want;
-      };
-      for (std::size_t i = 0; i < sizes.size(); ++i)
-        check(model, sizes[i], i % 3 == 1);
-      ws.set_model(spec, flat);
-      for (const std::size_t n : {10u, 4u, 7u}) {
-        const auto got = check(flat, n, n == 4);
-        // Γ is rank deficient unless the nugget moves its diagonal.
-        if (got && n > 1 && spec.noise_nugget == 0.0)
-          EXPECT_TRUE(got->regularized);
+    k::KrigingSystem ws(spec, model);
+    k::KrigingResult reused;
+    std::uint64_t seed = 100 * si;
+    const auto check = [&](const k::VariogramModel& bound,
+                           std::size_t n,
+                           bool duplicate) -> std::optional<k::KrigingResult> {
+      auto inst = make_instance(3, n, ++seed);
+      if (duplicate) {
+        inst.points.insert(inst.points.begin() + 1, inst.points.back());
+        inst.values.insert(inst.values.begin() + 1, inst.values.back());
       }
-      // Back to the spherical model: the flat model's γ memo must be gone.
-      ws.set_model(spec, model);
-      check(model, 6, false);
+      SCOPED_TRACE(::testing::Message()
+                   << "spec " << si << " n=" << n
+                   << (duplicate ? " +dup" : ""));
+      ws.load(inst.points, inst.values);
+      const auto want = reference_solve(spec, inst.points, inst.values,
+                                        inst.query, bound);
+      expect_identical(ws.query(inst.query), want);
+      const bool solved = ws.query(inst.query, reused);
+      EXPECT_EQ(solved, want.has_value());
+      if (solved && want) expect_identical(reused, want);
+      return want;
+    };
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+      check(model, sizes[i], i % 3 == 1);
+    ws.set_model(spec, flat);
+    for (const std::size_t n : {10u, 4u, 7u}) {
+      const auto got = check(flat, n, n == 4);
+      // Γ is rank deficient unless the nugget moves its diagonal.
+      if (got && n > 1 && spec.noise_nugget == 0.0)
+        EXPECT_TRUE(got->regularized);
     }
+    // Back to the spherical model: the flat model's γ memo must be gone.
+    ws.set_model(spec, model);
+    check(model, 6, false);
   }
 }
 
@@ -320,8 +346,8 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
       const auto inst = make_instance(2, n, ++seed);
       ws.load(inst.points, inst.values);
       const auto got = ws.loo_residuals();
-      const ReferenceSystem r = assemble_reference(
-          spec, inst.points, inst.values, inst.query, model, k::l1_distance);
+      const ReferenceSystem r =
+          assemble_reference(spec, inst.points, inst.values, inst.query, model);
       const la::LuDecomposition lu(r.a);
       ASSERT_FALSE(lu.singular());
       la::Vector z(r.a.rows());
@@ -339,19 +365,9 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
       // The query path still answers from the same load afterwards.
       expect_identical(ws.query(inst.query),
                        reference_solve(spec, inst.points, inst.values,
-                                       inst.query, model, k::l1_distance));
+                                       inst.query, model));
     }
   }
-}
-
-/// A fresh one-shot system's answer: the path bench/e2e's replay probe and
-/// kriging::krige take.
-std::optional<k::KrigingResult> one_shot(
-    const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
-    const std::vector<double>& values, const std::vector<double>& q,
-    const k::VariogramModel& model, k::DistanceFn distance = k::l1_distance) {
-  k::KrigingSystem sys(spec, points, values, model, std::move(distance));
-  return sys.query(q);
 }
 
 // Reloads through growing nested supports (each load a superset of the
@@ -381,7 +397,7 @@ TEST(KrigingSystem, ShrinkingReloadsMatchOneShotSystems) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   const auto inst = make_instance(3, 11, 62);
   for (const auto& spec : all_specs()) {
-    k::KrigingSystem ws(spec, model, k::l2_distance);
+    k::KrigingSystem ws(spec, model);
     for (std::size_t n = inst.points.size(); n >= 1; --n) {
       SCOPED_TRACE(::testing::Message() << "kind "
                    << static_cast<int>(spec.kind) << " n=" << n);
@@ -392,8 +408,7 @@ TEST(KrigingSystem, ShrinkingReloadsMatchOneShotSystems) {
                                      inst.values.end());
       ws.load(pts, vals);
       expect_identical(ws.query(inst.query),
-                       one_shot(spec, pts, vals, inst.query, model,
-                                k::l2_distance));
+                       one_shot(spec, pts, vals, inst.query, model));
     }
   }
 }
@@ -431,42 +446,39 @@ TEST(KrigingSystem, RidgeLadderReloadsMatchOneShotSystems) {
 }
 
 // load(n, dim, fill) and load(points, values) build the same system, with
-// the same dedupe, for built-in and custom distances.
+// the same dedupe.
 TEST(KrigingSystem, ColumnLoadMatchesRowLoad) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   auto inst = make_instance(3, 7, 63);
   inst.points.insert(inst.points.begin() + 2, inst.points[5]);
   inst.values.insert(inst.values.begin() + 2, inst.values[5]);
   const std::size_t n = inst.points.size();
-  for (const k::DistanceFn& distance :
-       {k::DistanceFn(k::l1_distance), k::DistanceFn(chebyshev)}) {
-    k::KrigingSystem rows({k::SystemKind::kOrdinary}, model, distance);
-    k::KrigingSystem cols({k::SystemKind::kOrdinary}, model, distance);
-    rows.load(inst.points, inst.values);
-    cols.load(n, 3,
-              [&](std::span<double> columns, std::size_t stride,
-                  std::span<double> values) {
-                ASSERT_GE(stride, n);
-                ASSERT_GE(columns.size(), 3 * stride);
-                ASSERT_EQ(values.size(), n);
-                for (std::size_t p = 0; p < n; ++p) {
-                  for (std::size_t d = 0; d < 3; ++d)
-                    columns[d * stride + p] = inst.points[p][d];
-                  values[p] = inst.values[p];
-                }
-              });
-    EXPECT_EQ(cols.support_size(), rows.support_size());
-    EXPECT_EQ(cols.unique_size(), 7u);
-    EXPECT_EQ(cols.dimension(), 3u);
-    expect_identical(cols.query(inst.query), rows.query(inst.query));
-    const auto loo_cols = cols.loo_residuals();
-    const auto loo_rows = rows.loo_residuals();
-    ASSERT_TRUE(loo_cols && loo_rows);
-    ASSERT_EQ(loo_cols->residuals.size(), loo_rows->residuals.size());
-    for (std::size_t i = 0; i < loo_rows->residuals.size(); ++i) {
-      EXPECT_EQ(bits(loo_cols->residuals[i]), bits(loo_rows->residuals[i]));
-      EXPECT_EQ(bits(loo_cols->variances[i]), bits(loo_rows->variances[i]));
-    }
+  k::KrigingSystem rows({k::SystemKind::kOrdinary}, model);
+  k::KrigingSystem cols({k::SystemKind::kOrdinary}, model);
+  rows.load(inst.points, inst.values);
+  cols.load(n, 3,
+            [&](std::span<double> columns, std::size_t stride,
+                std::span<double> values) {
+              ASSERT_GE(stride, n);
+              ASSERT_GE(columns.size(), 3 * stride);
+              ASSERT_EQ(values.size(), n);
+              for (std::size_t p = 0; p < n; ++p) {
+                for (std::size_t d = 0; d < 3; ++d)
+                  columns[d * stride + p] = inst.points[p][d];
+                values[p] = inst.values[p];
+              }
+            });
+  EXPECT_EQ(cols.support_size(), rows.support_size());
+  EXPECT_EQ(cols.unique_size(), 7u);
+  EXPECT_EQ(cols.dimension(), 3u);
+  expect_identical(cols.query(inst.query), rows.query(inst.query));
+  const auto loo_cols = cols.loo_residuals();
+  const auto loo_rows = rows.loo_residuals();
+  ASSERT_TRUE(loo_cols && loo_rows);
+  ASSERT_EQ(loo_cols->residuals.size(), loo_rows->residuals.size());
+  for (std::size_t i = 0; i < loo_rows->residuals.size(); ++i) {
+    EXPECT_EQ(bits(loo_cols->residuals[i]), bits(loo_rows->residuals[i]));
+    EXPECT_EQ(bits(loo_cols->variances[i]), bits(loo_rows->variances[i]));
   }
 }
 
@@ -551,7 +563,8 @@ TEST(KrigingSystem, QueryNeedsALoadedSupport) {
   EXPECT_THROW(ws.load({{1.0, 2.0}, {1.0}}, {1.0, 2.0}),
                std::invalid_argument);
   expect_identical(ws.query(inst.query),
-                   k::krige(inst.points, inst.values, inst.query, model));
+                   one_shot({k::SystemKind::kOrdinary}, inst.points,
+                            inst.values, inst.query, model));
   ws.set_model({k::SystemKind::kOrdinary}, model);
   EXPECT_THROW((void)ws.query(inst.query), std::logic_error);
 }

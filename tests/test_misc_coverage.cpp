@@ -55,22 +55,22 @@ TEST(FitOptions, TinyRangeGridStillFits) {
 }
 
 TEST(EmpiricalVariogram, FractionalDistancesBinByWidth) {
-  // L2 distances on a 2-D lattice are irrational; bin width 0.5 groups
-  // them deterministically.
+  // Quarter-step coordinates off the lattice give fractional L1
+  // distances; bin width 0.5 groups them deterministically.
   const std::vector<std::vector<double>> pts = {
-      {0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {2.0, 1.0}};
+      {0.0, 0.0}, {1.0, 0.0}, {0.5, 0.75}, {1.5, 0.75}};
   const std::vector<double> vals = {0.0, 1.0, 1.5, 2.5};
-  const k::EmpiricalVariogram ev(pts, vals, k::l2_distance, 0.5);
+  const k::EmpiricalVariogram ev(pts, vals, k::l1_distance, 0.5);
   EXPECT_EQ(ev.total_pairs(), 6u);
-  // Distances: {1 ×3, √2 ×2, √5 ×1}; width 0.5 puts 1 and √2 in the same
-  // bin [1.0, 1.5) and √5 alone in [2.0, 2.5).
+  // Distances: {1 ×2, 1.25 ×3, 2.25 ×1}; width 0.5 puts 1 and 1.25 in the
+  // same bin [1.0, 1.5) and 2.25 alone in [2.0, 2.5).
   ASSERT_EQ(ev.bins().size(), 2u);
   EXPECT_EQ(ev.bins()[0].pair_count, 5u);
   EXPECT_EQ(ev.bins()[1].pair_count, 1u);
   std::size_t total = 0;
   for (const auto& bin : ev.bins()) total += bin.pair_count;
   EXPECT_EQ(total, 6u);
-  EXPECT_NEAR(ev.max_distance(), std::sqrt(5.0), 1e-12);
+  EXPECT_NEAR(ev.max_distance(), 2.25, 1e-12);
 }
 
 TEST(MaximinOrder, DeterministicTieBreaking) {

@@ -82,13 +82,6 @@ TEST(SimdKernels, DispatchMatchesScalarTwinExactly) {
       simd::l1_distances_f64_scalar(fptrs.data(), dim, fquery.data(), count,
                                     l1f_ref.data());
       EXPECT_EQ(l1f, l1f_ref) << "count=" << count << " dim=" << dim;
-
-      std::vector<double> l2f(count), l2f_ref(count);
-      simd::l2_distances_f64(fptrs.data(), dim, fquery.data(), count,
-                             l2f.data());
-      simd::l2_distances_f64_scalar(fptrs.data(), dim, fquery.data(), count,
-                                    l2f_ref.data());
-      EXPECT_EQ(l2f, l2f_ref) << "count=" << count << " dim=" << dim;
     }
   }
 }

@@ -21,18 +21,20 @@ wallclock-time    Wall-clock time sources (system_clock, time(), localtime,
                   ...). Timestamps make checkpoint/replay nondeterministic;
                   durations must use steady_clock.
 kriging-direct-solve
-                  linalg::robust_solve / lu_solve / LuDecomposition in an
-                  estimator wrapper (*_kriging.cpp/.hpp). The wrapper must
-                  route every solve through kriging::KrigingSystem — it
-                  owns assembly, the ridge ladder, dedupe and the single
-                  in-place LU solve; a direct solver call would fork the
-                  numerics the estimator and the policy share.
+                  linalg::robust_solve / lu_solve / LuDecomposition in the
+                  kriging and decision layers (src/kriging/, src/dse/)
+                  outside kriging::KrigingSystem itself
+                  (kriging/system.{hpp,cpp}). Every kriging solve must go
+                  through KrigingSystem — it owns assembly, the ridge
+                  ladder, dedupe and the single in-place LU solve; a direct
+                  solver call would fork the numerics the policy, the
+                  variogram fit and the LOO pass share.
 raw-distance-loop Hand-rolled distance accumulation
                   (`acc += abs(a - b)` and friends) outside the SIMD
                   kernel layer (src/util/simd*). Scans and assembly must
                   go through the util::simd kernels or the canonical
-                  l1_distance/l2_distance helpers so the blocked SoA
-                  paths and the scalar paths cannot drift apart.
+                  kriging::l1_distance so the blocked SoA paths and the
+                  scalar paths cannot drift apart.
 unchecked-syscall A pipe/process syscall (read, write, close, kill,
                   waitpid, ...) called in statement position — its return
                   value silently dropped — in the process-management layer
@@ -146,15 +148,15 @@ RULES = [
             r"|\blu_solve\s*\("
             r"|\bLuDecomposition\b"
         ),
-        "direct linear solve in an estimator wrapper; route the solve "
-        "through kriging::KrigingSystem (it owns assembly, the ridge "
-        "ladder and the single in-place LU solve)",
+        "direct linear solve outside kriging::KrigingSystem; route the "
+        "solve through it (it owns assembly, the ridge ladder and the "
+        "single in-place LU solve)",
     ),
     (
         "raw-distance-loop",
         re.compile(r"\+=\s*(?:std::)?f?abs\s*\([^)]*-"),
         "hand-rolled distance accumulation; use the util::simd kernels or "
-        "the canonical l1_distance/l2_distance helpers so scan paths stay "
+        "the canonical kriging::l1_distance so scan paths stay "
         "bit-identical",
     ),
     (
@@ -236,13 +238,16 @@ class _Guard:
 # wrappers are implemented there.
 RAW_MUTEX_EXEMPT = re.compile(r"(?:^|/)src/util/[^/]+$")
 
-# kriging-direct-solve is scoped *to* the estimator wrapper: any file
-# whose basename matches *_kriging.<c++ ext> (ordinary_kriging.cpp, which
-# must route through kriging::KrigingSystem, and the selftest fixture
-# violations_kriging.cpp). Everywhere else the solver types are legal.
-KRIGING_WRAPPER_SCOPE = re.compile(
-    r"(?:^|/)[^/]*_kriging\.(?:cpp|hpp|cc|hh|cxx|h)$"
+# kriging-direct-solve is scoped to the layers that krige: src/kriging/
+# and src/dse/, except kriging/system.{hpp,cpp}, the one place that calls
+# the LU kernels. The selftest fixture violations_kriging.cpp matches by
+# its *_kriging.<c++ ext> basename. Everywhere else the solver types are
+# legal.
+KRIGING_SOLVE_SCOPE = re.compile(
+    r"(?:^|/)src/(?:kriging|dse)/[^/]+$"
+    r"|(?:^|/)[^/]*_kriging\.(?:cpp|hpp|cc|hh|cxx|h)$"
 )
+KRIGING_SOLVE_EXEMPT = re.compile(r"(?:^|/)src/kriging/system\.(?:cpp|hpp)$")
 
 # The SIMD kernel layer is where the raw distance loops *live*; the
 # scalar reference twins are the canonical loop by definition.
@@ -397,8 +402,9 @@ def lint_file(path: Path) -> list[Finding]:
             if rule == "raw-mutex" and RAW_MUTEX_EXEMPT.search(
                     path.as_posix()):
                 continue
-            if rule == "kriging-direct-solve" and \
-                    not KRIGING_WRAPPER_SCOPE.search(path.as_posix()):
+            if rule == "kriging-direct-solve" and (
+                    not KRIGING_SOLVE_SCOPE.search(path.as_posix())
+                    or KRIGING_SOLVE_EXEMPT.search(path.as_posix())):
                 continue
             if rule == "raw-distance-loop" and RAW_DISTANCE_EXEMPT.search(
                     path.as_posix()):

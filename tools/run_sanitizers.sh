@@ -3,8 +3,10 @@
 #
 # Builds the ASan+UBSan and TSan trees (CMakePresets: asan / tsan) and runs
 # the dse / kriging / dist / serve / util test subset under each, plus the
-# simulator kernels' tests (fixedpoint, signal, video, nn, core benchmarks),
-# whose hot loops index raw buffers. TSan specifically covers the concurrent
+# SIMD kernels, linalg, the kriging property sweeps and the policy
+# invariants, and the simulator kernels' tests (fixedpoint, signal, video,
+# nn, core benchmarks) — all of whose hot loops index raw buffers (the
+# SIMD kernels read padded-stride columns). TSan specifically covers the concurrent
 # surfaces: evaluate_batch on a pool, the collecting thread pool, the
 # fault-injection counters, and the coordinator/worker reader threads plus
 # the chaos-injected transports. Each binary's wall time is printed after
@@ -29,6 +31,10 @@ run_flavour() {
              "build-$preset"/tests/test_dist_* \
              "build-$preset"/tests/test_serve_* \
              "build-$preset"/tests/test_kriging_* \
+             "build-$preset"/tests/test_simd_* \
+             "build-$preset"/tests/test_property_* \
+             "build-$preset"/tests/test_policy_* \
+             "build-$preset"/tests/test_linalg_* \
              "build-$preset"/tests/test_fixedpoint \
              "build-$preset"/tests/test_signal_* \
              "build-$preset"/tests/test_video* \
