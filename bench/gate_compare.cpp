@@ -116,12 +116,8 @@ dse::PolicyOptions gated_options(dse::GateKind kind, double lambda_min) {
       options.variance_gate = 0.5;
       break;
     case dse::GateKind::kLooCalibrated:
-      options.gate_nn_floor = 1;
-      options.loo_gate = 1.0;
-      break;
+      break;  // Floor 1 and LOO ceiling 1.0 are the gate's constants.
     case dse::GateKind::kSequentialDesign:
-      options.gate_nn_floor = 1;
-      options.seq_confidence = 2.0;
       options.gate_lambda_min = lambda_min;
       break;
   }

@@ -7,8 +7,7 @@
 //                   iir_sensitivity
 //          [--gate=neighbour-count|variance|loo-calibrated|
 //                  sequential-design]
-//          [--nn-min=K] [--gate-nn-floor=K] [--variance-gate=X]
-//          [--loo-gate=X] [--seq-confidence=Z] [--nugget=T2]
+//          [--nn-min=K] [--variance-gate=X]
 //
 // Counts are unsigned decimal integers and values are plain decimals; a
 // flag must be consumed whole. Every option value is then checked by the
@@ -85,8 +84,7 @@ int usage(const std::string& problem) {
                "approx_fir|iir_sensitivity\n"
                "              [--gate=neighbour-count|variance|"
                "loo-calibrated|sequential-design] [--nn-min=K]\n"
-               "              [--gate-nn-floor=K] [--variance-gate=X]"
-               " [--loo-gate=X] [--seq-confidence=Z] [--nugget=T2]\n";
+               "              [--variance-gate=X]\n";
   return 2;
 }
 
@@ -129,14 +127,8 @@ bool parse_flag(std::string_view arg, const Kernel*& kernel,
     return false;
   }
   if (value("--nn-min=", v)) return parse_whole(v, options.nn_min);
-  if (value("--gate-nn-floor=", v))
-    return parse_whole(v, options.gate_nn_floor);
   if (value("--variance-gate=", v))
     return parse_whole(v, options.variance_gate);
-  if (value("--loo-gate=", v)) return parse_whole(v, options.loo_gate);
-  if (value("--seq-confidence=", v))
-    return parse_whole(v, options.seq_confidence);
-  if (value("--nugget=", v)) return parse_whole(v, options.noise_nugget);
   return false;
 }
 

@@ -219,7 +219,7 @@ ApplicationBenchmark make_squeezenet_benchmark(const CnnBenchOptions& opt) {
   bench.name = "SqueezeNet";
   bench.nv = nn::SqueezeNetLike::kSites;
   bench.metric = dse::MetricKind::kQualityRate;
-  bench.optimizer = OptimizerKind::kSensitivity;
+  bench.optimizer = OptimizerKind::kSteepestDescent;
   bench.sensitivity.lambda_min = opt.pcl_min;
   bench.sensitivity.nv = bench.nv;
   bench.sensitivity.level_min = 0;
@@ -270,7 +270,7 @@ ApplicationBenchmark make_iir_sensitivity_benchmark(
   bench.name = "IIR-sens";
   bench.nv = nv;
   bench.metric = dse::MetricKind::kAccuracyDb;
-  bench.optimizer = OptimizerKind::kSensitivity;
+  bench.optimizer = OptimizerKind::kSteepestDescent;
   bench.sensitivity.lambda_min = opt.lambda_min_db;
   bench.sensitivity.nv = nv;
   bench.sensitivity.level_min = 0;

@@ -19,7 +19,7 @@
 namespace ace::core {
 
 /// Which optimizer drives the benchmark's DSE.
-enum class OptimizerKind { kMinPlusOne, kSensitivity };
+using OptimizerKind = dse::OptimizerKind;
 
 /// A ready-to-run evaluation benchmark.
 struct ApplicationBenchmark {
@@ -29,7 +29,7 @@ struct ApplicationBenchmark {
   OptimizerKind optimizer = OptimizerKind::kMinPlusOne;
   dse::SimulatorFn simulate;
   dse::MinPlusOneOptions min_plus_one;    ///< Used when kMinPlusOne.
-  dse::SensitivityOptions sensitivity;    ///< Used when kSensitivity.
+  dse::SensitivityOptions sensitivity;    ///< Used when kSteepestDescent.
 };
 
 /// Shared sizing for the signal-kernel benchmarks.

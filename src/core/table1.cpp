@@ -33,7 +33,7 @@ OptimizerRun run_optimizer(const ApplicationBenchmark& bench,
       run.decisions = result.decisions;
       break;
     }
-    case OptimizerKind::kSensitivity: {
+    case OptimizerKind::kSteepestDescent: {
       const auto result =
           dse::steepest_descent_budgeting(evaluate, bench.sensitivity);
       run.solution = result.levels;

@@ -17,6 +17,15 @@ constexpr std::chrono::milliseconds kReaderPollTick{250};
 /// least this often even with no deadline in sight.
 constexpr std::chrono::milliseconds kMaxLoopWait{100};
 
+/// Pipelining depth: leases a worker holds open at once.
+constexpr std::size_t kInflightPerWorker = 2;
+
+/// Transport attempts per task before it runs on the local simulator.
+constexpr std::size_t kMaxDispatches = 3;
+
+/// Expired leases a worker may accumulate before it is recycled.
+constexpr std::size_t kStrikeLimit = 3;
+
 }  // namespace
 
 void Coordinator::EventQueue::push(Event event) {
@@ -46,9 +55,6 @@ Coordinator::Coordinator(TransportFactory factory, dse::SimulatorFn local,
     : factory_(std::move(factory)),
       local_(std::move(local)),
       options_(options) {
-  if (options_.inflight_per_worker == 0) options_.inflight_per_worker = 1;
-  if (options_.max_dispatches == 0) options_.max_dispatches = 1;
-  if (options_.strike_limit == 0) options_.strike_limit = 1;
   if (!factory_ || options_.workers == 0) degraded_ = true;
   slots_.resize(options_.workers);
 }
@@ -159,25 +165,14 @@ void Coordinator::ensure_workers(Clock::time_point now) {
 }
 
 void Coordinator::release_lease(std::uint64_t id, std::vector<Task>& tasks,
-                                dse::FaultCode reason, Clock::time_point now) {
+                                dse::FaultCode reason) {
   const auto it = open_leases_.find(id);
   if (it == open_leases_.end()) return;
   const Lease lease = it->second;
   open_leases_.erase(it);
   Task& task = tasks[lease.task];
   if (!lease.expired && task.open_leases > 0) --task.open_leases;
-  if (task.done) return;
-  ++stats_.redispatch_reasons[reason];
-  if (options_.redispatch_backoff_ms > 0.0 && task.dispatches > 0) {
-    util::RetryOptions backoff;
-    backoff.base_backoff_ms = options_.redispatch_backoff_ms;
-    backoff.jitter_seed = options_.retry.jitter_seed ^ 0xd15bull;
-    const double delay_ms =
-        util::backoff_delay_ms(backoff, task.key, task.dispatches - 1);
-    task.earliest_dispatch =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(delay_ms));
-  }
+  if (!task.done) ++stats_.redispatch_reasons[reason];
 }
 
 void Coordinator::mark_dead(std::size_t index, dse::FaultCode reason,
@@ -188,10 +183,9 @@ void Coordinator::mark_dead(std::size_t index, dse::FaultCode reason,
   slot.ready = false;
   slot.transport->shutdown();
   if (slot.reader.joinable()) slot.reader.join();
-  const auto now = Clock::now();
   const std::vector<std::uint64_t> leases = std::move(slot.leases);
   slot.leases.clear();
-  for (const std::uint64_t id : leases) release_lease(id, tasks, reason, now);
+  for (const std::uint64_t id : leases) release_lease(id, tasks, reason);
 }
 
 void Coordinator::recycle(std::size_t index, dse::FaultCode reason,
@@ -226,13 +220,12 @@ void Coordinator::dispatch_ready(std::vector<Task>& tasks,
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     Task& task = tasks[i];
     if (task.done || task.open_leases > 0) continue;
-    if (task.dispatches >= options_.max_dispatches) {
+    if (task.dispatches >= kMaxDispatches) {
       // Dispatch budget exhausted: the decision-identity invariant says a
       // transport failure must never fault a task, so it runs here.
       run_local(task);
       continue;
     }
-    if (now < task.earliest_dispatch) continue;
     for (;;) {
       std::size_t best = slots_.size();
       // Prefer unstruck workers, then the least-loaded one: a straggler
@@ -243,7 +236,7 @@ void Coordinator::dispatch_ready(std::vector<Task>& tasks,
       for (std::size_t j = 0; j < slots_.size(); ++j) {
         const Slot& slot = slots_[j];
         if (!slot.alive || !slot.ready) continue;
-        if (slot.leases.size() >= options_.inflight_per_worker) continue;
+        if (slot.leases.size() >= kInflightPerWorker) continue;
         const std::pair<std::size_t, std::size_t> rank{slot.strikes,
                                                        slot.leases.size()};
         if (rank < best_rank) {
@@ -298,7 +291,7 @@ void Coordinator::expire_deadlines(std::vector<Task>& tasks,
     Slot& slot = slots_[lease.slot];
     const auto pos = std::find(slot.leases.begin(), slot.leases.end(), id);
     if (pos != slot.leases.end()) slot.leases.erase(pos);
-    if (slot.alive && ++slot.strikes >= options_.strike_limit)
+    if (slot.alive && ++slot.strikes >= kStrikeLimit)
       to_recycle.push_back(lease.slot);
   }
   std::sort(to_recycle.begin(), to_recycle.end());
@@ -380,16 +373,13 @@ void Coordinator::handle_event(const Event& event, std::vector<Task>& tasks,
 }
 
 Coordinator::Clock::time_point Coordinator::next_deadline(
-    const std::vector<Task>& tasks, Clock::time_point now) const {
+    Clock::time_point now) const {
   Clock::time_point deadline = now + kMaxLoopWait;
   for (const auto& [id, lease] : open_leases_)
     if (!lease.expired) deadline = std::min(deadline, lease.deadline);
   for (const Slot& slot : slots_)
     if (slot.alive && !slot.ready)
       deadline = std::min(deadline, slot.handshake_deadline);
-  for (const Task& task : tasks)
-    if (!task.done && task.open_leases == 0 && task.earliest_dispatch > now)
-      deadline = std::min(deadline, task.earliest_dispatch);
   return std::max(deadline, now + std::chrono::milliseconds(1));
 }
 
@@ -427,7 +417,7 @@ std::vector<util::GuardedCall> Coordinator::simulate_many(
       dispatch_ready(tasks, now);
       if (pending_ == 0) break;
       Event event;
-      if (events_.pop(event, next_deadline(tasks, Clock::now()))) {
+      if (events_.pop(event, next_deadline(Clock::now()))) {
         handle_event(event, tasks, Clock::now());
         // Drain whatever else is already queued before sleeping again.
         while (pending_ > 0 && events_.pop(event, Clock::now()))

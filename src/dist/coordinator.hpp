@@ -16,11 +16,9 @@
 //    arrives first wins. First-wins is safe because a worker's reply is a
 //    pure function of (config, retry options, task key) — duplicates are
 //    bit-identical by construction.
-//  * Bounded re-dispatch with deterministic backoff. A task is shipped at
-//    most `max_dispatches` times (per-task counter that survives worker
-//    respawn); the delay before re-dispatch k derives from
-//    util::backoff_delay_ms(·, task key, k) — a pure function, so the
-//    schedule does not depend on thread timing.
+//  * Bounded re-dispatch. A task is shipped at most three times (a
+//    per-task counter that survives worker respawn); a released or
+//    expired lease makes it dispatchable again at once.
 //  * The decision-identity invariant: a transport failure NEVER produces
 //    a task fault. When the dispatch budget is exhausted, or no healthy
 //    worker remains and the respawn budget is spent, the task runs on the
@@ -64,13 +62,9 @@ namespace ace::dist {
 
 struct DistOptions {
   std::size_t workers = 4;
-  std::size_t inflight_per_worker = 2;  ///< Pipelining depth per worker.
   std::chrono::milliseconds lease_ms{1000};      ///< Heartbeat deadline.
   std::chrono::milliseconds handshake_ms{5000};  ///< HELLO->READY budget.
-  std::size_t max_dispatches = 3;   ///< Transport attempts before local run.
   std::size_t respawn_budget = 8;   ///< Worker respawns across the run.
-  std::size_t strike_limit = 3;     ///< Expired leases before a recycle.
-  double redispatch_backoff_ms = 0.0;  ///< Base delay before re-dispatch.
   util::RetryOptions retry;  ///< Shipped to workers in HELLO; must match the
                              ///< policy's retry options or stats diverge.
 };
@@ -161,12 +155,11 @@ class Coordinator final : public dse::BatchSimulator {
 
   struct Task {
     dse::Config config;
-    std::uint64_t key = 0;  ///< ConfigHash — retry jitter + backoff key.
+    std::uint64_t key = 0;  ///< ConfigHash — the retry jitter key.
     bool done = false;
     util::GuardedCall result;
     std::size_t dispatches = 0;
     std::size_t open_leases = 0;
-    Clock::time_point earliest_dispatch{};  ///< Backoff gate.
   };
 
   struct Lease {
@@ -184,15 +177,14 @@ class Coordinator final : public dse::BatchSimulator {
   void recycle(std::size_t index, dse::FaultCode reason,
                std::vector<Task>& tasks, Clock::time_point now);
   void release_lease(std::uint64_t id, std::vector<Task>& tasks,
-                     dse::FaultCode reason, Clock::time_point now);
+                     dse::FaultCode reason);
   void dispatch_ready(std::vector<Task>& tasks, Clock::time_point now);
   void handle_event(const Event& event, std::vector<Task>& tasks,
                     Clock::time_point now);
   void expire_deadlines(std::vector<Task>& tasks, Clock::time_point now);
   void run_local(Task& task);
   void finish_task(Task& task, const util::GuardedCall& call);
-  Clock::time_point next_deadline(const std::vector<Task>& tasks,
-                                  Clock::time_point now) const;
+  Clock::time_point next_deadline(Clock::time_point now) const;
   bool any_usable_worker() const;
   bool can_spawn() const;
 

@@ -16,6 +16,19 @@ namespace {
 constexpr double kMinCalibration = 1e-2;
 constexpr double kMaxCalibration = 1e4;
 
+/// The adaptive gates' neighbourhood floor: they attempt kriging from
+/// this many neighbours and let variance evidence carry the veto, instead
+/// of the paper's hard `nn_min` count.
+constexpr std::size_t kAdaptiveNeighbourFloor = 1;
+
+/// LooCalibratedGate ceiling: accept while calibration · variance <=
+/// kLooCeiling · sill.
+constexpr double kLooCeiling = 1.0;
+
+/// SequentialDesignGate confidence multiple z: interpolate only when
+/// |estimate − λ_min| >= z · calibrated LOO std-deviation.
+constexpr double kSequentialConfidence = 2.0;
+
 /// Paper default: interpolate whenever the neighbourhood beats nn_min,
 /// and always stand by the solve. Bit-identical to the pre-seam policy.
 class NeighbourCountGate final : public AcquisitionGate {
@@ -64,21 +77,19 @@ class VarianceGate final : public AcquisitionGate {
 /// c · variance <= ceiling · sill, where c = mean(e²/σ²) from the last
 /// refit-time LOO pass. An honest model (c ≈ 1) behaves like the
 /// VarianceGate; an overconfident one (c > 1) is reined in. The nn_min
-/// floor is relaxed to `floor` neighbours — the calibrated variance, not
-/// a point count, carries the veto — which is where the simulation
-/// savings over the paper baseline come from.
+/// floor is relaxed to kAdaptiveNeighbourFloor neighbours — the calibrated
+/// variance, not a point count, carries the veto — which is where the
+/// simulation savings over the paper baseline come from.
 class LooCalibratedGate final : public AcquisitionGate {
  public:
-  LooCalibratedGate(std::size_t floor, double ceiling)
-      : floor_(std::max<std::size_t>(1, floor)), ceiling_(ceiling) {}
   GateKind kind() const override { return GateKind::kLooCalibrated; }
   bool attempt(const GateQuery& query) const override {
-    return query.neighbors >= floor_;
+    return query.neighbors >= kAdaptiveNeighbourFloor;
   }
   bool accept(const GateSolution& solution,
               PolicyStats& stats) const override {
     if (solution.sill > 0.0 &&
-        calibration_ * solution.variance > ceiling_ * solution.sill) {
+        calibration_ * solution.variance > kLooCeiling * solution.sill) {
       ++stats.loo_rejections;
       return false;
     }
@@ -93,8 +104,6 @@ class LooCalibratedGate final : public AcquisitionGate {
   double calibration() const override { return calibration_; }
 
  private:
-  std::size_t floor_;
-  double ceiling_;
   double calibration_ = 1.0;  ///< 1 until the first LOO pass lands.
 };
 
@@ -106,18 +115,17 @@ class LooCalibratedGate final : public AcquisitionGate {
 /// the verdict is already beyond doubt.
 class SequentialDesignGate final : public AcquisitionGate {
  public:
-  SequentialDesignGate(std::size_t floor, double z, double lambda_min)
-      : floor_(std::max<std::size_t>(1, floor)), z_(z),
-        lambda_min_(lambda_min) {}
+  explicit SequentialDesignGate(double lambda_min) : lambda_min_(lambda_min) {}
   GateKind kind() const override { return GateKind::kSequentialDesign; }
   bool attempt(const GateQuery& query) const override {
-    return query.neighbors >= floor_;
+    return query.neighbors >= kAdaptiveNeighbourFloor;
   }
   bool accept(const GateSolution& solution,
               PolicyStats& stats) const override {
     const double sigma =
         std::sqrt(std::max(calibration_ * solution.variance, 0.0));
-    if (std::abs(solution.estimate - lambda_min_) < z_ * sigma) {
+    if (std::abs(solution.estimate - lambda_min_) <
+        kSequentialConfidence * sigma) {
       ++stats.sequential_rejections;
       return false;
     }
@@ -132,8 +140,6 @@ class SequentialDesignGate final : public AcquisitionGate {
   double calibration() const override { return calibration_; }
 
  private:
-  std::size_t floor_;
-  double z_;
   double lambda_min_;
   double calibration_ = 1.0;
 };
@@ -158,15 +164,12 @@ std::unique_ptr<AcquisitionGate> make_gate(const PolicyOptions& options) {
       return std::make_unique<VarianceGate>(options.nn_min,
                                             options.variance_gate);
     case GateKind::kLooCalibrated:
-      return std::make_unique<LooCalibratedGate>(options.gate_nn_floor,
-                                                 options.loo_gate);
+      return std::make_unique<LooCalibratedGate>();
     case GateKind::kSequentialDesign:
       if (!options.gate_lambda_min)
         throw std::invalid_argument(
             "make_gate: sequential-design gate needs gate_lambda_min");
-      return std::make_unique<SequentialDesignGate>(options.gate_nn_floor,
-                                                    options.seq_confidence,
-                                                    *options.gate_lambda_min);
+      return std::make_unique<SequentialDesignGate>(*options.gate_lambda_min);
   }
   throw std::invalid_argument("make_gate: unknown gate kind");
 }

@@ -104,10 +104,11 @@ class AcquisitionGate {
   virtual double calibration() const { return 1.0; }
 };
 
-/// Build the gate options.gate selects, reading only that gate's own
-/// knobs (variance_gate for kVariance, loo_gate for kLooCalibrated, …).
-/// Throws std::invalid_argument for kSequentialDesign without
-/// gate_lambda_min.
+/// Build the gate options.gate selects, reading only the options that
+/// gate uses (nn_min and variance_gate for kVariance, gate_lambda_min for
+/// kSequentialDesign); the adaptive gates' floor, LOO ceiling and
+/// confidence multiple are fixed constants. Throws std::invalid_argument
+/// for kSequentialDesign without gate_lambda_min.
 std::unique_ptr<AcquisitionGate> make_gate(const PolicyOptions& options);
 
 }  // namespace ace::dse

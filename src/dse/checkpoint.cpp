@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <charconv>
@@ -10,7 +11,9 @@
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
+#include <utility>
 
 #include "dse/scheduler.hpp"
 
@@ -28,6 +31,19 @@ constexpr const char* kMagic = "ACE-CHECKPOINT";
 /// restores under the gate-aware policy with its variance_rejections
 /// intact and the v3 counters at their fresh-policy values.
 constexpr int kVersion = 3;
+
+/// The payload's text tag of each optimizer: serialize writes it, parse
+/// reads it back and rejects any other tag.
+constexpr std::pair<OptimizerKind, std::string_view> kOptimizerTags[] = {
+    {OptimizerKind::kMinPlusOne, "min_plus_one"},
+    {OptimizerKind::kSteepestDescent, "steepest_descent"},
+};
+
+std::string optimizer_tag(OptimizerKind kind) {
+  for (const auto& [k, tag] : kOptimizerTags)
+    if (k == kind) return std::string(tag);
+  throw std::invalid_argument("checkpoint: unknown optimizer kind");
+}
 
 /// Staging-file name for the atomic tmp+rename write. The name is unique
 /// per process *and* per write (pid + a process-local counter), so two
@@ -146,7 +162,7 @@ std::string serialize(const Checkpoint& ck) {
   out += std::to_string(kVersion);
   out += '\n';
   out += "optimizer ";
-  out += ck.optimizer;
+  out += optimizer_tag(ck.optimizer);
   out += '\n';
 
   const PolicySnapshot& p = ck.policy;
@@ -369,7 +385,14 @@ Checkpoint parse(std::istream& in) {
                            std::to_string(version));
   Checkpoint ck;
   r.expect("optimizer");
-  ck.optimizer = r.token();
+  const std::string tag = r.token();
+  const auto* known = std::find_if(
+      std::begin(kOptimizerTags), std::end(kOptimizerTags),
+      [&](const auto& entry) { return entry.second == tag; });
+  if (known == std::end(kOptimizerTags))
+    throw PayloadError(FaultCode::kCorruptPayload,
+                       "checkpoint: unknown optimizer '" + tag + "'");
+  ck.optimizer = known->first;
 
   r.expect("store");
   const std::size_t n = r.count();
@@ -480,17 +503,17 @@ MinPlusOneResult checkpointed_min_plus_one(KrigingPolicy& policy,
     throw std::invalid_argument("checkpointed_min_plus_one: empty path");
   MinPlusOneCursor cursor = make_min_plus_one_cursor(options);
   if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
-    if (loaded->optimizer != "min_plus_one")
+    if (loaded->optimizer != OptimizerKind::kMinPlusOne)
       throw std::runtime_error("checkpoint: file at " + checkpoint.path +
-                               " belongs to optimizer '" + loaded->optimizer +
-                               "'");
+                               " belongs to optimizer '" +
+                               optimizer_tag(loaded->optimizer) + "'");
     policy.restore(loaded->policy);
     cursor = loaded->min_plus;
   }
   const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
 
   Checkpoint ck;
-  ck.optimizer = "min_plus_one";
+  ck.optimizer = OptimizerKind::kMinPlusOne;
   std::size_t steps_this_run = 0;
   std::size_t since_write = 0;
   while (!cursor.finished()) {
@@ -517,17 +540,17 @@ SensitivityResult checkpointed_steepest_descent(
     throw std::invalid_argument("checkpointed_steepest_descent: empty path");
   SensitivityCursor cursor = make_sensitivity_cursor(options);
   if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
-    if (loaded->optimizer != "steepest_descent")
+    if (loaded->optimizer != OptimizerKind::kSteepestDescent)
       throw std::runtime_error("checkpoint: file at " + checkpoint.path +
-                               " belongs to optimizer '" + loaded->optimizer +
-                               "'");
+                               " belongs to optimizer '" +
+                               optimizer_tag(loaded->optimizer) + "'");
     policy.restore(loaded->policy);
     cursor = loaded->sensitivity;
   }
   const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
 
   Checkpoint ck;
-  ck.optimizer = "steepest_descent";
+  ck.optimizer = OptimizerKind::kSteepestDescent;
   std::size_t steps_this_run = 0;
   std::size_t since_write = 0;
   while (!cursor.finished()) {

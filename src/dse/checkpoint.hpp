@@ -42,10 +42,11 @@ struct CheckpointOptions {
 };
 
 /// On-disk checkpoint payload. Exactly one of the cursors is meaningful,
-/// selected by `optimizer` ("min_plus_one" or "steepest_descent").
+/// selected by `optimizer` (written as "min_plus_one" or
+/// "steepest_descent").
 struct Checkpoint {
   PolicySnapshot policy;
-  std::string optimizer;
+  OptimizerKind optimizer = OptimizerKind::kMinPlusOne;
   MinPlusOneCursor min_plus;
   SensitivityCursor sensitivity;
 };
@@ -57,9 +58,9 @@ std::string serialize_checkpoint(const Checkpoint& checkpoint);
 
 /// Parse a checkpoint payload from a stream (read to its end). Throws
 /// PayloadError (a std::runtime_error): kTruncatedPayload when the payload
-/// ends early, kCorruptPayload on a malformed token, an unsupported
-/// version, a negative or out-of-range integer, or a count the rest of
-/// the payload cannot hold.
+/// ends early, kCorruptPayload on a malformed token, an unknown optimizer
+/// tag, an unsupported version, a negative or out-of-range integer, or a
+/// count the rest of the payload cannot hold.
 Checkpoint parse_checkpoint(std::istream& in);
 
 /// Serialize to `path` atomically. Throws std::runtime_error on I/O error.

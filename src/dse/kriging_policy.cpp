@@ -45,14 +45,6 @@ KrigingPolicy::KrigingPolicy(PolicyOptions options)
   if (options_.sanity_span < 0.0 || !std::isfinite(options_.sanity_span))
     throw std::invalid_argument(
         "KrigingPolicy: sanity_span must be finite and >= 0");
-  if (options_.loo_gate <= 0.0 || !std::isfinite(options_.loo_gate))
-    throw std::invalid_argument("KrigingPolicy: loo_gate must be > 0");
-  if (options_.seq_confidence <= 0.0 ||
-      !std::isfinite(options_.seq_confidence))
-    throw std::invalid_argument("KrigingPolicy: seq_confidence must be > 0");
-  if (options_.noise_nugget < 0.0 || !std::isfinite(options_.noise_nugget))
-    throw std::invalid_argument(
-        "KrigingPolicy: noise_nugget must be finite and >= 0");
   gate_ = make_gate(options_);
 }
 
@@ -95,8 +87,7 @@ bool KrigingPolicy::refit_model_locked() {
   ++stats_.refits;
   // Rebind the interpolation workspace: the only model clone and γ-memo
   // reset until the next refit.
-  kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
-  spec.noise_nugget = options_.noise_nugget;
+  const kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
   if (system_)
     system_->set_model(spec, *model_);
   else
@@ -118,9 +109,9 @@ void KrigingPolicy::run_loo_calibration_locked() {
     points.push_back(to_real(store_.config(i)));
     values.push_back(store_.value(i));
   }
-  kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
-  spec.noise_nugget = options_.noise_nugget;
-  kriging::KrigingSystem system(spec, points, values, *model_);
+  kriging::KrigingSystem system(
+      kriging::SystemSpec{kriging::SystemKind::kOrdinary}, points, values,
+      *model_);
   const auto report = system.loo_residuals();
   if (!report || report->residuals.empty()) return;
 

@@ -83,29 +83,10 @@ struct PolicyOptions {
   /// adaptive gates trade the nn_min floor for kriging-variance evidence.
   GateKind gate = GateKind::kNeighbourCount;
 
-  /// Adaptive gates' neighbourhood floor: they attempt kriging from this
-  /// many neighbours (≥ 1) and let variance evidence carry the veto,
-  /// instead of the paper's hard `nn_min` count.
-  std::size_t gate_nn_floor = 1;
-
-  /// LooCalibratedGate ceiling: accept while calibration · variance
-  /// <= loo_gate · sill (calibration = rolling mean(e²/σ²) from the
-  /// refit-time LOO pass).
-  double loo_gate = 1.0;
-
-  /// SequentialDesignGate confidence multiple z: interpolate only when
-  /// |estimate − λ_min| >= z · calibrated LOO std-deviation.
-  double seq_confidence = 2.0;
-
   /// The decision threshold the SequentialDesignGate protects (the
   /// optimizer's λ_min / quality floor). Required for that gate; ignored
   /// by every other.
   std::optional<double> gate_lambda_min;
-
-  /// Stochastic-kriging measurement-noise variance τ² applied to the
-  /// system diagonal (see kriging::SystemSpec::noise_nugget). 0 — the
-  /// default — assembles bit-identically to the pre-nugget system.
-  double noise_nugget = 0.0;
 
   /// Estimate sanity guard: reject an interpolation that lands more than
   /// `sanity_span` × (support value range) outside the support's value

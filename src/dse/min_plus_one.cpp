@@ -18,8 +18,7 @@ void validate(const MinPlusOneOptions& options) {
 
 /// Phase-1 inner loop for one variable (Algorithm 1): all other variables
 /// pinned at Nmax, walk variable i down while the constraint holds, then
-/// back off one bit. Shared by the monolithic and cursor paths so both
-/// issue the exact same evaluation sequence.
+/// back off one bit.
 int descend_variable(const EvaluateFn& evaluate,
                      const MinPlusOneOptions& options, std::size_t i,
                      double lambda_at_max) {
@@ -48,18 +47,10 @@ BatchEvaluateFn serialize_evaluator(const EvaluateFn& evaluate) {
 
 Config determine_min_word_lengths(const EvaluateFn& evaluate,
                                   const MinPlusOneOptions& options) {
-  validate(options);
-  Config w_min(options.nv, options.w_max);
-
-  // Every per-variable descent starts from the same all-Nmax point, so
-  // λ(Nmax, …, Nmax) is evaluated once — not once per variable, which
-  // previously cost Nv − 1 redundant simulations whose duplicate store
-  // entries then degenerated the kriging support set.
-  const double lambda_at_max = evaluate(Config(options.nv, options.w_max));
-
-  for (std::size_t i = 0; i < options.nv; ++i)
-    w_min[i] = descend_variable(evaluate, options, i, lambda_at_max);
-  return w_min;
+  const BatchEvaluateFn batch = serialize_evaluator(evaluate);
+  MinPlusOneCursor cursor = make_min_plus_one_cursor(options);
+  while (cursor.phase == 1) min_plus_one_step(batch, options, cursor);
+  return cursor.w_min;
 }
 
 MinPlusOneCursor make_min_plus_one_cursor(const MinPlusOneOptions& options) {
@@ -93,6 +84,10 @@ bool min_plus_one_step(const BatchEvaluateFn& evaluate,
   };
 
   if (cursor.phase == 1) {
+    // Every per-variable descent starts from the same all-Nmax point, so
+    // λ(Nmax, …, Nmax) is evaluated once — not once per variable, which
+    // would cost Nv − 1 redundant simulations whose duplicate store
+    // entries degenerate the kriging support set.
     if (!cursor.have_lambda_at_max) {
       cursor.lambda_at_max = single(Config(options.nv, options.w_max));
       cursor.have_lambda_at_max = true;
@@ -189,10 +184,7 @@ MinPlusOneResult optimize_word_lengths(const EvaluateFn& evaluate,
 
 MinPlusOneResult min_plus_one(const EvaluateFn& evaluate,
                               const MinPlusOneOptions& options) {
-  Config w_min = determine_min_word_lengths(evaluate, options);
-  MinPlusOneResult result = optimize_word_lengths(evaluate, options, w_min);
-  result.w_min = std::move(w_min);
-  return result;
+  return min_plus_one(serialize_evaluator(evaluate), options);
 }
 
 MinPlusOneResult min_plus_one(const BatchEvaluateFn& evaluate,

@@ -40,9 +40,6 @@ KrigingSystem::KrigingSystem(
 }
 
 void KrigingSystem::set_model(SystemSpec spec, const VariogramModel& model) {
-  if (spec.noise_nugget < 0.0 || !std::isfinite(spec.noise_nugget))
-    throw std::invalid_argument(
-        "KrigingSystem: noise nugget must be finite and non-negative");
   spec_ = spec;
   model_ = model.clone();
   entry_known_ = 0;
@@ -175,14 +172,6 @@ double KrigingSystem::entry_of(double d) {
   return model_->gamma(d);
 }
 
-double KrigingSystem::diagonal_entry() {
-  // Guard the zero case exactly: τ² = 0 must assemble bit-identically to
-  // the pre-nugget system (the policy's default-gate identity contract).
-  if (spec_.noise_nugget == 0.0)  // ace-lint: allow(float-equality)
-    return entry_of(0.0);
-  return entry_of(0.0) - spec_.noise_nugget;
-}
-
 void KrigingSystem::assemble() {
   const std::size_t n = unique_;
   const std::size_t m = system_size();
@@ -197,8 +186,7 @@ void KrigingSystem::assemble() {
     const std::size_t first = j & ~std::size_t{3};
     distances_to(row(j), first);
     for (std::size_t k = j; k < n; ++k) {
-      const double g =
-          k == j ? diagonal_entry() : entry_of(dists_[k - first]);
+      const double g = k == j ? entry_of(0.0) : entry_of(dists_[k - first]);
       a[j * m + k] = g;
       a[k * m + j] = g;
     }

@@ -79,16 +79,6 @@ enum class SystemKind {
 /// Full description of one kriging system.
 struct SystemSpec {
   SystemKind kind = SystemKind::kOrdinary;
-  /// Stochastic-kriging measurement-noise variance τ² (Wang & Haaland,
-  /// PAPERS.md) for intrinsically noisy metrics. In covariance form the
-  /// diagonal would gain C_ii + τ²; by the constant-shift invariance of
-  /// the constrained γ-form (Γ + c·J leaves the weights unchanged under
-  /// Σw = 1) the equivalent variogram-form move is γ_ii − τ², applied to
-  /// the diagonal only. Off-diagonals and query right-hand sides are
-  /// untouched, so τ² = 0 assembles bit-identically to the pre-nugget
-  /// system. The predictor then smooths instead of honouring noisy
-  /// support exactly.
-  double noise_nugget = 0.0;
 };
 
 /// Factorization-work counters, harvested by KrigingPolicy into
@@ -102,9 +92,8 @@ struct SystemStats {
 class KrigingSystem {
  public:
   /// An empty workspace bound to a model; load() a support set before
-  /// querying. Throws std::invalid_argument on a negative/non-finite
-  /// nugget. The L1Distance parameter carries no choice; it stays because
-  /// callers (bench/e2e) pass kriging::l1_distance.
+  /// querying. The L1Distance parameter carries no choice; it stays
+  /// because callers (bench/e2e) pass kriging::l1_distance.
   KrigingSystem(SystemSpec spec, const VariogramModel& model,
                 L1Distance = {});
 
@@ -118,7 +107,7 @@ class KrigingSystem {
   KrigingSystem& operator=(const KrigingSystem&) = delete;
 
   /// Rebind to a new spec and model: clones the model and clears the
-  /// γ memo. Validates like the constructor; the next query needs a load().
+  /// γ memo; the next query needs a load().
   void set_model(SystemSpec spec, const VariogramModel& model);
 
   /// Reload from row-form support. Coincident points are deduplicated —
@@ -210,9 +199,6 @@ class KrigingSystem {
   /// γ(d) of an already-computed distance, memoised for small integer
   /// distances (the model is fixed until set_model).
   double entry_of(double d);
-  /// Diagonal entry of a support point: entry_of(0) − τ² (exact no-op at
-  /// τ² = 0).
-  double diagonal_entry();
   /// L1 distances from x to unique points from `first` on, written to
   /// dists_ from index 0 — one kernel call over the SoA columns, through
   /// their padded end.

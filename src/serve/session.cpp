@@ -10,11 +10,6 @@ namespace ace::serve {
 
 namespace {
 
-const char* optimizer_tag(OptimizerKind kind) {
-  return kind == OptimizerKind::kMinPlusOne ? "min_plus_one"
-                                            : "steepest_descent";
-}
-
 /// The evaluator a finished session's steps run against: a finished
 /// cursor's step returns before evaluating, so this is never called.
 std::vector<double> no_policy(const std::vector<dse::Config>&) {
@@ -129,7 +124,7 @@ void SessionManager::park_locked(Session& s) {
   // decision, not a durability event, so the policy's statistics stay
   // bit-identical to a standalone run that never parked.
   checkpoint.policy = s.policy->snapshot();
-  checkpoint.optimizer = optimizer_tag(s.spec.optimizer);
+  checkpoint.optimizer = s.spec.optimizer;
   checkpoint.min_plus = s.min_cursor;
   checkpoint.sensitivity = s.sens_cursor;
   s.policy.reset();

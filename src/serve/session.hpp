@@ -60,18 +60,18 @@ using SessionId = std::uint64_t;
 using Ticket = std::uint64_t;
 
 /// Which resumable optimizer drives a session.
-enum class OptimizerKind { kMinPlusOne, kSteepestDescent };
+using OptimizerKind = dse::OptimizerKind;
 
 /// Everything needed to (re)build a session's resident state from
 /// scratch. The simulator is part of the spec — it is the one piece the
 /// checkpoint format cannot carry.
 ///
-/// The acquisition gate is part of `policy` (PolicyOptions::gate and its
-/// thresholds), so each session picks its own simulate-vs-interpolate
-/// rule. Gate calibration state is NOT kept when a session parks: for the
-/// LOO-calibrated gates restore replays every recorded refit, which re-runs
-/// the LOO calibration passes, so a resumed session's gate is
-/// bit-identical to one that never parked.
+/// The acquisition gate is part of `policy` (PolicyOptions::gate and the
+/// options that gate reads), so each session picks its own
+/// simulate-vs-interpolate rule. Gate calibration state is NOT kept when
+/// a session parks: for the LOO-calibrated gates restore replays every
+/// recorded refit, which re-runs the LOO calibration passes, so a resumed
+/// session's gate is bit-identical to one that never parked.
 struct SessionSpec {
   std::string name;
   dse::PolicyOptions policy;

@@ -82,7 +82,7 @@ TEST(SqueezeNetBenchmark, ShapeAndQualitySemantics) {
   EXPECT_EQ(bench.name, "SqueezeNet");
   EXPECT_EQ(bench.nv, 10u);
   EXPECT_EQ(bench.metric, d::MetricKind::kQualityRate);
-  EXPECT_EQ(bench.optimizer, c::OptimizerKind::kSensitivity);
+  EXPECT_EQ(bench.optimizer, c::OptimizerKind::kSteepestDescent);
 
   // Near-silent sources: agreement ~1. Loud sources: lower agreement.
   const d::Config quiet(10, o.level_max);
@@ -102,7 +102,7 @@ TEST(IirSensitivityBenchmark, ShapeAndMonotonicity) {
   const auto bench = c::make_iir_sensitivity_benchmark(o);
   EXPECT_EQ(bench.name, "IIR-sens");
   EXPECT_EQ(bench.nv, 5u);  // 4 sections + input source.
-  EXPECT_EQ(bench.optimizer, c::OptimizerKind::kSensitivity);
+  EXPECT_EQ(bench.optimizer, c::OptimizerKind::kSteepestDescent);
   // Quieter sources (higher level) -> higher accuracy.
   const d::Config quiet(5, 20), loud(5, 4);
   EXPECT_GT(bench.simulate(quiet), bench.simulate(loud));

@@ -20,7 +20,7 @@ c::ApplicationBenchmark tiny_sensitivity() {
   bench.name = "toy-sens";
   bench.nv = 3;
   bench.metric = d::MetricKind::kQualityRate;
-  bench.optimizer = c::OptimizerKind::kSensitivity;
+  bench.optimizer = c::OptimizerKind::kSteepestDescent;
   bench.sensitivity.lambda_min = 0.9;
   bench.sensitivity.nv = 3;
   bench.sensitivity.level_min = 0;

@@ -82,8 +82,8 @@ TEST(AcquisitionGate, VarianceGateRejectsAboveItsCeilingTimesTheSill) {
 }
 
 TEST(AcquisitionGate, VarianceCeilingOnlyConfiguresTheVarianceGate) {
-  // Like loo_gate and seq_confidence, variance_gate is one gate's knob:
-  // setting it never changes which gate the options select.
+  // variance_gate is one gate's knob: setting it never changes which
+  // gate the options select.
   d::PolicyOptions o;
   o.variance_gate = 0.5;
   const auto gate = d::make_gate(o);
@@ -96,14 +96,12 @@ TEST(AcquisitionGate, VarianceCeilingOnlyConfiguresTheVarianceGate) {
 TEST(AcquisitionGate, LooCalibratedGateScalesVarianceByCalibration) {
   d::PolicyOptions o;
   o.gate = d::GateKind::kLooCalibrated;
-  o.gate_nn_floor = 2;
-  o.loo_gate = 1.0;
   const auto gate = d::make_gate(o);
   ASSERT_EQ(gate->kind(), d::GateKind::kLooCalibrated);
   EXPECT_TRUE(gate->wants_loo());
   // The floor is inclusive — variance evidence, not point count, vetoes.
-  EXPECT_FALSE(gate->attempt({1}));
-  EXPECT_TRUE(gate->attempt({2}));
+  EXPECT_FALSE(gate->attempt({0}));
+  EXPECT_TRUE(gate->attempt({1}));
   d::PolicyStats stats;
   // Uncalibrated (c = 1): plain variance ceiling.
   EXPECT_TRUE(gate->accept(solution(0.0, 0.9, 1.0), stats));
@@ -130,7 +128,6 @@ TEST(AcquisitionGate, SequentialDesignGateProtectsTheDecisionThreshold) {
   o.gate = d::GateKind::kSequentialDesign;
   EXPECT_THROW(d::make_gate(o), std::invalid_argument);
   o.gate_lambda_min = 0.9;
-  o.seq_confidence = 2.0;
   const auto gate = d::make_gate(o);
   ASSERT_EQ(gate->kind(), d::GateKind::kSequentialDesign);
   EXPECT_TRUE(gate->wants_loo());
@@ -147,26 +144,9 @@ TEST(AcquisitionGate, SequentialDesignGateProtectsTheDecisionThreshold) {
 }
 
 TEST(AcquisitionGate, PolicyValidatesGateOptions) {
-  {
-    d::PolicyOptions o;
-    o.loo_gate = 0.0;
-    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
-  }
-  {
-    d::PolicyOptions o;
-    o.seq_confidence = -1.0;
-    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
-  }
-  {
-    d::PolicyOptions o;
-    o.noise_nugget = -0.5;
-    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
-  }
-  {
-    d::PolicyOptions o;
-    o.gate = d::GateKind::kSequentialDesign;  // Missing gate_lambda_min.
-    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
-  }
+  d::PolicyOptions o;
+  o.gate = d::GateKind::kSequentialDesign;  // Missing gate_lambda_min.
+  EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
 }
 
 /// Mildly curved 2-D surface so kriging residuals are non-trivial and the
@@ -183,8 +163,6 @@ d::PolicyOptions loo_policy_options() {
   o.min_fit_points = 6;
   o.refit_period = 4;
   o.gate = d::GateKind::kLooCalibrated;
-  o.gate_nn_floor = 2;
-  o.loo_gate = 10.0;  // Wide open: this test watches calibration, not vetoes.
   return o;
 }
 
@@ -265,9 +243,7 @@ TEST(AcquisitionGate, SequentialGateSavesSimulationsFarFromTheThreshold) {
 
   d::PolicyOptions seq = base;
   seq.gate = d::GateKind::kSequentialDesign;
-  seq.gate_nn_floor = 2;
   seq.gate_lambda_min = 1e6;  // Verdict beyond doubt everywhere.
-  seq.seq_confidence = 2.0;
 
   auto sim = [](const d::Config& c) { return surface(c); };
   d::KrigingPolicy paper(base);

@@ -51,7 +51,7 @@ void expect_snapshots_equal(const d::PolicySnapshot& a,
 
 TEST(CheckpointFile, RoundTripIsExact) {
   d::Checkpoint ck;
-  ck.optimizer = "min_plus_one";
+  ck.optimizer = d::OptimizerKind::kMinPlusOne;
   ck.policy.configs = {{8, 8}, {7, 8}, {8, 7}};
   // Deliberately awkward doubles: non-terminating binary fractions, huge,
   // and denormal magnitudes all survive the hexfloat round trip exactly.
@@ -129,7 +129,7 @@ TEST(CheckpointFile, RejectsGarbageAndUnsupportedVersion) {
 // token at a time.
 d::Checkpoint small_checkpoint() {
   d::Checkpoint ck;
-  ck.optimizer = "min_plus_one";
+  ck.optimizer = d::OptimizerKind::kMinPlusOne;
   ck.policy.configs = {{8, 8}, {7, 8}};
   ck.policy.values = {0.5, -2.25};
   ck.policy.fit_events = {6, 11};
@@ -193,6 +193,16 @@ TEST(CheckpointFile, ImpossibleCountsAndIntegersAreCorruptPayloads) {
   // A payload cut off mid-token stream is still reported as truncated.
   EXPECT_EQ(parse_fault(valid.substr(0, valid.find("cursor_min_plus"))),
             d::FaultCode::kTruncatedPayload);
+}
+
+// Only the two optimizers a checkpoint can resume are valid tags: any
+// other is rejected at parse time, not later by the resuming entry point.
+TEST(CheckpointFile, UnknownOptimizerTagIsACorruptPayload) {
+  const std::string valid = d::serialize_checkpoint(small_checkpoint());
+  ASSERT_EQ(parse_fault(valid), d::FaultCode::kNone);
+  EXPECT_EQ(parse_fault(replaced(valid, "optimizer min_plus_one",
+                                 "optimizer bogus")),
+            d::FaultCode::kCorruptPayload);
 }
 
 TEST(CheckpointFile, ValidPayloadReserializesByteForByte) {
@@ -302,7 +312,7 @@ TEST(CheckpointFile, LoadsVersion2FixtureWithZeroGateCounters) {
 
 TEST(CheckpointFile, Version3RoundTripsGateCountersExactly) {
   d::Checkpoint ck;
-  ck.optimizer = "min_plus_one";
+  ck.optimizer = d::OptimizerKind::kMinPlusOne;
   ck.policy.stats.variance_rejections = 4;
   ck.policy.stats.loo_rejections = 7;
   ck.policy.stats.sequential_rejections = 3;
@@ -413,8 +423,6 @@ class RestoreEquivalence : public ::testing::TestWithParam<d::GateKind> {};
 TEST_P(RestoreEquivalence, EveryStepSnapshotEvaluatesTheNextBatchIdentically) {
   d::PolicyOptions options = kriging_options();
   options.gate = GetParam();
-  options.gate_nn_floor = 2;
-  options.loo_gate = 2.0;
   options.gate_lambda_min = 6.0;
   // Fit from three stored points, every two new simulations. The first
   // batch stores three points pairwise two L1 steps apart, so the first

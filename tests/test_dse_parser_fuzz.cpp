@@ -134,7 +134,7 @@ double smooth(const d::Config& c) {
 }
 
 /// A checkpoint of a real policy mid-run, with every cursor field set.
-d::Checkpoint live_checkpoint(const std::string& optimizer) {
+d::Checkpoint live_checkpoint(d::OptimizerKind optimizer) {
   d::PolicyOptions options;
   options.min_fit_points = 4;
   options.refit_period = 3;
@@ -168,8 +168,9 @@ std::string reserialize_checkpoint(const std::string& payload) {
 
 TEST_P(ParserFuzz, CheckpointMutantsAreTypedErrorsOrExactRoundTrips) {
   const std::vector<std::string> payloads = {
-      d::serialize_checkpoint(live_checkpoint("min_plus_one")),
-      d::serialize_checkpoint(live_checkpoint("steepest_descent"))};
+      d::serialize_checkpoint(live_checkpoint(d::OptimizerKind::kMinPlusOne)),
+      d::serialize_checkpoint(
+          live_checkpoint(d::OptimizerKind::kSteepestDescent))};
   for (const std::string& p : payloads)
     ASSERT_EQ(reserialize_checkpoint(p), p);
   const std::size_t accepted =

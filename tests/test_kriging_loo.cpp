@@ -2,8 +2,7 @@
 // property at stake is that KrigingSystem::loo_residuals() — Dubrule's
 // identity against the one existing factorization, O(n²) per residual —
 // matches n scratch LOO refits within 1e-10, for ordinary kriging, the
-// ridge-fallback path, coincident-support dedupe, and a non-zero noise
-// nugget.
+// ridge-fallback path and coincident-support dedupe.
 //
 // Two independent comparators pin the identity:
 //   * a matrix-level scratch solve: assemble the full (shifted) system
@@ -59,17 +58,14 @@ std::vector<double> random_values(std::size_t n, std::uint64_t seed) {
 }
 
 /// The full system matrix exactly as KrigingSystem::assemble lays it out:
-/// unique points first, the ones-border last, `shift` and the noise nugget
-/// on the data diagonal only.
-la::Matrix assemble_full(const k::SystemSpec& spec,
-                         const k::VariogramModel& model,
+/// unique points first, the ones-border last, `shift` on the data
+/// diagonal only.
+la::Matrix assemble_full(const k::VariogramModel& model,
                          const std::vector<std::vector<double>>& pts,
                          double shift) {
   const std::size_t n = pts.size();
   const std::size_t m = n + 1;
-  double diagonal = model.gamma(0.0);
-  if (spec.noise_nugget != 0.0)  // ace-lint: allow(float-equality)
-    diagonal -= spec.noise_nugget;
+  const double diagonal = model.gamma(0.0);
   la::Matrix a(m, m);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j)
@@ -99,12 +95,11 @@ struct ScratchLoo {
 /// −(A_ii − bᵀx). This is exactly the system "with point i deleted,
 /// predicting at point i" — the O(n³)-per-point computation Dubrule's
 /// identity replaces.
-ScratchLoo scratch_loo(const k::SystemSpec& spec,
-                       const k::VariogramModel& model,
+ScratchLoo scratch_loo(const k::VariogramModel& model,
                        const std::vector<std::vector<double>>& pts,
                        const std::vector<double>& values, double shift) {
   const std::size_t n = pts.size();
-  const la::Matrix a = assemble_full(spec, model, pts, shift);
+  const la::Matrix a = assemble_full(model, pts, shift);
   const std::size_t m = a.rows();
   const la::Vector z = padded_values(values, m);
   ScratchLoo out;
@@ -153,8 +148,7 @@ TEST(KrigingLoo, MatchesScratchDeletedSolvesAcrossEstimators) {
       k::KrigingSystem sys(spec, pts, values, model);
       const auto report = sys.loo_residuals();
       ASSERT_TRUE(report.has_value());
-      const auto scratch =
-          scratch_loo(spec, model, pts, values, report->shift);
+      const auto scratch = scratch_loo(model, pts, values, report->shift);
       ASSERT_EQ(report->residuals.size(), pts.size());
       for (std::size_t i = 0; i < pts.size(); ++i) {
         EXPECT_NEAR(report->residuals[i], scratch.residuals[i], kTol)
@@ -217,7 +211,7 @@ TEST(KrigingLoo, RidgePathMatchesScratchAtTheRecordedShift) {
   ASSERT_TRUE(report.has_value());
   EXPECT_TRUE(report->regularized);
   EXPECT_GT(report->shift, 0.0);
-  const auto scratch = scratch_loo(spec, model, pts, values, report->shift);
+  const auto scratch = scratch_loo(model, pts, values, report->shift);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_NEAR(report->residuals[i], scratch.residuals[i], kTol)
         << "point " << i;
@@ -247,44 +241,13 @@ TEST(KrigingLoo, DedupedSupportMatchesScratchOverUniquePoints) {
     ASSERT_TRUE(report.has_value());
     ASSERT_EQ(report->residuals.size(), unique_pts.size());
     const auto scratch =
-        scratch_loo(spec, model, unique_pts, unique_values, report->shift);
+        scratch_loo(model, unique_pts, unique_values, report->shift);
     for (std::size_t i = 0; i < unique_pts.size(); ++i) {
       EXPECT_NEAR(report->residuals[i], scratch.residuals[i], kTol)
           << "estimator " << static_cast<int>(spec.kind) << " point " << i;
       EXPECT_NEAR(report->variances[i], scratch.variances[i], kTol)
           << "estimator " << static_cast<int>(spec.kind) << " point " << i;
     }
-  }
-}
-
-// Noise nugget: the τ²-shifted diagonal flows through the identity — the
-// report matches scratch solves of the nugget-bearing matrix, and the
-// LOO variances grow strictly (prediction of a noisy observation).
-TEST(KrigingLoo, NuggetMatchesScratchAndInflatesVariance) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  const auto pts = lattice_points(2, 8, 61);
-  const auto values = random_values(8, 161);
-  for (auto spec : all_specs()) {
-    k::KrigingSystem plain(spec, pts, values, model);
-    const auto base = plain.loo_residuals();
-    ASSERT_TRUE(base.has_value());
-    spec.noise_nugget = 0.25;
-    k::KrigingSystem noisy(spec, pts, values, model);
-    const auto report = noisy.loo_residuals();
-    ASSERT_TRUE(report.has_value());
-    const auto scratch = scratch_loo(spec, model, pts, values, report->shift);
-    double mean_base = 0.0;
-    double mean_noisy = 0.0;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      EXPECT_NEAR(report->residuals[i], scratch.residuals[i], kTol)
-          << "estimator " << static_cast<int>(spec.kind) << " point " << i;
-      EXPECT_NEAR(report->variances[i], scratch.variances[i], kTol)
-          << "estimator " << static_cast<int>(spec.kind) << " point " << i;
-      mean_base += base->variances[i];
-      mean_noisy += report->variances[i];
-    }
-    EXPECT_GT(mean_noisy, mean_base)
-        << "estimator " << static_cast<int>(spec.kind);
   }
 }
 

@@ -2,9 +2,9 @@
 // property at stake: a workspace reloaded with support set after support
 // set answers bit-identically to an independently assembled system solved
 // by linalg::robust_solve — estimate, variance, weights, ridge and rcond —
-// across a noise nugget, coincident support, ridge-forcing supports, a
-// large support followed by smaller ones (stale buffer contents must not
-// leak), and loo_residuals() after a reload. The system's metric is L1,
+// across coincident support, ridge-forcing supports, a large support
+// followed by smaller ones (stale buffer contents must not leak), and
+// loo_residuals() after a reload. The system's metric is L1,
 // fixed by the L1Distance type.
 #include <gtest/gtest.h>
 
@@ -56,7 +56,7 @@ Instance make_instance(std::size_t dim, std::size_t n, std::uint64_t seed) {
 }
 
 std::vector<k::SystemSpec> all_specs() {
-  k::SystemSpec ordinary{k::SystemKind::kOrdinary, 0.0};
+  k::SystemSpec ordinary{k::SystemKind::kOrdinary};
   return {ordinary};
 }
 
@@ -78,8 +78,8 @@ void expect_identical(const std::optional<k::KrigingResult>& got,
 }
 
 /// A system assembled independently of KrigingSystem, in the documented
-/// entry order: Γ over the deduplicated support with the nugget on the
-/// diagonal, the ones-border, and the query right-hand side.
+/// entry order: Γ over the deduplicated support, the ones-border, and the
+/// query right-hand side.
 struct ReferenceSystem {
   std::vector<std::vector<double>> points;  ///< Unique support.
   std::vector<double> values;
@@ -90,7 +90,7 @@ struct ReferenceSystem {
 };
 
 ReferenceSystem assemble_reference(
-    const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
+    const std::vector<std::vector<double>>& points,
     const std::vector<double>& values, const std::vector<double>& q,
     const k::VariogramModel& model) {
   ReferenceSystem r;
@@ -110,9 +110,7 @@ ReferenceSystem assemble_reference(
   r.a = la::Matrix(m, m);
   r.rhs = la::Vector(m);
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = model.gamma(0.0);
-    if (spec.noise_nugget != 0.0) diag -= spec.noise_nugget;
-    r.a(j, j) = diag + 0.0;  // The direct path's zero shift.
+    r.a(j, j) = model.gamma(0.0) + 0.0;  // The direct path's zero shift.
     for (std::size_t c = j + 1; c < n; ++c) {
       const double g = model.gamma(k::l1_distance(r.points[j], r.points[c]));
       r.a(j, c) = g;
@@ -129,10 +127,10 @@ ReferenceSystem assemble_reference(
 /// The oracle: the reference system solved by linalg::robust_solve, with
 /// the estimate and variance summed in support order.
 std::optional<k::KrigingResult> reference_solve(
-    const k::SystemSpec& spec, const std::vector<std::vector<double>>& points,
+    const std::vector<std::vector<double>>& points,
     const std::vector<double>& values, const std::vector<double>& q,
     const k::VariogramModel& model) {
-  const ReferenceSystem r = assemble_reference(spec, points, values, q, model);
+  const ReferenceSystem r = assemble_reference(points, values, q, model);
   la::SolveReport report;
   const auto x = la::robust_solve(r.a, r.rhs, report, r.border);
   if (!x) return std::nullopt;
@@ -282,17 +280,13 @@ TEST(KrigingSystem, ValidatesInput) {
 // support sets of shrinking and growing size — largest first, so every
 // later load sits in buffers holding a bigger system's entries — some
 // with a coincident duplicate, then rebound to an
-// all-zero variogram whose supports force the ridge ladder (except under
-// the nugget, which keeps the diagonal apart), then back.
+// all-zero variogram whose supports force the ridge ladder, then back.
 // Every answer must equal the independent robust_solve reference bit for
 // bit, through both query entry points.
 TEST(KrigingSystem, ReloadedWorkspaceIsBitIdenticalToRobustSolve) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   const k::LinearVariogram flat(0.0, 0.0);
-  std::vector<k::SystemSpec> specs = all_specs();
-  k::SystemSpec nugget{k::SystemKind::kOrdinary};
-  nugget.noise_nugget = 0.3;
-  specs.push_back(nugget);
+  const std::vector<k::SystemSpec> specs = all_specs();
   const std::vector<std::size_t> sizes = {12, 3, 9, 1, 6, 2, 12, 4, 5};
   for (std::size_t si = 0; si < specs.size(); ++si) {
     const k::SystemSpec& spec = specs[si];
@@ -311,8 +305,8 @@ TEST(KrigingSystem, ReloadedWorkspaceIsBitIdenticalToRobustSolve) {
                    << "spec " << si << " n=" << n
                    << (duplicate ? " +dup" : ""));
       ws.load(inst.points, inst.values);
-      const auto want = reference_solve(spec, inst.points, inst.values,
-                                        inst.query, bound);
+      const auto want =
+          reference_solve(inst.points, inst.values, inst.query, bound);
       expect_identical(ws.query(inst.query), want);
       const bool solved = ws.query(inst.query, reused);
       EXPECT_EQ(solved, want.has_value());
@@ -324,9 +318,8 @@ TEST(KrigingSystem, ReloadedWorkspaceIsBitIdenticalToRobustSolve) {
     ws.set_model(spec, flat);
     for (const std::size_t n : {10u, 4u, 7u}) {
       const auto got = check(flat, n, n == 4);
-      // Γ is rank deficient unless the nugget moves its diagonal.
-      if (got && n > 1 && spec.noise_nugget == 0.0)
-        EXPECT_TRUE(got->regularized);
+      // Γ is rank deficient: every entry of the variogram block is 0.
+      if (got && n > 1) EXPECT_TRUE(got->regularized);
     }
     // Back to the spherical model: the flat model's γ memo must be gone.
     ws.set_model(spec, model);
@@ -347,7 +340,7 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
       ws.load(inst.points, inst.values);
       const auto got = ws.loo_residuals();
       const ReferenceSystem r =
-          assemble_reference(spec, inst.points, inst.values, inst.query, model);
+          assemble_reference(inst.points, inst.values, inst.query, model);
       const la::LuDecomposition lu(r.a);
       ASSERT_FALSE(lu.singular());
       la::Vector z(r.a.rows());
@@ -364,8 +357,8 @@ TEST(KrigingSystem, LooAfterReloadMatchesIndependentFactor) {
       }
       // The query path still answers from the same load afterwards.
       expect_identical(ws.query(inst.query),
-                       reference_solve(spec, inst.points, inst.values,
-                                       inst.query, model));
+                       reference_solve(inst.points, inst.values, inst.query,
+                                       model));
     }
   }
 }
@@ -482,11 +475,10 @@ TEST(KrigingSystem, ColumnLoadMatchesRowLoad) {
   }
 }
 
-// Rejected loads and rebinds leave the workspace answering from its
-// previous support and model.
-TEST(KrigingSystem, RejectedLoadOrRebindKeepsTheWorkspace) {
+// A rejected load leaves the workspace answering from its previous
+// support and model.
+TEST(KrigingSystem, RejectedLoadKeepsTheWorkspace) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  const k::LinearVariogram other(0.0, 1.0);
   const auto inst = make_instance(2, 5, 64);
   k::KrigingSystem ws({k::SystemKind::kOrdinary}, model);
   ws.load(inst.points, inst.values);
@@ -495,33 +487,24 @@ TEST(KrigingSystem, RejectedLoadOrRebindKeepsTheWorkspace) {
   EXPECT_THROW(ws.load(0, 2, [](auto, std::size_t, auto) {}),
                std::invalid_argument);
   expect_identical(ws.query(inst.query), want);
-  k::SystemSpec bad_nugget{k::SystemKind::kOrdinary};
-  bad_nugget.noise_nugget = -1.0;
-  EXPECT_THROW(ws.set_model(bad_nugget, other), std::invalid_argument);
-  bad_nugget.noise_nugget = std::nan("");
-  EXPECT_THROW(ws.set_model(bad_nugget, other), std::invalid_argument);
-  expect_identical(ws.query(inst.query), want);
   EXPECT_EQ(ws.spec().kind, k::SystemKind::kOrdinary);
 }
 
-// set_model rebinds the model and the nugget in place:
-// after each rebind and reload the workspace answers like a fresh system.
-TEST(KrigingSystem, SetModelRebindsEstimatorModelAndNugget) {
+// set_model rebinds the model in place: after each rebind and reload the
+// workspace answers like a fresh system.
+TEST(KrigingSystem, SetModelRebindsEstimatorModel) {
   const k::SphericalVariogram spherical(0.1, 2.0, 8.0);
   const k::ExponentialVariogram exponential(0.0, 3.0, 4.0);
   const auto inst = make_instance(2, 8, 65);
-  k::SystemSpec nugget{k::SystemKind::kOrdinary};
-  nugget.noise_nugget = 0.5;
-  std::vector<k::SystemSpec> specs = all_specs();
-  specs.push_back(nugget);
+  const std::vector<k::SystemSpec> specs = all_specs();
   k::KrigingSystem ws(specs.front(), spherical);
   for (const k::VariogramModel* model :
        {static_cast<const k::VariogramModel*>(&spherical),
         static_cast<const k::VariogramModel*>(&exponential)})
     for (const auto& spec : specs) {
       SCOPED_TRACE(::testing::Message()
-                   << model->name() << " kind " << static_cast<int>(spec.kind)
-                   << " nugget " << spec.noise_nugget);
+                   << model->name() << " kind "
+                   << static_cast<int>(spec.kind));
       ws.set_model(spec, *model);
       ws.load(inst.points, inst.values);
       expect_identical(ws.query(inst.query),

@@ -148,8 +148,6 @@ TEST(SessionManager, GateBearingSessionParksAndResumesWithEqualStats) {
   s::SessionSpec spec = min_plus_spec(9);
   spec.name = "gated min+1";
   spec.policy.gate = d::GateKind::kLooCalibrated;
-  spec.policy.gate_nn_floor = 2;
-  spec.policy.loo_gate = 2.0;
 
   s::SessionManager plain;
   const s::SessionId p = plain.create(spec);
