@@ -32,6 +32,7 @@
 #include "core/engine.hpp"
 #include "dse/acquisition.hpp"
 #include "dse/config.hpp"
+#include "dse/optimizer.hpp"
 #include "dse/trajectory.hpp"
 #include "util/table.hpp"
 
@@ -50,7 +51,6 @@ struct RunScore {
   bool feasible = false;         ///< true_lambda >= λ_min.
   int cost = 0;                  ///< Σ solution (bits / levels).
   int l1_gap = 0;                ///< L1 distance to the exact solution.
-  std::vector<std::size_t> decisions;
   std::size_t loo_rejections = 0;
   std::size_t sequential_rejections = 0;
   std::size_t variance_rejections = 0;
@@ -72,12 +72,6 @@ int cost_of(const dse::Config& c) {
   return std::accumulate(c.begin(), c.end(), 0);
 }
 
-double lambda_min_of(const core::ApplicationBenchmark& bench) {
-  return bench.optimizer == core::OptimizerKind::kMinPlusOne
-             ? bench.min_plus_one.lambda_min
-             : bench.sensitivity.lambda_min;
-}
-
 /// Drive the benchmark's optimizer through a kriging engine with the
 /// given options; truth-check the final configuration afterwards.
 RunScore run_gated(const core::ApplicationBenchmark& bench,
@@ -85,15 +79,8 @@ RunScore run_gated(const core::ApplicationBenchmark& bench,
   core::ErrorEvaluationEngine engine(bench.simulate, options, bench.metric);
   RunScore score;
   score.gate = dse::make_gate(options)->name();
-  if (bench.optimizer == core::OptimizerKind::kMinPlusOne) {
-    const auto result = engine.optimize_word_lengths(bench.min_plus_one);
-    score.solution = result.w_res;
-    score.decisions = result.decisions;
-  } else {
-    const auto result = engine.analyze_sensitivity(bench.sensitivity);
-    score.solution = result.levels;
-    score.decisions = result.decisions;
-  }
+  score.solution =
+      dse::cursor_solution(bench.run_optimizer(engine.as_evaluator()));
   const dse::PolicyStats stats = engine.stats();
   score.simulated = stats.simulated;
   score.interpolated = stats.interpolated;
@@ -101,7 +88,7 @@ RunScore run_gated(const core::ApplicationBenchmark& bench,
   score.sequential_rejections = stats.sequential_rejections;
   score.variance_rejections = stats.variance_rejections;
   score.true_lambda = bench.simulate(score.solution);
-  score.feasible = score.true_lambda >= lambda_min_of(bench);
+  score.feasible = score.true_lambda >= bench.lambda_min();
   score.cost = cost_of(score.solution);
   return score;
 }
@@ -127,22 +114,15 @@ dse::PolicyOptions gated_options(dse::GateKind kind, double lambda_min) {
 KernelReport run_kernel(const core::ApplicationBenchmark& bench) {
   KernelReport report;
   report.kernel = bench.name;
-  report.lambda_min = lambda_min_of(bench);
+  report.lambda_min = bench.lambda_min();
 
   // Exact reference: every distinct configuration simulated once.
   {
     dse::TrajectoryRecorder recorder(bench.simulate);
-    auto evaluate = recorder.as_simulator();
-    if (bench.optimizer == core::OptimizerKind::kMinPlusOne) {
-      const auto result = dse::min_plus_one(evaluate, bench.min_plus_one);
-      report.exact_solution = result.w_res;
-      report.exact_lambda = result.final_lambda;
-    } else {
-      const auto result =
-          dse::steepest_descent_budgeting(evaluate, bench.sensitivity);
-      report.exact_solution = result.levels;
-      report.exact_lambda = result.final_lambda;
-    }
+    const dse::OptimizerCursor run =
+        bench.run_optimizer(recorder.as_simulator());
+    report.exact_solution = dse::cursor_solution(run);
+    report.exact_lambda = dse::cursor_lambda(run);
     report.exact_simulations = recorder.trajectory().size();
     report.exact_feasible = report.exact_lambda >= report.lambda_min;
   }

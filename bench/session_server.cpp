@@ -65,11 +65,8 @@ s::SessionSpec make_spec(std::size_t i) {
 
 d::MinPlusOneResult standalone(const s::SessionSpec& spec) {
   d::KrigingPolicy policy(spec.policy);
-  const auto evaluate = d::policy_batch_evaluator(policy, spec.simulate);
-  d::MinPlusOneCursor cursor = d::make_min_plus_one_cursor(spec.min_plus);
-  while (d::min_plus_one_step(evaluate, spec.min_plus, cursor)) {
-  }
-  return d::min_plus_one_result(cursor, spec.min_plus);
+  return d::min_plus_one(d::policy_batch_evaluator(policy, spec.simulate),
+                         spec.min_plus);
 }
 
 bool identical(const d::MinPlusOneResult& a, const d::MinPlusOneResult& b) {

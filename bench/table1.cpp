@@ -138,10 +138,7 @@ void default_gate_lambda_min(const core::ApplicationBenchmark& bench,
                              dse::PolicyOptions& options) {
   if (options.gate == dse::GateKind::kSequentialDesign &&
       !options.gate_lambda_min) {
-    options.gate_lambda_min =
-        bench.optimizer == core::OptimizerKind::kMinPlusOne
-            ? bench.min_plus_one.lambda_min
-            : bench.sensitivity.lambda_min;
+    options.gate_lambda_min = bench.lambda_min();
   }
 }
 

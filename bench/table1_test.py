@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Tests of the Table I driver (the table1_* ctests).
+"""Tests of the Table I driver (the table1_* ctests) and of the Sec. IV
+decision-divergence bench (the decision_divergence_output ctest).
 
     table1_test.py reject TABLE1 ARGS...
-    table1_test.py golden EXPECTED TABLE1 ARGS...
+    table1_test.py golden EXPECTED PROGRAM ARGS...
 
 reject runs TABLE1 with ARGS and passes when it prints usage on stderr and
 exits with code exactly 2: a bad flag value must not abort on an uncaught
 exception, wrap a negative count to SIZE_MAX, or accept trailing garbage.
 
-golden runs TABLE1 with ARGS and passes when it exits 0 and its stdout,
-without the "total wall time:" line, equals the file EXPECTED byte for
-byte. The expected files hold the Table I output of each kernel, so any
-change to a replayed decision or a printed statistic shows here.
+golden runs PROGRAM with ARGS and passes when it exits 0 and its stdout,
+without the lines that vary by run or build (table1's "total wall time:",
+decision_divergence's SIMD backend name), equals the file EXPECTED byte
+for byte. The expected files hold the Table I output of each kernel and
+the decision_divergence table, so any change to a replayed or counted
+decision or a printed statistic shows here.
 
 Standard library only.
 """
@@ -23,7 +26,7 @@ import sys
 from pathlib import Path
 
 TIMEOUT_S = 240
-WALL_TIME = "total wall time:"
+SKIPPED = ("total wall time:", "SIMD identity gate (backend:")
 
 
 def run(argv: list[str]) -> subprocess.CompletedProcess:
@@ -45,7 +48,7 @@ def golden(expected_path: str, argv: list[str]) -> int:
     expected = Path(expected_path).read_text()
     proc = run(argv)
     got = "".join(line for line in proc.stdout.splitlines(keepends=True)
-                  if not line.startswith(WALL_TIME))
+                  if not line.startswith(SKIPPED))
     if proc.returncode == 0 and got == expected:
         print(f"ok: output matches {expected_path}")
         return 0

@@ -65,6 +65,7 @@
 #include "dse/interp1d.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/min_plus_one.hpp"
+#include "dse/optimizer.hpp"
 #include "dse/scheduler.hpp"
 #include "dse/sim_store.hpp"
 #include "dse/steepest_descent.hpp"

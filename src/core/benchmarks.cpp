@@ -23,6 +23,20 @@
 
 namespace ace::core {
 
+double ApplicationBenchmark::lambda_min() const {
+  return dse::optimizer_lambda_min(optimizer, min_plus_one, sensitivity);
+}
+
+dse::OptimizerCursor ApplicationBenchmark::run_optimizer(
+    const dse::EvaluateFn& evaluate) const {
+  const dse::BatchEvaluateFn batch = dse::serialize_evaluator(evaluate);
+  dse::OptimizerCursor cursor =
+      dse::make_optimizer_cursor(optimizer, min_plus_one, sensitivity);
+  while (dse::optimizer_step(batch, min_plus_one, sensitivity, cursor)) {
+  }
+  return cursor;
+}
+
 namespace {
 
 dse::MinPlusOneOptions word_length_options(std::size_t nv, double lambda_min,

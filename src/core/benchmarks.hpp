@@ -13,6 +13,7 @@
 #include "dse/config.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/min_plus_one.hpp"
+#include "dse/optimizer.hpp"
 #include "dse/steepest_descent.hpp"
 #include "dse/trajectory.hpp"
 
@@ -30,6 +31,13 @@ struct ApplicationBenchmark {
   dse::SimulatorFn simulate;
   dse::MinPlusOneOptions min_plus_one;    ///< Used when kMinPlusOne.
   dse::SensitivityOptions sensitivity;    ///< Used when kSteepestDescent.
+
+  /// The quality floor λ_min of the benchmark's optimizer.
+  double lambda_min() const;
+
+  /// The benchmark's optimizer run to completion against `evaluate`,
+  /// candidates evaluated one at a time in index order.
+  dse::OptimizerCursor run_optimizer(const dse::EvaluateFn& evaluate) const;
 };
 
 /// Shared sizing for the signal-kernel benchmarks.

@@ -1,51 +1,14 @@
 #include "core/table1.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/engine.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace ace::core {
-
-namespace {
-
-/// Run the benchmark's optimizer against the given evaluator; returns the
-/// final configuration, final λ, and the greedy decision sequence.
-struct OptimizerRun {
-  dse::Config solution;
-  double lambda = 0.0;
-  std::vector<std::size_t> decisions;
-};
-
-OptimizerRun run_optimizer(const ApplicationBenchmark& bench,
-                           const dse::EvaluateFn& evaluate) {
-  OptimizerRun run;
-  switch (bench.optimizer) {
-    case OptimizerKind::kMinPlusOne: {
-      const auto result = dse::min_plus_one(evaluate, bench.min_plus_one);
-      run.solution = result.w_res;
-      run.lambda = result.final_lambda;
-      run.decisions = result.decisions;
-      break;
-    }
-    case OptimizerKind::kSteepestDescent: {
-      const auto result =
-          dse::steepest_descent_budgeting(evaluate, bench.sensitivity);
-      run.solution = result.levels;
-      run.lambda = result.final_lambda;
-      run.decisions = result.decisions;
-      break;
-    }
-  }
-  return run;
-}
-
-}  // namespace
 
 Table1Result run_table1(const ApplicationBenchmark& bench,
                         const std::vector<int>& distances,
@@ -61,10 +24,11 @@ Table1Result run_table1(const ApplicationBenchmark& bench,
 
   // Exact run: every distinct configuration simulated once, in order.
   dse::TrajectoryRecorder recorder(bench.simulate);
-  const auto exact = run_optimizer(bench, recorder.as_simulator());
+  const dse::OptimizerCursor exact =
+      bench.run_optimizer(recorder.as_simulator());
   result.trajectory = recorder.trajectory();
-  result.exact_solution = exact.solution;
-  result.exact_lambda = exact.lambda;
+  result.exact_solution = dse::cursor_solution(exact);
+  result.exact_lambda = dse::cursor_lambda(exact);
 
   // Kriging replay per distance.
   for (const int d : distances) {
@@ -152,145 +116,58 @@ TimingReport measure_speedup(const ApplicationBenchmark& bench,
   return report;
 }
 
-namespace {
-
-/// Kriging-estimate oracle for the divergence analysis: serves λ̂ exactly
-/// as the deployed policy would (interpolate when the neighbourhood
-/// allows, otherwise "simulate" = take the true value and enrich the
-/// store), memoized per configuration so repeated candidates are stable.
-class EstimateOracle {
- public:
-  EstimateOracle(dse::PolicyOptions options, dse::SimulatorFn truth)
-      : policy_(std::move(options)), truth_(std::move(truth)) {}
-
-  double operator()(const dse::Config& c) {
-    if (const auto it = memo_.find(c); it != memo_.end()) return it->second;
-    const auto outcome = policy_.evaluate(c, truth_);
-    memo_.emplace(c, outcome.value);
-    return outcome.value;
-  }
-
-  dse::PolicyStats stats() const { return policy_.stats(); }
-
- private:
-  dse::KrigingPolicy policy_;
-  dse::SimulatorFn truth_;
-  std::unordered_map<dse::Config, double, dse::ConfigHash> memo_;
-};
-
-/// Walk the EXACT optimizer's greedy path (the paper's recorded process);
-/// at every decision point, recompute the argmax from the kriging
-/// estimates and count how often the selection would have differed.
-struct FlipCount {
-  std::size_t steps = 0;
-  std::size_t diverging = 0;
-};
-
-FlipCount count_min_plus_one_flips(const ApplicationBenchmark& bench,
-                                   dse::TrajectoryRecorder& exact,
-                                   EstimateOracle& estimate) {
-  const auto& opt = bench.min_plus_one;
-  auto exact_eval = exact.as_simulator();
-  dse::Config w = dse::determine_min_word_lengths(exact_eval, opt);
-
-  FlipCount flips;
-  double lambda = exact_eval(w);
-  while (lambda < opt.lambda_min && flips.steps < opt.max_steps) {
-    double best_e = -std::numeric_limits<double>::infinity();
-    double best_k = best_e;
-    std::size_t pick_e = opt.nv, pick_k = opt.nv;
-    for (std::size_t i = 0; i < opt.nv; ++i) {
-      if (w[i] >= opt.w_max) continue;
-      dse::Config candidate = w;
-      ++candidate[i];
-      const double le = exact_eval(candidate);
-      const double lk = estimate(candidate);
-      if (le > best_e) {
-        best_e = le;
-        pick_e = i;
-      }
-      if (lk > best_k) {
-        best_k = lk;
-        pick_k = i;
-      }
-    }
-    if (pick_e == opt.nv) break;
-    if (pick_e != pick_k) ++flips.diverging;
-    ++w[pick_e];  // The exact pick drives the state.
-    lambda = best_e;
-    ++flips.steps;
-  }
-  return flips;
-}
-
-FlipCount count_sensitivity_flips(const ApplicationBenchmark& bench,
-                                  dse::TrajectoryRecorder& exact,
-                                  EstimateOracle& estimate) {
-  const auto& opt = bench.sensitivity;
-  auto exact_eval = exact.as_simulator();
-
-  FlipCount flips;
-  dse::Config levels(opt.nv, opt.level_max);
-  (void)exact_eval(levels);
-  while (flips.steps < opt.max_steps) {
-    double best_e = -std::numeric_limits<double>::infinity();
-    double best_k = best_e;
-    std::size_t pick_e = opt.nv, pick_k = opt.nv;
-    for (std::size_t i = 0; i < opt.nv; ++i) {
-      if (levels[i] <= opt.level_min) continue;
-      dse::Config candidate = levels;
-      --candidate[i];
-      const double le = exact_eval(candidate);
-      const double lk = estimate(candidate);
-      if (le > best_e) {
-        best_e = le;
-        pick_e = i;
-      }
-      if (lk > best_k) {
-        best_k = lk;
-        pick_k = i;
-      }
-    }
-    if (pick_e == opt.nv || best_e < opt.lambda_min) break;
-    if (pick_e != pick_k) ++flips.diverging;
-    --levels[pick_e];
-    ++flips.steps;
-  }
-  return flips;
-}
-
-}  // namespace
-
 DivergenceReport run_decision_divergence(const ApplicationBenchmark& bench,
                                          const dse::PolicyOptions& options) {
-  // Fully exact run — the final-result baseline.
+  // (a) The fully exact run. Its evaluator keeps the last batch and the
+  // exact values it returned, so after each greedy step the same
+  // candidates can be put to the kriging estimates a deployed policy
+  // would have served, and the two picks compared.
   dse::TrajectoryRecorder recorder(bench.simulate);
-  const auto exact = run_optimizer(bench, recorder.as_simulator());
-
-  // (a) Decision flips along the exact run's own greedy path, scored
-  // against the kriging estimates a deployed policy would have served.
-  dse::TrajectoryRecorder replay_recorder(bench.simulate);
-  EstimateOracle estimate(options, replay_recorder.as_simulator());
-  const FlipCount flips =
-      bench.optimizer == OptimizerKind::kMinPlusOne
-          ? count_min_plus_one_flips(bench, replay_recorder, estimate)
-          : count_sensitivity_flips(bench, replay_recorder, estimate);
+  const dse::EvaluateFn exact = recorder.as_simulator();
+  std::vector<dse::Config> batch;
+  std::vector<double> values;
+  const dse::BatchEvaluateFn evaluate =
+      [&](const std::vector<dse::Config>& candidates) {
+        batch = candidates;
+        values.clear();
+        for (const dse::Config& c : candidates) values.push_back(exact(c));
+        return values;
+      };
+  dse::KrigingPolicy estimate(options);
+  std::vector<double> estimates;
+  std::size_t diverging = 0;
+  dse::OptimizerCursor cursor = dse::make_optimizer_cursor(
+      bench.optimizer, bench.min_plus_one, bench.sensitivity);
+  while (!dse::cursor_finished(cursor)) {
+    const std::size_t decided = dse::cursor_decisions(cursor).size();
+    dse::optimizer_step(evaluate, bench.min_plus_one, bench.sensitivity,
+                        cursor);
+    if (dse::cursor_decisions(cursor).size() == decided) continue;
+    estimates.clear();
+    for (const dse::Config& c : batch)
+      estimates.push_back(estimate.evaluate(c, exact).value);
+    if (dse::best_candidate(estimates) != dse::best_candidate(values))
+      ++diverging;
+  }
 
   // (b) Final configuration of an end-to-end kriging-driven run.
   ErrorEvaluationEngine engine(bench.simulate, options, bench.metric);
-  const auto kriged = run_optimizer(bench, engine.as_evaluator());
+  const dse::OptimizerCursor kriged =
+      bench.run_optimizer(engine.as_evaluator());
 
   DivergenceReport report;
-  report.exact_steps = exact.decisions.size();
-  report.kriging_steps = kriged.decisions.size();
-  report.diverging = flips.diverging;
+  report.exact_steps = dse::cursor_decisions(cursor).size();
+  report.kriging_steps = dse::cursor_decisions(kriged).size();
+  report.diverging = diverging;
   report.diverging_percent =
-      flips.steps == 0 ? 0.0
-                       : 100.0 * static_cast<double>(flips.diverging) /
-                             static_cast<double>(flips.steps);
-  report.exact_result = exact.solution;
-  report.kriging_result = kriged.solution;
-  report.result_l1_gap = dse::l1_distance(exact.solution, kriged.solution);
+      report.exact_steps == 0
+          ? 0.0
+          : 100.0 * static_cast<double>(diverging) /
+                static_cast<double>(report.exact_steps);
+  report.exact_result = dse::cursor_solution(cursor);
+  report.kriging_result = dse::cursor_solution(kriged);
+  report.result_l1_gap =
+      dse::l1_distance(report.exact_result, report.kriging_result);
   report.stats = engine.stats();
   return report;
 }

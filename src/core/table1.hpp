@@ -55,12 +55,14 @@ struct TimingReport {
 TimingReport measure_speedup(const ApplicationBenchmark& bench,
                              const Table1Result& result, int distance);
 
-/// Decision-divergence analysis (Sec. IV): drive the greedy optimizer with
-/// kriging in the loop and, at every decision point, counterfactually ask
-/// which variable the *exact* metric would have selected from the same
-/// state. `diverging_percent` is the fraction of decision points where the
+/// Decision-divergence analysis (Sec. IV): run the optimizer with exact
+/// simulation and, at every decision point, counterfactually ask which
+/// candidate kriging would have selected: the same candidates, in index
+/// order, go to a KrigingPolicy that interpolates where a deployed policy
+/// would. `diverging_percent` is the fraction of decision points where the
 /// two selections differ (the paper reports ~10%); `result_l1_gap`
-/// compares the kriging run's final configuration with a fully exact run.
+/// compares the final configuration of an end-to-end kriging-driven run
+/// with the exact run's.
 struct DivergenceReport {
   std::size_t exact_steps = 0;     ///< Greedy steps of the exact run.
   std::size_t kriging_steps = 0;   ///< Greedy steps of the kriging run.

@@ -1,8 +1,10 @@
 #include "dist/protocol.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "dse/fault.hpp"
@@ -36,22 +38,18 @@ class Tokens {
     return token;
   }
 
-  std::uint64_t integer(const char* what) {
+  /// The whole token as a decimal T. A sign an unsigned T cannot hold, a
+  /// value out of T's range, or trailing bytes are corrupt, never wrapped
+  /// or narrowed.
+  template <typename T>
+  T integer(const char* what) {
     const std::string token = next(what);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0')
+    T v{};
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), v);
+    if (ec != std::errc() || end != token.data() + token.size())
       corrupt(std::string("bad integer for ") + what + ": " + token);
-    return static_cast<std::uint64_t>(v);
-  }
-
-  int signed_int(const char* what) {
-    const std::string token = next(what);
-    char* end = nullptr;
-    const long v = std::strtol(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0')
-      corrupt(std::string("bad integer for ") + what + ": " + token);
-    return static_cast<int>(v);
+    return v;
   }
 
   double real(const char* what) {
@@ -211,54 +209,53 @@ WireMessage parse_message(const std::string& payload) {
   WireMessage msg;
   if (verb == "HELLO") {
     msg.type = MsgType::kHello;
-    const std::uint64_t version = tokens.integer("protocol version");
+    const auto version = tokens.integer<std::uint64_t>("protocol version");
     if (version != static_cast<std::uint64_t>(kProtocolVersion))
       corrupt("protocol version mismatch: " + std::to_string(version));
-    msg.retry.max_attempts =
-        static_cast<std::size_t>(tokens.integer("max_attempts"));
+    msg.retry.max_attempts = tokens.integer<std::size_t>("max_attempts");
     msg.retry.base_backoff_ms = tokens.real("base_backoff_ms");
     msg.retry.backoff_multiplier = tokens.real("backoff_multiplier");
     msg.retry.max_backoff_ms = tokens.real("max_backoff_ms");
     msg.retry.jitter_fraction = tokens.real("jitter_fraction");
-    msg.retry.jitter_seed = tokens.integer("jitter_seed");
+    msg.retry.jitter_seed = tokens.integer<std::uint64_t>("jitter_seed");
     msg.retry.deadline_ms = tokens.real("deadline_ms");
     tokens.done("HELLO");
   } else if (verb == "READY") {
     msg.type = MsgType::kReady;
-    const std::uint64_t version = tokens.integer("protocol version");
+    const auto version = tokens.integer<std::uint64_t>("protocol version");
     if (version != static_cast<std::uint64_t>(kProtocolVersion))
       corrupt("protocol version mismatch: " + std::to_string(version));
     tokens.done("READY");
   } else if (verb == "TASK") {
     msg.type = MsgType::kTask;
-    msg.id = tokens.integer("task id");
-    const std::uint64_t dims = tokens.integer("dimension count");
+    msg.id = tokens.integer<std::uint64_t>("task id");
+    const auto dims = tokens.integer<std::uint64_t>("dimension count");
     if (dims > 4096) corrupt("implausible task dimension count");
     msg.config.reserve(static_cast<std::size_t>(dims));
     for (std::uint64_t i = 0; i < dims; ++i)
-      msg.config.push_back(tokens.signed_int("coordinate"));
+      msg.config.push_back(tokens.integer<int>("coordinate"));
     tokens.done("TASK");
   } else if (verb == "OUT") {
     msg.type = MsgType::kOutcome;
-    msg.id = tokens.integer("task id");
-    const int fault = tokens.signed_int("fault code");
+    msg.id = tokens.integer<std::uint64_t>("task id");
+    const int fault = tokens.integer<int>("fault code");
     if (fault < 0 ||
         fault > static_cast<int>(util::CallFault::kContractViolation))
       corrupt("fault code out of range: " + std::to_string(fault));
     msg.call.fault = static_cast<util::CallFault>(fault);
-    msg.call.attempts = static_cast<std::size_t>(tokens.integer("attempts"));
+    msg.call.attempts = tokens.integer<std::size_t>("attempts");
     msg.call.faulted_attempts =
-        static_cast<std::size_t>(tokens.integer("faulted_attempts"));
-    msg.call.timeouts = static_cast<std::size_t>(tokens.integer("timeouts"));
+        tokens.integer<std::size_t>("faulted_attempts");
+    msg.call.timeouts = tokens.integer<std::size_t>("timeouts");
     msg.call.value = tokens.real("value");
     msg.call.message = tokens.rest();
   } else if (verb == "PING") {
     msg.type = MsgType::kPing;
-    msg.id = tokens.integer("nonce");
+    msg.id = tokens.integer<std::uint64_t>("nonce");
     tokens.done("PING");
   } else if (verb == "PONG") {
     msg.type = MsgType::kPong;
-    msg.id = tokens.integer("nonce");
+    msg.id = tokens.integer<std::uint64_t>("nonce");
     tokens.done("PONG");
   } else if (verb == "QUIT") {
     msg.type = MsgType::kQuit;

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <system_error>
 #include <utility>
+#include <variant>
 
 #include "dse/scheduler.hpp"
 
@@ -23,13 +24,14 @@ namespace {
 
 constexpr const char* kMagic = "ACE-CHECKPOINT";
 /// Version 2 added the conditioning / factorization counters to the stats
-/// record (ridge_fallbacks, full_factorizations, factor_cache_hits,
-/// factor_extends, rcond_per_solve). Version 3 added the acquisition-gate
-/// counters (loo_rejections, sequential_rejections, loo_passes,
-/// loo_abs_error). Older files still load: each version's tail is gated on
-/// the header version, so missing fields default to zero — a v1/v2 file
-/// restores under the gate-aware policy with its variance_rejections
-/// intact and the v3 counters at their fresh-policy values.
+/// record (ridge_fallbacks, full_factorizations, two counters of the
+/// since-retired factor cache, rcond_per_solve). Version 3 added the
+/// acquisition-gate counters (loo_rejections, sequential_rejections,
+/// loo_passes, loo_abs_error). Older files still load: each version's tail
+/// is gated on the header version, so missing fields default to zero — a
+/// v1/v2 file restores under the gate-aware policy with its
+/// variance_rejections intact and the v3 counters at their fresh-policy
+/// values.
 constexpr int kVersion = 3;
 
 /// The payload's text tag of each optimizer: serialize writes it, parse
@@ -142,10 +144,10 @@ void put_stats(std::string& out, const PolicyStats& s) {
   // Version-2 tail: conditioning / factorization counters.
   put(out, s.ridge_fallbacks);
   put(out, s.full_factorizations);
-  // The retired factor cache's counters: 0 from a live policy, kept so
-  // the v3 layout (and every file written in it) stays unchanged.
-  put(out, s.factor_cache_hits);
-  put(out, s.factor_extends);
+  // The two slots of the retired factor cache's counters, always 0, kept
+  // so the v3 layout (and every file written in it) stays unchanged.
+  put(out, std::size_t{0});
+  put(out, std::size_t{0});
   put_running_stats(out, s.rcond_per_solve);
   // Version-3 tail: acquisition-gate counters.
   put(out, s.loo_rejections);
@@ -162,7 +164,7 @@ std::string serialize(const Checkpoint& ck) {
   out += std::to_string(kVersion);
   out += '\n';
   out += "optimizer ";
-  out += optimizer_tag(ck.optimizer);
+  out += optimizer_tag(optimizer_kind(ck.cursor));
   out += '\n';
 
   const PolicySnapshot& p = ck.policy;
@@ -189,7 +191,11 @@ std::string serialize(const Checkpoint& ck) {
   put_sized(out, p.fit_events);
   put_stats(out, p.stats);
 
-  const MinPlusOneCursor& m = ck.min_plus;
+  // Both cursor lines are always written; the optimizer that does not run
+  // gets a default cursor's line.
+  const auto* active_m = std::get_if<MinPlusOneCursor>(&ck.cursor);
+  const MinPlusOneCursor& m =
+      active_m != nullptr ? *active_m : MinPlusOneCursor{};
   out += "cursor_min_plus ";
   put(out, m.phase);
   put(out, m.var);
@@ -206,7 +212,9 @@ std::string serialize(const Checkpoint& ck) {
   out += "decisions ";
   put_sized(out, m.decisions);
 
-  const SensitivityCursor& s = ck.sensitivity;
+  const auto* active_s = std::get_if<SensitivityCursor>(&ck.cursor);
+  const SensitivityCursor& s =
+      active_s != nullptr ? *active_s : SensitivityCursor{};
   out += "cursor_sensitivity ";
   put(out, s.started);
   put(out, s.done);
@@ -362,8 +370,8 @@ PolicyStats read_stats(Reader& r, int version) {
   if (version >= 2) {
     s.ridge_fallbacks = r.size();
     s.full_factorizations = r.size();
-    s.factor_cache_hits = r.size();
-    s.factor_extends = r.size();
+    (void)r.size();  // The retired factor cache's two counters.
+    (void)r.size();
     s.rcond_per_solve = read_running_stats(r);
   }
   if (version >= 3) {
@@ -392,7 +400,7 @@ Checkpoint parse(std::istream& in) {
   if (known == std::end(kOptimizerTags))
     throw PayloadError(FaultCode::kCorruptPayload,
                        "checkpoint: unknown optimizer '" + tag + "'");
-  ck.optimizer = known->first;
+  const OptimizerKind optimizer = known->first;
 
   r.expect("store");
   const std::size_t n = r.count();
@@ -424,30 +432,34 @@ Checkpoint parse(std::istream& in) {
   ck.policy.stats = read_stats(r, version);
 
   r.expect("cursor_min_plus");
-  ck.min_plus.phase = r.integer();
-  ck.min_plus.var = r.size();
-  ck.min_plus.steps = r.size();
-  ck.min_plus.have_lambda_at_max = r.boolean();
-  ck.min_plus.have_lambda = r.boolean();
-  ck.min_plus.lambda_at_max = r.real();
-  ck.min_plus.lambda = r.real();
+  MinPlusOneCursor min_plus;
+  min_plus.phase = r.integer();
+  min_plus.var = r.size();
+  min_plus.steps = r.size();
+  min_plus.have_lambda_at_max = r.boolean();
+  min_plus.have_lambda = r.boolean();
+  min_plus.lambda_at_max = r.real();
+  min_plus.lambda = r.real();
   r.expect("w_min");
-  ck.min_plus.w_min = read_sized_config(r);
+  min_plus.w_min = read_sized_config(r);
   r.expect("w");
-  ck.min_plus.w = read_sized_config(r);
+  min_plus.w = read_sized_config(r);
   r.expect("decisions");
-  ck.min_plus.decisions = read_sized(r);
+  min_plus.decisions = read_sized(r);
 
   r.expect("cursor_sensitivity");
-  ck.sensitivity.started = r.boolean();
-  ck.sensitivity.done = r.boolean();
-  ck.sensitivity.feasible = r.boolean();
-  ck.sensitivity.steps = r.size();
-  ck.sensitivity.lambda = r.real();
+  SensitivityCursor sensitivity;
+  sensitivity.started = r.boolean();
+  sensitivity.done = r.boolean();
+  sensitivity.feasible = r.boolean();
+  sensitivity.steps = r.size();
+  sensitivity.lambda = r.real();
   r.expect("levels");
-  ck.sensitivity.levels = read_sized_config(r);
+  sensitivity.levels = read_sized_config(r);
   r.expect("decisions");
-  ck.sensitivity.decisions = read_sized(r);
+  sensitivity.decisions = read_sized(r);
+  ck.cursor =
+      select_cursor(optimizer, std::move(min_plus), std::move(sensitivity));
 
   r.expect("end");
   return ck;
@@ -494,79 +506,64 @@ std::optional<Checkpoint> load_checkpoint(const std::string& path) {
   return parse(in);
 }
 
+namespace {
+
+/// The one checkpointed driver loop. Resumes from the file at
+/// `checkpoint.path` when it holds a run of the same optimizer as
+/// `cursor`, then steps the cursor until it finishes or `step_limit`
+/// steps pause it, writing a checkpoint after every step.
+OptimizerCursor checkpointed_run(KrigingPolicy& policy,
+                                 const SimulatorFn& simulate,
+                                 OptimizerCursor cursor,
+                                 const MinPlusOneOptions& min_plus,
+                                 const SensitivityOptions& sensitivity,
+                                 const CheckpointOptions& checkpoint,
+                                 util::ThreadPool* pool) {
+  if (checkpoint.path.empty())
+    throw std::invalid_argument("checkpoint: empty path");
+  if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
+    const OptimizerKind owner = optimizer_kind(loaded->cursor);
+    if (owner != optimizer_kind(cursor))
+      throw std::runtime_error("checkpoint: file at " + checkpoint.path +
+                               " belongs to optimizer '" +
+                               optimizer_tag(owner) + "'");
+    policy.restore(loaded->policy);
+    cursor = std::move(loaded->cursor);
+  }
+  const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
+
+  Checkpoint ck;
+  std::size_t steps_this_run = 0;
+  while (!cursor_finished(cursor)) {
+    const bool more = optimizer_step(evaluate, min_plus, sensitivity, cursor);
+    ck.cursor = cursor;
+    write_policy_checkpoint(policy, ck, checkpoint.path);
+    if (more && ++steps_this_run == checkpoint.step_limit) break;
+  }
+  return cursor;
+}
+
+}  // namespace
+
 MinPlusOneResult checkpointed_min_plus_one(KrigingPolicy& policy,
                                            const SimulatorFn& simulate,
                                            const MinPlusOneOptions& options,
                                            const CheckpointOptions& checkpoint,
                                            util::ThreadPool* pool) {
-  if (checkpoint.path.empty())
-    throw std::invalid_argument("checkpointed_min_plus_one: empty path");
-  MinPlusOneCursor cursor = make_min_plus_one_cursor(options);
-  if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
-    if (loaded->optimizer != OptimizerKind::kMinPlusOne)
-      throw std::runtime_error("checkpoint: file at " + checkpoint.path +
-                               " belongs to optimizer '" +
-                               optimizer_tag(loaded->optimizer) + "'");
-    policy.restore(loaded->policy);
-    cursor = loaded->min_plus;
-  }
-  const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
-
-  Checkpoint ck;
-  ck.optimizer = OptimizerKind::kMinPlusOne;
-  std::size_t steps_this_run = 0;
-  std::size_t since_write = 0;
-  while (!cursor.finished()) {
-    const bool more = min_plus_one_step(evaluate, options, cursor);
-    ++steps_this_run;
-    ++since_write;
-    const bool pause = checkpoint.step_limit > 0 &&
-                       steps_this_run >= checkpoint.step_limit && more;
-    if (!more || pause || since_write >= checkpoint.period) {
-      ck.min_plus = cursor;
-      write_policy_checkpoint(policy, ck, checkpoint.path);
-      since_write = 0;
-    }
-    if (pause) break;
-  }
-  return min_plus_one_result(cursor, options);
+  return min_plus_one_result(
+      std::get<MinPlusOneCursor>(
+          checkpointed_run(policy, simulate, make_min_plus_one_cursor(options),
+                           options, {}, checkpoint, pool)),
+      options);
 }
 
 SensitivityResult checkpointed_steepest_descent(
     KrigingPolicy& policy, const SimulatorFn& simulate,
     const SensitivityOptions& options, const CheckpointOptions& checkpoint,
     util::ThreadPool* pool) {
-  if (checkpoint.path.empty())
-    throw std::invalid_argument("checkpointed_steepest_descent: empty path");
-  SensitivityCursor cursor = make_sensitivity_cursor(options);
-  if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
-    if (loaded->optimizer != OptimizerKind::kSteepestDescent)
-      throw std::runtime_error("checkpoint: file at " + checkpoint.path +
-                               " belongs to optimizer '" +
-                               optimizer_tag(loaded->optimizer) + "'");
-    policy.restore(loaded->policy);
-    cursor = loaded->sensitivity;
-  }
-  const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
-
-  Checkpoint ck;
-  ck.optimizer = OptimizerKind::kSteepestDescent;
-  std::size_t steps_this_run = 0;
-  std::size_t since_write = 0;
-  while (!cursor.finished()) {
-    const bool more = steepest_descent_step(evaluate, options, cursor);
-    ++steps_this_run;
-    ++since_write;
-    const bool pause = checkpoint.step_limit > 0 &&
-                       steps_this_run >= checkpoint.step_limit && more;
-    if (!more || pause || since_write >= checkpoint.period) {
-      ck.sensitivity = cursor;
-      write_policy_checkpoint(policy, ck, checkpoint.path);
-      since_write = 0;
-    }
-    if (pause) break;
-  }
-  return sensitivity_result(cursor);
+  return sensitivity_result(std::get<SensitivityCursor>(
+      checkpointed_run(policy, simulate, make_sensitivity_cursor(options), {},
+                       options, checkpoint, pool)));
 }
 
 }  // namespace ace::dse

@@ -22,8 +22,7 @@
 #include <string>
 
 #include "dse/kriging_policy.hpp"
-#include "dse/min_plus_one.hpp"
-#include "dse/steepest_descent.hpp"
+#include "dse/optimizer.hpp"
 
 namespace ace::util {
 class ThreadPool;
@@ -32,8 +31,8 @@ class ThreadPool;
 namespace ace::dse {
 
 struct CheckpointOptions {
-  std::string path;        ///< Checkpoint file location.
-  std::size_t period = 1;  ///< Write every this many optimizer steps.
+  /// Checkpoint file location, rewritten after every optimizer step.
+  std::string path;
   /// Pause after this many steps in this invocation (0 = run to
   /// completion). A paused run writes a checkpoint and returns its partial
   /// result; calling the same entry point again resumes it. This is how
@@ -41,14 +40,13 @@ struct CheckpointOptions {
   std::size_t step_limit = 0;
 };
 
-/// On-disk checkpoint payload. Exactly one of the cursors is meaningful,
-/// selected by `optimizer` (written as "min_plus_one" or
-/// "steepest_descent").
+/// On-disk checkpoint payload: the policy snapshot and the optimizer's
+/// position. The text names the optimizer ("min_plus_one" or
+/// "steepest_descent") and carries one line per optimizer's cursor; the
+/// optimizer that does not run has its line written at a default cursor.
 struct Checkpoint {
   PolicySnapshot policy;
-  OptimizerKind optimizer = OptimizerKind::kMinPlusOne;
-  MinPlusOneCursor min_plus;
-  SensitivityCursor sensitivity;
+  OptimizerCursor cursor;
 };
 
 /// The versioned text payload save_checkpoint writes, as a string. The
@@ -70,20 +68,20 @@ void save_checkpoint(const std::string& path, const Checkpoint& checkpoint);
 /// std::runtime_error on a malformed file or unsupported version.
 std::optional<Checkpoint> load_checkpoint(const std::string& path);
 
-/// min+1 with periodic checkpointing. If `options.path` holds a checkpoint
-/// (from a previous killed/paused run with the same optimizer options and
-/// a policy constructed with the same PolicyOptions), the run resumes from
-/// it: `policy` must then be freshly constructed, and the combined
-/// interrupted-plus-resumed run produces bit-identical results and
-/// PolicyStats to an uninterrupted one.
+/// min+1 with a checkpoint written after every step. If `checkpoint.path`
+/// holds a checkpoint (from a previous killed/paused run with the same
+/// optimizer options and a policy constructed with the same
+/// PolicyOptions), the run resumes from it: `policy` must then be freshly
+/// constructed, and the combined interrupted-plus-resumed run produces
+/// bit-identical results and PolicyStats to an uninterrupted one.
 MinPlusOneResult checkpointed_min_plus_one(KrigingPolicy& policy,
                                            const SimulatorFn& simulate,
                                            const MinPlusOneOptions& options,
                                            const CheckpointOptions& checkpoint,
                                            util::ThreadPool* pool = nullptr);
 
-/// Steepest-descent budgeting with periodic checkpointing; same resume
-/// contract as checkpointed_min_plus_one.
+/// Steepest-descent budgeting with a checkpoint written after every step;
+/// same resume contract as checkpointed_min_plus_one.
 SensitivityResult checkpointed_steepest_descent(
     KrigingPolicy& policy, const SimulatorFn& simulate,
     const SensitivityOptions& options, const CheckpointOptions& checkpoint,

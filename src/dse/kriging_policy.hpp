@@ -145,12 +145,8 @@ struct PolicyStats {
   /// regression shows up as a falling mean/min long before solves fail.
   std::size_t ridge_fallbacks = 0;
   /// Factorizations performed by interpolation solves, singular ridge
-  /// rungs included. factor_cache_hits / factor_extends belonged to a
-  /// retired factor cache: a live policy leaves them 0, and they stay in
-  /// the v3 checkpoint layout so existing checkpoint files load unchanged.
+  /// rungs included.
   std::size_t full_factorizations = 0;
-  std::size_t factor_cache_hits = 0;
-  std::size_t factor_extends = 0;
   /// Per-gate acquisition counters (checkpoint v3): vetoes by the
   /// LOO-calibrated and sequential-design gates (the variance gate's
   /// vetoes stay in variance_rejections), and the refit-time LOO-CV

@@ -45,6 +45,18 @@ BatchEvaluateFn serialize_evaluator(const EvaluateFn& evaluate) {
   };
 }
 
+std::size_t best_candidate(const std::vector<double>& lambdas) {
+  double best_lambda = -std::numeric_limits<double>::infinity();
+  std::size_t best = lambdas.size();  // Sentinel: none.
+  for (std::size_t j = 0; j < lambdas.size(); ++j) {
+    if (lambdas[j] > best_lambda) {
+      best_lambda = lambdas[j];
+      best = j;
+    }
+  }
+  return best;
+}
+
 Config determine_min_word_lengths(const EvaluateFn& evaluate,
                                   const MinPlusOneOptions& options) {
   const BatchEvaluateFn batch = serialize_evaluator(evaluate);
@@ -127,25 +139,17 @@ bool min_plus_one_step(const BatchEvaluateFn& evaluate,
     return false;
   }
   const std::vector<double> lambdas = evaluate(candidates);
-
-  double best_lambda = -std::numeric_limits<double>::infinity();
-  std::size_t best_var = options.nv;  // Sentinel: none.
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    if (lambdas[j] > best_lambda) {
-      best_lambda = lambdas[j];
-      best_var = vars[j];
-    }
-  }
-  if (best_var == options.nv) {
+  const std::size_t best = best_candidate(lambdas);
+  if (best == lambdas.size()) {
     // No candidate produced a usable λ (every one faulted to -inf or
     // NaN): stop instead of indexing the sentinel — the run degrades to
     // "constraint not met" rather than crashing.
     cursor.phase = 3;
     return false;
   }
-  ++cursor.w[best_var];
-  cursor.lambda = best_lambda;
-  cursor.decisions.push_back(best_var);
+  ++cursor.w[vars[best]];
+  cursor.lambda = lambdas[best];
+  cursor.decisions.push_back(vars[best]);
   ++cursor.steps;
   if (cursor.lambda >= options.lambda_min || cursor.steps >= options.max_steps)
     cursor.phase = 3;

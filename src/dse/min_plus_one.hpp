@@ -37,6 +37,11 @@ using BatchEvaluateFn =
 /// The returned callable references `evaluate` — do not outlive it.
 BatchEvaluateFn serialize_evaluator(const EvaluateFn& evaluate);
 
+/// The winner of a candidate competition: the index of the largest λ, the
+/// lowest index on ties; lambdas.size() when no λ beats -inf (every
+/// candidate faulted to -inf or NaN). Both greedy optimizers pick by it.
+std::size_t best_candidate(const std::vector<double>& lambdas);
+
 struct MinPlusOneOptions {
   double lambda_min = 0.0;  ///< Accuracy constraint λm (λ >= λm feasible).
   std::size_t nv = 0;       ///< Number of word-length variables.

@@ -1,6 +1,5 @@
 #include "dse/steepest_descent.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 namespace ace::dse {
@@ -56,24 +55,16 @@ bool steepest_descent_step(const BatchEvaluateFn& evaluate,
     return false;
   }
   const std::vector<double> lambdas = evaluate(candidates);
-
-  double best_lambda = -std::numeric_limits<double>::infinity();
-  std::size_t best_var = options.nv;  // Sentinel: none.
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    if (lambdas[j] > best_lambda) {
-      best_lambda = lambdas[j];
-      best_var = vars[j];
-    }
-  }
-  // Next move breaks quality — or every candidate faulted (-inf/NaN), in
-  // which case best_var is still the sentinel and must not be indexed.
-  if (best_lambda < options.lambda_min || best_var == options.nv) {
+  const std::size_t best = best_candidate(lambdas);
+  // Every candidate faulted (-inf/NaN), so best is the sentinel and must
+  // not be indexed — or the next move breaks quality.
+  if (best == lambdas.size() || lambdas[best] < options.lambda_min) {
     cursor.done = true;
     return false;
   }
-  --cursor.levels[best_var];
-  cursor.lambda = best_lambda;
-  cursor.decisions.push_back(best_var);
+  --cursor.levels[vars[best]];
+  cursor.lambda = lambdas[best];
+  cursor.decisions.push_back(vars[best]);
   ++cursor.steps;
   return true;
 }

@@ -67,10 +67,6 @@ struct SensitivityCursor {
                          const SensitivityCursor&) = default;
 };
 
-/// Which resumable optimizer drives a run, and so which cursor carries its
-/// position: MinPlusOneCursor or SensitivityCursor.
-enum class OptimizerKind { kMinPlusOne, kSteepestDescent };
-
 /// Fresh cursor at the all-level_max start. Validates options.
 SensitivityCursor make_sensitivity_cursor(const SensitivityOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "dse/checkpoint.hpp"
 #include "dse/scheduler.hpp"
@@ -44,23 +45,17 @@ SessionManager::~SessionManager() {
 SessionId SessionManager::create(SessionSpec spec) {
   if (!spec.simulate)
     throw std::invalid_argument("SessionManager: spec.simulate is null");
-  const std::size_t nv = spec.optimizer == OptimizerKind::kMinPlusOne
-                             ? spec.min_plus.nv
-                             : spec.sensitivity.nv;
-  if (nv == 0) throw std::invalid_argument("SessionManager: nv == 0");
+  // Cursor construction validates the optimizer options up front, so a
+  // bad spec fails at create() rather than inside a service thread.
+  dse::OptimizerCursor cursor = dse::make_optimizer_cursor(
+      spec.optimizer, spec.min_plus, spec.sensitivity);
 
   const util::LockGuard lock(mutex_);
   const SessionId id = ++next_id_;
   auto session = std::make_unique<Session>();
   session->id = id;
   session->spec = std::move(spec);
-  // Cursor construction validates the optimizer options up front, so a
-  // bad spec fails at create() rather than inside a service thread.
-  if (session->spec.optimizer == OptimizerKind::kMinPlusOne)
-    session->min_cursor = dse::make_min_plus_one_cursor(session->spec.min_plus);
-  else
-    session->sens_cursor =
-        dse::make_sensitivity_cursor(session->spec.sensitivity);
+  session->cursor = std::move(cursor);
   sessions_.emplace(id, std::move(session));
   ++stats_.sessions_created;
   return id;
@@ -124,9 +119,7 @@ void SessionManager::park_locked(Session& s) {
   // decision, not a durability event, so the policy's statistics stay
   // bit-identical to a standalone run that never parked.
   checkpoint.policy = s.policy->snapshot();
-  checkpoint.optimizer = s.spec.optimizer;
-  checkpoint.min_plus = s.min_cursor;
-  checkpoint.sensitivity = s.sens_cursor;
+  checkpoint.cursor = s.cursor;
   s.policy.reset();
   --resident_;
   ++stats_.parks;
@@ -169,7 +162,7 @@ void SessionManager::service_loop() {
     // manager lock: a slow resume must not stall submits and steps for
     // every other session. The resident slot is reserved up front so
     // concurrent residency enforcement counts this session; in_service
-    // keeps every other thread away from its cursors and policy slot, and
+    // keeps every other thread away from its cursor and policy slot, and
     // spec is immutable after create(), so the off-lock reads are
     // race-free.
     const bool resume = !s.finished() && !s.policy;
@@ -198,8 +191,7 @@ void SessionManager::service_loop() {
     // it is not in ready_ while in_service).
     dse::KrigingPolicy* policy = s.policy.get();
     const SessionSpec& spec = s.spec;
-    dse::MinPlusOneCursor min_cursor = s.min_cursor;
-    dse::SensitivityCursor sens_cursor = s.sens_cursor;
+    dse::OptimizerCursor cursor = s.cursor;
     lock.unlock();
 
     dse::BatchEvaluateFn evaluate = no_policy;
@@ -210,12 +202,8 @@ void SessionManager::service_loop() {
                                                    options_.pool);
     std::size_t executed = 0;
     for (std::size_t i = 0; i < request.steps; ++i) {
-      bool more = false;
-      if (spec.optimizer == OptimizerKind::kMinPlusOne)
-        more = dse::min_plus_one_step(evaluate, spec.min_plus, min_cursor);
-      else
-        more = dse::steepest_descent_step(evaluate, spec.sensitivity,
-                                          sens_cursor);
+      const bool more = dse::optimizer_step(evaluate, spec.min_plus,
+                                            spec.sensitivity, cursor);
       ++executed;
       if (!more) break;
     }
@@ -225,8 +213,7 @@ void SessionManager::service_loop() {
         policy != nullptr ? policy->stats() : s.last_stats;
 
     lock.lock();
-    s.min_cursor = std::move(min_cursor);
-    s.sens_cursor = std::move(sens_cursor);
+    s.cursor = std::move(cursor);
     s.last_stats = policy_stats;
     // The slice finished the cursor: release the policy outright. There
     // is nothing to park — no later request can evaluate through it.
@@ -260,9 +247,7 @@ SessionProgress SessionManager::progress(SessionId id) const {
   out.resident = s.policy != nullptr;
   out.finished = s.finished();
   out.steps = s.executed_steps;
-  out.decisions = s.spec.optimizer == OptimizerKind::kMinPlusOne
-                      ? s.min_cursor.decisions
-                      : s.sens_cursor.decisions;
+  out.decisions = dse::cursor_decisions(s.cursor);
   // stats() is itself a snapshot accessor, so reading a live policy here
   // is race-free even while a service thread steps it.
   out.stats = s.policy ? s.policy->stats() : s.last_stats;
@@ -273,18 +258,20 @@ dse::MinPlusOneResult SessionManager::min_plus_one_result(
     SessionId id) const {
   const util::LockGuard lock(mutex_);
   const Session& s = session_locked(id);
-  if (s.spec.optimizer != OptimizerKind::kMinPlusOne)
+  const auto* cursor = std::get_if<dse::MinPlusOneCursor>(&s.cursor);
+  if (cursor == nullptr)
     throw std::logic_error("SessionManager: session is not min+1");
-  return dse::min_plus_one_result(s.min_cursor, s.spec.min_plus);
+  return dse::min_plus_one_result(*cursor, s.spec.min_plus);
 }
 
 dse::SensitivityResult SessionManager::sensitivity_result(
     SessionId id) const {
   const util::LockGuard lock(mutex_);
   const Session& s = session_locked(id);
-  if (s.spec.optimizer != OptimizerKind::kSteepestDescent)
+  const auto* cursor = std::get_if<dse::SensitivityCursor>(&s.cursor);
+  if (cursor == nullptr)
     throw std::logic_error("SessionManager: session is not steepest-descent");
-  return dse::sensitivity_result(s.sens_cursor);
+  return dse::sensitivity_result(*cursor);
 }
 
 std::size_t SessionManager::session_count() const {

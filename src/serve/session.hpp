@@ -8,25 +8,26 @@
 // dist::Coordinator).
 //
 // Determinism contract: requests for one session execute FIFO and one at
-// a time, each stepping the session's cursor through the same
-// min_plus_one_step / steepest_descent_step functions a standalone run
-// uses. A session's decision sequence is therefore a pure function of its
-// own (store state, cursor) and is bit-identical to running that session
-// alone, no matter how many sessions interleave on the service threads —
-// the same argument that makes evaluate_batch backend-independent.
+// a time, each stepping the session's dse::OptimizerCursor through the
+// same optimizer_step a standalone run uses. A session's decision
+// sequence is therefore a pure function of its own (store state, cursor)
+// and is bit-identical to running that session alone, no matter how many
+// sessions interleave on the service threads — the same argument that
+// makes evaluate_batch backend-independent.
 //
 // Session state vs policy state: the *session* is the durable object (its
 // spec, cursor and ticket queue live for the manager's lifetime); the
-// *policy* — store, variogram bins, fitted model, factor cache — is a
-// resident that can be parked at any quiescent point. Parking keeps the
-// policy snapshot and cursors as an in-memory dse::Checkpoint value (no
-// text), so a parked session is exactly a checkpoint the on-disk tooling
-// could write with serialize_checkpoint, and resuming replays it
-// bit-identically through KrigingPolicy::restore. An LRU cap on resident
-// policies bounds memory: thousands of sessions fit in a process with only
-// `resident_capacity` stores live. A session whose cursor has finished
-// holds no policy at all — it can never evaluate again, so its policy is
-// released (not parked) at the end of the slice that finished it.
+// *policy* — store, variogram bins, fitted model, interpolation
+// workspace — is a resident that can be parked at any quiescent point.
+// Parking keeps the policy snapshot and cursor as an in-memory
+// dse::Checkpoint value (no text), so a parked session is exactly a
+// checkpoint the on-disk tooling could write with serialize_checkpoint,
+// and resuming replays it bit-identically through KrigingPolicy::restore.
+// An LRU cap on resident policies bounds memory: thousands of sessions fit
+// in a process with only `resident_capacity` stores live. A session whose
+// cursor has finished holds no policy at all — it can never evaluate
+// again, so its policy is released (not parked) at the end of the slice
+// that finished it.
 #pragma once
 
 #include <condition_variable>
@@ -44,8 +45,7 @@
 #include "dse/batch_sim.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/kriging_policy.hpp"
-#include "dse/min_plus_one.hpp"
-#include "dse/steepest_descent.hpp"
+#include "dse/optimizer.hpp"
 #include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_annotations.hpp"
@@ -131,7 +131,8 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Register a session. Cheap: the policy is built lazily on the first
-  /// request. Throws std::invalid_argument on a null simulator or nv == 0.
+  /// request. Throws std::invalid_argument on a null simulator or on
+  /// optimizer options its cursor rejects (nv == 0, for one).
   SessionId create(SessionSpec spec) ACE_EXCLUDES(mutex_);
 
   /// Queue `steps` optimizer steps for the session (0 = just make it
@@ -181,13 +182,12 @@ class SessionManager {
   struct Session {
     SessionId id = 0;
     SessionSpec spec;
-    dse::MinPlusOneCursor min_cursor;
-    dse::SensitivityCursor sens_cursor;
+    dse::OptimizerCursor cursor;
     /// Live policy; null when parked, finished or never started.
     std::unique_ptr<dse::KrigingPolicy> policy;
     /// Checkpoint of a parked session (empty = fresh start, resident or
-    /// finished). Resume restores the policy from it; its cursors equal
-    /// min_cursor/sens_cursor, which nothing steps while parked.
+    /// finished). Resume restores the policy from it; its cursor equals
+    /// `cursor`, which nothing steps while parked.
     std::optional<dse::Checkpoint> parked;
     std::deque<Request> pending;
     bool in_service = false;  ///< A service thread is stepping it.
@@ -196,16 +196,12 @@ class SessionManager {
     dse::PolicyStats last_stats;  ///< Stats at last service completion.
     std::size_t executed_steps = 0;
 
-    bool finished() const {
-      return spec.optimizer == OptimizerKind::kMinPlusOne
-                 ? min_cursor.finished()
-                 : sens_cursor.finished();
-    }
+    bool finished() const { return dse::cursor_finished(cursor); }
   };
 
   void service_loop();
   Session& session_locked(SessionId id) const ACE_REQUIRES(mutex_);
-  /// Snapshot the policy + cursors into `parked` and release the resident
+  /// Snapshot the policy + cursor into `parked` and release the resident
   /// slot. The snapshot copies the store's rows and renders no text, so
   /// this runs under the lock.
   void park_locked(Session& s) ACE_REQUIRES(mutex_);

@@ -143,6 +143,9 @@ TEST(DistProtocol, MalformedPayloadsAreTyped) {
   expect_corrupt("HELLO 99 1 0x0p+0 0x1p+1 0x1p+6 0x1p-2 1 0x0p+0");  // Version.
   expect_corrupt("PING");                  // Missing nonce.
   expect_corrupt("QUIT now");              // Trailing token.
+  expect_corrupt("OUT 1 0 -1 0 0 0x1p+0"); // Negative count, not 2^64 - 1.
+  expect_corrupt("TASK -1 1 3");           // Negative id, not 2^64 - 1.
+  expect_corrupt("TASK 1 1 4294967297");   // Coordinate beyond int range.
 }
 
 // End-to-end over the real serve() loop on a thread: handshake, task,

@@ -51,7 +51,6 @@ void expect_snapshots_equal(const d::PolicySnapshot& a,
 
 TEST(CheckpointFile, RoundTripIsExact) {
   d::Checkpoint ck;
-  ck.optimizer = d::OptimizerKind::kMinPlusOne;
   ck.policy.configs = {{8, 8}, {7, 8}, {8, 7}};
   // Deliberately awkward doubles: non-terminating binary fractions, huge,
   // and denormal magnitudes all survive the hexfloat round trip exactly.
@@ -66,31 +65,36 @@ TEST(CheckpointFile, RoundTripIsExact) {
   ck.policy.stats.checkpoints_written = 4;
   ck.policy.stats.neighbors_per_interpolation.add(3.0);
   ck.policy.stats.neighbors_per_interpolation.add(5.0);
-  ck.min_plus.phase = 2;
-  ck.min_plus.var = 3;
-  ck.min_plus.w_min = {6, 6, 6};
-  ck.min_plus.lambda_at_max = 5e-324;  // Smallest positive denormal.
-  ck.min_plus.have_lambda_at_max = true;
-  ck.min_plus.w = {7, 6, 6};
-  ck.min_plus.lambda = -9.25;
-  ck.min_plus.have_lambda = true;
-  ck.min_plus.decisions = {0, 1};
-  ck.min_plus.steps = 2;
-  ck.sensitivity.started = true;
-  ck.sensitivity.levels = {4, 5, 5};
-  ck.sensitivity.lambda = 0.90625;
-  ck.sensitivity.feasible = true;
-  ck.sensitivity.decisions = {0, 0, 1, 2};
-  ck.sensitivity.steps = 4;
+  d::MinPlusOneCursor min_plus;
+  min_plus.phase = 2;
+  min_plus.var = 3;
+  min_plus.w_min = {6, 6, 6};
+  min_plus.lambda_at_max = 5e-324;  // Smallest positive denormal.
+  min_plus.have_lambda_at_max = true;
+  min_plus.w = {7, 6, 6};
+  min_plus.lambda = -9.25;
+  min_plus.have_lambda = true;
+  min_plus.decisions = {0, 1};
+  min_plus.steps = 2;
+  d::SensitivityCursor sensitivity;
+  sensitivity.started = true;
+  sensitivity.levels = {4, 5, 5};
+  sensitivity.lambda = 0.90625;
+  sensitivity.feasible = true;
+  sensitivity.decisions = {0, 0, 1, 2};
+  sensitivity.steps = 4;
 
+  // Each optimizer's cursor comes back as the cursor of that optimizer.
   const std::string path = temp_path("ace_ckpt_roundtrip.txt");
-  d::save_checkpoint(path, ck);
-  const auto loaded = d::load_checkpoint(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->optimizer, ck.optimizer);
-  expect_snapshots_equal(loaded->policy, ck.policy);
-  EXPECT_EQ(loaded->min_plus, ck.min_plus);
-  EXPECT_EQ(loaded->sensitivity, ck.sensitivity);
+  for (const d::OptimizerCursor& cursor :
+       {d::OptimizerCursor(min_plus), d::OptimizerCursor(sensitivity)}) {
+    ck.cursor = cursor;
+    d::save_checkpoint(path, ck);
+    const auto loaded = d::load_checkpoint(path);
+    ASSERT_TRUE(loaded.has_value());
+    expect_snapshots_equal(loaded->policy, ck.policy);
+    EXPECT_TRUE(loaded->cursor == ck.cursor) << cursor.index();
+  }
   std::remove(path.c_str());
 }
 
@@ -129,12 +133,13 @@ TEST(CheckpointFile, RejectsGarbageAndUnsupportedVersion) {
 // token at a time.
 d::Checkpoint small_checkpoint() {
   d::Checkpoint ck;
-  ck.optimizer = d::OptimizerKind::kMinPlusOne;
   ck.policy.configs = {{8, 8}, {7, 8}};
   ck.policy.values = {0.5, -2.25};
   ck.policy.fit_events = {6, 11};
-  ck.min_plus.w_min = {2, 2};
-  ck.min_plus.w = {8, 8};
+  d::MinPlusOneCursor min_plus;
+  min_plus.w_min = {2, 2};
+  min_plus.w = {8, 8};
+  ck.cursor = min_plus;
   return ck;
 }
 
@@ -296,12 +301,12 @@ TEST(CheckpointFile, LoadsVersion2FixtureWithZeroGateCounters) {
   const auto loaded = d::load_checkpoint(path);
   ASSERT_TRUE(loaded.has_value());
   const d::PolicyStats& s = loaded->policy.stats;
-  // The v2 tail arrives intact...
+  // The v2 tail arrives intact: the retired factor cache's two slots
+  // (2 and 3 here) are read past, so the fields after them still line up.
   EXPECT_EQ(s.ridge_fallbacks, 1u);
   EXPECT_EQ(s.full_factorizations, 5u);
-  EXPECT_EQ(s.factor_cache_hits, 2u);
-  EXPECT_EQ(s.factor_extends, 3u);
   EXPECT_EQ(s.rcond_per_solve.count(), 4u);
+  EXPECT_DOUBLE_EQ(s.rcond_per_solve.mean(), 0.5);
   // ...and the v3 gate counters default to a fresh policy's.
   EXPECT_EQ(s.loo_rejections, 0u);
   EXPECT_EQ(s.sequential_rejections, 0u);
@@ -312,7 +317,6 @@ TEST(CheckpointFile, LoadsVersion2FixtureWithZeroGateCounters) {
 
 TEST(CheckpointFile, Version3RoundTripsGateCountersExactly) {
   d::Checkpoint ck;
-  ck.optimizer = d::OptimizerKind::kMinPlusOne;
   ck.policy.stats.variance_rejections = 4;
   ck.policy.stats.loo_rejections = 7;
   ck.policy.stats.sequential_rejections = 3;
@@ -490,7 +494,7 @@ TEST(CheckpointedRuns, KilledMinPlusOneResumesBitIdentically) {
   const std::string ref_path = temp_path("ace_ckpt_mp_ref.txt");
   d::KrigingPolicy reference(kriging_options());
   const d::MinPlusOneResult expected =
-      d::checkpointed_min_plus_one(reference, sim, mpo, {ref_path, 1});
+      d::checkpointed_min_plus_one(reference, sim, mpo, {ref_path});
   ASSERT_TRUE(d::load_checkpoint(ref_path).has_value());
 
   // Kill after each possible number of steps; resume must reconverge.
@@ -499,13 +503,13 @@ TEST(CheckpointedRuns, KilledMinPlusOneResumesBitIdentically) {
         temp_path("ace_ckpt_mp_kill" + std::to_string(kill) + ".txt");
 
     d::KrigingPolicy before(kriging_options());
-    (void)d::checkpointed_min_plus_one(before, sim, mpo, {path, 1, kill});
+    (void)d::checkpointed_min_plus_one(before, sim, mpo, {path, kill});
     const auto mid = d::load_checkpoint(path);
     ASSERT_TRUE(mid.has_value());
 
     d::KrigingPolicy after(kriging_options());
     const d::MinPlusOneResult resumed =
-        d::checkpointed_min_plus_one(after, sim, mpo, {path, 1});
+        d::checkpointed_min_plus_one(after, sim, mpo, {path});
 
     EXPECT_EQ(resumed.w_min, expected.w_min) << "kill=" << kill;
     EXPECT_EQ(resumed.w_res, expected.w_res) << "kill=" << kill;
@@ -538,7 +542,7 @@ TEST(CheckpointedRuns, KilledSteepestDescentResumesBitIdentically) {
   const std::string ref_path = temp_path("ace_ckpt_sd_ref.txt");
   d::KrigingPolicy reference(kriging_options());
   const d::SensitivityResult expected =
-      d::checkpointed_steepest_descent(reference, sim, so, {ref_path, 1});
+      d::checkpointed_steepest_descent(reference, sim, so, {ref_path});
   EXPECT_TRUE(expected.feasible);
   EXPECT_FALSE(expected.decisions.empty());
 
@@ -546,11 +550,11 @@ TEST(CheckpointedRuns, KilledSteepestDescentResumesBitIdentically) {
     const std::string path =
         temp_path("ace_ckpt_sd_kill" + std::to_string(kill) + ".txt");
     d::KrigingPolicy before(kriging_options());
-    (void)d::checkpointed_steepest_descent(before, sim, so, {path, 1, kill});
+    (void)d::checkpointed_steepest_descent(before, sim, so, {path, kill});
 
     d::KrigingPolicy after(kriging_options());
     const d::SensitivityResult resumed =
-        d::checkpointed_steepest_descent(after, sim, so, {path, 1});
+        d::checkpointed_steepest_descent(after, sim, so, {path});
 
     EXPECT_EQ(resumed.levels, expected.levels) << "kill=" << kill;
     EXPECT_EQ(resumed.decisions, expected.decisions) << "kill=" << kill;
@@ -577,14 +581,14 @@ TEST(CheckpointedRuns, RerunAfterCompletionIsAnIdleResume) {
 
   d::KrigingPolicy first(kriging_options());
   const d::MinPlusOneResult res =
-      d::checkpointed_min_plus_one(first, sim, mpo, {path, 1});
+      d::checkpointed_min_plus_one(first, sim, mpo, {path});
   const std::size_t calls_after_first = sim_calls;
 
   // The cursor on disk is finished: a rerun restores the policy, runs no
   // steps, simulates nothing, and reproduces the result.
   d::KrigingPolicy second(kriging_options());
   const d::MinPlusOneResult rerun =
-      d::checkpointed_min_plus_one(second, sim, mpo, {path, 1});
+      d::checkpointed_min_plus_one(second, sim, mpo, {path});
   EXPECT_EQ(sim_calls, calls_after_first);
   EXPECT_EQ(rerun.w_res, res.w_res);
   EXPECT_EQ(rerun.decisions, res.decisions);
@@ -600,13 +604,13 @@ TEST(CheckpointedRuns, OptimizerMismatchIsRejected) {
   mpo.lambda_min = 2.0;
   const std::string path = temp_path("ace_ckpt_mismatch.txt");
   d::KrigingPolicy policy(kriging_options());
-  (void)d::checkpointed_min_plus_one(policy, smooth, mpo, {path, 1});
+  (void)d::checkpointed_min_plus_one(policy, smooth, mpo, {path});
 
   d::SensitivityOptions so;
   so.nv = 2;
   d::KrigingPolicy other(kriging_options());
   EXPECT_THROW((void)d::checkpointed_steepest_descent(other, smooth, so,
-                                                      {path, 1}),
+                                                      {path}),
                std::runtime_error);
   std::remove(path.c_str());
 }
@@ -616,7 +620,7 @@ TEST(CheckpointedRuns, EmptyPathIsRejected) {
   mpo.nv = 2;
   d::KrigingPolicy policy(kriging_options());
   EXPECT_THROW(
-      (void)d::checkpointed_min_plus_one(policy, smooth, mpo, {"", 1}),
+      (void)d::checkpointed_min_plus_one(policy, smooth, mpo, {""}),
       std::invalid_argument);
 }
 

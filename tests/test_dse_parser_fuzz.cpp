@@ -133,7 +133,8 @@ double smooth(const d::Config& c) {
   return acc;
 }
 
-/// A checkpoint of a real policy mid-run, with every cursor field set.
+/// A checkpoint of a real policy mid-run, with every field of its cursor
+/// set.
 d::Checkpoint live_checkpoint(d::OptimizerKind optimizer) {
   d::PolicyOptions options;
   options.min_fit_points = 4;
@@ -142,22 +143,24 @@ d::Checkpoint live_checkpoint(d::OptimizerKind optimizer) {
   for (int x = 0; x < 4; ++x)
     for (int y = 0; y < 3; ++y) (void)policy.evaluate({x, y}, smooth);
   d::Checkpoint ck;
-  ck.optimizer = optimizer;
   ck.policy = policy.snapshot();
   ck.policy.quarantine = {{{9, 9}, d::FaultCode::kTimeout}};
-  ck.min_plus.phase = 1;
-  ck.min_plus.var = 1;
-  ck.min_plus.w_min = {3, 2};
-  ck.min_plus.w = {4, 2};
-  ck.min_plus.lambda = -0.1;
-  ck.min_plus.have_lambda = true;
-  ck.min_plus.decisions = {0, 1, 1};
-  ck.min_plus.steps = 3;
-  ck.sensitivity.started = true;
-  ck.sensitivity.levels = {5, 6};
-  ck.sensitivity.lambda = 1.0 / 3.0;
-  ck.sensitivity.decisions = {1};
-  ck.sensitivity.steps = 1;
+  d::MinPlusOneCursor min_plus;
+  min_plus.phase = 1;
+  min_plus.var = 1;
+  min_plus.w_min = {3, 2};
+  min_plus.w = {4, 2};
+  min_plus.lambda = -0.1;
+  min_plus.have_lambda = true;
+  min_plus.decisions = {0, 1, 1};
+  min_plus.steps = 3;
+  d::SensitivityCursor sensitivity;
+  sensitivity.started = true;
+  sensitivity.levels = {5, 6};
+  sensitivity.lambda = 1.0 / 3.0;
+  sensitivity.decisions = {1};
+  sensitivity.steps = 1;
+  ck.cursor = d::select_cursor(optimizer, min_plus, sensitivity);
   return ck;
 }
 

@@ -396,8 +396,6 @@ TEST(KrigingPolicy, MinPlusOneRunPopulatesSolveCounters) {
   EXPECT_GT(stats.rcond_per_solve.mean(), 0.0);
   EXPECT_LE(stats.ridge_fallbacks, stats.rcond_per_solve.count());
   EXPECT_GE(stats.full_factorizations, stats.interpolated);
-  EXPECT_EQ(stats.factor_cache_hits, 0u);
-  EXPECT_EQ(stats.factor_extends, 0u);
 }
 
 TEST(KrigingPolicy, ConstantSurfaceInterpolatesToConstant) {

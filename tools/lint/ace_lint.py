@@ -55,6 +55,14 @@ blocking-under-lock
                   holding the lock is the documented design (the policy
                   mutex across phase-2 simulation, the serializing backend
                   wrapper) carry a justified suppression.
+optimizer-dispatch
+                  An == / != comparison against an OptimizerKind::
+                  enumerator, or a `case OptimizerKind::` label, in src/
+                  outside dse/optimizer.{hpp,cpp}. Which optimizer runs is
+                  decided once, where a dse::OptimizerCursor is made; every
+                  driver steps and reads the cursor through that module, so
+                  a new optimizer phase lands in one place instead of in a
+                  branch per driver.
 cv-wait-foreign-lock
                   A condition-variable wait while more than one guard is
                   active: the wait releases only its own mutex, so every
@@ -170,6 +178,17 @@ RULES = [
         "dse::AcquisitionGate (make_gate / attempt / accept)",
     ),
     (
+        "optimizer-dispatch",
+        re.compile(
+            r"[!=]=\s*(?:\w+::)*OptimizerKind::"
+            r"|OptimizerKind::\w+\s*[!=]="
+            r"|\bcase\s+(?:\w+::)*OptimizerKind::"
+        ),
+        "branch on OptimizerKind outside dse/optimizer; hold a "
+        "dse::OptimizerCursor and go through optimizer_step / "
+        "cursor_solution / cursor_decisions instead",
+    ),
+    (
         "unchecked-syscall",
         re.compile(
             r"^\s*(?:::)?"
@@ -259,6 +278,13 @@ RAW_DISTANCE_EXEMPT = re.compile(r"(?:^|/)src/util/simd[^/]*$")
 # selftest fixture violations_dse_gate.cpp matches by basename.
 GATE_SCOPE = re.compile(r"(?:^|/)src/dse/[^/]+$|(?:^|/)[^/]*dse_gate[^/]*$")
 GATE_EXEMPT = re.compile(r"(?:^|/)acquisition\.(?:cpp|hpp|cc|hh|cxx|h)$")
+
+# optimizer-dispatch is scoped to the library (src/) outside the optimizer
+# module, the one place allowed to branch on OptimizerKind. The selftest
+# fixture violations_optimizer_dispatch.cpp matches by basename.
+DISPATCH_SCOPE = re.compile(
+    r"(?:^|/)src/.+$|(?:^|/)[^/]*optimizer_dispatch[^/]*$")
+DISPATCH_EXEMPT = re.compile(r"(?:^|/)src/dse/optimizer\.(?:cpp|hpp)$")
 
 # unchecked-syscall is scoped to where the raw syscalls live: the
 # coordinator/worker layer and the subprocess utility (the selftest
@@ -412,6 +438,10 @@ def lint_file(path: Path) -> list[Finding]:
             if rule == "gate-bypass" and (
                     not GATE_SCOPE.search(path.as_posix())
                     or GATE_EXEMPT.search(path.as_posix())):
+                continue
+            if rule == "optimizer-dispatch" and (
+                    not DISPATCH_SCOPE.search(path.as_posix())
+                    or DISPATCH_EXEMPT.search(path.as_posix())):
                 continue
             if rule == "unchecked-syscall" and not SYSCALL_SCOPE.search(
                     path.as_posix()):
