@@ -14,8 +14,8 @@ std::vector<util::GuardedCall> PooledBatchSimulator::simulate_many(
           pool_, configs.size(), [&](std::size_t s) {
             // The task key is a pure function of the configuration, so the
             // backoff jitter (and thus the whole retry schedule) is
-            // identical whether the call runs inline, on any worker
-            // thread, or in a worker process.
+            // identical whether the call runs inline or on any worker
+            // thread.
             sims[s] = util::call_with_retry(retry_, ConfigHash{}(configs[s]),
                                             [&] { return simulate_(configs[s]); });
           });

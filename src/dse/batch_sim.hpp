@@ -3,23 +3,21 @@
 // KrigingPolicy::evaluate_batch partitions a candidate set into store-hit /
 // interpolate / simulate, then hands the *pending simulations* — and only
 // those — to a BatchSimulator. The backend owns how the guarded calls
-// execute: inline, on a thread pool (PooledBatchSimulator, the default and
-// the historical behaviour), or sharded across worker processes
-// (dist::Coordinator). The policy's partition and its index-ordered fold
-// never change with the backend, so the optimizer's decision sequence is a
-// pure function of (store state, batch order) regardless of where the
-// simulations physically ran — the determinism contract the distributed
-// layer is built on.
+// execute: inline or on a thread pool (PooledBatchSimulator, the default),
+// or any other executor that honours the result[i] <-> configs[i] contract
+// below, in whatever order it runs them. The policy's partition and its
+// index-ordered fold never change with the backend, so the optimizer's
+// decision sequence is a pure function of (store state, batch order)
+// regardless of where the simulations physically ran.
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "dse/config.hpp"
 #include "dse/kriging_policy.hpp"  // SimulatorFn
-#include "util/mutex.hpp"
 #include "util/retry.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace ace::util {
 class ThreadPool;
@@ -60,35 +58,6 @@ class PooledBatchSimulator final : public BatchSimulator {
   SimulatorFn simulate_;
   util::RetryOptions retry_;
   util::ThreadPool* pool_;
-};
-
-/// Serializes a shared BatchSimulator that is not required to accept
-/// concurrent simulate_many calls (dist::Coordinator, external services)
-/// across caller threads. serve::SessionManager wraps its shared backend
-/// in one of these; any other multi-client composition should too, rather
-/// than growing an ad-hoc mutex.
-///
-/// Rank kBackendSerialize sits between the policy locks and the
-/// transport/queue locks: a caller typically holds its policy mutex on
-/// entry (evaluate_batch), and the inner backend may take event-queue and
-/// transport locks below.
-class SerializingBatchSimulator final : public BatchSimulator {
- public:
-  explicit SerializingBatchSimulator(BatchSimulator& inner) : inner_(inner) {}
-
-  std::vector<util::GuardedCall> simulate_many(
-      const std::vector<Config>& configs) override ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    // The serialized call IS this class's purpose: the inner backend must
-    // see one batch at a time, so it runs under mutex_ by construction.
-    // ace-lint: allow(blocking-under-lock)
-    return inner_.simulate_many(configs);
-  }
-
- private:
-  BatchSimulator& inner_;
-  util::Mutex mutex_{util::lock_order::Rank::kBackendSerialize,
-                     "dse.backend_serialize"};
 };
 
 }  // namespace ace::dse

@@ -49,9 +49,9 @@ std::string optimizer_tag(OptimizerKind kind) {
 
 /// Staging-file name for the atomic tmp+rename write. The name is unique
 /// per process *and* per write (pid + a process-local counter), so two
-/// concurrent writers — two threads here, or two coordinator/worker
-/// processes checkpointing the same path — can never interleave on a
-/// shared ".tmp" file and rename a half-written payload into place.
+/// concurrent writers — two threads here, or two processes checkpointing
+/// the same path — can never interleave on a shared ".tmp" file and
+/// rename a half-written payload into place.
 std::string unique_tmp_name(const std::string& path) {
   static std::atomic<unsigned long> counter{0};
   std::string tmp = path;

@@ -31,27 +31,27 @@ enum class FaultCode : unsigned char {
   kContractViolation,  ///< Simulator tripped a numerical contract
                        ///< (util::ContractViolation) — deterministic,
                        ///< never retried.
-  // Process-level faults of the coordinator/worker subsystem (src/dist/)
-  // and the persistence readers. New codes append so checkpoint files,
-  // which serialize the enumerator value, stay forward-compatible.
-  kWorkerLost,        ///< Worker process/thread died or its pipe closed
-                      ///< while it held a lease.
-  kLeaseExpired,      ///< A leased task missed its heartbeat deadline and
-                      ///< was stolen/re-dispatched.
-  kCorruptPayload,    ///< A wire frame or persisted payload failed its
-                      ///< checksum or did not parse.
-  kTruncatedPayload,  ///< A wire frame or persisted payload ended
-                      ///< mid-record (cut-off file, half-written line).
+  // Checkpoint files serialize the enumerator value, so every code keeps
+  // its number for good: new codes append, and none is ever removed.
+  kWorkerLost,        ///< Retired (a lost worker process). Nothing produces
+                      ///< it; kept so the codes below keep their values
+                      ///< in existing checkpoint files.
+  kLeaseExpired,      ///< Retired (a worker missing its heartbeat). Nothing
+                      ///< produces it; kept for checkpoint compatibility.
+  kCorruptPayload,    ///< A persisted payload failed its checksum or did
+                      ///< not parse.
+  kTruncatedPayload,  ///< A persisted payload ended mid-record (cut-off
+                      ///< file, half-written line).
 };
 
 const char* to_string(EvalSource source);
 const char* to_string(FaultCode code);
 
-/// Typed parse/integrity failure of a persisted or transmitted payload
-/// (checkpoint file, trajectory CSV, dist wire frame). Derives from
-/// std::runtime_error so pre-existing catch sites keep working, but
-/// carries the FaultCode so callers can tell truncation from garbage and
-/// route the failure into the quarantine/retry machinery.
+/// Typed parse/integrity failure of a persisted payload (checkpoint file,
+/// trajectory CSV). Derives from std::runtime_error so pre-existing catch
+/// sites keep working, but carries the FaultCode so callers can tell
+/// truncation from garbage and route the failure into the quarantine/retry
+/// machinery.
 class PayloadError : public std::runtime_error {
  public:
   PayloadError(FaultCode code, const std::string& what)

@@ -216,8 +216,8 @@ class KrigingPolicy {
       ACE_EXCLUDES(mutex_);
 
   /// Backend overload: same partition and index-ordered fold, but the
-  /// pending simulations run through `backend` (a thread pool, a
-  /// coordinator sharding to worker processes, …). The backend is called
+  /// pending simulations run through `backend` (any BatchSimulator that
+  /// honours the result[i] <-> configs[i] contract). The backend is called
   /// with the policy mutex held and must not call back into this policy.
   /// The SimulatorFn overload above is exactly this with a
   /// PooledBatchSimulator over (simulate, options().retry, pool).

@@ -46,8 +46,9 @@ BatchEvaluateFn policy_batch_evaluator(KrigingPolicy& policy,
                                        util::ThreadPool* pool = nullptr);
 
 /// Backend variant: candidate sets run through the policy with pending
-/// simulations executed by `backend` (e.g. dist::Coordinator sharding to
-/// worker processes). References both arguments — must not outlive them.
+/// simulations executed by `backend`, any BatchSimulator that honours the
+/// result[i] <-> configs[i] contract (dse/batch_sim.hpp). References both
+/// arguments — must not outlive them.
 BatchEvaluateFn policy_batch_evaluator(KrigingPolicy& policy,
                                        class BatchSimulator& backend);
 

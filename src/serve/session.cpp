@@ -24,9 +24,6 @@ SessionManager::SessionManager(SessionManagerOptions options)
   if (options_.service_threads == 0) options_.service_threads = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.resident_capacity == 0) options_.resident_capacity = 1;
-  if (options_.backend != nullptr)
-    shared_backend_ =
-        std::make_unique<dse::SerializingBatchSimulator>(*options_.backend);
   threads_.reserve(options_.service_threads);
   for (std::size_t i = 0; i < options_.service_threads; ++i)
     threads_.emplace_back([this] { service_loop(); });
@@ -196,10 +193,8 @@ void SessionManager::service_loop() {
 
     dse::BatchEvaluateFn evaluate = no_policy;
     if (policy != nullptr)
-      evaluate = shared_backend_
-                     ? dse::policy_batch_evaluator(*policy, *shared_backend_)
-                     : dse::policy_batch_evaluator(*policy, spec.simulate,
-                                                   options_.pool);
+      evaluate =
+          dse::policy_batch_evaluator(*policy, spec.simulate, options_.pool);
     std::size_t executed = 0;
     for (std::size_t i = 0; i < request.steps; ++i) {
       const bool more = dse::optimizer_step(evaluate, spec.min_plus,

@@ -3,9 +3,9 @@
 // The paper's evaluator runs one optimizer over one store per process;
 // this layer owns N independent sessions — each bundling a KrigingPolicy
 // (store + variogram state) and a resumable optimizer cursor — and
-// multiplexes their evaluation requests onto shared simulation backends
-// (util::ThreadPool or any dse::BatchSimulator, including
-// dist::Coordinator).
+// multiplexes their evaluation requests onto one shared util::ThreadPool
+// (each session's pending simulations go through a
+// dse::PooledBatchSimulator over its own simulator).
 //
 // Determinism contract: requests for one session execute FIFO and one at
 // a time, each stepping the session's dse::OptimizerCursor through the
@@ -42,7 +42,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "dse/batch_sim.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/optimizer.hpp"
@@ -90,13 +89,9 @@ struct SessionManagerOptions {
   /// (in-service sessions are never parked, so the cache can transiently
   /// exceed the cap while they run).
   std::size_t resident_capacity = 8;
-  /// Shared simulation pool for the default in-process backend (inline
+  /// Shared simulation pool every session's simulations run on (inline
   /// when null).
   util::ThreadPool* pool = nullptr;
-  /// Optional shared backend (e.g. dist::Coordinator). When set it
-  /// overrides `pool`; calls are serialized across sessions because a
-  /// BatchSimulator is not required to accept concurrent simulate_many.
-  dse::BatchSimulator* backend = nullptr;
 };
 
 /// Point-in-time view of one session.
@@ -210,11 +205,10 @@ class SessionManager {
   void park_victims_locked(const Session* keep) ACE_REQUIRES(mutex_);
 
   SessionManagerOptions options_;
-  std::unique_ptr<dse::SerializingBatchSimulator> shared_backend_;
   util::Stopwatch watch_;
 
   /// Outermost rank in the lock hierarchy — everything the service
-  /// reaches (policy, store, backend, transports) ranks above it. Nothing
+  /// reaches (policy, store, variogram, pool) ranks above it. Nothing
   /// blocking runs under it: restore replay happens off-lock in
   /// service_loop, simulations off-lock via the in_service flag. Parking
   /// (a snapshot copy) runs under it.

@@ -45,18 +45,13 @@ namespace ace::util::lock_order {
 enum class Rank : int {
   kUnranked = 0,  ///< No rank check; still in the acquisition graph.
 
-  kSessionManager = 10,      ///< serve::SessionManager::mutex_.
-  kSession = 20,             ///< Reserved: future per-session locks.
-  kPolicy = 30,              ///< dse::KrigingPolicy::mutex_.
-  kStore = 40,               ///< dse::SimulationStore::mutex_.
-  kVariogram = 42,           ///< kriging::EmpiricalVariogram::mutex_.
-  kBackendSerialize = 50,    ///< dse::SerializingBatchSimulator::mutex_.
-  kPoolRun = 60,             ///< util::ThreadPool::run_mutex_.
-  kPool = 62,                ///< util::ThreadPool::mutex_.
-  kFaultInjection = 65,      ///< dse::FaultInjectingSimulator state.
-  kEventQueue = 72,          ///< dist::Coordinator::EventQueue::mutex_.
-  kTransportLifecycle = 74,  ///< dist transport shutdown/alive state.
-  kLineQueue = 76,           ///< dist::LineQueue::mutex_.
+  kSessionManager = 10,  ///< serve::SessionManager::mutex_.
+  kPolicy = 30,          ///< dse::KrigingPolicy::mutex_.
+  kStore = 40,           ///< dse::SimulationStore::mutex_.
+  kVariogram = 42,       ///< kriging::EmpiricalVariogram::mutex_.
+  kPoolRun = 60,         ///< util::ThreadPool::run_mutex_.
+  kPool = 62,            ///< util::ThreadPool::mutex_.
+  kFaultInjection = 65,  ///< dse::FaultInjectingSimulator state.
 };
 
 /// Receives one diagnosed violation: `kind` is a short classification

@@ -294,12 +294,34 @@ TEST(FaultTaxonomy, NamesAreStable) {
   EXPECT_STREQ(d::to_string(d::EvalSource::kInterpolated), "interpolated");
   EXPECT_STREQ(d::to_string(d::EvalSource::kExactHit), "exact-hit");
   EXPECT_STREQ(d::to_string(d::EvalSource::kFaulted), "faulted");
-  EXPECT_STREQ(d::to_string(d::FaultCode::kNone), "none");
-  EXPECT_STREQ(d::to_string(d::FaultCode::kNonFinite), "non-finite");
-  EXPECT_STREQ(d::to_string(d::FaultCode::kSimulatorThrow), "simulator-throw");
-  EXPECT_STREQ(d::to_string(d::FaultCode::kTimeout), "timeout");
-  EXPECT_STREQ(d::to_string(d::FaultCode::kKrigingUnsolvable),
-               "kriging-unsolvable");
+
+  // Checkpoint files store a quarantined configuration's FaultCode as its
+  // underlying value, so every code's number is as stable as its name —
+  // the two retired codes included.
+  struct Pinned {
+    d::FaultCode code;
+    int value;
+    const char* name;
+  };
+  const Pinned pinned[] = {
+      {d::FaultCode::kNone, 0, "none"},
+      {d::FaultCode::kNonFinite, 1, "non-finite"},
+      {d::FaultCode::kSimulatorThrow, 2, "simulator-throw"},
+      {d::FaultCode::kTimeout, 3, "timeout"},
+      {d::FaultCode::kKrigingUnsolvable, 4, "kriging-unsolvable"},
+      {d::FaultCode::kContractViolation, 5, "contract-violation"},
+      {d::FaultCode::kWorkerLost, 6, "worker-lost"},
+      {d::FaultCode::kLeaseExpired, 7, "lease-expired"},
+      {d::FaultCode::kCorruptPayload, 8, "corrupt-payload"},
+      {d::FaultCode::kTruncatedPayload, 9, "truncated-payload"},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(static_cast<int>(p.code), p.value) << p.name;
+    EXPECT_STREQ(d::to_string(p.code), p.name);
+  }
+  // Nothing past the last pinned code: one appended later must be pinned
+  // here too.
+  EXPECT_STREQ(d::to_string(static_cast<d::FaultCode>(10)), "unknown");
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Deterministic mutation fuzzing of the three text parsers that read bytes
-// from outside the process: checkpoints (dse::parse_checkpoint), wire
-// frames (dist::decode_frame + dist::parse_message) and trajectories
-// (dse::load_trajectory, through temp files).
+// Deterministic mutation fuzzing of the two text parsers that read bytes
+// from outside the process: checkpoints (dse::parse_checkpoint) and
+// trajectories (dse::load_trajectory, through temp files).
 //
 // Each parser is fed mutants of valid payloads — seeded util::Rng byte
 // flips, truncations and splices of two payloads, one test per parser and
@@ -9,8 +8,8 @@
 //   * a typed dse::PayloadError; or
 //   * an accepted value that round-trips exactly: serialized and parsed
 //     again, it equals itself (compared through the hexfloat
-//     serializations of checkpoints and wire frames, and a hexfloat dump
-//     of trajectories, whose CSV prints decimals).
+//     serialization of checkpoints, and a hexfloat dump of trajectories,
+//     whose CSV prints decimals).
 // Any other exception fails the test with the mutant printed; a crash or
 // a hang fails the test binary (the sanitizer runs pick this file up with
 // the rest of test_dse_*).
@@ -27,19 +26,16 @@
 #include <string>
 #include <vector>
 
-#include "dist/protocol.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/fault.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/trajectory.hpp"
 #include "dse/trajectory_io.hpp"
-#include "util/retry.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 namespace d = ace::dse;
-namespace dist = ace::dist;
 
 /// Mutants drawn per parser and mutation kind.
 constexpr int kMutants = 2000;
@@ -183,75 +179,6 @@ TEST_P(ParserFuzz, CheckpointMutantsAreTypedErrorsOrExactRoundTrips) {
       });
   // Flips inside numbers keep some mutants well-formed: the accept path
   // was exercised, not only the rejections.
-  if (GetParam() == Mutation::kFlip) EXPECT_GT(accepted, 0u);
-}
-
-// --- wire frames -------------------------------------------------------------
-
-/// The frame that encodes `msg`, per message type.
-std::string encode(const dist::WireMessage& msg) {
-  switch (msg.type) {
-    case dist::MsgType::kHello: return dist::encode_hello(msg.retry);
-    case dist::MsgType::kReady: return dist::encode_ready();
-    case dist::MsgType::kTask: return dist::encode_task(msg.id, msg.config);
-    case dist::MsgType::kOutcome:
-      return dist::encode_outcome(msg.id, msg.call);
-    case dist::MsgType::kPing: return dist::encode_ping(msg.id);
-    case dist::MsgType::kPong: return dist::encode_pong(msg.id);
-    case dist::MsgType::kQuit: return dist::encode_quit();
-    case dist::MsgType::kErr: return dist::encode_err(msg.text);
-  }
-  return {};
-}
-
-std::string reencode_frame(const std::string& frame) {
-  return encode(dist::parse_message(dist::decode_frame(frame)));
-}
-
-std::vector<std::string> valid_frames() {
-  ace::util::RetryOptions retry;
-  retry.max_attempts = 3;
-  retry.base_backoff_ms = 0.25;
-  retry.jitter_fraction = 0.1;
-  retry.jitter_seed = 99;
-  retry.deadline_ms = 1500.0;
-  ace::util::GuardedCall ok;
-  ok.value = -41.75;
-  ok.attempts = 1;
-  ace::util::GuardedCall faulted;
-  faulted.fault = ace::util::CallFault::kThrew;
-  faulted.attempts = 2;
-  faulted.faulted_attempts = 2;
-  faulted.value = 1.0 / 3.0;
-  faulted.message = "simulator threw: bad input";
-  return {dist::encode_hello(retry),     dist::encode_ready(),
-          dist::encode_task(7, {3, -2, 11}),
-          dist::encode_outcome(7, ok),   dist::encode_outcome(8, faulted),
-          dist::encode_ping(12345),      dist::encode_pong(12345),
-          dist::encode_quit(),           dist::encode_err("poisoned stream")};
-}
-
-TEST_P(ParserFuzz, WireFrameMutantsAreTypedErrorsOrExactRoundTrips) {
-  const std::vector<std::string> frames = valid_frames();
-  for (const std::string& f : frames) ASSERT_EQ(reencode_frame(f), f);
-  (void)fuzz(frames, 23, GetParam(), [](const std::string& mutant) {
-    const std::string first = reencode_frame(mutant);
-    return std::make_pair(first, reencode_frame(first));
-  });
-}
-
-// The checksum stops nearly every mutant in decode_frame, so mutate the
-// payload under a recomputed checksum too: that drives parse_message
-// itself through malformed verbs, counts and numbers.
-TEST_P(ParserFuzz, ReframedPayloadMutantsAreTypedErrorsOrExactRoundTrips) {
-  std::vector<std::string> payloads;
-  for (const std::string& f : valid_frames())
-    payloads.push_back(dist::decode_frame(f));
-  const std::size_t accepted =
-      fuzz(payloads, 29, GetParam(), [](const std::string& mutant) {
-        const std::string first = reencode_frame(dist::encode_frame(mutant));
-        return std::make_pair(first, reencode_frame(first));
-      });
   if (GetParam() == Mutation::kFlip) EXPECT_GT(accepted, 0u);
 }
 

@@ -164,8 +164,7 @@ TEST(Retry, WatchdogCoversStalledFinalAttempt) {
 
 // The whole backoff schedule must be a pure function of the jitter seed:
 // a fixed seed reproduces every delay bit-for-bit, a different seed moves
-// them. This is what makes the coordinator's re-dispatch schedule (which
-// reuses backoff_delay_ms) replayable.
+// them. This is what makes a retried batch's schedule replayable.
 TEST(Retry, JitterScheduleIsDeterministicPerSeed) {
   u::RetryOptions options;
   options.base_backoff_ms = 2.0;

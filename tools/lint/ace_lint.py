@@ -35,13 +35,6 @@ raw-distance-loop Hand-rolled distance accumulation
                   go through the util::simd kernels or the canonical
                   kriging::l1_distance so the blocked SoA paths and the
                   scalar paths cannot drift apart.
-unchecked-syscall A pipe/process syscall (read, write, close, kill,
-                  waitpid, ...) called in statement position — its return
-                  value silently dropped — in the process-management layer
-                  (src/dist/ and the subprocess utility). Every syscall
-                  there must be checked or explicitly discarded with a
-                  (void) cast: a swallowed EPIPE/EINTR is exactly the kind
-                  of half-dead worker the coordinator has to detect.
 blocking-under-lock
                   A blocking operation — simulator invocation, checkpoint
                   parse/serialize/replay, file or subprocess I/O, thread
@@ -53,8 +46,8 @@ blocking-under-lock
                   lock() gaps on UniqueLock, so the two-phase "snapshot
                   under lock, render outside" idiom is clean. Sites where
                   holding the lock is the documented design (the policy
-                  mutex across phase-2 simulation, the serializing backend
-                  wrapper) carry a justified suppression.
+                  mutex across phase-2 simulation) carry a justified
+                  suppression.
 optimizer-dispatch
                   An == / != comparison against an OptimizerKind::
                   enumerator, or a `case OptimizerKind::` label, in src/
@@ -188,17 +181,6 @@ RULES = [
         "dse::OptimizerCursor and go through optimizer_step / "
         "cursor_solution / cursor_decisions instead",
     ),
-    (
-        "unchecked-syscall",
-        re.compile(
-            r"^\s*(?:::)?"
-            r"(?:pipe2?|fork|execvp?|read|write|close|dup2|kill"
-            r"|waitpid|poll|fcntl|signal)\s*\("
-        ),
-        "syscall return value dropped in the process-management layer; "
-        "check it or discard explicitly with (void) — a swallowed "
-        "EPIPE/EINTR hides a half-dead worker",
-    ),
 ]
 
 ALLOW_RE = re.compile(r"ace-lint:\s*allow\(([^)]*)\)")
@@ -285,13 +267,6 @@ GATE_EXEMPT = re.compile(r"(?:^|/)acquisition\.(?:cpp|hpp|cc|hh|cxx|h)$")
 DISPATCH_SCOPE = re.compile(
     r"(?:^|/)src/.+$|(?:^|/)[^/]*optimizer_dispatch[^/]*$")
 DISPATCH_EXEMPT = re.compile(r"(?:^|/)src/dse/optimizer\.(?:cpp|hpp)$")
-
-# unchecked-syscall is scoped to where the raw syscalls live: the
-# coordinator/worker layer and the subprocess utility (the selftest
-# fixture unchecked_subprocess.cpp matches by basename).
-SYSCALL_SCOPE = re.compile(
-    r"(?:^|/)src/dist/[^/]+$|(?:^|/)[^/]*subprocess[^/]*$"
-)
 
 
 def strip_code(line: str) -> str:
@@ -442,9 +417,6 @@ def lint_file(path: Path) -> list[Finding]:
             if rule == "optimizer-dispatch" and (
                     not DISPATCH_SCOPE.search(path.as_posix())
                     or DISPATCH_EXEMPT.search(path.as_posix())):
-                continue
-            if rule == "unchecked-syscall" and not SYSCALL_SCOPE.search(
-                    path.as_posix()):
                 continue
             if pattern.search(code):
                 findings.append(Finding(path, idx, rule, message))
