@@ -29,10 +29,10 @@
 
 #include "bench_context.hpp"
 #include "core/benchmarks.hpp"
-#include "core/engine.hpp"
 #include "dse/acquisition.hpp"
 #include "dse/config.hpp"
 #include "dse/optimizer.hpp"
+#include "dse/scheduler.hpp"
 #include "dse/trajectory.hpp"
 #include "util/table.hpp"
 
@@ -72,16 +72,16 @@ int cost_of(const dse::Config& c) {
   return std::accumulate(c.begin(), c.end(), 0);
 }
 
-/// Drive the benchmark's optimizer through a kriging engine with the
+/// Drive the benchmark's optimizer through a kriging policy with the
 /// given options; truth-check the final configuration afterwards.
 RunScore run_gated(const core::ApplicationBenchmark& bench,
                    const dse::PolicyOptions& options) {
-  core::ErrorEvaluationEngine engine(bench.simulate, options, bench.metric);
+  dse::KrigingPolicy policy(options);
   RunScore score;
   score.gate = dse::make_gate(options)->name();
-  score.solution =
-      dse::cursor_solution(bench.run_optimizer(engine.as_evaluator()));
-  const dse::PolicyStats stats = engine.stats();
+  score.solution = dse::cursor_solution(
+      bench.run_optimizer(dse::policy_evaluator(policy, bench.simulate)));
+  const dse::PolicyStats stats = policy.stats();
   score.simulated = stats.simulated;
   score.interpolated = stats.interpolated;
   score.loo_rejections = stats.loo_rejections;

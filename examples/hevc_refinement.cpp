@@ -5,8 +5,9 @@
 #include <iostream>
 
 #include "core/benchmarks.hpp"
-#include "core/engine.hpp"
 #include "dse/config.hpp"
+#include "dse/min_plus_one.hpp"
+#include "dse/scheduler.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -25,8 +26,9 @@ int main() {
   policy.distance = 2;
 
   util::Stopwatch watch;
-  core::ErrorEvaluationEngine engine(bench.simulate, policy, bench.metric);
-  const auto result = engine.optimize_word_lengths(bench.min_plus_one);
+  dse::KrigingPolicy kriging(policy);
+  const auto result = dse::min_plus_one(
+      dse::policy_evaluator(kriging, bench.simulate), bench.min_plus_one);
   const double elapsed = watch.seconds();
 
   std::cout << "optimized word lengths: " << dse::to_string(result.w_res)
@@ -35,7 +37,7 @@ int main() {
             << " dB (constraint met: "
             << (result.constraint_met ? "yes" : "no") << ")\n\n";
 
-  const auto& stats = engine.stats();
+  const auto stats = kriging.stats();
   util::TablePrinter table({"counter", "value"});
   table.add_row({"metric evaluations", std::to_string(stats.total)});
   table.add_row({"simulated", std::to_string(stats.simulated)});

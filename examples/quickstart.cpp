@@ -1,15 +1,16 @@
 // Quickstart: plug YOUR application into the kriging-based error
-// evaluation engine in ~30 lines.
+// evaluation policy in ~30 lines.
 //
 // You provide one thing: a deterministic simulator mapping an integer
 // configuration of approximation sources (here: two word lengths) to a
-// quality metric λ. The engine decides, per configuration, whether to
+// quality metric λ. The policy decides, per configuration, whether to
 // simulate or to interpolate the metric by ordinary kriging from nearby
 // already-simulated configurations — exactly the policy of the DATE 2020
 // paper this library reproduces.
 #include <iostream>
 
-#include "core/engine.hpp"
+#include "dse/min_plus_one.hpp"
+#include "dse/scheduler.hpp"
 
 int main() {
   using namespace ace;
@@ -29,10 +30,9 @@ int main() {
   policy.distance = 3;
   policy.nn_min = 1;
 
-  core::ErrorEvaluationEngine engine(my_simulator, policy,
-                                     dse::MetricKind::kAccuracyDb);
+  dse::KrigingPolicy kriging(policy);
 
-  // Run the classic min+1-bit word-length optimization through the engine:
+  // Run the classic min+1-bit word-length optimization through the policy:
   // every metric evaluation the optimizer requests is transparently
   // simulated-or-interpolated.
   dse::MinPlusOneOptions options;
@@ -41,7 +41,8 @@ int main() {
   options.w_max = 16;
   options.lambda_min = 150.0;  // Quality constraint λm.
 
-  const auto result = engine.optimize_word_lengths(options);
+  const auto result = dse::min_plus_one(
+      dse::policy_evaluator(kriging, my_simulator), options);
 
   std::cout << "optimized word lengths: " << dse::to_string(result.w_res)
             << "\n"
@@ -49,7 +50,7 @@ int main() {
             << " (constraint " << options.lambda_min << ", met: "
             << (result.constraint_met ? "yes" : "no") << ")\n\n";
 
-  const auto& stats = engine.stats();
+  const auto stats = kriging.stats();
   std::cout << "metric evaluations:   " << stats.total << "\n"
             << "  simulated:          " << stats.simulated << "\n"
             << "  kriging-interpolated: " << stats.interpolated << " ("

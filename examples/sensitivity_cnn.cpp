@@ -6,7 +6,8 @@
 #include <iostream>
 
 #include "core/benchmarks.hpp"
-#include "core/engine.hpp"
+#include "dse/scheduler.hpp"
+#include "dse/steepest_descent.hpp"
 #include "nn/injection.hpp"
 #include "util/table.hpp"
 
@@ -24,9 +25,10 @@ int main() {
 
   dse::PolicyOptions policy;
   policy.distance = 3;
-  core::ErrorEvaluationEngine engine(bench.simulate, policy, bench.metric);
+  dse::KrigingPolicy kriging(policy);
 
-  const auto result = engine.analyze_sensitivity(bench.sensitivity);
+  const auto result = dse::steepest_descent_budgeting(
+      dse::policy_evaluator(kriging, bench.simulate), bench.sensitivity);
   if (!result.feasible) {
     std::cout << "even near-silent error sources break the target — "
                  "lower pcl_min or the base power\n";
@@ -45,7 +47,7 @@ int main() {
   }
   table.print(std::cout);
 
-  const auto& stats = engine.stats();
+  const auto stats = kriging.stats();
   std::cout << "\nfinal agreement: " << util::fmt(result.final_lambda * 100, 2)
             << "%\n"
             << "network evaluations: " << stats.total << " ("

@@ -1,6 +1,7 @@
 // Umbrella header: the full public API of the ace-kriging library.
 //
-// Most users only need core/engine.hpp (the facade) plus dse/config.hpp;
+// Most users only need dse/scheduler.hpp (a KrigingPolicy bound into an
+// optimizer's evaluator by policy_evaluator) plus the optimizer's header;
 // this header exists for exploratory use and for binding generators.
 #pragma once
 
@@ -59,9 +60,7 @@
 
 // Design-space exploration.
 #include "dse/adaptive_simulation.hpp"
-#include "dse/annealing.hpp"
 #include "dse/config.hpp"
-#include "dse/cost.hpp"
 #include "dse/interp1d.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/min_plus_one.hpp"
@@ -72,7 +71,6 @@
 #include "dse/trajectory.hpp"
 #include "dse/trajectory_io.hpp"
 
-// High-level facade and benchmarks.
+// Paper benchmarks and the Table I / Sec. IV drivers.
 #include "core/benchmarks.hpp"
-#include "core/engine.hpp"
 #include "core/table1.hpp"

@@ -4,7 +4,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/engine.hpp"
+#include "dse/scheduler.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -151,9 +151,9 @@ DivergenceReport run_decision_divergence(const ApplicationBenchmark& bench,
   }
 
   // (b) Final configuration of an end-to-end kriging-driven run.
-  ErrorEvaluationEngine engine(bench.simulate, options, bench.metric);
+  dse::KrigingPolicy policy(options);
   const dse::OptimizerCursor kriged =
-      bench.run_optimizer(engine.as_evaluator());
+      bench.run_optimizer(dse::policy_evaluator(policy, bench.simulate));
 
   DivergenceReport report;
   report.exact_steps = dse::cursor_decisions(cursor).size();
@@ -168,7 +168,7 @@ DivergenceReport run_decision_divergence(const ApplicationBenchmark& bench,
   report.kriging_result = dse::cursor_solution(kriged);
   report.result_l1_gap =
       dse::l1_distance(report.exact_result, report.kriging_result);
-  report.stats = engine.stats();
+  report.stats = policy.stats();
   return report;
 }
 

@@ -42,25 +42,4 @@ std::size_t ConfigHash::operator()(const Config& c) const {
   return h;
 }
 
-Lattice::Lattice(std::size_t dims, int lo, int hi)
-    : dimensions(dims), lower(lo), upper(hi) {
-  if (dimensions == 0)
-    throw std::invalid_argument("Lattice: dimensions must be positive");
-  if (lower > upper)
-    throw std::invalid_argument("Lattice: lower must be <= upper");
-}
-
-bool Lattice::contains(const Config& c) const {
-  if (c.size() != dimensions) return false;
-  for (int v : c)
-    if (v < lower || v > upper) return false;
-  return true;
-}
-
-Config Lattice::uniform(int value) const {
-  if (value < lower || value > upper)
-    throw std::invalid_argument("Lattice::uniform: value out of range");
-  return Config(dimensions, value);
-}
-
 }  // namespace ace::dse

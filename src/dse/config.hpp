@@ -30,18 +30,4 @@ struct ConfigHash {
   std::size_t operator()(const Config& c) const;
 };
 
-/// Inclusive per-variable bounds of the search lattice.
-struct Lattice {
-  std::size_t dimensions = 0;
-  int lower = 0;
-  int upper = 0;
-
-  /// Throws std::invalid_argument unless lower <= upper and dimensions > 0.
-  Lattice(std::size_t dims, int lo, int hi);
-
-  bool contains(const Config& c) const;
-  Config uniform(int value) const;  ///< (value, ..., value); must be in range.
-  std::size_t size() const { return dimensions; }
-};
-
 }  // namespace ace::dse

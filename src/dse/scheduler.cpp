@@ -1,65 +1,17 @@
 #include "dse/scheduler.hpp"
 
-#include <algorithm>
-#include <limits>
+#include <stdexcept>
 
 #include "dse/batch_sim.hpp"
 
 namespace ace::dse {
 
-std::vector<Config> maximin_order(std::vector<Config> batch) {
-  const std::size_t n = batch.size();
-  if (n <= 2) return batch;
-
-  // Start from the medoid (minimum total L1 distance to the batch).
-  std::size_t start = 0;
-  long long best_total = std::numeric_limits<long long>::max();
-  for (std::size_t i = 0; i < n; ++i) {
-    long long total = 0;
-    for (std::size_t j = 0; j < n; ++j)
-      total += l1_distance(batch[i], batch[j]);
-    if (total < best_total) {
-      best_total = total;
-      start = i;
-    }
-  }
-
-  std::vector<Config> ordered;
-  ordered.reserve(n);
-  std::vector<bool> taken(n, false);
-  std::vector<int> min_dist(n, std::numeric_limits<int>::max());
-
-  auto take = [&](std::size_t idx) {
-    taken[idx] = true;
-    ordered.push_back(batch[idx]);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (taken[j]) continue;
-      min_dist[j] = std::min(min_dist[j], l1_distance(batch[idx], batch[j]));
-    }
+EvaluateFn policy_evaluator(KrigingPolicy& policy, SimulatorFn simulate) {
+  if (!simulate)
+    throw std::invalid_argument("policy_evaluator: null simulator");
+  return [&policy, simulate = std::move(simulate)](const Config& c) {
+    return policy.evaluate(c, simulate).value;
   };
-  take(start);
-
-  while (ordered.size() < n) {
-    std::size_t next = n;
-    int best = -1;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (taken[j]) continue;
-      if (min_dist[j] > best) {
-        best = min_dist[j];
-        next = j;
-      }
-    }
-    take(next);
-  }
-  return ordered;
-}
-
-std::size_t evaluate_batch(KrigingPolicy& policy, const SimulatorFn& simulate,
-                           const std::vector<Config>& batch) {
-  std::size_t interpolated = 0;
-  for (const auto& config : batch)
-    if (policy.evaluate(config, simulate).interpolated) ++interpolated;
-  return interpolated;
 }
 
 BatchEvaluateFn policy_batch_evaluator(KrigingPolicy& policy,

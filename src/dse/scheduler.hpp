@@ -1,20 +1,15 @@
-// Evaluation-order scheduling for batch DSE (extension).
+// Evaluators bound to a kriging policy: the one way to put the paper's
+// simulate-or-interpolate decision under an optimizer.
 //
-// The simulate-or-interpolate policy is order-sensitive: early
-// configurations find an empty store and must simulate, late ones reuse
-// them. When a batch of configurations is known up front (a GA
-// generation, a screening design, a Pareto sweep's candidate set),
-// evaluating a well-spread "spine" first maximizes how many of the rest
-// can be interpolated. maximin_order() produces that ordering: a
-// farthest-point traversal under the policy's L1 metric.
+// policy_evaluator() is the scalar EvaluateFn for the optimizers'
+// one-configuration-at-a-time calls; policy_batch_evaluator() is the
+// BatchEvaluateFn for their batched candidate competitions. Both read
+// and feed the same KrigingPolicy, so the caller reads the evaluation
+// counters from its own policy (KrigingPolicy::stats()).
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "dse/config.hpp"
 #include "dse/kriging_policy.hpp"
-#include "dse/min_plus_one.hpp"  // BatchEvaluateFn
+#include "dse/min_plus_one.hpp"  // EvaluateFn, BatchEvaluateFn
 
 namespace ace::util {
 class ThreadPool;
@@ -22,18 +17,13 @@ class ThreadPool;
 
 namespace ace::dse {
 
-/// Farthest-point (maximin) ordering: starts from the batch's L1 medoid,
-/// then repeatedly appends the configuration with the largest minimum
-/// distance to everything already ordered. Deterministic; ties broken by
-/// original index. Returns a permutation of the input.
-std::vector<Config> maximin_order(std::vector<Config> batch);
-
-/// Evaluate a batch through a policy in the given order; returns how many
-/// were interpolated. Sequential by design: each configuration sees a
-/// store already enriched by its predecessors in the batch, which is what
-/// makes a maximin ordering pay off.
-std::size_t evaluate_batch(KrigingPolicy& policy, const SimulatorFn& simulate,
-                           const std::vector<Config>& batch);
+/// An EvaluateFn returning policy.evaluate(c, simulate).value: λ
+/// interpolated when the neighbourhood allows, simulated otherwise, and a
+/// repeated configuration served from the policy's store. Throws
+/// std::invalid_argument on a null simulator. The returned callable
+/// references `policy` and copies `simulate`; it must not outlive the
+/// policy.
+EvaluateFn policy_evaluator(KrigingPolicy& policy, SimulatorFn simulate);
 
 /// Glue for the optimizers' batched candidate competitions: a
 /// BatchEvaluateFn that feeds each candidate set through

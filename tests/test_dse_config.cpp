@@ -42,21 +42,4 @@ TEST(ConfigHash, DistinguishesPermutations) {
   EXPECT_EQ(set.size(), 2u);
 }
 
-TEST(Lattice, ValidationAndContains) {
-  EXPECT_THROW(d::Lattice(0, 2, 16), std::invalid_argument);
-  EXPECT_THROW(d::Lattice(3, 5, 4), std::invalid_argument);
-  const d::Lattice lat(3, 2, 16);
-  EXPECT_TRUE(lat.contains({2, 16, 9}));
-  EXPECT_FALSE(lat.contains({1, 8, 8}));
-  EXPECT_FALSE(lat.contains({2, 17, 8}));
-  EXPECT_FALSE(lat.contains({2, 8}));  // Wrong dimensionality.
-}
-
-TEST(Lattice, UniformConfig) {
-  const d::Lattice lat(4, 2, 16);
-  EXPECT_EQ(lat.uniform(5), (d::Config{5, 5, 5, 5}));
-  EXPECT_THROW((void)lat.uniform(1), std::invalid_argument);
-  EXPECT_THROW((void)lat.uniform(17), std::invalid_argument);
-}
-
 }  // namespace

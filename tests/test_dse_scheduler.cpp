@@ -2,92 +2,117 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <cmath>
+#include <stdexcept>
 
-#include "util/rng.hpp"
+#include "dse/steepest_descent.hpp"
 
 namespace {
 
 namespace d = ace::dse;
 
-TEST(MaximinOrder, TrivialBatchesPassThrough) {
-  EXPECT_TRUE(d::maximin_order({}).empty());
-  const std::vector<d::Config> one = {{3, 4}};
-  EXPECT_EQ(d::maximin_order(one), one);
-  const std::vector<d::Config> two = {{0, 0}, {5, 5}};
-  EXPECT_EQ(d::maximin_order(two), two);
+double smooth_surface(const d::Config& w) {
+  return 5.0 * w[0] + 3.0 * w[1];
 }
 
-TEST(MaximinOrder, IsAPermutation) {
-  ace::util::Rng rng(90);
-  std::vector<d::Config> batch;
-  for (int i = 0; i < 30; ++i)
-    batch.push_back({rng.uniform_int(0, 10), rng.uniform_int(0, 10),
-                     rng.uniform_int(0, 10)});
-  const auto ordered = d::maximin_order(batch);
-  ASSERT_EQ(ordered.size(), batch.size());
-  auto sorted_a = batch;
-  auto sorted_b = ordered;
-  std::sort(sorted_a.begin(), sorted_a.end());
-  std::sort(sorted_b.begin(), sorted_b.end());
-  EXPECT_EQ(sorted_a, sorted_b);
+d::PolicyOptions options_with(int distance) {
+  d::PolicyOptions o;
+  o.distance = distance;
+  o.min_fit_points = 8;
+  return o;
 }
 
-TEST(MaximinOrder, StartsCentralThenReachesExtremes) {
-  // A 1-D line: medoid is the middle; the second pick is an endpoint.
-  std::vector<d::Config> batch;
-  for (int x = 0; x <= 10; ++x) batch.push_back({x});
-  const auto ordered = d::maximin_order(batch);
-  EXPECT_EQ(ordered[0], (d::Config{5}));
-  EXPECT_TRUE(ordered[1] == d::Config{0} || ordered[1] == d::Config{10});
-  // Both endpoints appear among the first three picks.
-  const std::set<d::Config> head(ordered.begin(), ordered.begin() + 3);
-  EXPECT_TRUE(head.count({0}) == 1);
-  EXPECT_TRUE(head.count({10}) == 1);
+TEST(PolicyEvaluator, NullSimulatorThrows) {
+  d::KrigingPolicy policy(options_with(2));
+  EXPECT_THROW((void)d::policy_evaluator(policy, nullptr),
+               std::invalid_argument);
 }
 
-TEST(MaximinOrder, EarlyPrefixIsSpread) {
-  // On a dense 2-D grid, the minimum pairwise distance within the first
-  // five scheduled points must exceed that of the first five in raster
-  // order.
-  std::vector<d::Config> batch;
-  for (int x = 0; x < 6; ++x)
-    for (int y = 0; y < 6; ++y) batch.push_back({x, y});
-  const auto ordered = d::maximin_order(batch);
-  auto min_pairwise = [](const std::vector<d::Config>& v, std::size_t k) {
-    int best = 1 << 20;
-    for (std::size_t i = 0; i < k; ++i)
-      for (std::size_t j = i + 1; j < k; ++j)
-        best = std::min(best, d::l1_distance(v[i], v[j]));
-    return best;
+TEST(PolicyEvaluator, RepeatedConfigurationIsTheStoresExactHit) {
+  std::size_t calls = 0;
+  const d::SimulatorFn counted = [&](const d::Config& w) {
+    ++calls;
+    return smooth_surface(w);
   };
-  EXPECT_GT(min_pairwise(ordered, 5), min_pairwise(batch, 5));
+  d::KrigingPolicy policy(options_with(2));
+  const d::EvaluateFn evaluate = d::policy_evaluator(policy, counted);
+  const double a = evaluate({4, 4});
+  const double b = evaluate({4, 4});
+  EXPECT_EQ(calls, 1u);
+  EXPECT_DOUBLE_EQ(a, 32.0);
+  EXPECT_DOUBLE_EQ(b, a);
+  const d::PolicyStats stats = policy.stats();
+  EXPECT_EQ(stats.total, 2u);
+  EXPECT_EQ(stats.simulated, 1u);
+  EXPECT_EQ(stats.exact_hits, 1u);
+  // The evaluator's value is the policy's outcome value: a third look
+  // through the policy itself is served from the store as well.
+  const d::EvalOutcome again = policy.evaluate({4, 4}, counted);
+  EXPECT_TRUE(again.cached);
+  EXPECT_DOUBLE_EQ(again.value, a);
+  EXPECT_EQ(calls, 1u);
 }
 
-TEST(EvaluateBatch, MaximinOrderingInterpolatesMore) {
-  // A dense cloud evaluated through identical policies: the maximin
-  // ordering must interpolate at least as many configurations as the
-  // raster ordering (it front-loads the spread-out simulations).
-  std::vector<d::Config> batch;
-  for (int x = 0; x < 7; ++x)
-    for (int y = 0; y < 7; ++y) batch.push_back({x, y});
-  auto surface = [](const d::Config& c) {
-    return 2.0 * c[0] + 3.0 * c[1];
+TEST(PolicyEvaluator, StatsAccumulateAcrossEvaluations) {
+  d::KrigingPolicy policy(options_with(3));
+  const d::EvaluateFn evaluate = d::policy_evaluator(policy, smooth_surface);
+  for (int x = 0; x < 4; ++x)
+    for (int y = 0; y < 4; ++y) (void)evaluate({x, y});
+  const d::PolicyStats stats = policy.stats();
+  EXPECT_EQ(stats.total, 16u);
+  EXPECT_EQ(stats.simulated + stats.interpolated, 16u);
+  EXPECT_GT(stats.interpolated, 0u);  // Dense cluster: kriging fires.
+}
+
+TEST(PolicyEvaluator, MinPlusOneMeetsConstraint) {
+  // λ(w) = 5w0 + 3w1: constraint 100 reachable within [2, 16]².
+  d::KrigingPolicy policy(options_with(2));
+  d::MinPlusOneOptions o;
+  o.nv = 2;
+  o.w_max = 16;
+  o.w_min = 2;
+  o.lambda_min = 100.0;
+  const auto result =
+      d::min_plus_one(d::policy_evaluator(policy, smooth_surface), o);
+  EXPECT_TRUE(result.constraint_met);
+  // Exact surface check at the claimed solution.
+  EXPECT_GE(smooth_surface(result.w_res), 100.0 - 5.0);
+  EXPECT_GT(policy.stats().total, 0u);
+}
+
+TEST(PolicyEvaluator, SteepestDescentMeetsFloor) {
+  auto quality = [](const d::Config& levels) {
+    double damage = 0.0;
+    for (int e : levels) damage += std::ldexp(1.0, -e);
+    return 1.0 - damage;
   };
-  d::PolicyOptions options;
-  options.distance = 3;
-  options.min_fit_points = 8;
+  d::KrigingPolicy policy(options_with(2));
+  d::SensitivityOptions o;
+  o.nv = 2;
+  o.level_max = 10;
+  o.level_min = 0;
+  o.lambda_min = 0.9;
+  const auto result = d::steepest_descent_budgeting(
+      d::policy_evaluator(policy, quality), o);
+  EXPECT_TRUE(result.feasible);
+  EXPECT_GE(result.final_lambda, 0.85);  // Kriged estimates may wobble a bit.
+}
 
-  d::KrigingPolicy raster(options);
-  const std::size_t raster_count = d::evaluate_batch(raster, surface, batch);
-
-  d::KrigingPolicy maximin(options);
-  const std::size_t maximin_count =
-      d::evaluate_batch(maximin, surface, d::maximin_order(batch));
-
-  EXPECT_GE(maximin_count, raster_count);
-  EXPECT_GT(maximin_count, batch.size() / 2);
+TEST(PolicyEvaluator, SensitivityFlowKeepsQualityMetricConsistent) {
+  auto quality = [](const d::Config& levels) {
+    double damage = 0.0;
+    for (int e : levels) damage += 0.4 * std::ldexp(1.0, -e);
+    return 1.0 - damage;
+  };
+  d::KrigingPolicy policy(d::PolicyOptions{});
+  d::SensitivityOptions options;
+  options.nv = 2;
+  options.level_max = 10;
+  options.lambda_min = 0.9;
+  const auto result = d::steepest_descent_budgeting(
+      d::policy_evaluator(policy, quality), options);
+  EXPECT_TRUE(result.feasible);
+  EXPECT_GE(quality(result.levels), 0.85);
 }
 
 }  // namespace

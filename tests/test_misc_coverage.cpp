@@ -1,15 +1,11 @@
 // Edge-path coverage across modules: fitter knobs, variogram binning with
-// non-integer distances, scheduler tie-breaking, cross-module annealing
-// through the kriging engine, and adaptive-sampling batch control.
+// non-integer distances, and adaptive-sampling batch control.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
-#include "core/engine.hpp"
 #include "dse/adaptive_simulation.hpp"
-#include "dse/annealing.hpp"
-#include "dse/scheduler.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "util/rng.hpp"
@@ -73,41 +69,6 @@ TEST(EmpiricalVariogram, FractionalDistancesBinByWidth) {
   EXPECT_NEAR(ev.max_distance(), 2.25, 1e-12);
 }
 
-TEST(MaximinOrder, DeterministicTieBreaking) {
-  // A symmetric square has many maximin ties; ordering must still be
-  // reproducible call to call.
-  std::vector<d::Config> batch = {{0, 0}, {0, 4}, {4, 0}, {4, 4}, {2, 2}};
-  const auto a = d::maximin_order(batch);
-  const auto b = d::maximin_order(batch);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a[0], (d::Config{2, 2}));  // Medoid first.
-}
-
-TEST(Annealing, RunsThroughKrigingEngine) {
-  // Cross-module smoke: annealing driven by kriged evaluations converges
-  // to a feasible solution on a smooth surface.
-  auto surface = [](const d::Config& c) {
-    double acc = 0.0;
-    for (int v : c) acc += 5.0 * v;
-    return acc;
-  };
-  d::PolicyOptions policy;
-  policy.distance = 2;
-  ace::core::ErrorEvaluationEngine engine(surface, policy,
-                                          d::MetricKind::kAccuracyDb);
-  const d::Lattice lattice(3, 2, 16);
-  d::AnnealingOptions options;
-  options.lambda_min = 120.0;
-  options.iterations = 2500;
-  options.seed = 77;
-  const auto result =
-      d::simulated_annealing(engine.as_evaluator(), lattice, options);
-  EXPECT_TRUE(result.feasible);
-  // Exact check of the returned solution.
-  EXPECT_GE(surface(result.best), 120.0 - 15.0);
-  EXPECT_GT(engine.stats().interpolated, 0u);
-}
-
 TEST(AdaptiveMean, MinBatchesDelaysTheStoppingTest) {
   // Constant data converges at exactly min_batches · batch observations.
   for (const std::size_t min_batches : {1u, 3u, 5u}) {
@@ -119,24 +80,6 @@ TEST(AdaptiveMean, MinBatchesDelaysTheStoppingTest) {
     EXPECT_TRUE(r.converged);
     EXPECT_EQ(r.observations, 10u * min_batches);
   }
-}
-
-TEST(Engine, SensitivityFlowKeepsQualityMetricConsistent) {
-  auto quality = [](const d::Config& levels) {
-    double damage = 0.0;
-    for (int e : levels) damage += 0.4 * std::ldexp(1.0, -e);
-    return 1.0 - damage;
-  };
-  ace::core::ErrorEvaluationEngine engine(quality, {},
-                                          d::MetricKind::kQualityRate);
-  EXPECT_EQ(engine.metric_kind(), d::MetricKind::kQualityRate);
-  d::SensitivityOptions options;
-  options.nv = 2;
-  options.level_max = 10;
-  options.lambda_min = 0.9;
-  const auto result = engine.analyze_sensitivity(options);
-  EXPECT_TRUE(result.feasible);
-  EXPECT_GE(quality(result.levels), 0.85);
 }
 
 }  // namespace

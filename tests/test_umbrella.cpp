@@ -7,7 +7,7 @@
 namespace {
 
 TEST(Umbrella, EndToEndSmoke) {
-  // A toy end-to-end pass touching most subsystems through the facade.
+  // A toy end-to-end pass: min+1 through the kriging policy.
   auto simulator = [](const ace::dse::Config& w) {
     double lambda = 0.0;
     for (int wi : w) lambda += 7.0 * wi;
@@ -15,16 +15,16 @@ TEST(Umbrella, EndToEndSmoke) {
   };
   ace::dse::PolicyOptions policy;
   policy.distance = 3;
-  ace::core::ErrorEvaluationEngine engine(simulator, policy,
-                                          ace::dse::MetricKind::kAccuracyDb);
+  ace::dse::KrigingPolicy kriging(policy);
   ace::dse::MinPlusOneOptions options;
   options.nv = 3;
   options.w_min = 2;
   options.w_max = 12;
   options.lambda_min = 150.0;
-  const auto result = engine.optimize_word_lengths(options);
+  const auto result = ace::dse::min_plus_one(
+      ace::dse::policy_evaluator(kriging, simulator), options);
   EXPECT_TRUE(result.constraint_met);
-  EXPECT_GT(engine.stats().total, 0u);
+  EXPECT_GT(kriging.stats().total, 0u);
 }
 
 }  // namespace
