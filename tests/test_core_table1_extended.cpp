@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <sstream>
+#include <string>
 
 #include "core/table1.hpp"
+#include "dse/scheduler.hpp"
 
 namespace {
 
@@ -104,5 +107,97 @@ TEST(Table1, SameTrajectoryAcrossPolicyKnobs) {
     EXPECT_DOUBLE_EQ(a.trajectory.values[i], b.trajectory.values[i]);
   }
 }
+
+TEST(DecisionDivergence, KrigedRunIsAPolicyEvaluatorRun) {
+  // The report's kriging half is one optimizer run through a fresh
+  // policy's evaluator: replaying that by hand gives the same answer,
+  // step count and statistics.
+  const auto bench = tiny_sensitivity();
+  d::PolicyOptions options;
+  options.distance = 2;
+  const auto report = c::run_decision_divergence(bench, options);
+  d::KrigingPolicy policy(options);
+  const d::OptimizerCursor kriged =
+      bench.run_optimizer(d::policy_evaluator(policy, bench.simulate));
+  EXPECT_EQ(report.kriging_result, d::cursor_solution(kriged));
+  EXPECT_EQ(report.kriging_steps, d::cursor_decisions(kriged).size());
+  EXPECT_EQ(report.stats, policy.stats());
+  EXPECT_EQ(report.result_l1_gap,
+            d::l1_distance(report.exact_result, report.kriging_result));
+}
+
+TEST(DecisionDivergence, FirExactRunMakesNoGreedyStep) {
+  // Why FIR is not a row of bench/decision_divergence: its phase-1
+  // answer already meets λ_min, so there is no decision to flip.
+  d::PolicyOptions options;
+  options.distance = 3;
+  const auto report =
+      c::run_decision_divergence(c::make_fir_benchmark(), options);
+  EXPECT_EQ(report.exact_steps, 0u);
+  EXPECT_EQ(report.diverging, 0u);
+  EXPECT_EQ(report.diverging_percent, 0.0);
+}
+
+TEST(DecisionDivergence, ExactRunIgnoresPolicyOptions) {
+  const auto bench = c::make_approx_fir_benchmark();
+  d::PolicyOptions near;
+  near.distance = 2;
+  d::PolicyOptions far;
+  far.distance = 4;
+  const auto a = c::run_decision_divergence(bench, near);
+  const auto b = c::run_decision_divergence(bench, far);
+  EXPECT_EQ(a.exact_steps, b.exact_steps);
+  EXPECT_EQ(a.exact_result, b.exact_result);
+}
+
+/// One row of bench/decision_divergence: a benchmark and a distance.
+struct DivergenceRow {
+  std::string label;
+  std::function<c::ApplicationBenchmark()> make;
+  int distance = 2;
+};
+
+class DivergenceRowTest : public ::testing::TestWithParam<DivergenceRow> {};
+
+TEST_P(DivergenceRowTest, MakesGreedyStepsAndConsistentCounts) {
+  const DivergenceRow& row = GetParam();
+  d::PolicyOptions options;
+  options.distance = row.distance;
+  const auto report = c::run_decision_divergence(row.make(), options);
+  // A row with no exact greedy step measures nothing.
+  ASSERT_GT(report.exact_steps, 0u);
+  EXPECT_LE(report.diverging, report.exact_steps);
+  EXPECT_DOUBLE_EQ(report.diverging_percent,
+                   100.0 * static_cast<double>(report.diverging) /
+                       static_cast<double>(report.exact_steps));
+  EXPECT_EQ(report.result_l1_gap,
+            d::l1_distance(report.exact_result, report.kriging_result));
+  EXPECT_GT(report.stats.total, 0u);
+}
+
+c::ApplicationBenchmark approx_fir() { return c::make_approx_fir_benchmark(); }
+c::ApplicationBenchmark iir() { return c::make_iir_benchmark(); }
+c::ApplicationBenchmark small_fft() {
+  c::SignalBenchOptions o;
+  o.samples = 256;
+  return c::make_fft_benchmark(o);
+}
+c::ApplicationBenchmark iir_sensitivity() {
+  return c::make_iir_sensitivity_benchmark();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchRows, DivergenceRowTest,
+    ::testing::Values(DivergenceRow{"approx_fir_d2", approx_fir, 2},
+                      DivergenceRow{"approx_fir_d3", approx_fir, 3},
+                      DivergenceRow{"approx_fir_d4", approx_fir, 4},
+                      DivergenceRow{"iir_d2", iir, 2},
+                      DivergenceRow{"iir_d3", iir, 3},
+                      DivergenceRow{"fft_d2", small_fft, 2},
+                      DivergenceRow{"iir_sensitivity_d2", iir_sensitivity,
+                                    2}),
+    [](const ::testing::TestParamInfo<DivergenceRow>& info) {
+      return info.param.label;
+    });
 
 }  // namespace

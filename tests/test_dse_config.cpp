@@ -42,4 +42,16 @@ TEST(ConfigHash, DistinguishesPermutations) {
   EXPECT_EQ(set.size(), 2u);
 }
 
+TEST(ConfigHash, PinnedFnv1aValues) {
+  // The hash seeds the retry jitter of each simulation
+  // (util::call_with_retry(retry, ConfigHash{}(config))), so its values
+  // are part of a run's reproducibility: FNV-1a-64 over the 32-bit words.
+  d::ConfigHash h;
+  EXPECT_EQ(h({}), 1469598103934665603ULL);  // The offset basis.
+  EXPECT_EQ(h({0}), 1469598103934665603ULL * 1099511628211ULL);
+  EXPECT_EQ(h({1}), (1469598103934665603ULL ^ 1ULL) * 1099511628211ULL);
+  EXPECT_EQ(h({-1}),
+            (1469598103934665603ULL ^ 0xffffffffULL) * 1099511628211ULL);
+}
+
 }  // namespace
