@@ -2,7 +2,6 @@
 // non-integer distances, and adaptive-sampling batch control.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 
 #include "dse/adaptive_simulation.hpp"
