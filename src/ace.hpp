@@ -13,7 +13,6 @@
 #include "util/table.hpp"
 
 // Linear algebra.
-#include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
@@ -38,7 +37,6 @@
 
 // Approximate arithmetic operators.
 #include "approx/adders.hpp"
-#include "approx/characterize.hpp"
 #include "approx/multipliers.hpp"
 
 // Application substrates.

@@ -53,34 +53,4 @@ std::int64_t LowerOrAdder::add(std::int64_t a, std::int64_t b) const {
   return from_bits(high | low, width_);
 }
 
-TruncatedAdder::TruncatedAdder(int width, int degree)
-    : width_(width), degree_(degree) {
-  check_params(width, degree, width);
-  const std::uint64_t all = (std::uint64_t{1} << width) - 1;
-  const std::uint64_t low =
-      degree == 0 ? 0 : (std::uint64_t{1} << degree) - 1;
-  keep_mask_ = all & ~low;
-}
-
-std::int64_t TruncatedAdder::add(std::int64_t a, std::int64_t b) const {
-  const std::uint64_t ua = to_bits(a, width_) & keep_mask_;
-  const std::uint64_t ub = to_bits(b, width_) & keep_mask_;
-  return from_bits(ua + ub, width_);
-}
-
-CarryCutAdder::CarryCutAdder(int width, int degree)
-    : width_(width), degree_(degree) {
-  check_params(width, degree, width);
-  low_mask_ = degree == 0 ? 0 : (std::uint64_t{1} << degree) - 1;
-}
-
-std::int64_t CarryCutAdder::add(std::int64_t a, std::int64_t b) const {
-  const std::uint64_t ua = to_bits(a, width_);
-  const std::uint64_t ub = to_bits(b, width_);
-  if (degree_ == 0) return from_bits(ua + ub, width_);
-  const std::uint64_t low = (ua + ub) & low_mask_;  // Carry discarded.
-  const std::uint64_t high = ((ua >> degree_) + (ub >> degree_)) << degree_;
-  return from_bits(high | low, width_);
-}
-
 }  // namespace ace::approx

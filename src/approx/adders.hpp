@@ -1,12 +1,13 @@
-// Approximate integer adders — the "inexact operators" approximation
+// Approximate integer adder — the "inexact operators" approximation
 // source of the paper's introduction (its refs [3] Gupta et al., [4]
-// Kahng & Kang). Each adder is parameterized by an approximation degree
+// Kahng & Kang). The adder is parameterized by an approximation degree
 // (number of inexact low-order bits); degree 0 is the exact adder, so the
-// degree forms the integer DSE lattice the kriging engine explores.
+// degree forms the integer DSE lattice the kriging engine explores (the
+// approx_fir kernel, core/benchmarks.cpp).
 //
-// All adders operate on two's-complement values embedded in int64 with a
-// given operand width; results are exact at the architectural level (no
-// UB), deterministic, and match the published architectures' behaviour.
+// It operates on two's-complement values embedded in int64 with a given
+// operand width; results are exact at the architectural level (no UB),
+// deterministic, and match the published architecture's behaviour.
 #pragma once
 
 #include <cstdint>
@@ -33,43 +34,8 @@ class LowerOrAdder {
   std::uint64_t carry_bit_;
 };
 
-/// Truncated adder: the low `degree` bits of both operands are zeroed
-/// before an exact addition (no carry ever emerges from the cut part).
-class TruncatedAdder {
- public:
-  TruncatedAdder(int width, int degree);
-
-  std::int64_t add(std::int64_t a, std::int64_t b) const;
-
-  int width() const { return width_; }
-  int degree() const { return degree_; }
-
- private:
-  int width_;
-  int degree_;
-  std::uint64_t keep_mask_;
-};
-
-/// Carry-cut (ETAII-style segmented) adder: the carry chain is broken at
-/// bit `degree`; the upper part adds with carry-in 0. Exact when the real
-/// carry across the cut is 0.
-class CarryCutAdder {
- public:
-  CarryCutAdder(int width, int degree);
-
-  std::int64_t add(std::int64_t a, std::int64_t b) const;
-
-  int width() const { return width_; }
-  int degree() const { return degree_; }
-
- private:
-  int width_;
-  int degree_;
-  std::uint64_t low_mask_;
-};
-
 /// Exact reference addition at the given width (wraps modulo 2^width,
-/// two's complement) — the golden model for the adders above.
+/// two's complement) — the golden model for the adder above.
 std::int64_t exact_add(std::int64_t a, std::int64_t b, int width);
 
 }  // namespace ace::approx

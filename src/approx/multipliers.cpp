@@ -1,6 +1,5 @@
 #include "approx/multipliers.hpp"
 
-#include <bit>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -13,13 +12,7 @@ void check_width(int width, int max_width) {
     throw std::invalid_argument("approx multiplier: width out of range");
 }
 
-int floor_log2(std::uint64_t v) {
-  return 63 - std::countl_zero(v);
-}
-
 }  // namespace
-
-std::int64_t exact_multiply(std::int64_t a, std::int64_t b) { return a * b; }
 
 TruncatedMultiplier::TruncatedMultiplier(int width, int degree)
     : width_(width), degree_(degree) {
@@ -39,49 +32,6 @@ std::int64_t TruncatedMultiplier::multiply(std::int64_t a,
   if (degree_ > 0) product = (product >> degree_) << degree_;
   const std::int64_t magnitude = static_cast<std::int64_t>(product);
   return negative ? -magnitude : magnitude;
-}
-
-MitchellMultiplier::MitchellMultiplier(int width, int interp_bits)
-    : width_(width), interp_bits_(interp_bits) {
-  check_width(width, 30);
-  if (interp_bits < 0 || interp_bits > 30)
-    throw std::invalid_argument("MitchellMultiplier: interp_bits range");
-}
-
-std::int64_t MitchellMultiplier::multiply(std::int64_t a,
-                                          std::int64_t b) const {
-  if (a == 0 || b == 0) return 0;
-  const bool negative = (a < 0) != (b < 0);
-  const std::uint64_t ua = static_cast<std::uint64_t>(std::llabs(a));
-  const std::uint64_t ub = static_cast<std::uint64_t>(std::llabs(b));
-
-  // Mitchell: |v| = 2^k (1 + f), log2|v| ≈ k + f. Keep interp_bits of f.
-  const int ka = floor_log2(ua);
-  const int kb = floor_log2(ub);
-  auto mantissa = [&](std::uint64_t v, int k) -> std::uint64_t {
-    const std::uint64_t frac = v - (std::uint64_t{1} << k);  // f · 2^k.
-    if (interp_bits_ >= k) return frac << (interp_bits_ - k);
-    return frac >> (k - interp_bits_);
-  };
-  const std::uint64_t fa = mantissa(ua, ka);  // f_a · 2^interp_bits.
-  const std::uint64_t fb = mantissa(ub, kb);
-
-  // log sum = (ka + kb) + (fa + fb) / 2^interp.
-  std::uint64_t fsum = fa + fb;
-  int ksum = ka + kb;
-  const std::uint64_t one = std::uint64_t{1} << interp_bits_;
-  if (fsum >= one) {  // Mantissa overflow: antilog doubles.
-    fsum -= one;
-    ksum += 1;
-  }
-  // Antilog: 2^(ksum)·(1 + fsum/2^interp).
-  std::uint64_t magnitude;
-  if (ksum >= interp_bits_)
-    magnitude = (one + fsum) << (ksum - interp_bits_);
-  else
-    magnitude = (one + fsum) >> (interp_bits_ - ksum);
-  const std::int64_t result = static_cast<std::int64_t>(magnitude);
-  return negative ? -result : result;
 }
 
 }  // namespace ace::approx

@@ -1,7 +1,7 @@
-// Approximate integer multipliers (paper intro refs [5]: Mrazek et al.
-// scalable approximate multipliers; plus the classical truncated and
-// logarithmic designs). Parameterized by an approximation degree like the
-// adders, so multiplier precision is one more axis on the DSE lattice.
+// Approximate integer multiplier (paper intro refs [5]: Mrazek et al.
+// scalable approximate multipliers; here the classical truncated design).
+// Parameterized by an approximation degree like the adder, so multiplier
+// precision is one more axis on the DSE lattice.
 #pragma once
 
 #include <cstdint>
@@ -27,27 +27,5 @@ class TruncatedMultiplier {
   int width_;
   int degree_;
 };
-
-/// Mitchell's logarithmic multiplier: |a·b| ≈ 2^(log2|a| + log2|b|) with
-/// piecewise-linear log/antilog. `interp_bits` controls the fraction
-/// precision kept from each operand's mantissa (more bits = closer to
-/// exact); 0 keeps none (pure power-of-two products).
-class MitchellMultiplier {
- public:
-  /// width in [2, 30], interp_bits in [0, 30]. Throws.
-  MitchellMultiplier(int width, int interp_bits);
-
-  std::int64_t multiply(std::int64_t a, std::int64_t b) const;
-
-  int width() const { return width_; }
-  int interp_bits() const { return interp_bits_; }
-
- private:
-  int width_;
-  int interp_bits_;
-};
-
-/// Exact reference product (the golden model).
-std::int64_t exact_multiply(std::int64_t a, std::int64_t b);
 
 }  // namespace ace::approx

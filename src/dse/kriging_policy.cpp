@@ -386,11 +386,10 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
     owners.push_back(i);
   }
 
-  // Phase 2: hand the pending simulations to the backend — a thread pool,
-  // the distributed coordinator, or inline execution. Each guarded result
-  // lands in its own index-addressed slot, so neither the execution
-  // schedule nor the physical placement can leak into the results, and a
-  // faulted candidate cannot abort its siblings.
+  // Phase 2: hand the pending simulations to the backend — a thread pool
+  // or inline execution. Each guarded result lands in its own
+  // index-addressed slot, so the execution schedule cannot leak into the
+  // results, and a faulted candidate cannot abort its siblings.
   std::vector<Config> pending_configs;
   pending_configs.reserve(owners.size());
   for (const std::size_t owner : owners) pending_configs.push_back(batch[owner]);

@@ -21,8 +21,8 @@
 // point silently poisons every kriging estimate that draws on it.
 // A *successful* add() lifts an earlier quarantine: a configuration that
 // faulted once (e.g. a transient timeout) but later simulated cleanly —
-// through restore-replay or a distributed merge — is healthy support, not
-// a permanent outcast. The quarantine_log_ keeps the lifted entry for
+// for instance through restore-replay — is healthy support, not a
+// permanent outcast. The quarantine_log_ keeps the lifted entry for
 // audit; only the active-quarantine map forgets it.
 //
 // For the radius scans the store additionally keeps a columnar (SoA)

@@ -92,8 +92,9 @@ LuDecomposition::LuDecomposition(Matrix a, double pivot_tolerance)
   if (!lu_.square())
     throw std::invalid_argument("LuDecomposition: matrix must be square");
   perm_.resize(lu_.rows());
+  int perm_sign = 1;
   singular_ = !lu_factor_inplace(lu_.data(), lu_.rows(), perm_.data(),
-                                 perm_sign_, pivot_tolerance);
+                                 perm_sign, pivot_tolerance);
 }
 
 Vector LuDecomposition::solve(const Vector& b) const {
@@ -106,28 +107,6 @@ Vector LuDecomposition::solve(const Vector& b) const {
   lu_solve_inplace(lu_.data(), n, perm_.data(), b.data().data(),
                    x.data().data());
   return x;
-}
-
-Matrix LuDecomposition::solve(const Matrix& b) const {
-  if (b.rows() != size())
-    throw std::invalid_argument("LuDecomposition::solve: row mismatch");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vector xc = solve(b.col(c));
-    for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
-  }
-  return x;
-}
-
-double LuDecomposition::determinant() const {
-  if (singular_) return 0.0;
-  double det = static_cast<double>(perm_sign_);
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Matrix LuDecomposition::inverse() const {
-  return solve(Matrix::identity(size()));
 }
 
 Vector LuDecomposition::inverse_diagonal() const {

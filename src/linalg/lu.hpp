@@ -62,15 +62,6 @@ class LuDecomposition {
   /// Solve A·x = b. Throws on singularity or size mismatch.
   Vector solve(const Vector& b) const;
 
-  /// Solve for multiple right-hand sides (columns of B).
-  Matrix solve(const Matrix& b) const;
-
-  /// Determinant (0 if singular flag raised).
-  double determinant() const;
-
-  /// Explicit inverse — prefer solve(); used by tests for validation.
-  Matrix inverse() const;
-
   /// Diagonal of A⁻¹ (lu_inverse_diagonal over this factor).
   Vector inverse_diagonal() const;
 
@@ -80,7 +71,6 @@ class LuDecomposition {
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
-  int perm_sign_ = 1;
   bool singular_ = false;
 };
 

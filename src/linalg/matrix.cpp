@@ -79,13 +79,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return out;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
 double max_abs(const double* data, std::size_t count) {
   // Four independent accumulators break the latency chain of one serial
   // std::max. Each lane skips NaN entries exactly as the serial chain
@@ -107,23 +100,5 @@ double max_abs(const double* data, std::size_t count) {
 }
 
 double Matrix::max_abs() const { return linalg::max_abs(data(), data_.size()); }
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
-}
-
-Vector Matrix::row(std::size_t r) const {
-  Vector out(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) out[c] = (*this)(r, c);
-  return out;
-}
-
-Vector Matrix::col(std::size_t c) const {
-  Vector out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-  return out;
-}
 
 }  // namespace ace::linalg

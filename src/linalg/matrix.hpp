@@ -59,18 +59,8 @@ class Matrix {
   /// Matrix-matrix product; throws on dimension mismatch.
   Matrix operator*(const Matrix& rhs) const;
 
-  Matrix transposed() const;
-
   /// Max-abs element (entrywise infinity norm surrogate).
   double max_abs() const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
-  /// Row as a Vector copy.
-  Vector row(std::size_t r) const;
-  /// Column as a Vector copy.
-  Vector col(std::size_t c) const;
 
  private:
   [[noreturn]] static void throw_out_of_range();

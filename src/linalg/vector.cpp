@@ -37,8 +37,6 @@ double Vector::dot(const Vector& rhs) const {
   return acc;
 }
 
-double Vector::norm2() const { return std::sqrt(dot(*this)); }
-
 double Vector::norm_inf() const {
   double m = 0.0;
   for (double x : data_) m = std::max(m, std::abs(x));

@@ -42,9 +42,6 @@ class Vector {
   /// Dot product; throws on size mismatch.
   double dot(const Vector& rhs) const;
 
-  /// Euclidean norm.
-  double norm2() const;
-
   /// Max-abs norm.
   double norm_inf() const;
 

@@ -5,19 +5,6 @@
 
 namespace ace::metrics {
 
-double equivalent_bits(double noise_power_linear) {
-  if (noise_power_linear <= 0.0)
-    throw std::invalid_argument("equivalent_bits: power must be positive");
-  // P = 2^-n / 12  =>  n = -log2(12 P).
-  return -std::log2(12.0 * noise_power_linear);
-}
-
-double epsilon_bits(double p_hat, double p_true) {
-  if (p_hat <= 0.0 || p_true <= 0.0)
-    throw std::invalid_argument("epsilon_bits: powers must be positive");
-  return std::abs(std::log2(p_hat / p_true));
-}
-
 double epsilon_relative(double lambda_hat, double lambda_true) {
   // Guard against exact division by zero, not near-zero references.
   if (lambda_true == 0.0)  // ace-lint: allow(float-equality)

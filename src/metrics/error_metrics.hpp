@@ -1,21 +1,10 @@
-// Interpolation-quality metrics of the paper's Table I.
-//
-// For noise-power benchmarks the interpolation error ε is expressed in
-// *equivalent bits* (Eq. 11): the noise power of an n-bit rounding source
-// is modelled as P(n) = 2^-n / 12 (the paper's convention), so
-//   ε = |log2(P̂ / P)|.
-// For other metrics ε is the relative difference (Eq. 12).
+// Interpolation-quality metric of the paper's Table I for non-noise-power
+// benchmarks: ε is the relative difference (Eq. 12). The noise-power form
+// (Eq. 11, ε in equivalent bits) is computed in the dB domain by
+// dse::interpolation_epsilon.
 #pragma once
 
 namespace ace::metrics {
-
-/// Equivalent number of bits n such that P = 2^-n / 12 (paper's model).
-/// Throws std::invalid_argument for non-positive power.
-double equivalent_bits(double noise_power_linear);
-
-/// Interpolation error in equivalent bits: |log2(p_hat / p_true)| (Eq. 11).
-/// Throws std::invalid_argument unless both powers are positive.
-double epsilon_bits(double p_hat, double p_true);
 
 /// Relative interpolation error |λ̂ − λ| / |λ| (Eq. 12).
 /// Throws std::invalid_argument when λ is zero.

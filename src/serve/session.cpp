@@ -269,11 +269,6 @@ dse::SensitivityResult SessionManager::sensitivity_result(
   return dse::sensitivity_result(*cursor);
 }
 
-std::size_t SessionManager::session_count() const {
-  const util::LockGuard lock(mutex_);
-  return sessions_.size();
-}
-
 std::size_t SessionManager::resident_count() const {
   const util::LockGuard lock(mutex_);
   return resident_;

@@ -159,7 +159,6 @@ class SessionManager {
   dse::SensitivityResult sensitivity_result(SessionId id) const
       ACE_EXCLUDES(mutex_);
 
-  std::size_t session_count() const ACE_EXCLUDES(mutex_);
   std::size_t resident_count() const ACE_EXCLUDES(mutex_);
   ServeStats stats() const ACE_EXCLUDES(mutex_);
 

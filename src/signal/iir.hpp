@@ -23,13 +23,12 @@ class IirCascade {
   std::vector<double> filter(const std::vector<double>& input) const;
 
   const std::vector<BiquadCoefficients>& sections() const { return sections_; }
-  std::size_t section_count() const { return sections_.size(); }
 
  private:
   std::vector<BiquadCoefficients> sections_;
 };
 
-/// Fixed-point cascade emulation with Nv = section_count + 1 variables.
+/// Fixed-point cascade emulation with Nv = sections().size() + 1 variables.
 class QuantizedIirCascade {
  public:
   /// Calibrates integer bits from a reference run on `calibration_input`.

@@ -1,9 +1,10 @@
 // Numerical contracts: debug-checked, release-free invariants.
 //
-// Kriging correctness rests on silent mathematical preconditions — SPD
-// covariance for Cholesky, valid (conditionally negative-definite)
-// variogram models, kriging weights summing to 1 — that a wrong-but-finite
-// number sails straight through the NaN guards of the fault subsystem.
+// Kriging correctness rests on silent mathematical preconditions — valid
+// (conditionally negative-definite) variogram models, non-zero pivots in
+// a successful LU factor, kriging weights summing to 1 — that a
+// wrong-but-finite number sails straight through the NaN guards of the
+// fault subsystem.
 // The ACE_REQUIRE / ACE_ENSURE / ACE_INVARIANT macros make those
 // preconditions, postconditions and invariants *checkable*: active in
 // Debug builds (and any TU compiled with -DACE_CONTRACTS=1), compiled out

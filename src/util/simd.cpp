@@ -75,8 +75,7 @@ void l1_f64_avx2(const double* const* cols, std::size_t dim,
 
 #endif  // ACE_SIMD_AVX2
 
-}  // namespace
-
+/// True when the AVX2 backend was compiled in (CMake `ACE_SIMD`).
 bool compiled_avx2() {
 #if defined(ACE_SIMD_AVX2)
   return true;
@@ -84,6 +83,8 @@ bool compiled_avx2() {
   return false;
 #endif
 }
+
+}  // namespace
 
 const char* backend() { return compiled_avx2() ? "avx2" : "scalar"; }
 

@@ -40,9 +40,6 @@
 
 namespace ace::util::simd {
 
-/// True when the AVX2 backend was compiled in (CMake `ACE_SIMD`).
-bool compiled_avx2();
-
 /// Name of the compiled backend: "avx2" or "scalar".
 const char* backend();
 

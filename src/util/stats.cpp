@@ -68,16 +68,6 @@ double variance(const std::vector<double>& xs) {
 
 double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
 
-double min_of(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("min_of: empty");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(const std::vector<double>& xs) {
-  if (xs.empty()) throw std::invalid_argument("max_of: empty");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
@@ -90,26 +80,5 @@ double quantile(std::vector<double> xs, double q) {
 }
 
 double median(std::vector<double> xs) { return quantile(std::move(xs), 0.5); }
-
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("pearson: size mismatch");
-  if (xs.size() < 2) throw std::invalid_argument("pearson: need >= 2 points");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  // Exact-zero variance test: sxx/syy are sums of squares, so == 0
-  // means every deviation was exactly zero.
-  if (sxx == 0.0 || syy == 0.0)  // ace-lint: allow(float-equality)
-    throw std::invalid_argument("pearson: zero variance");
-  return sxy / std::sqrt(sxx * syy);
-}
 
 }  // namespace ace::util

@@ -58,8 +58,6 @@ class RunningStats {
 double mean(const std::vector<double>& xs);
 double variance(const std::vector<double>& xs);
 double stddev(const std::vector<double>& xs);
-double min_of(const std::vector<double>& xs);
-double max_of(const std::vector<double>& xs);
 
 /// Quantile with linear interpolation between order statistics.
 /// q in [0,1]; throws std::invalid_argument on empty input or bad q.
@@ -67,8 +65,5 @@ double quantile(std::vector<double> xs, double q);
 
 /// Median (q = 0.5).
 double median(std::vector<double> xs);
-
-/// Pearson correlation coefficient; throws on size mismatch or < 2 points.
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys);
 
 }  // namespace ace::util

@@ -167,20 +167,11 @@ class ThreadPool {
 };
 
 /// Run fn(i) for i in [0, n): inline in index order when `pool` is null
-/// (the serial reference path), on the pool otherwise. Callers write
-/// results into index-addressed slots, so both paths yield identical data.
-inline void parallel_for_indexed(ThreadPool* pool, std::size_t n,
-                                 const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->run_indexed(n, fn);
-}
-
-/// Collecting variant of parallel_for_indexed: every index runs, all
-/// failures are returned sorted by index, and the serial path mirrors the
-/// pool path exactly (a thrown fn(i) does not stop the remaining indices).
+/// (the serial reference path), on the pool otherwise. Every index runs,
+/// all failures are returned sorted by index, and the serial path mirrors
+/// the pool path exactly (a thrown fn(i) does not stop the remaining
+/// indices). Callers write results into index-addressed slots, so both
+/// paths yield identical data.
 inline std::vector<TaskError> parallel_for_indexed_collect(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t)>& fn) {

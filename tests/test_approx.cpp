@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "approx/adders.hpp"
-#include "approx/characterize.hpp"
 #include "approx/multipliers.hpp"
 #include "util/rng.hpp"
 
@@ -25,22 +24,16 @@ TEST(Adders, ConstructionValidation) {
   EXPECT_THROW(ax::LowerOrAdder(1, 0), std::invalid_argument);
   EXPECT_THROW(ax::LowerOrAdder(8, -1), std::invalid_argument);
   EXPECT_THROW(ax::LowerOrAdder(8, 9), std::invalid_argument);
-  EXPECT_THROW(ax::TruncatedAdder(8, 9), std::invalid_argument);
-  EXPECT_THROW(ax::CarryCutAdder(8, 9), std::invalid_argument);
 }
 
 TEST(Adders, DegreeZeroIsExact) {
   ace::util::Rng rng(80);
   const ax::LowerOrAdder loa(12, 0);
-  const ax::TruncatedAdder tra(12, 0);
-  const ax::CarryCutAdder cca(12, 0);
   for (int i = 0; i < 500; ++i) {
     const std::int64_t a = rng.uniform_int(-2048, 2047);
     const std::int64_t b = rng.uniform_int(-2048, 2047);
     const std::int64_t exact = ax::exact_add(a, b, 12);
     EXPECT_EQ(loa.add(a, b), exact);
-    EXPECT_EQ(tra.add(a, b), exact);
-    EXPECT_EQ(cca.add(a, b), exact);
   }
 }
 
@@ -56,63 +49,31 @@ TEST(LowerOrAdder, KnownSmallCases) {
   EXPECT_EQ(loa.add(5, 1), 5);  // Exact is 6: LOA error = -1.
 }
 
-TEST(TruncatedAdder, ZeroesLowBits) {
-  const ax::TruncatedAdder tra(8, 3);
-  EXPECT_EQ(tra.add(0b00001111, 0b00000111), 0b00001000);
-  EXPECT_EQ(tra.add(0b1000, 0b1000), 0b10000);
-}
-
-TEST(CarryCutAdder, DropsCrossCarryOnly) {
-  const ax::CarryCutAdder cca(8, 4);
-  // No carry across bit 4: exact.
-  EXPECT_EQ(cca.add(0b0001, 0b0010), 3);
-  EXPECT_EQ(cca.add(0b10000, 0b100000), 0b110000);
-  // Carry across the cut is dropped: 0b1000 + 0b1000 = 0b10000 exact,
-  // but cut at 4 keeps low = 0b0000 and high = 0 -> 0.
-  EXPECT_EQ(cca.add(0b1000, 0b1000), 0);
-}
-
-/// Property sweep: approximate-adder error metrics are monotone in degree
-/// and exactly zero at degree 0.
-class AdderDegreeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AdderDegreeTest, ErrorGrowsWithDegree) {
+// Exhaustive over every signed 8-bit operand pair: the LOA's error is
+// exactly zero at degree 0, and its squared error never falls as the
+// degree rises (every degree sums over the same pairs, so comparing sums
+// compares means).
+TEST(LowerOrAdder, ErrorGrowsWithDegree) {
   const int width = 8;
-  auto exact = [width](std::int64_t a, std::int64_t b) {
-    return ax::exact_add(a, b, width);
-  };
-  double previous_mse = -1.0;
+  std::int64_t previous_sum_sq = -1;
   for (int degree : {0, 2, 4, 6}) {
-    const int kind = GetParam();
-    ax::BinaryOp approx_op;
-    if (kind == 0) {
-      approx_op = [adder = ax::LowerOrAdder(width, degree)](
-                      std::int64_t a, std::int64_t b) {
-        return adder.add(a, b);
-      };
-    } else if (kind == 1) {
-      approx_op = [adder = ax::TruncatedAdder(width, degree)](
-                      std::int64_t a, std::int64_t b) {
-        return adder.add(a, b);
-      };
-    } else {
-      approx_op = [adder = ax::CarryCutAdder(width, degree)](
-                      std::int64_t a, std::int64_t b) {
-        return adder.add(a, b);
-      };
-    }
-    const auto profile = ax::characterize_exhaustive(approx_op, exact, width);
+    const ax::LowerOrAdder adder(width, degree);
+    std::int64_t errors = 0;
+    std::int64_t sum_sq = 0;
+    for (std::int64_t a = -128; a <= 127; ++a)
+      for (std::int64_t b = -128; b <= 127; ++b) {
+        const std::int64_t diff = adder.add(a, b) - ax::exact_add(a, b, width);
+        if (diff != 0) ++errors;
+        sum_sq += diff * diff;
+      }
     if (degree == 0) {
-      EXPECT_EQ(profile.error_rate, 0.0);
-      EXPECT_EQ(profile.mean_squared_error, 0.0);
+      EXPECT_EQ(errors, 0);
+      EXPECT_EQ(sum_sq, 0);
     }
-    EXPECT_GE(profile.mean_squared_error, previous_mse);
-    previous_mse = profile.mean_squared_error;
+    EXPECT_GE(sum_sq, previous_sum_sq) << "degree " << degree;
+    previous_sum_sq = sum_sq;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AdderKinds, AdderDegreeTest,
-                         ::testing::Values(0, 1, 2));
 
 TEST(TruncatedMultiplier, DegreeZeroExactAndValidation) {
   EXPECT_THROW(ax::TruncatedMultiplier(1, 0), std::invalid_argument);
@@ -134,63 +95,6 @@ TEST(TruncatedMultiplier, DropsLowColumns) {
   EXPECT_EQ(mul.multiply(5, -7), -32);
   EXPECT_EQ(mul.multiply(-5, -7), 32);
   EXPECT_EQ(mul.multiply(0, 123), 0);
-}
-
-TEST(MitchellMultiplier, PowersOfTwoAreExact) {
-  const ax::MitchellMultiplier mul(16, 8);
-  EXPECT_EQ(mul.multiply(4, 8), 32);
-  EXPECT_EQ(mul.multiply(16, 16), 256);
-  EXPECT_EQ(mul.multiply(-4, 8), -32);
-  EXPECT_EQ(mul.multiply(0, 99), 0);
-}
-
-TEST(MitchellMultiplier, RelativeErrorWithinClassicalBound) {
-  // Mitchell's log multiplier underestimates by at most ~11.1%.
-  const ax::MitchellMultiplier mul(12, 16);
-  ace::util::Rng rng(82);
-  for (int i = 0; i < 2000; ++i) {
-    const std::int64_t a = rng.uniform_int(1, 2047);
-    const std::int64_t b = rng.uniform_int(1, 2047);
-    const double exact = static_cast<double>(a * b);
-    const double approx_v = static_cast<double>(mul.multiply(a, b));
-    const double rel = (exact - approx_v) / exact;
-    EXPECT_GE(rel, -0.02);  // Never overestimates beyond rounding.
-    EXPECT_LE(rel, 0.115);  // The 1 - (ln 2·e)/... classical bound.
-  }
-}
-
-TEST(Characterize, ValidationAndExhaustiveCounts) {
-  auto identity = [](std::int64_t a, std::int64_t) { return a; };
-  EXPECT_THROW(
-      (void)ax::characterize_exhaustive(nullptr, identity, 4),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)ax::characterize_exhaustive(identity, identity, 13),
-      std::invalid_argument);
-  const auto profile = ax::characterize_exhaustive(identity, identity, 4);
-  EXPECT_EQ(profile.pairs, 256u);
-  EXPECT_EQ(profile.error_rate, 0.0);
-}
-
-TEST(Characterize, SampledMatchesExhaustiveTrend) {
-  auto exact = [](std::int64_t a, std::int64_t b) {
-    return ax::exact_add(a, b, 8);
-  };
-  auto approx_op = [adder = ax::LowerOrAdder(8, 4)](std::int64_t a,
-                                                    std::int64_t b) {
-    return adder.add(a, b);
-  };
-  const auto full = ax::characterize_exhaustive(approx_op, exact, 8);
-  ace::util::Rng rng(83);
-  const auto sampled =
-      ax::characterize_sampled(approx_op, exact, 8, 20000, rng);
-  EXPECT_NEAR(sampled.error_rate, full.error_rate, 0.05);
-  EXPECT_NEAR(sampled.mean_error_distance, full.mean_error_distance,
-              0.25 * full.mean_error_distance + 0.1);
-  ace::util::Rng rng2(84);
-  EXPECT_THROW(
-      (void)ax::characterize_sampled(approx_op, exact, 8, 0, rng2),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -12,8 +12,6 @@
 #include <string>
 
 #include "kriging/variogram_model.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/matrix.hpp"
 #include "util/retry.hpp"
 
 namespace {
@@ -59,21 +57,6 @@ TEST(ContractViolation, KindNames) {
 
 // --- library-level contracts (active iff the library was built Debug) ----
 
-TEST(LibraryContracts, AsymmetricCholeskyInput) {
-  ace::linalg::Matrix a(2, 2);
-  a(0, 0) = 4.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 3.0;  // != a(0,1): not symmetric.
-  a(1, 1) = 5.0;
-#if ACE_CONTRACTS_ENABLED
-  EXPECT_THROW(ace::linalg::CholeskyDecomposition{a}, ContractViolation);
-#else
-  // Release: the symmetry precondition is compiled out and the lower
-  // triangle factors normally.
-  EXPECT_NO_THROW(ace::linalg::CholeskyDecomposition{a});
-#endif
-}
-
 TEST(LibraryContracts, NegativeSillVariogram) {
 #if ACE_CONTRACTS_ENABLED
   EXPECT_THROW(ace::kriging::SphericalVariogram(0.0, -1.0, 2.0),
@@ -81,19 +64,6 @@ TEST(LibraryContracts, NegativeSillVariogram) {
 #else
   EXPECT_NO_THROW(ace::kriging::SphericalVariogram(0.0, -1.0, 2.0));
 #endif
-}
-
-TEST(LibraryContracts, SymmetricNonSpdStillUsesFailedFlag) {
-  // Data-dependent non-SPD-ness (a symmetric but indefinite matrix) is an
-  // environmental condition, not a contract: the decomposition must keep
-  // reporting it through failed() in every build mode.
-  ace::linalg::Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 1.0;
-  const ace::linalg::CholeskyDecomposition chol(a);
-  EXPECT_TRUE(chol.failed());
 }
 
 // --- retry-guard classification ------------------------------------------

@@ -48,6 +48,16 @@ TEST(InterpolationEpsilon, AccuracyDbUsesEquation11) {
   // Exact estimate: zero error.
   EXPECT_DOUBLE_EQ(
       d::interpolation_epsilon(50.0, 50.0, d::MetricKind::kAccuracyDb), 0.0);
+  // Eq. 11 as a power ratio: P̂ = 4·P is |log2 4| = 2 equivalent bits,
+  // whichever side is the estimate.
+  const double lambda_4 = -10.0 * std::log10(4.0e-6);
+  const double lambda_1 = -10.0 * std::log10(1.0e-6);
+  EXPECT_NEAR(d::interpolation_epsilon(lambda_4, lambda_1,
+                                       d::MetricKind::kAccuracyDb),
+              2.0, 1e-12);
+  EXPECT_NEAR(d::interpolation_epsilon(lambda_1, lambda_4,
+                                       d::MetricKind::kAccuracyDb),
+              2.0, 1e-12);
 }
 
 TEST(InterpolationEpsilon, QualityRateUsesEquation12) {

@@ -60,21 +60,14 @@ TEST(Lu, PivotingHandlesZeroLeadingDiagonal) {
   const Vector x = lu.solve(Vector{2.0, 7.0});
   EXPECT_NEAR(x[0], 7.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
-  EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
 }
 
 TEST(Lu, DetectsSingularMatrix) {
   Matrix a{{1.0, 2.0}, {2.0, 4.0}};
   LuDecomposition lu(a);
   EXPECT_TRUE(lu.singular());
-  EXPECT_DOUBLE_EQ(lu.determinant(), 0.0);
   EXPECT_DOUBLE_EQ(lu.rcond_estimate(), 0.0);
   EXPECT_THROW((void)lu.solve(Vector{1.0, 1.0}), std::runtime_error);
-}
-
-TEST(Lu, DeterminantOfDiagonal) {
-  Matrix a{{2.0, 0.0, 0.0}, {0.0, 3.0, 0.0}, {0.0, 0.0, 4.0}};
-  EXPECT_NEAR(LuDecomposition(a).determinant(), 24.0, 1e-12);
 }
 
 TEST(Lu, SolveSizeMismatchThrows) {
@@ -82,35 +75,19 @@ TEST(Lu, SolveSizeMismatchThrows) {
   EXPECT_THROW((void)lu.solve(Vector{1.0, 2.0}), std::invalid_argument);
 }
 
-TEST(Lu, InverseTimesOriginalIsIdentity) {
-  ace::util::Rng rng(17);
-  const Matrix a = random_matrix(rng, 5);
-  const Matrix inv = LuDecomposition(a).inverse();
-  const Matrix prod = a * inv;
-  for (std::size_t r = 0; r < 5; ++r)
-    for (std::size_t c = 0; c < 5; ++c)
-      EXPECT_NEAR(prod(r, c), r == c ? 1.0 : 0.0, 1e-9);
-}
-
-TEST(Lu, MultipleRightHandSides) {
-  Matrix a{{2.0, 0.0}, {0.0, 4.0}};
-  Matrix b{{2.0, 4.0}, {4.0, 8.0}};
-  const Matrix x = LuDecomposition(a).solve(b);
-  EXPECT_NEAR(x(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(x(0, 1), 2.0, 1e-12);
-  EXPECT_NEAR(x(1, 0), 1.0, 1e-12);
-  EXPECT_NEAR(x(1, 1), 2.0, 1e-12);
-}
-
-TEST(Lu, InverseDiagonalMatchesFullInverse) {
+TEST(Lu, InverseDiagonalMatchesUnitVectorSolves) {
   ace::util::Rng rng(29);
   const Matrix a = random_matrix(rng, 6);
   const LuDecomposition lu(a);
-  const Matrix inv = lu.inverse();
   const Vector diag = lu.inverse_diagonal();
   ASSERT_EQ(diag.size(), 6u);
-  // Both walk the same unit-vector solves, so the match is exact.
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(diag[i], inv(i, i));
+  // [A⁻¹]_ii is entry i of the solve A·x = e_i; inverse_diagonal walks the
+  // same unit-vector solves, so the match is exact.
+  for (std::size_t i = 0; i < 6; ++i) {
+    Vector e(6);
+    e[i] = 1.0;
+    EXPECT_EQ(bits(diag[i]), bits(lu.solve(e)[i])) << "entry " << i;
+  }
 }
 
 TEST(Lu, InverseDiagonalMatchesSchurComplementOfDeletedSystems) {
@@ -168,8 +145,6 @@ TEST_P(LuResidualTest, ResidualIsSmall) {
   const Vector x = lu.solve(b);
   const Vector residual = a * x - b;
   EXPECT_LT(residual.norm_inf(), 1e-9);
-  // det(A) consistency: det should be finite and nonzero.
-  EXPECT_NE(lu.determinant(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

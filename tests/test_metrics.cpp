@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 
 #include "metrics/classification.hpp"
@@ -43,23 +42,6 @@ TEST(DbConversion, RoundTripsAndClampsAtFloor) {
   EXPECT_DOUBLE_EQ(m::to_db(0.0), -400.0);
   EXPECT_DOUBLE_EQ(m::to_db(-1.0), -400.0);
   EXPECT_DOUBLE_EQ(m::to_db(1e-80), -400.0);  // Below floor clamps.
-}
-
-TEST(EquivalentBits, InvertsThePowerModel) {
-  // P = 2^-n / 12  at n = 10.
-  const double p = std::ldexp(1.0, -10) / 12.0;
-  EXPECT_NEAR(m::equivalent_bits(p), 10.0, 1e-12);
-  EXPECT_THROW((void)m::equivalent_bits(0.0), std::invalid_argument);
-  EXPECT_THROW((void)m::equivalent_bits(-1.0), std::invalid_argument);
-}
-
-TEST(EpsilonBits, MatchesEquation11) {
-  // P̂ = 4·P  =>  ε = |log2 4| = 2 bits, symmetric in the ratio.
-  EXPECT_NEAR(m::epsilon_bits(4.0e-6, 1.0e-6), 2.0, 1e-12);
-  EXPECT_NEAR(m::epsilon_bits(1.0e-6, 4.0e-6), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(m::epsilon_bits(5.0e-4, 5.0e-4), 0.0);
-  EXPECT_THROW((void)m::epsilon_bits(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW((void)m::epsilon_bits(1.0, 0.0), std::invalid_argument);
 }
 
 TEST(EpsilonRelative, MatchesEquation12) {

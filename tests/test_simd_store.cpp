@@ -1,14 +1,13 @@
 // Property tests for the SIMD/SoA layer (DESIGN.md §10).
 //
-// The whole layer rests on one contract: the vector kernels, the blocked
-// SoA store scans built on them, and the multi-RHS solve are *identical*
-// to their scalar / per-item counterparts — not close, identical. These
-// tests pin that contract from three angles:
+// The whole layer rests on one contract: the vector kernels and the blocked
+// SoA store scans built on them are *identical* to their scalar / per-item
+// counterparts — not close, identical. These tests pin that contract from
+// two angles:
 //   1. dispatching kernels vs their _scalar twins, element-exact;
 //   2. SoA-mirror store scans vs the AoS linear scans, index-identical,
 //      across random stores including post-quarantine and
-//      duplicate-update states, with the runtime toggle both ways;
-//   3. LuDecomposition::solve(Matrix) columns vs solve(Vector), bit-exact.
+//      duplicate-update states, with the runtime toggle both ways.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,9 +16,6 @@
 
 #include "dse/config.hpp"
 #include "dse/sim_store.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/vector.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -187,29 +183,6 @@ TEST(SimdStore, LinearScansMatchBruteForceDistances) {
       EXPECT_EQ(store.neighbors_within_linear(query, radius).indices,
                 expected);
     }
-  }
-}
-
-// --- 3. multi-RHS solve --------------------------------------------------
-
-TEST(MultiRhs, LuMatrixSolveMatchesColumnSolvesBitExactly) {
-  ace::util::Rng rng(42);
-  constexpr std::size_t n = 7;
-  ace::linalg::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      a(i, j) = (i == j ? 8.0 : 0.0) + rng.uniform(-1.0, 1.0);
-  const ace::linalg::LuDecomposition f(a);
-  ASSERT_FALSE(f.singular());
-
-  ace::linalg::Matrix b(n, 4);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t c = 0; c < 4; ++c) b(i, c) = rng.uniform(-5.0, 5.0);
-
-  const ace::linalg::Matrix x = f.solve(b);
-  for (std::size_t c = 0; c < 4; ++c) {
-    const ace::linalg::Vector xc = f.solve(b.col(c));
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x(i, c), xc[i]);
   }
 }
 

@@ -77,14 +77,10 @@ TEST(RunningStats, NumericallyStableForLargeOffsets) {
   EXPECT_NEAR(s.variance(), 0.25 * 1000.0 / 999.0, 1e-6);
 }
 
-TEST(BatchStats, MeanVarianceMinMax) {
+TEST(BatchStats, MeanAndVariance) {
   const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(ace::util::mean(xs), 5.0);
   EXPECT_NEAR(ace::util::variance(xs), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(ace::util::min_of(xs), 2.0);
-  EXPECT_DOUBLE_EQ(ace::util::max_of(xs), 9.0);
-  EXPECT_THROW((void)ace::util::min_of({}), std::invalid_argument);
-  EXPECT_THROW((void)ace::util::max_of({}), std::invalid_argument);
 }
 
 TEST(Quantile, InterpolatesBetweenOrderStatistics) {
@@ -99,18 +95,6 @@ TEST(Quantile, RejectsBadInput) {
   EXPECT_THROW((void)ace::util::quantile({}, 0.5), std::invalid_argument);
   EXPECT_THROW((void)ace::util::quantile({1.0}, -0.1), std::invalid_argument);
   EXPECT_THROW((void)ace::util::quantile({1.0}, 1.1), std::invalid_argument);
-}
-
-TEST(Pearson, PerfectCorrelationAndErrors) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const std::vector<double> up = {2.0, 4.0, 6.0};
-  const std::vector<double> down = {6.0, 4.0, 2.0};
-  EXPECT_NEAR(ace::util::pearson(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(ace::util::pearson(xs, down), -1.0, 1e-12);
-  EXPECT_THROW((void)ace::util::pearson(xs, {1.0}), std::invalid_argument);
-  EXPECT_THROW((void)ace::util::pearson({1.0}, {1.0}), std::invalid_argument);
-  EXPECT_THROW((void)ace::util::pearson(xs, {1.0, 1.0, 1.0}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -63,35 +62,15 @@ TEST(ThreadPool, PropagatesFirstExceptionAndStaysUsable) {
 
 TEST(ThreadPool, ResultsIdenticalAcrossPoolSizes) {
   // Index-addressed slots make the result independent of scheduling.
-  auto fill = [](u::ThreadPool* pool) {
-    std::vector<double> out(257, 0.0);
-    u::parallel_for_indexed(pool, out.size(), [&](std::size_t i) {
-      out[i] = static_cast<double>(i * i) + 0.5;
-    });
-    return out;
-  };
-  const std::vector<double> serial = fill(nullptr);
+  auto value = [](std::size_t i) { return static_cast<double>(i * i) + 0.5; };
+  std::vector<double> serial(257, 0.0);
+  for (std::size_t i = 0; i < serial.size(); ++i) serial[i] = value(i);
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     u::ThreadPool pool(workers);
-    EXPECT_EQ(fill(&pool), serial);
+    std::vector<double> out(serial.size(), 0.0);
+    pool.run_indexed(out.size(), [&](std::size_t i) { out[i] = value(i); });
+    EXPECT_EQ(out, serial);
   }
-}
-
-TEST(ParallelForIndexed, NullPoolRunsInlineInIndexOrder) {
-  std::vector<std::size_t> order;
-  u::parallel_for_indexed(nullptr, 6,
-                          [&](std::size_t i) { order.push_back(i); });
-  std::vector<std::size_t> expected(6);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ParallelForIndexed, SingleElementRunsInlineEvenWithPool) {
-  // n <= 1 short-circuits: no pool dispatch overhead for singletons.
-  u::ThreadPool pool(2);
-  std::size_t seen = 99;
-  u::parallel_for_indexed(&pool, 1, [&](std::size_t i) { seen = i; });
-  EXPECT_EQ(seen, 0u);
 }
 
 TEST(ThreadPoolCollect, CapturesAllErrorsSortedByIndex) {
