@@ -66,6 +66,30 @@ TEST(LibraryContracts, NegativeSillVariogram) {
 #endif
 }
 
+TEST(LibraryContracts, PowerVariogramExponentOutsideOpenInterval) {
+  // γ(h) = c·h^α is a valid variogram only for 0 < α < 2.
+#if ACE_CONTRACTS_ENABLED
+  EXPECT_THROW(ace::kriging::PowerVariogram(0.0, 1.0, 2.0), ContractViolation);
+  EXPECT_THROW(ace::kriging::PowerVariogram(0.0, 1.0, 0.0), ContractViolation);
+#else
+  EXPECT_NO_THROW(ace::kriging::PowerVariogram(0.0, 1.0, 2.0));
+  EXPECT_NO_THROW(ace::kriging::PowerVariogram(0.0, 1.0, 0.0));
+#endif
+  EXPECT_NO_THROW(ace::kriging::PowerVariogram(0.0, 1.0, 1.5));
+}
+
+TEST(LibraryContracts, NonPositiveVariogramRange) {
+#if ACE_CONTRACTS_ENABLED
+  EXPECT_THROW(ace::kriging::ExponentialVariogram(0.0, 1.0, 0.0),
+               ContractViolation);
+  EXPECT_THROW(ace::kriging::GaussianVariogram(0.0, 1.0, -1.0),
+               ContractViolation);
+#else
+  EXPECT_NO_THROW(ace::kriging::ExponentialVariogram(0.0, 1.0, 0.0));
+  EXPECT_NO_THROW(ace::kriging::GaussianVariogram(0.0, 1.0, -1.0));
+#endif
+}
+
 // --- retry-guard classification ------------------------------------------
 
 TEST(RetryGuard, ContractViolationIsNeverRetried) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace {
 
 namespace d = ace::dse;
@@ -58,6 +60,35 @@ TEST(InterpolationEpsilon, AccuracyDbUsesEquation11) {
   EXPECT_NEAR(d::interpolation_epsilon(lambda_1, lambda_4,
                                        d::MetricKind::kAccuracyDb),
               2.0, 1e-12);
+}
+
+TEST(InterpolationEpsilon, AccuracyDbMatchesLog2OfPowerRatio) {
+  // Across random power pairs, the dB-domain form equals Eq. 11 evaluated
+  // on linear powers: ε = |log2(P̂/P)| with λ = −10·log10(P).
+  ace::util::Rng rng(111);
+  for (int i = 0; i < 200; ++i) {
+    const double p_hat = std::pow(10.0, rng.uniform(-12.0, -1.0));
+    const double p = std::pow(10.0, rng.uniform(-12.0, -1.0));
+    const double eps = d::interpolation_epsilon(-10.0 * std::log10(p_hat),
+                                                -10.0 * std::log10(p),
+                                                d::MetricKind::kAccuracyDb);
+    EXPECT_NEAR(eps, std::abs(std::log2(p_hat / p)), 1e-9);
+  }
+}
+
+TEST(InterpolationEpsilon, AccuracyDbDependsOnlyOnTheGap) {
+  // Symmetric in estimate and truth, and unchanged when both shift by the
+  // same number of dB: only the power ratio matters.
+  for (const double gap : {0.5, 3.0, 17.0}) {
+    const double base = d::interpolation_epsilon(40.0 + gap, 40.0,
+                                                 d::MetricKind::kAccuracyDb);
+    EXPECT_DOUBLE_EQ(d::interpolation_epsilon(40.0, 40.0 + gap,
+                                              d::MetricKind::kAccuracyDb),
+                     base);
+    EXPECT_NEAR(d::interpolation_epsilon(95.0 + gap, 95.0,
+                                         d::MetricKind::kAccuracyDb),
+                base, 1e-12);
+  }
 }
 
 TEST(InterpolationEpsilon, QualityRateUsesEquation12) {

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "kriging/empirical_variogram.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -75,6 +76,77 @@ TEST(Lu, SolveSizeMismatchThrows) {
   EXPECT_THROW((void)lu.solve(Vector{1.0, 2.0}), std::invalid_argument);
 }
 
+TEST(Lu, SolvesDiagonalSystem) {
+  Matrix a{{2.0, 0.0, 0.0}, {0.0, 3.0, 0.0}, {0.0, 0.0, 4.0}};
+  const Vector x = LuDecomposition(a).solve(Vector{2.0, 6.0, 12.0});
+  EXPECT_DOUBLE_EQ(x[0], 1.0);
+  EXPECT_DOUBLE_EQ(x[1], 2.0);
+  EXPECT_DOUBLE_EQ(x[2], 3.0);
+}
+
+TEST(Lu, SolvesSymmetricIndefiniteSystem) {
+  // Eigenvalues 3 and −1: symmetric but not positive definite, the shape
+  // of the bordered kriging matrix, which a Cholesky factor cannot take.
+  Matrix a{{1.0, 2.0}, {2.0, 1.0}};
+  LuDecomposition lu(a);
+  ASSERT_FALSE(lu.singular());
+  const Vector x = lu.solve(Vector{1.0, 1.0});
+  EXPECT_NEAR(x[0], 1.0 / 3.0, 1e-12);
+  EXPECT_NEAR(x[1], 1.0 / 3.0, 1e-12);
+}
+
+TEST(Lu, InverseTimesOriginalIsIdentity) {
+  // Column j of A⁻¹ is the solve A·x = e_j.
+  ace::util::Rng rng(17);
+  const std::size_t n = 5;
+  const Matrix a = random_matrix(rng, n);
+  const LuDecomposition lu(a);
+  Matrix inv(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    Vector e(n);
+    e[j] = 1.0;
+    const Vector x = lu.solve(e);
+    for (std::size_t i = 0; i < n; ++i) inv(i, j) = x[i];
+  }
+  const Matrix prod = a * inv;
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      EXPECT_NEAR(prod(r, c), r == c ? 1.0 : 0.0, 1e-9);
+}
+
+TEST(Lu, MultipleRightHandSides) {
+  // One factor serves any number of right-hand sides.
+  ace::util::Rng rng(42);
+  const std::size_t n = 7;
+  const Matrix a = random_matrix(rng, n);
+  const LuDecomposition lu(a);
+  ASSERT_FALSE(lu.singular());
+  for (int k = 0; k < 4; ++k) {
+    Vector b(n);
+    for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-5.0, 5.0);
+    EXPECT_LT((a * lu.solve(b) - b).norm_inf(), 1e-9) << "rhs " << k;
+  }
+}
+
+TEST(Lu, RepeatedSolvesOnOneFactorAreBitIdentical) {
+  // solve() leaves the factor untouched, so the answer for a right-hand
+  // side does not depend on which solves ran before it.
+  ace::util::Rng rng(43);
+  const std::size_t n = 6;
+  const LuDecomposition lu(random_matrix(rng, n));
+  Vector b1(n);
+  Vector b2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b1[i] = rng.uniform(-5.0, 5.0);
+    b2[i] = rng.uniform(-5.0, 5.0);
+  }
+  const Vector first = lu.solve(b1);
+  (void)lu.solve(b2);
+  const Vector again = lu.solve(b1);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_EQ(bits(first[i]), bits(again[i])) << "entry " << i;
+}
+
 TEST(Lu, InverseDiagonalMatchesUnitVectorSolves) {
   ace::util::Rng rng(29);
   const Matrix a = random_matrix(rng, 6);
@@ -128,6 +200,15 @@ TEST(Lu, InverseDiagonalThrowsOnSingularMatrix) {
 
 TEST(Lu, RcondEstimatePositiveForWellConditioned) {
   EXPECT_GT(LuDecomposition(Matrix::identity(4)).rcond_estimate(), 0.5);
+}
+
+TEST(Lu, RcondEstimateIsThePivotRatio) {
+  EXPECT_DOUBLE_EQ(
+      LuDecomposition(Matrix{{4.0, 0.0, 0.0}, {0.0, 2.0, 0.0}, {0.0, 0.0, 0.5}})
+          .rcond_estimate(),
+      0.125);
+  EXPECT_DOUBLE_EQ(
+      LuDecomposition(Matrix{{1.0, 0.0}, {0.0, 1e-6}}).rcond_estimate(), 1e-6);
 }
 
 /// Property sweep: residual ‖Ax − b‖∞ stays tiny across sizes and seeds.
@@ -321,5 +402,74 @@ TEST(LuInplace, SmallerSystemInAReusedBufferMatchesAFreshOne) {
   EXPECT_TRUE(std::equal(fresh_perm.begin(), fresh_perm.end(), perm.begin()));
   EXPECT_EQ(sign, fresh_sign);
 }
+
+/// The ordinary-kriging system of paper Eq. 9–10 over n distinct integer
+/// configurations: Γ_ij = γ(‖x_i − x_j‖₁) with the linear variogram
+/// γ(h) = h (so Γ_ij is the kriging layer's L1 distance), bordered by a row and column of ones for the unbiasedness
+/// constraint. The matrix is symmetric with a zero diagonal and is
+/// indefinite, so only a pivoted LU can factor it.
+class OrdinaryKrigingSystemTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    const std::size_t n = GetParam();
+    ace::util::Rng rng(n * 7919 + 1);
+    while (points_.size() < n) {
+      std::vector<double> p(3);
+      for (double& v : p) v = rng.uniform_int(0, 8);
+      if (std::find(points_.begin(), points_.end(), p) == points_.end())
+        points_.push_back(p);
+    }
+    system_ = Matrix(n + 1, n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j)
+        system_(i, j) = ace::kriging::l1_distance(points_[i], points_[j]);
+      system_(i, n) = 1.0;
+      system_(n, i) = 1.0;
+    }
+  }
+
+  /// Right-hand side [γ(x_i, target)…, 1].
+  Vector rhs(const std::vector<double>& target) const {
+    Vector b(points_.size() + 1);
+    for (std::size_t i = 0; i < points_.size(); ++i)
+      b[i] = ace::kriging::l1_distance(points_[i], target);
+    b[points_.size()] = 1.0;
+    return b;
+  }
+
+  std::vector<std::vector<double>> points_;
+  Matrix system_;
+};
+
+TEST_P(OrdinaryKrigingSystemTest, SolvesWithWeightsSummingToOne) {
+  const std::size_t n = GetParam();
+  const LuDecomposition lu(system_);
+  ASSERT_FALSE(lu.singular());
+  const std::vector<double> target = {4.0, 4.0, 4.0};
+  const Vector b = rhs(target);
+  const Vector x = lu.solve(b);
+  EXPECT_LT((system_ * x - b).norm_inf(), 1e-9);
+  double weight_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) weight_sum += x[i];
+  EXPECT_NEAR(weight_sum, 1.0, 1e-9);
+}
+
+TEST_P(OrdinaryKrigingSystemTest, InterpolatesExactlyAtSupportPoints) {
+  // Kriging is an exact interpolator: at a support point the weights are
+  // the unit vector on that point and the Lagrange multiplier is zero.
+  const std::size_t n = GetParam();
+  const LuDecomposition lu(system_);
+  ASSERT_FALSE(lu.singular());
+  for (std::size_t k = 0; k < n; ++k) {
+    const Vector x = lu.solve(rhs(points_[k]));
+    for (std::size_t i = 0; i <= n; ++i)
+      EXPECT_NEAR(x[i], i == k ? 1.0 : 0.0, 1e-9)
+          << "support point " << k << ", entry " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, OrdinaryKrigingSystemTest,
+                         ::testing::Values<std::size_t>(1, 2, 3, 4, 7, 12,
+                                                        20));
 
 }  // namespace

@@ -72,6 +72,15 @@ TEST(Matrix, Identity) {
   EXPECT_DOUBLE_EQ(eye(0, 1), 0.0);
 }
 
+TEST(Matrix, ProductWithIdentityIsExact) {
+  const Matrix m{{1.5, -2.0, 0.25}, {3.0, 7.0, -0.5}, {0.1, 0.2, 0.3}};
+  const Matrix eye = Matrix::identity(3);
+  EXPECT_EQ(m * eye, m);
+  EXPECT_EQ(eye * m, m);
+  const Vector v{0.1, -0.7, 2.5};
+  EXPECT_EQ(eye * v, v);
+}
+
 TEST(Matrix, MatrixVectorProduct) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   const Vector r = m * Vector{1.0, 1.0};

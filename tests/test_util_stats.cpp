@@ -97,4 +97,24 @@ TEST(Quantile, RejectsBadInput) {
   EXPECT_THROW((void)ace::util::quantile({1.0}, 1.1), std::invalid_argument);
 }
 
+TEST(Quantile, EndpointsAreSampleMinimumAndMaximum) {
+  // q = 0 and q = 1 pick the extreme order statistics of an unsorted
+  // sample, and agree with the streaming accumulator's min and max.
+  const std::vector<double> xs = {7.0, -2.5, 4.0, 9.0, 4.0, 0.5};
+  RunningStats s;
+  for (double x : xs) s.add(x);
+  EXPECT_DOUBLE_EQ(ace::util::quantile(xs, 0.0), -2.5);
+  EXPECT_DOUBLE_EQ(ace::util::quantile(xs, 1.0), 9.0);
+  EXPECT_DOUBLE_EQ(ace::util::quantile(xs, 0.0), s.min());
+  EXPECT_DOUBLE_EQ(ace::util::quantile(xs, 1.0), s.max());
+}
+
+TEST(BatchStats, StddevIsRootOfVarianceAndEmptyIsZero) {
+  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
+  EXPECT_DOUBLE_EQ(ace::util::stddev(xs), std::sqrt(32.0 / 7.0));
+  EXPECT_DOUBLE_EQ(ace::util::mean({}), 0.0);
+  EXPECT_DOUBLE_EQ(ace::util::variance({}), 0.0);
+  EXPECT_DOUBLE_EQ(ace::util::variance({3.0}), 0.0);
+}
+
 }  // namespace

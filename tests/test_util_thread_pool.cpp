@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <numeric>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -145,6 +147,43 @@ TEST(ParallelForIndexedCollect, SerialPathMirrorsPoolPath) {
   EXPECT_EQ(serial.second, (std::vector<std::size_t>{1, 5, 9}));
   u::ThreadPool pool(4);
   EXPECT_EQ(run(&pool), serial);
+}
+
+TEST(ParallelForIndexedCollect, NullPoolRunsInlineInIndexOrder) {
+  std::vector<std::size_t> order;
+  const auto errors = u::parallel_for_indexed_collect(
+      nullptr, 6, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_TRUE(errors.empty());
+  std::vector<std::size_t> expected(6);
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ParallelForIndexedCollect, SingleElementRunsInlineEvenWithPool) {
+  // n <= 1 short-circuits: no pool dispatch for singletons, so the task
+  // runs on the calling thread.
+  u::ThreadPool pool(2);
+  std::size_t seen = 99;
+  std::thread::id ran_on;
+  const auto errors = u::parallel_for_indexed_collect(
+      &pool, 1, [&](std::size_t i) {
+        seen = i;
+        ran_on = std::this_thread::get_id();
+      });
+  EXPECT_TRUE(errors.empty());
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ParallelForIndexedCollect, ZeroCountRunsNothing) {
+  u::ThreadPool pool(2);
+  for (u::ThreadPool* p : {static_cast<u::ThreadPool*>(nullptr), &pool}) {
+    bool ran = false;
+    const auto errors =
+        u::parallel_for_indexed_collect(p, 0, [&](std::size_t) { ran = true; });
+    EXPECT_TRUE(errors.empty());
+    EXPECT_FALSE(ran);
+  }
 }
 
 }  // namespace
