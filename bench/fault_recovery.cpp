@@ -2,7 +2,7 @@
 //
 // Two claims are checked:
 //   1. Happy-path overhead: on a clean workload, enabling the full retry
-//      configuration (bounded attempts + backoff + deadline watchdog)
+//      configuration (bounded attempts + deadline watchdog)
 //      costs < 2% throughput over the single-attempt default — the guard
 //      is bookkeeping, not a tax.
 //   2. Graceful degradation: a fault-injected min+1 run (a) with
@@ -102,7 +102,6 @@ int main() {
   // --- 1. Happy-path overhead of the full retry configuration ------------
   ace::util::RetryOptions guarded;
   guarded.max_attempts = 3;
-  guarded.base_backoff_ms = 0.05;
   guarded.deadline_ms = 250.0;
   const double base_s = time_clean_run({});
   const double guarded_s = time_clean_run(guarded);

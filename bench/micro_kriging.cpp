@@ -7,11 +7,11 @@
 // benchmark (core::make_*_benchmark) at a mid-lattice configuration: the
 // per-simulation cost the kriging policy saves each time it interpolates.
 //
-// The *_Scan/_Assembly benchmarks form a roofline-ish suite for
-// the SIMD/SoA layer (DESIGN.md §10): each streams the same data through
-// the scalar reference twin (arg0 = 0, a TU compiled with
-// auto-vectorization off) and the dispatching kernel (arg0 = 1), reporting
-// bytes/s and items/s. EXPERIMENTS.md holds the measured table; CI
+// BM_GammaAssemblyScan and BM_VariogramExtend A/B the SIMD layer
+// (DESIGN.md §10): each streams the same data through the scalar reference
+// twin (arg0 = 0, a TU compiled with auto-vectorization off) and the
+// dispatching kernel (arg0 = 1); the scan reports bytes/s and items/s.
+// EXPERIMENTS.md holds the measured table; CI
 // regenerates BENCH_micro.json from this binary, whose context records this
 // build's type and commit (ace_build_type, ace_git_sha) next to the
 // installed libbenchmark's own library_build_type.
@@ -130,8 +130,8 @@ void BM_NeighborSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborSearch)->Arg(64)->Arg(512)->Arg(4096);
 
-// The unindexed AoS linear scan — the baseline that shows what the
-// coordinate-sum buckets and the blocked SoA scan actually buy.
+// The unindexed linear scan — the baseline that shows what the
+// coordinate-sum buckets actually buy.
 void BM_NeighborSearchLinear(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ace::dse::SimulationStore store;
@@ -143,57 +143,6 @@ void BM_NeighborSearchLinear(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborSearchLinear)->Arg(64)->Arg(512)->Arg(4096);
-
-// Wide-radius search: the coordinate-sum band covers the whole store, so
-// the store takes its blocked SoA path — arg0 toggles the SIMD backend to
-// A/B the identical-result fast path against its scalar twin.
-void BM_NeighborSearchWide(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
-  ace::dse::SimulationStore store;
-  fill_store(store, n, 10, 2);
-  const ace::dse::Config query(10, 9);
-  ace::util::simd::set_enabled(state.range(0) != 0);
-  for (auto _ : state) {
-    auto hits = store.neighbors_within(query, 60);
-    benchmark::DoNotOptimize(hits);
-  }
-  ace::util::simd::set_enabled(true);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
-}
-BENCHMARK(BM_NeighborSearchWide)->Args({0, 4096})->Args({1, 4096});
-
-// L1 distance scan over SoA int columns (the store's blocked-scan kernel):
-// bytes/s is the roofline axis — the kernel streams count·dim int32 loads
-// per pass.
-void BM_L1DistanceScan(benchmark::State& state) {
-  constexpr std::size_t dim = 16;
-  const auto n = static_cast<std::size_t>(state.range(1));
-  ace::util::Rng rng(6);
-  std::vector<std::vector<int>> cols(dim, std::vector<int>(n));
-  for (auto& c : cols)
-    for (auto& x : c) x = rng.uniform_int(0, 16);
-  std::vector<const int*> ptrs(dim);
-  for (std::size_t d = 0; d < dim; ++d) ptrs[d] = cols[d].data();
-  const std::vector<int> query(dim, 8);
-  std::vector<int> out(n);
-  ace::util::simd::set_enabled(state.range(0) != 0);
-  for (auto _ : state) {
-    ace::util::simd::l1_distances_i32(ptrs.data(), dim, query.data(), n,
-                                      out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  ace::util::simd::set_enabled(true);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * dim * sizeof(int)));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
-}
-BENCHMARK(BM_L1DistanceScan)->Args({0, 4096})->Args({1, 4096})
-    ->Args({0, 65536})->Args({1, 65536});
 
 // The vectorizable stage of γ-vector/variogram-block assembly: query →
 // support distances over f64 SoA columns at Nv = 16 (KrigingSystem's

@@ -12,12 +12,8 @@ std::vector<util::GuardedCall> PooledBatchSimulator::simulate_many(
   const std::vector<util::TaskError> errors =
       util::parallel_for_indexed_collect(
           pool_, configs.size(), [&](std::size_t s) {
-            // The task key is a pure function of the configuration, so the
-            // backoff jitter (and thus the whole retry schedule) is
-            // identical whether the call runs inline or on any worker
-            // thread.
-            sims[s] = util::call_with_retry(retry_, ConfigHash{}(configs[s]),
-                                            [&] { return simulate_(configs[s]); });
+            sims[s] = util::call_with_retry(
+                retry_, [&] { return simulate_(configs[s]); });
           });
   for (const util::TaskError& err : errors) {
     util::GuardedCall& g = sims[err.index];

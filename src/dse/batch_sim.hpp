@@ -27,8 +27,8 @@ namespace ace::dse {
 
 /// Executes the guarded simulations of one batch. result[i] must be the
 /// GuardedCall for configs[i] — same classification, value and attempt
-/// accounting that util::call_with_retry(retry, ConfigHash{}(configs[i]))
-/// around the canonical simulator would produce, or the policy's merged
+/// accounting that util::call_with_retry(retry, …) around the canonical
+/// simulator called on configs[i] would produce, or the policy's merged
 /// statistics (and therefore checkpoint files) diverge between backends.
 ///
 /// Called with the policy mutex held: an implementation must never call

@@ -96,8 +96,8 @@ struct PolicyOptions {
   /// negative or non-finite values are rejected at construction.
   double sanity_span = 3.0;
 
-  /// Fault model for simulator calls: bounded retries with deterministic
-  /// backoff, plus the per-call deadline watchdog. The default (one
+  /// Fault model for simulator calls: bounded immediate retries, plus the
+  /// per-call deadline watchdog. The default (one
   /// attempt, no deadline) adds no retries, but faults are still captured
   /// into typed outcomes and quarantined instead of propagating.
   util::RetryOptions retry;

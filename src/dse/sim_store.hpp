@@ -25,15 +25,6 @@
 // permanent outcast. The quarantine_log_ keeps the lifted entry for
 // audit; only the active-quarantine map forgets it.
 //
-// For the radius scans the store additionally keeps a columnar (SoA)
-// mirror of configs_ — one contiguous int column per coordinate, grown in
-// lockstep under the same mutex. When a query's coordinate-sum band covers
-// most of the store, neighbors_within switches from the bucket walk to a
-// blocked contiguous scan over the mirror using the util::simd kernels
-// (AVX2 when configured, scalar otherwise). Both paths — and both
-// backends — return bit-identical neighbourhoods: L1 is integer-exact
-// (DESIGN.md §10 has the full contract).
-//
 // Thread-safety: every member — writes *and* reads — takes the annotated
 // `mutex_`, so the Clang capability analysis (-Wthread-safety) proves the
 // lock discipline statically instead of relying on the batch engine's
@@ -117,8 +108,8 @@ class SimulationStore {
   Neighborhood neighbors_within(const Config& query, int radius) const
       ACE_EXCLUDES(mutex_);
 
-  /// Reference implementation: a plain AoS linear scan with no bucket
-  /// index and no SIMD. Deliberately unoptimized — the decision-identity
+  /// Reference implementation: a plain linear scan with no bucket
+  /// index. Deliberately unoptimized — the decision-identity
   /// oracle for the property tests and the baseline denominator for
   /// bench/micro_kriging's neighbour-search speedup attribution.
   Neighborhood neighbors_within_linear(const Config& query, int radius) const
@@ -130,7 +121,7 @@ class SimulationStore {
               std::vector<double>& values) const ACE_EXCLUDES(mutex_);
 
   /// The same support set written into caller-owned buffers as real-valued
-  /// SoA columns, straight from the columnar mirror: columns[d·stride + k]
+  /// SoA columns, straight from the row store: columns[d·stride + k]
   /// is coordinate d of the k-th neighbour and values[k] its value. Needs
   /// stride >= count, columns of dim·stride entries and values of count
   /// (std::invalid_argument otherwise); an index outside the store throws
@@ -171,15 +162,8 @@ class SimulationStore {
   void check_dimensions(const Config& c, const char* what) const
       ACE_REQUIRES(mutex_);
 
-  /// Sum of bucket sizes in the coordinate-sum band [lo, hi].
-  std::size_t band_population(int lo, int hi) const ACE_REQUIRES(mutex_);
-
   std::vector<Config> configs_ ACE_GUARDED_BY(mutex_);
   std::vector<double> values_ ACE_GUARDED_BY(mutex_);
-  /// Columnar mirror of configs_: soa_[d][i] == configs_[i][d]. Grown only
-  /// inside add() under mutex_, read only under mutex_ — the same lock
-  /// discipline as the row store it mirrors.
-  std::vector<std::vector<int>> soa_ ACE_GUARDED_BY(mutex_);
   /// Exact-match index: configuration -> position in configs_.
   std::unordered_map<Config, std::size_t, ConfigHash> exact_
       ACE_GUARDED_BY(mutex_);

@@ -44,7 +44,6 @@ void KrigingSystem::set_model(SystemSpec spec, const VariogramModel& model) {
   model_ = model.clone();
   entry_known_ = 0;
   loaded_ = false;
-  clear_factors();
 }
 
 void KrigingSystem::load(const std::vector<std::vector<double>>& support_points,
@@ -127,13 +126,10 @@ void KrigingSystem::finish_load() {
   const std::size_t m = system_size();
   rhs_.resize(m);
   x_.resize(m);
-  // Size both factors now, so that a ladder climb at or below this size
+  // Size the factor now, so that a ladder climb at or below this size
   // never allocates later.
-  for (Factor* f : {&plain_, &ridge_}) {
-    f->lu.reserve(m * m);
-    f->perm.reserve(m);
-  }
-  clear_factors();
+  factor_.lu.reserve(m * m);
+  factor_.perm.reserve(m);
   assemble();
   loaded_ = true;
 }
@@ -213,34 +209,18 @@ double KrigingSystem::ladder_scale() const {
   return std::max(linalg::max_abs(gamma_.data(), gamma_.size()), 1.0);
 }
 
-void KrigingSystem::clear_factors() {
-  plain_.rung = -1;
-  ridge_.rung = -1;
-  singular_rungs_ = 0;
-}
-
-const KrigingSystem::Factor* KrigingSystem::factor_at(int rung, double shift) {
-  // Within one load the shift of a rung is recomputed identically (ridge ·
-  // scale over the same matrix), so the rung number is the memo key.
-  Factor& f = rung == 0 ? plain_ : ridge_;
-  if (f.rung == rung) return &f;
-  const std::uint32_t bit = std::uint32_t{1} << rung;
-  if ((singular_rungs_ & bit) != 0) return nullptr;
-
+const KrigingSystem::Factor* KrigingSystem::factor_at(double shift) {
   ++stats_.full_factorizations;
   const std::size_t m = system_size();
-  f.lu.assign(gamma_.begin(), gamma_.end());
-  if (rung > 0)
-    for (std::size_t i = 0; i < unique_; ++i) f.lu[i * m + i] += shift;
-  f.perm.resize(m);
+  factor_.lu.assign(gamma_.begin(), gamma_.end());
+  if (shift > 0.0)
+    for (std::size_t i = 0; i < unique_; ++i) factor_.lu[i * m + i] += shift;
+  factor_.perm.resize(m);
   int perm_sign = 1;
-  if (!linalg::lu_factor_inplace(f.lu.data(), m, f.perm.data(), perm_sign)) {
-    f.rung = -1;
-    singular_rungs_ |= bit;
+  if (!linalg::lu_factor_inplace(factor_.lu.data(), m, factor_.perm.data(),
+                                 perm_sign))
     return nullptr;
-  }
-  f.rung = rung;
-  return &f;
+  return &factor_;
 }
 
 bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
@@ -258,19 +238,15 @@ bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
   };
 
   // The legacy robust_solve ladder, rung for rung: plain solve first, then
-  // growing ridge on the non-border diagonal. Factors and singularity
-  // verdicts depend only on the matrix and are kept across queries; the
-  // acceptability test depends on the right-hand side and is re-run.
+  // growing ridge on the non-border diagonal.
   double shift = 0.0;
-  const Factor* used = factor_at(0, 0.0);
+  const Factor* used = factor_at(0.0);
   if (used && !solves_acceptably(*used)) used = nullptr;
   if (!used) {
     const double scale = ladder_scale();
-    int rung = 1;
-    for (double ridge = kInitialRidge; ridge <= kMaxRidge;
-         ridge *= 100.0, ++rung) {
+    for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0) {
       shift = ridge * scale;
-      const Factor* f = factor_at(rung, shift);
+      const Factor* f = factor_at(shift);
       if (f && solves_acceptably(*f)) {
         used = f;
         break;
@@ -306,8 +282,8 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   // flip S = diag(I, −1), so its data-block inverse diagonal is the
   // negated covariance one: the residual ratio is unchanged and the LOO
   // variance becomes −1/B_ii.
-  const auto attempt = [&](int rung, double shift) -> std::optional<LooReport> {
-    const Factor* f = factor_at(rung, shift);
+  const auto attempt = [&](double shift) -> std::optional<LooReport> {
+    const Factor* f = factor_at(shift);
     if (!f) return std::nullopt;
     linalg::lu_solve_inplace(f->lu.data(), m, f->perm.data(), z.data(),
                              u.data());
@@ -333,11 +309,10 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   };
 
   // The same ladder as query(): plain solve first, then growing ridge.
-  if (auto report = attempt(0, 0.0)) return report;
+  if (auto report = attempt(0.0)) return report;
   const double scale = ladder_scale();
-  int rung = 1;
-  for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0, ++rung)
-    if (auto report = attempt(rung, ridge * scale)) return report;
+  for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0)
+    if (auto report = attempt(ridge * scale)) return report;
   return std::nullopt;
 }
 

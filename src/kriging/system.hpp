@@ -17,7 +17,7 @@
 // load(points, values) copies rows in; load(n, dim, fill) hands the
 // caller the SoA column and value buffers to write directly
 // (dse::SimulationStore::gather_columns). Every buffer — the columns, Γ,
-// the factors, the right-hand side and the solution — keeps its capacity
+// the factor, the right-hand side and the solution — keeps its capacity
 // across loads, and query(q, out) writes into a caller-owned result, so
 // once a workspace has held its largest support, reloading and solving at
 // any size up to it allocates nothing (tests/test_kriging_alloc.cpp).
@@ -29,11 +29,10 @@
 // diagonal for each ladder rung, factored in place by
 // linalg::lu_factor_inplace (the kernel behind LuDecomposition), and the
 // same estimate and variance sums — so results are bit-identical to an
-// independently assembled system (tests/test_kriging_system.cpp). Within
-// one load the plain factor and the last ladder-rung factor are kept and
-// re-solved for later queries (the matrix — hence its singularity and its
-// factorization — does not depend on the query, only the acceptability
-// check does), and rungs found singular are remembered.
+// independently assembled system (tests/test_kriging_system.cpp). Every
+// rung a query or a LOO pass tries is factored afresh into one reused
+// scratch factor: each caller solves once per load, so there is nothing
+// to keep across queries.
 //
 // Per-system costs are kept to the arithmetic the solve needs (DESIGN.md
 // §10): L1 distances — the only metric — run through the util::simd
@@ -178,7 +177,6 @@ class KrigingSystem {
 
   /// One in-place factorization of Γ + shift·I_core.
   struct Factor {
-    int rung = -1;  ///< Ladder rung held (0 = plain); -1 when empty.
     std::vector<double> lu;
     std::vector<std::size_t> perm;
   };
@@ -212,14 +210,12 @@ class KrigingSystem {
   /// The unique support plus the Lagrange row of the ones-border.
   std::size_t system_size() const { return unique_ + 1; }
 
-  /// The factor of ladder rung `rung` at `shift`, built in place on first
-  /// use; nullptr when that matrix is singular.
-  const Factor* factor_at(int rung, double shift);
+  /// Γ + shift·I_core factored in place into factor_; nullptr when that
+  /// matrix is singular.
+  const Factor* factor_at(double shift);
   /// Scale for the ridge ladder: max(|A|, 1) of the unshifted matrix —
   /// the exact scale linalg::robust_solve uses.
   double ladder_scale() const;
-  /// Forget every factor and singularity verdict (support or model changed).
-  void clear_factors();
 
   /// Turn the accepted solution x_ into `out` (estimate, variance,
   /// slot-indexed weights, contracts); false on a non-finite estimate.
@@ -247,9 +243,7 @@ class KrigingSystem {
 
   /// Unshifted Γ (system_size()² row-major), the ladder's source matrix.
   std::vector<double> gamma_;
-  Factor plain_;  ///< Rung 0.
-  Factor ridge_;  ///< The last ridge rung factored.
-  std::uint32_t singular_rungs_ = 0;  ///< Bit r: rung r is singular.
+  Factor factor_;  ///< The last ladder rung factored.
 
   std::vector<double> rhs_;       ///< Query right-hand side.
   std::vector<double> x_;         ///< Solution of the last solve.

@@ -4,28 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <thread>
 
 #include "util/contract.hpp"
 
 namespace ace::util {
-
-namespace {
-
-/// splitmix64: tiny, well-mixed, stateless — ideal for deterministic jitter.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from a 64-bit hash.
-double unit_uniform(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1p-53;
-}
-
-}  // namespace
 
 const char* to_string(CallFault fault) {
   switch (fault) {
@@ -38,31 +20,12 @@ const char* to_string(CallFault fault) {
   return "unknown";
 }
 
-double backoff_delay_ms(const RetryOptions& options, std::uint64_t task_key,
-                        std::size_t retry_index) {
-  double delay = options.base_backoff_ms;
-  for (std::size_t k = 0; k < retry_index; ++k)
-    delay *= options.backoff_multiplier;
-  delay = std::min(delay, options.max_backoff_ms);
-  if (options.jitter_fraction > 0.0 && delay > 0.0) {
-    const std::uint64_t h = splitmix64(options.jitter_seed ^ task_key ^
-                                       static_cast<std::uint64_t>(retry_index));
-    delay += options.jitter_fraction * delay * unit_uniform(h);
-  }
-  return delay;
-}
-
-GuardedCall call_with_retry(const RetryOptions& options, std::uint64_t task_key,
+GuardedCall call_with_retry(const RetryOptions& options,
                             const std::function<double()>& fn) {
   using Clock = std::chrono::steady_clock;
   const std::size_t budget = std::max<std::size_t>(options.max_attempts, 1);
   GuardedCall result;
   for (std::size_t attempt = 0; attempt < budget; ++attempt) {
-    if (attempt > 0) {
-      const double delay = backoff_delay_ms(options, task_key, attempt - 1);
-      if (delay > 0.0)
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(delay));
-    }
     ++result.attempts;
     const auto t0 = Clock::now();
     try {

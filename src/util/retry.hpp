@@ -1,16 +1,10 @@
-// Bounded retry with exponential backoff and a per-call deadline watchdog.
+// Bounded retry with a per-call deadline watchdog.
 //
 // Long DSE campaigns (the paper's SqueezeNet run simulated for 98 hours)
 // cannot afford to die on one transient simulator fault. call_with_retry()
 // guards a single metric evaluation: it classifies each attempt as clean,
-// thrown, non-finite, or over-deadline, and retries faulted attempts up to
-// a bounded budget with exponentially growing, deterministically jittered
-// backoff.
-//
-// Determinism: the jitter for retry k of a task derives from
-// splitmix64(jitter_seed ^ task_key ^ k) — a pure function, so the backoff
-// schedule (and therefore any timing-independent downstream decision) is
-// identical across runs and across thread schedules.
+// thrown, non-finite, or over-deadline, and retries faulted attempts at
+// once up to a bounded budget. A tripped contract is never retried.
 //
 // The deadline is a *watchdog*, not a pre-emption: a C++ callable cannot be
 // safely killed mid-flight, so an over-budget attempt runs to completion
@@ -20,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -41,11 +34,6 @@ const char* to_string(CallFault fault);
 
 struct RetryOptions {
   std::size_t max_attempts = 1;    ///< Total tries (1 = no retry).
-  double base_backoff_ms = 0.0;    ///< Delay before the first retry.
-  double backoff_multiplier = 2.0; ///< Growth factor per further retry.
-  double max_backoff_ms = 100.0;   ///< Backoff ceiling.
-  double jitter_fraction = 0.25;   ///< Extra uniform delay in [0, f]·delay.
-  std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
   double deadline_ms = 0.0;        ///< Per-attempt watchdog budget (0 = off).
 
   friend bool operator==(const RetryOptions&, const RetryOptions&) = default;
@@ -63,15 +51,10 @@ struct GuardedCall {
   bool ok() const { return fault == CallFault::kNone; }
 };
 
-/// Deterministic backoff delay (ms) before retry `retry_index` (0-based) of
-/// the task identified by `task_key`. Pure function of its arguments.
-double backoff_delay_ms(const RetryOptions& options, std::uint64_t task_key,
-                        std::size_t retry_index);
-
-/// Invoke fn up to options.max_attempts times, sleeping the backoff delay
-/// between attempts. Never throws from fn's failures — every outcome is
-/// reported in the returned GuardedCall.
-GuardedCall call_with_retry(const RetryOptions& options, std::uint64_t task_key,
+/// Invoke fn up to options.max_attempts times, stopping at the first clean
+/// attempt. Never throws from fn's failures — every outcome is reported in
+/// the returned GuardedCall.
+GuardedCall call_with_retry(const RetryOptions& options,
                             const std::function<double()>& fn);
 
 }  // namespace ace::util

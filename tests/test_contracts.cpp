@@ -97,7 +97,7 @@ TEST(RetryGuard, ContractViolationIsNeverRetried) {
   options.max_attempts = 5;
   std::size_t calls = 0;
   const ace::util::GuardedCall result =
-      ace::util::call_with_retry(options, /*task_key=*/1, [&]() -> double {
+      ace::util::call_with_retry(options, [&]() -> double {
         ++calls;
         ace::util::raise_contract_violation(ContractViolation::Kind::kRequire,
                                             "always false", "sim.cpp", 7,
@@ -118,7 +118,7 @@ TEST(RetryGuard, OrdinaryExceptionStillRetries) {
   options.max_attempts = 3;
   std::size_t calls = 0;
   const ace::util::GuardedCall result =
-      ace::util::call_with_retry(options, /*task_key=*/2, [&]() -> double {
+      ace::util::call_with_retry(options, [&]() -> double {
         ++calls;
         throw std::runtime_error("transient");
       });

@@ -44,7 +44,7 @@ namespace u = ace::util;
 
 /// Runs each batch last to first on its own pool, and logs every batch
 /// shipped to it. Honours the contract: result[i] is the guarded call for
-/// configs[i], keyed by ConfigHash{}(configs[i]) like the pooled backend.
+/// configs[i], retried like the pooled backend.
 class ReversedBackend final : public d::BatchSimulator {
  public:
   ReversedBackend(d::SimulatorFn simulate, u::RetryOptions retry,
@@ -58,7 +58,7 @@ class ReversedBackend final : public d::BatchSimulator {
     std::vector<u::GuardedCall> calls(n);
     pool_.run_indexed(n, [&](std::size_t k) {
       const std::size_t i = n - 1 - k;
-      calls[i] = u::call_with_retry(retry_, d::ConfigHash{}(configs[i]),
+      calls[i] = u::call_with_retry(retry_,
                                     [&] { return simulate_(configs[i]); });
     });
     return calls;
@@ -205,8 +205,8 @@ using Case = std::tuple<d::OptimizerKind, d::GateKind>;
 
 class BackendIdentity : public ::testing::TestWithParam<Case> {};
 
-// Ports the coordinator's happy path: a backend that reorders and
-// parallelises every batch leaves the run bit-identical to the pooled one.
+// Without faults, a backend that reorders and parallelises every batch
+// leaves the run bit-identical to the pooled one.
 TEST_P(BackendIdentity, ReversedBackendMatchesPooledBitwise) {
   const auto [kind, gate] = GetParam();
   const RunRecord pooled =
@@ -217,9 +217,8 @@ TEST_P(BackendIdentity, ReversedBackendMatchesPooledBitwise) {
   EXPECT_FALSE(pooled.decisions.empty());
 }
 
-// Ports the coordinator's worker-kill recovery: transient faults that the
-// retry budget covers are absorbed the same way whatever order the
-// backend runs the retries in.
+// Transient faults that the retry budget covers are absorbed the same way
+// whatever order the backend runs the retries in.
 TEST_P(BackendIdentity, TransientFaultsRecoverIdentically) {
   const auto [kind, gate] = GetParam();
   d::FaultInjectionOptions faults;
@@ -282,8 +281,8 @@ TEST_P(BackendFaultIdentity, PersistentFaultsQuarantineIdentically) {
   EXPECT_GT(pooled.stats.quarantined, 0u);
 }
 
-// Ports the coordinator's straggler test: latency spikes change when each
-// of a batch's calls finishes, never which result lands in which slot.
+// Latency spikes change when each of a batch's calls finishes, never which
+// result lands in which slot.
 TEST_P(BackendFaultIdentity, LatencySpikesDoNotReachDecisions) {
   const d::OptimizerKind kind = GetParam();
   const d::PolicyOptions options =
@@ -315,9 +314,9 @@ d::PolicyOptions pure_simulation() {
   return options;
 }
 
-// Ports the coordinator's cross-batch quarantine: a configuration whose
-// every attempt faults is shipped once, quarantined, and from then on
-// answered from the quarantine without reaching the backend again.
+// A configuration whose every attempt faults is shipped once, quarantined,
+// and from then on answered from the quarantine without reaching the
+// backend again, in every later batch.
 TEST(BatchBackend, PersistentFaultIsQuarantinedAndNeverShippedAgain) {
   const d::Config broken{9, 9, 9};
   d::FaultInjectionOptions faults;

@@ -43,9 +43,9 @@ TEST(ConfigHash, DistinguishesPermutations) {
 }
 
 TEST(ConfigHash, PinnedFnv1aValues) {
-  // The hash seeds the retry jitter of each simulation
-  // (util::call_with_retry(retry, ConfigHash{}(config))), so its values
-  // are part of a run's reproducibility: FNV-1a-64 over the 32-bit words.
+  // The hash seeds FaultInjectingSimulator's per-configuration fault draw
+  // (dse/fault_injection.cpp), so its values are part of a faulted run's
+  // reproducibility: FNV-1a-64 over the 32-bit words.
   d::ConfigHash h;
   EXPECT_EQ(h({}), 1469598103934665603ULL);  // The offset basis.
   EXPECT_EQ(h({0}), 1469598103934665603ULL * 1099511628211ULL);

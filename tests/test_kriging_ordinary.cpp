@@ -128,8 +128,8 @@ TEST(Krige, VarianceGrowsWithDistanceFromSupport) {
 
 TEST(OrdinaryKriging, ReusableEstimatorMatchesOneShot) {
   // One system built once and queried at several points answers each
-  // query exactly like a fresh one-shot system: the factor it reuses
-  // across queries is the one a fresh system would build.
+  // query exactly like a fresh one-shot system: every query factors the
+  // matrix a fresh system would build.
   const k::SphericalVariogram model(0.1, 1.0, 6.0);
   const std::vector<std::vector<double>> pts = {{0.0, 1.0}, {2.0, 0.0},
                                                 {1.0, 3.0}};

@@ -248,22 +248,6 @@ TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
   EXPECT_EQ(got->weights[6], 0.0);  // duplicate of points[1]
 }
 
-// Repeated queries against one support set reuse the factorization.
-TEST(KrigingSystem, FactorIsReusedAcrossQueries) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  const auto inst = make_instance(2, 6, 33);
-  k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
-                       model);
-  ASSERT_TRUE(sys.query(inst.query));
-  const std::size_t after_first = sys.stats().full_factorizations;
-  EXPECT_GE(after_first, 1u);
-  std::vector<double> q2 = inst.query;
-  q2[0] += 0.5;
-  ASSERT_TRUE(sys.query(q2));
-  EXPECT_EQ(sys.stats().full_factorizations, after_first);
-  EXPECT_EQ(sys.stats().solves, 2u);
-}
-
 TEST(KrigingSystem, ValidatesInput) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   EXPECT_THROW(k::KrigingSystem({k::SystemKind::kOrdinary}, {}, {}, model),
@@ -407,7 +391,8 @@ TEST(KrigingSystem, ShrinkingReloadsMatchOneShotSystems) {
 }
 
 // Supports that need the ridge ladder answer like a one-shot system, and
-// repeating a query on the same load reuses the accepted rung's factor.
+// repeating a query on the same load climbs the ladder again to the same
+// answer.
 TEST(KrigingSystem, RidgeLadderReloadsMatchOneShotSystems) {
   const k::LinearVariogram flat(0.0, 0.0);
   for (const auto& spec : all_specs()) {
@@ -421,14 +406,15 @@ TEST(KrigingSystem, RidgeLadderReloadsMatchOneShotSystems) {
       ws.load(inst.points, inst.values);
       const auto want =
           one_shot(spec, inst.points, inst.values, inst.query, flat);
+      const std::size_t before = ws.stats().full_factorizations;
       const auto got = ws.query(inst.query);
+      const std::size_t per_query = ws.stats().full_factorizations - before;
       expect_identical(got, want);
       if (!got) continue;
       EXPECT_EQ(got->regularized, n > 1);
       ridge_answers += got->regularized ? 1 : 0;
-      const std::size_t factors = ws.stats().full_factorizations;
       expect_identical(ws.query(inst.query), want);
-      EXPECT_EQ(ws.stats().full_factorizations, factors);
+      EXPECT_EQ(ws.stats().full_factorizations, before + 2 * per_query);
       std::vector<double> q2 = inst.query;
       q2[1] += 0.25;
       expect_identical(ws.query(q2),
@@ -513,24 +499,36 @@ TEST(KrigingSystem, SetModelRebindsEstimatorModel) {
     }
 }
 
-// Factors are built on the first query of a load, once, and a reload
-// starts over: the count the policy reports as full_factorizations.
-TEST(KrigingSystem, FactorIsBuiltOncePerLoadOnFirstQuery) {
+// A load factors nothing; each query factors every ladder rung it tries
+// (the count the policy reports as full_factorizations), and a repeated
+// query on one load answers bit-identically.
+TEST(KrigingSystem, EachQueryFactorsTheRungsItTries) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::LinearVariogram flat(0.0, 0.0);
   const auto a = make_instance(2, 6, 66);
-  const auto b = make_instance(2, 4, 67);
   k::KrigingSystem ws({k::SystemKind::kOrdinary}, model);
   ws.load(a.points, a.values);
-  EXPECT_EQ(ws.stats().full_factorizations, 0u);
-  ASSERT_TRUE(ws.query(a.query));
-  ASSERT_TRUE(ws.query(b.query));
-  EXPECT_EQ(ws.stats().full_factorizations, 1u);
-  ws.load(b.points, b.values);
   ws.load(a.points, a.values);
+  EXPECT_EQ(ws.stats().full_factorizations, 0u);
+  // A well-conditioned system is answered by the plain rung alone.
+  const auto first = ws.query(a.query);
+  ASSERT_TRUE(first);
+  EXPECT_FALSE(first->regularized);
   EXPECT_EQ(ws.stats().full_factorizations, 1u);
-  ASSERT_TRUE(ws.query(a.query));
+  expect_identical(ws.query(a.query), first);
   EXPECT_EQ(ws.stats().full_factorizations, 2u);
-  EXPECT_EQ(ws.stats().solves, 3u);
+  // A flat variogram leaves the plain rung singular: each query factors
+  // it and then the first ridge rung, which answers.
+  ws.set_model({k::SystemKind::kOrdinary}, flat);
+  ws.load(a.points, a.values);
+  EXPECT_EQ(ws.stats().full_factorizations, 2u);
+  const auto ridged = ws.query(a.query);
+  ASSERT_TRUE(ridged);
+  EXPECT_TRUE(ridged->regularized);
+  EXPECT_EQ(ws.stats().full_factorizations, 4u);
+  expect_identical(ws.query(a.query), ridged);
+  EXPECT_EQ(ws.stats().full_factorizations, 6u);
+  EXPECT_EQ(ws.stats().solves, 4u);
 }
 
 // A workspace answers only after a load, and set_model drops the load.

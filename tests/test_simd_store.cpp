@@ -1,13 +1,14 @@
-// Property tests for the SIMD/SoA layer (DESIGN.md §10).
+// Property tests for the SIMD kernel and the store's neighbour search
+// (DESIGN.md §10).
 //
-// The whole layer rests on one contract: the vector kernels and the blocked
-// SoA store scans built on them are *identical* to their scalar / per-item
-// counterparts — not close, identical. These tests pin that contract from
+// Both rest on one contract: the fast path is *identical* to its plain
+// counterpart — not close, identical. These tests pin that contract from
 // two angles:
-//   1. dispatching kernels vs their _scalar twins, element-exact;
-//   2. SoA-mirror store scans vs the AoS linear scans, index-identical,
+//   1. the dispatching f64 kernel vs its _scalar twin, element-exact, with
+//      the runtime toggle both ways;
+//   2. the coordinate-sum bucket walk vs the linear scan, index-identical,
 //      across random stores including post-quarantine and
-//      duplicate-update states, with the runtime toggle both ways.
+//      duplicate-update states.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,42 +36,25 @@ class SimdToggleGuard {
   bool saved_;
 };
 
-// --- 1. kernels vs scalar twins ------------------------------------------
+// --- 1. kernel vs scalar twin ---------------------------------------------
 
 TEST(SimdKernels, DispatchMatchesScalarTwinExactly) {
   SimdToggleGuard guard;
   simd::set_enabled(true);
   ace::util::Rng rng(11);
-  // Odd counts and dims exercise the vector-width tail on every kernel.
+  // Odd counts and dims exercise the vector-width tail.
   for (const std::size_t count : {1u, 4u, 7u, 33u, 130u}) {
     for (const std::size_t dim : {1u, 3u, 10u}) {
-      std::vector<std::vector<int>> icols(dim, std::vector<int>(count));
       std::vector<std::vector<double>> fcols(dim,
                                              std::vector<double>(count));
       for (std::size_t c = 0; c < dim; ++c)
-        for (std::size_t i = 0; i < count; ++i) {
-          icols[c][i] = rng.uniform_int(-20, 20);
+        for (std::size_t i = 0; i < count; ++i)
           fcols[c][i] = rng.uniform(-8.0, 8.0);
-        }
-      std::vector<const int*> iptrs(dim);
       std::vector<const double*> fptrs(dim);
-      for (std::size_t c = 0; c < dim; ++c) {
-        iptrs[c] = icols[c].data();
-        fptrs[c] = fcols[c].data();
-      }
-      std::vector<int> iquery(dim);
+      for (std::size_t c = 0; c < dim; ++c) fptrs[c] = fcols[c].data();
       std::vector<double> fquery(dim);
-      for (std::size_t c = 0; c < dim; ++c) {
-        iquery[c] = rng.uniform_int(-20, 20);
+      for (std::size_t c = 0; c < dim; ++c)
         fquery[c] = rng.uniform(-8.0, 8.0);
-      }
-
-      std::vector<int> l1i(count), l1i_ref(count);
-      simd::l1_distances_i32(iptrs.data(), dim, iquery.data(), count,
-                             l1i.data());
-      simd::l1_distances_i32_scalar(iptrs.data(), dim, iquery.data(), count,
-                                    l1i_ref.data());
-      EXPECT_EQ(l1i, l1i_ref) << "count=" << count << " dim=" << dim;
 
       std::vector<double> l1f(count), l1f_ref(count);
       simd::l1_distances_f64(fptrs.data(), dim, fquery.data(), count,
@@ -86,22 +70,25 @@ TEST(SimdKernels, DisabledToggleFallsBackToScalar) {
   SimdToggleGuard guard;
   ace::util::Rng rng(12);
   constexpr std::size_t dim = 5, count = 19;
-  std::vector<std::vector<int>> cols(dim, std::vector<int>(count));
+  std::vector<std::vector<double>> cols(dim, std::vector<double>(count));
   for (auto& c : cols)
-    for (auto& x : c) x = rng.uniform_int(0, 16);
-  std::vector<const int*> ptrs(dim);
+    for (auto& x : c) x = rng.uniform(0.0, 16.0);
+  std::vector<const double*> ptrs(dim);
   for (std::size_t c = 0; c < dim; ++c) ptrs[c] = cols[c].data();
-  const std::vector<int> query(dim, 8);
+  const std::vector<double> query(dim, 8.0);
 
-  std::vector<int> on(count), off(count);
+  std::vector<double> on(count), off(count), ref(count);
   simd::set_enabled(true);
-  simd::l1_distances_i32(ptrs.data(), dim, query.data(), count, on.data());
+  simd::l1_distances_f64(ptrs.data(), dim, query.data(), count, on.data());
   simd::set_enabled(false);
-  simd::l1_distances_i32(ptrs.data(), dim, query.data(), count, off.data());
+  simd::l1_distances_f64(ptrs.data(), dim, query.data(), count, off.data());
+  simd::l1_distances_f64_scalar(ptrs.data(), dim, query.data(), count,
+                                ref.data());
   EXPECT_EQ(on, off);
+  EXPECT_EQ(off, ref);
 }
 
-// --- 2. SoA store scans vs AoS linear scans ------------------------------
+// --- 2. bucket walk vs linear scan ---------------------------------------
 
 /// A store driven through the full mutation surface: adds, duplicate
 /// updates (value refresh, no new row), quarantines, and quarantine lifts.
@@ -116,7 +103,7 @@ void build_exercised_store(d::SimulationStore& store,
     const bool dup = store.find(c).has_value();
     if (!dup && rng.uniform() < 0.15) {
       // Quarantine first; a later clean add must lift it and still index
-      // the point correctly in both layouts.
+      // the point correctly in both indexes.
       store.quarantine(c, d::FaultCode::kTimeout);
       if (rng.uniform() < 0.5) continue;  // Some stay quarantined unadded.
     }
@@ -136,30 +123,25 @@ void build_exercised_store(d::SimulationStore& store,
   ASSERT_EQ(store.size(), configs.size());
 }
 
-TEST(SimdStore, BlockedScansMatchLinearScansIndexIdentically) {
-  SimdToggleGuard guard;
-  for (const bool simd_on : {true, false}) {
-    simd::set_enabled(simd_on);
-    for (const unsigned seed : {21u, 22u, 23u}) {
-      d::SimulationStore store;
-      std::vector<d::Config> configs;
-      // Small coordinate range → dense duplicates; dim 4 keeps the
-      // brute-force reference cheap.
-      build_exercised_store(store, configs, seed, 120, 4, 6);
+TEST(SimdStore, BucketWalkMatchesLinearScanIndexIdentically) {
+  for (const unsigned seed : {21u, 22u, 23u}) {
+    d::SimulationStore store;
+    std::vector<d::Config> configs;
+    // Small coordinate range → dense duplicates; dim 4 keeps the
+    // brute-force reference cheap.
+    build_exercised_store(store, configs, seed, 120, 4, 6);
 
-      ace::util::Rng rng(seed + 100);
-      for (int q = 0; q < 20; ++q) {
-        d::Config query(4);
-        for (auto& v : query) v = rng.uniform_int(0, 6);
-        // Radii spanning the bucket walk (tight) and the blocked SoA scan
-        // (band covers the store).
-        for (const int radius : {0, 1, 2, 5, 10, 24}) {
-          const auto fast = store.neighbors_within(query, radius);
-          const auto ref = store.neighbors_within_linear(query, radius);
-          EXPECT_EQ(fast.indices, ref.indices)
-              << "seed=" << seed << " radius=" << radius
-              << " simd=" << simd_on;
-        }
+    ace::util::Rng rng(seed + 100);
+    for (int q = 0; q < 20; ++q) {
+      d::Config query(4);
+      for (auto& v : query) v = rng.uniform_int(0, 6);
+      // Radii from a tight band of buckets to a band that covers the
+      // whole store.
+      for (const int radius : {0, 1, 2, 5, 10, 24}) {
+        const auto fast = store.neighbors_within(query, radius);
+        const auto ref = store.neighbors_within_linear(query, radius);
+        EXPECT_EQ(fast.indices, ref.indices)
+            << "seed=" << seed << " radius=" << radius;
       }
     }
   }

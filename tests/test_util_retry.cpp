@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 namespace {
 
@@ -16,7 +13,7 @@ namespace u = ace::util;
 
 TEST(Retry, CleanCallSucceedsFirstTry) {
   const u::GuardedCall r =
-      u::call_with_retry({}, 7, [] { return 42.0; });
+      u::call_with_retry({}, [] { return 42.0; });
   EXPECT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value, 42.0);
   EXPECT_EQ(r.fault, u::CallFault::kNone);
@@ -30,7 +27,7 @@ TEST(Retry, TransientThrowIsRetriedToSuccess) {
   u::RetryOptions options;
   options.max_attempts = 5;
   int calls = 0;
-  const u::GuardedCall r = u::call_with_retry(options, 7, [&] {
+  const u::GuardedCall r = u::call_with_retry(options, [&] {
     if (++calls < 3) throw std::runtime_error("transient");
     return 1.5;
   });
@@ -46,7 +43,7 @@ TEST(Retry, ExhaustedBudgetReportsThrowWithMessage) {
   u::RetryOptions options;
   options.max_attempts = 3;
   int calls = 0;
-  const u::GuardedCall r = u::call_with_retry(options, 7, [&]() -> double {
+  const u::GuardedCall r = u::call_with_retry(options, [&]() -> double {
     ++calls;
     throw std::runtime_error("persistent failure");
   });
@@ -60,7 +57,7 @@ TEST(Retry, ExhaustedBudgetReportsThrowWithMessage) {
 
 TEST(Retry, NonStdExceptionIsCapturedToo) {
   const u::GuardedCall r =
-      u::call_with_retry({}, 0, []() -> double { throw 17; });
+      u::call_with_retry({}, []() -> double { throw 17; });
   EXPECT_EQ(r.fault, u::CallFault::kThrew);
   EXPECT_EQ(r.message, "non-standard exception");
 }
@@ -69,7 +66,7 @@ TEST(Retry, NonFiniteResultsAreFaults) {
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity()}) {
-    const u::GuardedCall r = u::call_with_retry({}, 3, [bad] { return bad; });
+    const u::GuardedCall r = u::call_with_retry({}, [bad] { return bad; });
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.fault, u::CallFault::kNonFinite);
     EXPECT_EQ(r.faulted_attempts, 1u);
@@ -80,7 +77,7 @@ TEST(Retry, NonFiniteThenCleanRecovers) {
   u::RetryOptions options;
   options.max_attempts = 2;
   int calls = 0;
-  const u::GuardedCall r = u::call_with_retry(options, 3, [&] {
+  const u::GuardedCall r = u::call_with_retry(options, [&] {
     return ++calls == 1 ? std::numeric_limits<double>::quiet_NaN() : 2.5;
   });
   EXPECT_TRUE(r.ok());
@@ -92,7 +89,7 @@ TEST(Retry, DeadlineClassifiesSlowCallAndDiscardsValue) {
   u::RetryOptions options;
   options.max_attempts = 2;
   options.deadline_ms = 0.5;
-  const u::GuardedCall r = u::call_with_retry(options, 11, [] {
+  const u::GuardedCall r = u::call_with_retry(options, [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return 99.0;  // Computed, but over budget: must be discarded.
   });
@@ -104,40 +101,12 @@ TEST(Retry, DeadlineClassifiesSlowCallAndDiscardsValue) {
 }
 
 TEST(Retry, DeadlineZeroDisablesWatchdog) {
-  const u::GuardedCall r = u::call_with_retry({}, 11, [] {
+  const u::GuardedCall r = u::call_with_retry({}, [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     return 7.0;
   });
   EXPECT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r.value, 7.0);
-}
-
-TEST(Retry, BackoffIsDeterministicBoundedAndGrows) {
-  u::RetryOptions options;
-  options.base_backoff_ms = 1.0;
-  options.backoff_multiplier = 2.0;
-  options.max_backoff_ms = 16.0;
-  options.jitter_fraction = 0.25;
-
-  for (const std::uint64_t key : {0ull, 42ull, 0xdeadbeefull}) {
-    for (std::size_t k = 0; k < 10; ++k) {
-      const double d1 = u::backoff_delay_ms(options, key, k);
-      const double d2 = u::backoff_delay_ms(options, key, k);
-      EXPECT_DOUBLE_EQ(d1, d2);  // Pure function of (options, key, k).
-      const double nominal = std::min(1.0 * std::pow(2.0, static_cast<double>(k)),
-                                      options.max_backoff_ms);
-      EXPECT_GE(d1, nominal);
-      EXPECT_LE(d1, nominal * (1.0 + options.jitter_fraction));
-    }
-  }
-  // Different task keys draw different jitter (with overwhelming
-  // probability for these particular keys).
-  EXPECT_NE(u::backoff_delay_ms(options, 1, 0),
-            u::backoff_delay_ms(options, 2, 0));
-  // Zero base means no sleeping at all, jitter included.
-  u::RetryOptions immediate;
-  immediate.base_backoff_ms = 0.0;
-  EXPECT_DOUBLE_EQ(u::backoff_delay_ms(immediate, 5, 3), 0.0);
 }
 
 // The watchdog is post-hoc (a C++ callable cannot be pre-empted), so the
@@ -149,7 +118,7 @@ TEST(Retry, WatchdogCoversStalledFinalAttempt) {
   options.max_attempts = 3;
   options.deadline_ms = 1.0;
   std::size_t calls = 0;
-  const u::GuardedCall r = u::call_with_retry(options, 17, [&calls] {
+  const u::GuardedCall r = u::call_with_retry(options, [&calls] {
     if (++calls < 3) throw std::runtime_error("fast transient");
     std::this_thread::sleep_for(std::chrono::milliseconds(8));
     return 123.0;  // Stalled final attempt: computed but over budget.
@@ -160,29 +129,6 @@ TEST(Retry, WatchdogCoversStalledFinalAttempt) {
   EXPECT_EQ(r.faulted_attempts, 3u);
   EXPECT_EQ(r.timeouts, 1u);  // Only the stalled attempt, not the throws.
   EXPECT_DOUBLE_EQ(r.value, 0.0);
-}
-
-// The whole backoff schedule must be a pure function of the jitter seed:
-// a fixed seed reproduces every delay bit-for-bit, a different seed moves
-// them. This is what makes a retried batch's schedule replayable.
-TEST(Retry, JitterScheduleIsDeterministicPerSeed) {
-  u::RetryOptions options;
-  options.base_backoff_ms = 2.0;
-  options.jitter_fraction = 0.5;
-  options.jitter_seed = 0xfeedull;
-
-  std::vector<double> schedule;
-  for (std::size_t k = 0; k < 6; ++k)
-    schedule.push_back(u::backoff_delay_ms(options, 99, k));
-  for (std::size_t k = 0; k < 6; ++k)
-    EXPECT_DOUBLE_EQ(schedule[k], u::backoff_delay_ms(options, 99, k));
-
-  u::RetryOptions reseeded = options;
-  reseeded.jitter_seed = 0xbeefull;
-  bool any_differs = false;
-  for (std::size_t k = 0; k < 6; ++k)
-    any_differs |= u::backoff_delay_ms(reseeded, 99, k) != schedule[k];
-  EXPECT_TRUE(any_differs);
 }
 
 TEST(Retry, FaultNamesAreStable) {

@@ -33,7 +33,7 @@ raw-distance-loop Hand-rolled distance accumulation
                   (`acc += abs(a - b)` and friends) outside the SIMD
                   kernel layer (src/util/simd*). Scans and assembly must
                   go through the util::simd kernels or the canonical
-                  kriging::l1_distance so the blocked SoA paths and the
+                  kriging::l1_distance so the vector paths and the
                   scalar paths cannot drift apart.
 blocking-under-lock
                   A blocking operation — simulator invocation, checkpoint
