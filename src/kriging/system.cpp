@@ -209,7 +209,7 @@ double KrigingSystem::ladder_scale() const {
   return std::max(linalg::max_abs(gamma_.data(), gamma_.size()), 1.0);
 }
 
-const KrigingSystem::Factor* KrigingSystem::factor_at(double shift) {
+bool KrigingSystem::factor_at(double shift) {
   ++stats_.full_factorizations;
   const std::size_t m = system_size();
   factor_.lu.assign(gamma_.begin(), gamma_.end());
@@ -217,10 +217,8 @@ const KrigingSystem::Factor* KrigingSystem::factor_at(double shift) {
     for (std::size_t i = 0; i < unique_; ++i) factor_.lu[i * m + i] += shift;
   factor_.perm.resize(m);
   int perm_sign = 1;
-  if (!linalg::lu_factor_inplace(factor_.lu.data(), m, factor_.perm.data(),
-                                 perm_sign))
-    return nullptr;
-  return &factor_;
+  return linalg::lu_factor_inplace(factor_.lu.data(), m, factor_.perm.data(),
+                                   perm_sign);
 }
 
 bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
@@ -231,30 +229,22 @@ bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
   ++stats_.solves;
   assemble_rhs(q);
   const std::size_t m = system_size();
-  const auto solves_acceptably = [&](const Factor& f) {
-    linalg::lu_solve_inplace(f.lu.data(), m, f.perm.data(), rhs_.data(),
-                             x_.data());
+  const auto solves_acceptably = [&](double shift) {
+    if (!factor_at(shift)) return false;
+    linalg::lu_solve_inplace(factor_.lu.data(), m, factor_.perm.data(),
+                             rhs_.data(), x_.data());
     return acceptable(x_);
   };
 
   // The legacy robust_solve ladder, rung for rung: plain solve first, then
   // growing ridge on the non-border diagonal.
-  double shift = 0.0;
-  const Factor* used = factor_at(0.0);
-  if (used && !solves_acceptably(*used)) used = nullptr;
-  if (!used) {
-    const double scale = ladder_scale();
-    for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0) {
-      shift = ridge * scale;
-      const Factor* f = factor_at(shift);
-      if (f && solves_acceptably(*f)) {
-        used = f;
-        break;
-      }
-    }
-    if (!used) return false;
+  if (solves_acceptably(0.0)) return finalize(0.0, out);
+  const double scale = ladder_scale();
+  for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0) {
+    const double shift = ridge * scale;
+    if (solves_acceptably(shift)) return finalize(shift, out);
   }
-  return finalize(shift, *used, out);
+  return false;
 }
 
 std::optional<KrigingResult> KrigingSystem::query(const std::vector<double>& q) {
@@ -283,12 +273,11 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   // negated covariance one: the residual ratio is unchanged and the LOO
   // variance becomes −1/B_ii.
   const auto attempt = [&](double shift) -> std::optional<LooReport> {
-    const Factor* f = factor_at(shift);
-    if (!f) return std::nullopt;
-    linalg::lu_solve_inplace(f->lu.data(), m, f->perm.data(), z.data(),
-                             u.data());
-    linalg::lu_inverse_diagonal(f->lu.data(), m, f->perm.data(), e.data(),
-                                x.data(), diag.data());
+    if (!factor_at(shift)) return std::nullopt;
+    linalg::lu_solve_inplace(factor_.lu.data(), m, factor_.perm.data(),
+                             z.data(), u.data());
+    linalg::lu_inverse_diagonal(factor_.lu.data(), m, factor_.perm.data(),
+                                e.data(), x.data(), diag.data());
     LooReport report;
     report.shift = shift;
     report.regularized = shift > 0.0;
@@ -316,12 +305,11 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   return std::nullopt;
 }
 
-bool KrigingSystem::finalize(double shift, const Factor& used,
-                             KrigingResult& out) const {
+bool KrigingSystem::finalize(double shift, KrigingResult& out) const {
   const std::size_t n = unique_;
   out.regularized = shift > 0.0;
   out.ridge = shift;
-  out.rcond = linalg::lu_rcond_estimate(used.lu.data(), system_size());
+  out.rcond = linalg::lu_rcond_estimate(factor_.lu.data(), system_size());
 
   double estimate = 0.0;
   double variance = 0.0;

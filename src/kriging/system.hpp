@@ -210,16 +210,17 @@ class KrigingSystem {
   /// The unique support plus the Lagrange row of the ones-border.
   std::size_t system_size() const { return unique_ + 1; }
 
-  /// Γ + shift·I_core factored in place into factor_; nullptr when that
+  /// Factor Γ + shift·I_core in place into factor_; false when that
   /// matrix is singular.
-  const Factor* factor_at(double shift);
+  bool factor_at(double shift);
   /// Scale for the ridge ladder: max(|A|, 1) of the unshifted matrix —
   /// the exact scale linalg::robust_solve uses.
   double ladder_scale() const;
 
-  /// Turn the accepted solution x_ into `out` (estimate, variance,
-  /// slot-indexed weights, contracts); false on a non-finite estimate.
-  bool finalize(double shift, const Factor& used, KrigingResult& out) const;
+  /// Turn the accepted solution x_ of factor_ into `out` (estimate,
+  /// variance, slot-indexed weights, contracts); false on a non-finite
+  /// estimate.
+  bool finalize(double shift, KrigingResult& out) const;
 
   SystemSpec spec_;
   std::unique_ptr<VariogramModel> model_;
