@@ -229,7 +229,7 @@ class KrigingSystem {
   std::size_t unique_ = 0;   ///< Unique support points loaded.
   bool loaded_ = false;
   /// SoA columns: coordinate d of unique point u at cols_[d·stride_ + u].
-  /// stride_ is the load's slot count rounded up to the distance kernels'
+  /// stride_ is the load's slot count rounded up to the distance kernel's
   /// 4-lane width, so every kernel call runs whole vectors; the padding
   /// lanes hold zeros or earlier loads' coordinates, whose distances are
   /// never read.
