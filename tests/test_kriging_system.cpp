@@ -531,6 +531,41 @@ TEST(KrigingSystem, EachQueryFactorsTheRungsItTries) {
   EXPECT_EQ(ws.stats().solves, 4u);
 }
 
+// A LOO pass factors every ladder rung it tries into the same scratch
+// factor a query uses: a repeated pass climbs the ladder again to the same
+// residuals, and a query in between does not disturb it.
+TEST(KrigingSystem, LooPassFactorsTheRungsItTries) {
+  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::LinearVariogram flat(0.0, 0.0);
+  const auto a = make_instance(2, 6, 68);
+  for (const k::VariogramModel* m :
+       {static_cast<const k::VariogramModel*>(&model),
+        static_cast<const k::VariogramModel*>(&flat)}) {
+    k::KrigingSystem ws({k::SystemKind::kOrdinary}, *m);
+    ws.load(a.points, a.values);
+    EXPECT_EQ(ws.stats().full_factorizations, 0u);
+    const auto first = ws.loo_residuals();
+    ASSERT_TRUE(first);
+    EXPECT_EQ(first->regularized, m == &flat);
+    const std::size_t per_pass = ws.stats().full_factorizations;
+    // The plain rung alone when it factors; otherwise it and the ridge
+    // rungs up to the one the report names.
+    EXPECT_EQ(per_pass == 1u, !first->regularized);
+    EXPECT_GE(per_pass, first->regularized ? 2u : 1u);
+    ASSERT_TRUE(ws.query(a.query));
+    const std::size_t before = ws.stats().full_factorizations;
+    const auto again = ws.loo_residuals();
+    ASSERT_TRUE(again);
+    EXPECT_EQ(ws.stats().full_factorizations, before + per_pass);
+    EXPECT_EQ(bits(again->shift), bits(first->shift));
+    ASSERT_EQ(again->residuals.size(), first->residuals.size());
+    for (std::size_t i = 0; i < first->residuals.size(); ++i) {
+      EXPECT_EQ(bits(again->residuals[i]), bits(first->residuals[i])) << i;
+      EXPECT_EQ(bits(again->variances[i]), bits(first->variances[i])) << i;
+    }
+  }
+}
+
 // A workspace answers only after a load, and set_model drops the load.
 TEST(KrigingSystem, QueryNeedsALoadedSupport) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);

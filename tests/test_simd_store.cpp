@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "dse/config.hpp"
@@ -145,6 +146,35 @@ TEST(SimdStore, BucketWalkMatchesLinearScanIndexIdentically) {
       }
     }
   }
+}
+
+// Negative coordinates put buckets below sum 0, and queries outside the
+// stored coordinate-sum range start the walk off either end of the bucket
+// map; an empty store answers nothing at any radius.
+TEST(SimdStore, BucketWalkMatchesLinearScanOffTheStoredSumRange) {
+  d::SimulationStore empty;
+  EXPECT_TRUE(empty.neighbors_within({0, 0, 0}, 50).indices.empty());
+
+  ace::util::Rng rng(41);
+  d::SimulationStore store;
+  while (store.size() < 60) {
+    d::Config c(3);
+    for (auto& v : c) v = rng.uniform_int(-8, 4);
+    store.add(std::move(c), rng.uniform(-60.0, -20.0));
+  }
+  const std::vector<d::Config> queries = {
+      {-8, -8, -8}, {-20, -20, -20}, {4, 4, 4}, {15, 15, 15}, {-3, 0, 2}};
+  for (const auto& query : queries)
+    for (const int radius : {0, 1, 3, 8, 20, 40, 80}) {
+      const auto fast = store.neighbors_within(query, radius);
+      const auto ref = store.neighbors_within_linear(query, radius);
+      EXPECT_EQ(fast.indices, ref.indices)
+          << "query=(" << query[0] << "," << query[1] << "," << query[2]
+          << ") radius=" << radius;
+    }
+  // The far corner reaches the whole store only once the radius spans it.
+  EXPECT_TRUE(store.neighbors_within({15, 15, 15}, 20).indices.empty());
+  EXPECT_EQ(store.neighbors_within({15, 15, 15}, 80).count(), store.size());
 }
 
 TEST(SimdStore, LinearScansMatchBruteForceDistances) {

@@ -131,6 +131,27 @@ TEST(Retry, WatchdogCoversStalledFinalAttempt) {
   EXPECT_DOUBLE_EQ(r.value, 0.0);
 }
 
+// A zero budget still makes the one attempt every call needs.
+TEST(Retry, ZeroAttemptBudgetStillTriesOnce) {
+  u::RetryOptions options;
+  options.max_attempts = 0;
+  int calls = 0;
+  const u::GuardedCall clean =
+      u::call_with_retry(options, [&] { return ++calls * 1.0; });
+  EXPECT_TRUE(clean.ok());
+  EXPECT_DOUBLE_EQ(clean.value, 1.0);
+  EXPECT_EQ(clean.attempts, 1u);
+  const u::GuardedCall faulted =
+      u::call_with_retry(options, [&]() -> double {
+        ++calls;
+        throw std::runtime_error("once");
+      });
+  EXPECT_EQ(faulted.fault, u::CallFault::kThrew);
+  EXPECT_EQ(faulted.attempts, 1u);
+  EXPECT_EQ(faulted.faulted_attempts, 1u);
+  EXPECT_EQ(calls, 2);
+}
+
 TEST(Retry, FaultNamesAreStable) {
   EXPECT_STREQ(u::to_string(u::CallFault::kNone), "none");
   EXPECT_STREQ(u::to_string(u::CallFault::kThrew), "threw");
