@@ -20,7 +20,6 @@
 
 // Fixed-point arithmetic.
 #include "fixedpoint/format.hpp"
-#include "fixedpoint/noise_model.hpp"
 #include "fixedpoint/quantizer.hpp"
 #include "fixedpoint/range_tracker.hpp"
 
@@ -51,15 +50,12 @@
 #include "signal/fir.hpp"
 #include "signal/generator.hpp"
 #include "signal/iir.hpp"
-#include "signal/noise_analysis.hpp"
 #include "video/frame.hpp"
 #include "video/hevc_mc.hpp"
 #include "video/hevc_mc_int.hpp"
 
 // Design-space exploration.
-#include "dse/adaptive_simulation.hpp"
 #include "dse/config.hpp"
-#include "dse/interp1d.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/min_plus_one.hpp"
 #include "dse/optimizer.hpp"

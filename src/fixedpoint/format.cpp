@@ -24,16 +24,6 @@ double Format::max_value() const {
   return std::ldexp(1.0, iwl_) - step();
 }
 
-double Format::rounding_noise_power() const {
-  const double q = step();
-  return q * q / 12.0;
-}
-
-double Format::truncation_noise_power() const {
-  const double q = step();
-  return q * q / 3.0;
-}
-
 Format Format::with_clamped_integer_bits(int word_length, int integer_bits) {
   const int clamped =
       std::min(std::max(integer_bits, 0), word_length - 1);

@@ -40,14 +40,6 @@ class Format {
   /// Most positive representable value: 2^iwl - q.
   double max_value() const;
 
-  /// Theoretical round-to-nearest quantization noise power q²/12 — the
-  /// classical model the paper's equivalent-number-of-bits metric inverts.
-  double rounding_noise_power() const;
-
-  /// Theoretical truncation noise power q²/3 (uniform over [-q, 0)... the
-  /// variance-plus-bias² second moment).
-  double truncation_noise_power() const;
-
   bool operator==(const Format& rhs) const = default;
 
   std::string to_string() const;

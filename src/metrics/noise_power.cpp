@@ -43,6 +43,4 @@ double to_db(double power_linear) {
   return db < kFloorDb ? kFloorDb : db;
 }
 
-double from_db(double power_db) { return std::pow(10.0, power_db / 10.0); }
-
 }  // namespace ace::metrics

@@ -21,7 +21,4 @@ double noise_power_complex(const std::vector<double>& approx_re,
 /// exhaustive sweeps never produce -inf surface points.
 double to_db(double power_linear);
 
-/// dB -> linear power.
-double from_db(double power_db);
-
 }  // namespace ace::metrics

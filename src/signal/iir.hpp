@@ -43,12 +43,6 @@ class QuantizedIirCascade {
   std::vector<double> filter(const std::vector<double>& input,
                              const std::vector<int>& w) const;
 
-  /// Calibrated integer bits (for the analytical noise baseline).
-  const std::vector<int>& accumulator_integer_bits() const {
-    return accum_iwl_;
-  }
-  int data_integer_bits() const { return data_iwl_; }
-
  private:
   std::vector<BiquadCoefficients> sections_;
   std::vector<int> accum_iwl_;  ///< Per-biquad accumulator integer bits.

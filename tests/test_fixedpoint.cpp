@@ -163,8 +163,6 @@ TEST(Format, DerivedQuantities) {
   EXPECT_DOUBLE_EQ(f.step(), 1.0 / 16.0);
   EXPECT_DOUBLE_EQ(f.min_value(), -8.0);
   EXPECT_DOUBLE_EQ(f.max_value(), 8.0 - 1.0 / 16.0);
-  EXPECT_DOUBLE_EQ(f.rounding_noise_power(), (1.0 / 256.0) / 12.0);
-  EXPECT_DOUBLE_EQ(f.truncation_noise_power(), (1.0 / 256.0) / 3.0);
   EXPECT_EQ(f.to_string(), "<8,3>");
 }
 

@@ -35,10 +35,9 @@ TEST(NoisePowerComplex, CombinesBothComponents) {
       std::invalid_argument);
 }
 
-TEST(DbConversion, RoundTripsAndClampsAtFloor) {
+TEST(DbConversion, ClampsAtFloor) {
   EXPECT_NEAR(m::to_db(1.0), 0.0, 1e-12);
   EXPECT_NEAR(m::to_db(0.001), -30.0, 1e-9);
-  EXPECT_NEAR(m::from_db(m::to_db(3.7e-5)), 3.7e-5, 1e-12);
   EXPECT_DOUBLE_EQ(m::to_db(0.0), -400.0);
   EXPECT_DOUBLE_EQ(m::to_db(-1.0), -400.0);
   EXPECT_DOUBLE_EQ(m::to_db(1e-80), -400.0);  // Below floor clamps.

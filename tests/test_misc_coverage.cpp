@@ -1,10 +1,7 @@
-// Edge-path coverage across modules: fitter knobs, variogram binning with
-// non-integer distances, and adaptive-sampling batch control.
+// Edge-path coverage across modules: fitter knobs and variogram binning
+// with non-integer distances.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
-#include "dse/adaptive_simulation.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
 #include "util/rng.hpp"
@@ -12,7 +9,6 @@
 namespace {
 
 namespace k = ace::kriging;
-namespace d = ace::dse;
 
 TEST(FitOptions, RestrictedFamilyListIsHonoured) {
   std::vector<std::vector<double>> pts;
@@ -66,19 +62,6 @@ TEST(EmpiricalVariogram, FractionalDistancesBinByWidth) {
   for (const auto& bin : ev.bins()) total += bin.pair_count;
   EXPECT_EQ(total, 6u);
   EXPECT_NEAR(ev.max_distance(), 2.25, 1e-12);
-}
-
-TEST(AdaptiveMean, MinBatchesDelaysTheStoppingTest) {
-  // Constant data converges at exactly min_batches · batch observations.
-  for (const std::size_t min_batches : {1u, 3u, 5u}) {
-    d::AdaptiveSimOptions options;
-    options.batch = 10;
-    options.min_batches = min_batches;
-    const auto r =
-        d::adaptive_mean([](std::size_t) { return 1.0; }, 1000, options);
-    EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.observations, 10u * min_batches);
-  }
 }
 
 }  // namespace
