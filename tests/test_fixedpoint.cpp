@@ -181,6 +181,24 @@ TEST(Format, ClampedIntegerBitsKeepsConstructible) {
   EXPECT_EQ(h.integer_bits(), 0);
 }
 
+TEST(Format, GridHoldsTwoToTheWordLengthValues) {
+  // [min, max] in steps of q is every two's-complement code of w bits.
+  for (int w = 2; w <= 24; ++w)
+    for (const int iwl : {0, 1, w / 2, w - 1}) {
+      const Format f(w, iwl);
+      EXPECT_EQ((f.max_value() - f.min_value()) / f.step() + 1.0,
+                std::ldexp(1.0, w))
+          << f.to_string();
+    }
+}
+
+TEST(Format, ClampedIntegerBitsIsIdentityWhenTheyFit) {
+  for (int w = 2; w <= 52; ++w)
+    for (int iwl = 0; iwl < w; ++iwl)
+      EXPECT_EQ(Format::with_clamped_integer_bits(w, iwl), Format(w, iwl))
+          << "w " << w << " iwl " << iwl;
+}
+
 TEST(Quantizer, ClampedFormatSaturatesOutOfRangeValues) {
   const Quantizer q{Format::with_clamped_integer_bits(3, 5)};  // <3,2>.
   EXPECT_DOUBLE_EQ(q(100.0), Format(3, 2).max_value());
@@ -235,6 +253,26 @@ TEST(Quantizer, ErrorBoundedByStep) {
     EXPECT_GE(terr, -1e-15);
     EXPECT_LT(terr, f.step() + 1e-15);
   }
+}
+
+TEST(Quantizer, FineGridErrorPowerMatchesTextbookFormulas) {
+  // On a grid much finer than the signal, rounding error is uniform on
+  // (−q/2, q/2] with power q²/12, and truncation error on [0, q) with
+  // power q²/4 + q²/12 = q²/3.
+  const Format f(12, 1);
+  const double q = f.step();
+  const Quantizer round{f};
+  const Quantizer truncate{f, RoundingMode::kTruncate};
+  ace::util::Rng rng(24);
+  double p_round = 0.0, p_truncate = 0.0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.uniform(-1.9, 1.9);
+    p_round += (round(x) - x) * (round(x) - x);
+    p_truncate += (truncate(x) - x) * (truncate(x) - x);
+  }
+  EXPECT_NEAR(p_round / n, q * q / 12.0, 0.05 * q * q / 12.0);
+  EXPECT_NEAR(p_truncate / n, q * q / 3.0, 0.05 * q * q / 3.0);
 }
 
 /// Property: quantization is idempotent across formats and modes.
@@ -309,6 +347,32 @@ TEST(RangeTracker, ExactPowersOfTwoNeedTheNextBit) {
   t.observe(0, 2.0);
   // |2.0| needs iwl such that 2 < 2^iwl is violated at iwl=1; ceil(log2(2+eps))=2...
   EXPECT_GE(t.integer_bits(0), 1);
+}
+
+TEST(RangeTracker, MarginAddsBitsAndTheResultClampsToZeroAndFortyEight) {
+  RangeTracker t(2);
+  t.observe(0, 3.0);    // 2 integer bits.
+  t.observe(1, 1e20);   // Far beyond any format.
+  EXPECT_EQ(t.integer_bits(0), 2);
+  EXPECT_EQ(t.integer_bits(0, 2), 4);
+  EXPECT_EQ(t.integer_bits(0, -5), 0);
+  EXPECT_EQ(t.integer_bits(1), 48);
+  EXPECT_EQ(t.all_integer_bits(1), (std::vector<int>{3, 48}));
+}
+
+TEST(RangeTracker, IntegerBitsFitTheObservedMaximumAndNoFewerDo) {
+  // The derived integer bits are the fewest that keep max |x| inside a
+  // format's range: max_value() >= max |x| at iwl, not at iwl − 1.
+  ace::util::Rng rng(25);
+  for (int i = 0; i < 200; ++i) {
+    RangeTracker t(1);
+    const double m = std::ldexp(rng.uniform(0.5, 1.0), rng.uniform_int(-3, 20));
+    t.observe(0, i % 2 == 0 ? m : -m);
+    const int iwl = t.integer_bits(0);
+    EXPECT_GE(Format(52, iwl).max_value(), m) << "max " << m;
+    if (iwl > 0)
+      EXPECT_LT(Format(52, iwl - 1).max_value(), m) << "max " << m;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "metrics/classification.hpp"
@@ -41,6 +42,12 @@ TEST(DbConversion, ClampsAtFloor) {
   EXPECT_DOUBLE_EQ(m::to_db(0.0), -400.0);
   EXPECT_DOUBLE_EQ(m::to_db(-1.0), -400.0);
   EXPECT_DOUBLE_EQ(m::to_db(1e-80), -400.0);  // Below floor clamps.
+}
+
+TEST(DbConversion, TenDbPerDecadeAndThreePerDoubling) {
+  for (int k = -30; k <= 30; k += 5)
+    EXPECT_NEAR(m::to_db(std::pow(10.0, k)), 10.0 * k, 1e-9) << "10^" << k;
+  EXPECT_NEAR(m::to_db(2e-6) - m::to_db(1e-6), 10.0 * std::log10(2.0), 1e-9);
 }
 
 TEST(EpsilonRelative, MatchesEquation12) {
