@@ -14,9 +14,6 @@
 
 // Linear algebra.
 #include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
-#include "linalg/solve.hpp"
-#include "linalg/vector.hpp"
 
 // Fixed-point arithmetic.
 #include "fixedpoint/format.hpp"
@@ -52,7 +49,6 @@
 #include "signal/iir.hpp"
 #include "video/frame.hpp"
 #include "video/hevc_mc.hpp"
-#include "video/hevc_mc_int.hpp"
 
 // Design-space exploration.
 #include "dse/config.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,6 +15,16 @@ Format::Format(int word_length, int integer_bits)
   if (iwl_ < 0 || iwl_ > w_ - 1)
     throw std::invalid_argument(
         "Format: integer_bits must be in [0, word_length - 1]");
+}
+
+int integer_bits_for(double magnitude) {
+  if (!(magnitude > 0.0)) return 0;
+  if (std::isinf(magnitude)) return std::numeric_limits<double>::max_exponent;
+  // magnitude = f · 2^exponent with f in [1/2, 1), so 2^(exponent−1) <=
+  // magnitude < 2^exponent — exact, unlike a ceil(log2(·)).
+  int exponent = 0;
+  (void)std::frexp(magnitude, &exponent);
+  return exponent;
 }
 
 double Format::step() const { return std::ldexp(1.0, -fractional_bits()); }

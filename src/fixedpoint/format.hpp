@@ -49,4 +49,10 @@ class Format {
   int iwl_;
 };
 
+/// Integer bits a magnitude needs: the smallest b with m < 2^b, i.e. the
+/// binary exponent of m — an exact power of two 2^k needs k + 1 bits, and
+/// a magnitude below 1/2 gives b < 0. Returns 0 when m is not positive
+/// (or NaN) and 1024 (max_exponent) when m is infinite.
+int integer_bits_for(double magnitude);
+
 }  // namespace ace::fixedpoint

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "fixedpoint/format.hpp"
+
 namespace ace::fixedpoint {
 
 RangeTracker::RangeTracker(std::size_t site_count) : max_abs_(site_count, 0.0) {
@@ -21,11 +23,7 @@ double RangeTracker::max_abs(std::size_t site) const {
 }
 
 int RangeTracker::integer_bits(std::size_t site, int margin_bits) const {
-  const double m = max_abs_.at(site);
-  int iwl = 0;
-  if (m > 0.0) iwl = static_cast<int>(std::ceil(std::log2(m + 1e-12)));
-  iwl += margin_bits;
-  return std::clamp(iwl, 0, 48);
+  return std::clamp(integer_bits_for(max_abs_.at(site)) + margin_bits, 0, 48);
 }
 
 std::vector<int> RangeTracker::all_integer_bits(int margin_bits) const {

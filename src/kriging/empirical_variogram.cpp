@@ -66,7 +66,6 @@ void EmpiricalVariogram::extend(
   }
   if (points.empty()) return;
 
-  const util::LockGuard lock(mutex_);
   const std::size_t held = values_.size();
   const std::size_t dim = held == 0 ? points.front().size() : dim_;
   for (const auto& p : points)

@@ -20,17 +20,15 @@
 // rebuild, so every accumulator sums its terms in the same order however
 // the samples were blocked.
 //
-// Thread-safety: all mutable state is guarded by an annotated mutex, so
-// the Clang capability analysis (-Wthread-safety) proves that extend() and
-// every accessor take the lock. A mutex member makes the class non-copyable
-// — no caller copied it anyway (it is held by unique_ptr or const&).
+// Thread-safety: none of its own, like the other kriging types. The one
+// shared instance, dse::KrigingPolicy's, is ACE_GUARDED_BY the policy
+// mutex, so the Clang capability analysis (-Wthread-safety) proves every
+// extend() and accessor call on it runs under that lock; every other
+// holder is single-threaded.
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace ace::kriging {
 
@@ -85,37 +83,21 @@ class EmpiricalVariogram {
   ///     distance is NaN/Inf (finite coordinates can still overflow the
   ///     L1 sum to ∞).
   void extend(const std::vector<std::vector<double>>& points,
-              const std::vector<double>& values) ACE_EXCLUDES(mutex_);
+              const std::vector<double>& values);
 
   /// Number of samples folded in so far.
-  std::size_t sample_count() const ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    return values_.size();
-  }
+  std::size_t sample_count() const { return values_.size(); }
 
   /// Bins in ascending distance order. The reference stays valid until the
-  /// next extend(); callers interleaving reads with concurrent extends
-  /// must copy instead.
-  const std::vector<VariogramBin>& bins() const ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    return bins_;
-  }
-  std::size_t total_pairs() const ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    return total_pairs_;
-  }
+  /// next extend().
+  const std::vector<VariogramBin>& bins() const { return bins_; }
+  std::size_t total_pairs() const { return total_pairs_; }
 
   /// Largest pairwise distance observed.
-  double max_distance() const ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    return max_distance_;
-  }
+  double max_distance() const { return max_distance_; }
 
   /// Sample variance of the values — the natural sill estimate.
-  double value_variance() const ACE_EXCLUDES(mutex_) {
-    const util::LockGuard lock(mutex_);
-    return value_variance_;
-  }
+  double value_variance() const { return value_variance_; }
 
  private:
   struct BinAccum {
@@ -126,28 +108,26 @@ class EmpiricalVariogram {
 
   /// Materialize bins_ from the non-empty accumulators (cheap: the bin
   /// count is small).
-  void rebuild_view() ACE_REQUIRES(mutex_);
+  void rebuild_view();
 
   /// Distances from `point` to held samples [0, count), written to out.
   void distances_to_held(const std::vector<double>& point, std::size_t count,
-                         double* out) const ACE_REQUIRES(mutex_);
+                         double* out) const;
 
-  double bin_width_;  ///< Immutable after construction.
-  std::size_t dim_ ACE_GUARDED_BY(mutex_) = 0;  ///< Set by the first sample.
+  double bin_width_;     ///< Immutable after construction.
+  std::size_t dim_ = 0;  ///< Set by the first sample.
   /// Held sample coordinates, SoA: cols_[d][j] is coordinate d of sample j.
-  std::vector<std::vector<double>> cols_ ACE_GUARDED_BY(mutex_);
-  std::vector<double> values_ ACE_GUARDED_BY(mutex_);
+  std::vector<std::vector<double>> cols_;
+  std::vector<double> values_;
   /// Dense bins: accum_[b] covers [b·w, (b+1)·w); empty bins hold 0 pairs.
-  std::vector<BinAccum> accum_ ACE_GUARDED_BY(mutex_);
-  std::vector<VariogramBin> bins_ ACE_GUARDED_BY(mutex_);
-  std::size_t total_pairs_ ACE_GUARDED_BY(mutex_) = 0;
-  double max_distance_ ACE_GUARDED_BY(mutex_) = 0.0;
+  std::vector<BinAccum> accum_;
+  std::vector<VariogramBin> bins_;
+  std::size_t total_pairs_ = 0;
+  double max_distance_ = 0.0;
   // Welford running variance of the sample values.
-  double value_mean_ ACE_GUARDED_BY(mutex_) = 0.0;
-  double value_m2_ ACE_GUARDED_BY(mutex_) = 0.0;
-  double value_variance_ ACE_GUARDED_BY(mutex_) = 0.0;
-  mutable util::Mutex mutex_{util::lock_order::Rank::kVariogram,
-                             "kriging.variogram"};
+  double value_mean_ = 0.0;
+  double value_m2_ = 0.0;
+  double value_variance_ = 0.0;
 };
 
 }  // namespace ace::kriging

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
 #include "util/contract.hpp"
 #include "util/simd.hpp"
 
@@ -17,7 +16,7 @@ constexpr double kInitialRidge = 1e-10;
 constexpr double kMaxRidge = 1e-2;
 constexpr double kMaxSolutionNorm = 1e6;
 
-/// The legacy robust_solve acceptability test: finite and norm-bounded.
+/// The ladder's acceptability test: finite and norm-bounded.
 bool acceptable(const std::vector<double>& x) {
   for (const double v : x)
     if (!std::isfinite(v) || std::abs(v) > kMaxSolutionNorm) return false;
@@ -204,8 +203,8 @@ void KrigingSystem::assemble_rhs(const std::vector<double>& q) {
 }
 
 double KrigingSystem::ladder_scale() const {
-  // The exact scale of linalg::robust_solve: max(|A|, 1) over the
-  // *unshifted* matrix.
+  // The exact scale of the tests' oracle linalg::robust_solve: max(|A|, 1)
+  // over the *unshifted* matrix.
   return std::max(linalg::max_abs(gamma_.data(), gamma_.size()), 1.0);
 }
 
@@ -216,9 +215,7 @@ bool KrigingSystem::factor_at(double shift) {
   if (shift > 0.0)
     for (std::size_t i = 0; i < unique_; ++i) factor_.lu[i * m + i] += shift;
   factor_.perm.resize(m);
-  int perm_sign = 1;
-  return linalg::lu_factor_inplace(factor_.lu.data(), m, factor_.perm.data(),
-                                   perm_sign);
+  return linalg::lu_factor_inplace(factor_.lu.data(), m, factor_.perm.data());
 }
 
 bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
@@ -236,8 +233,8 @@ bool KrigingSystem::query(const std::vector<double>& q, KrigingResult& out) {
     return acceptable(x_);
   };
 
-  // The legacy robust_solve ladder, rung for rung: plain solve first, then
-  // growing ridge on the non-border diagonal.
+  // The ridge ladder: plain solve first, then growing ridge on the
+  // non-border diagonal.
   if (solves_acceptably(0.0)) return finalize(0.0, out);
   const double scale = ladder_scale();
   for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0) {

@@ -5,10 +5,10 @@
 //
 //   * assembly — the variogram block γ and the Lagrange ones-border of the
 //     bordered Γ (paper Eq. 9);
-//   * the ridge-fallback ladder of linalg::robust_solve, replicated
-//     rung-for-rung (plain solve, then ridge = 1e-10 … 1e-2 ×100 on the
-//     non-border diagonal, acceptability = finite and max-abs <= 1e6) so
-//     callers see the exact legacy semantics;
+//   * the ridge-fallback ladder: plain solve, then ridge = 1e-10 … 1e-2
+//     ×100 on the non-border diagonal, acceptability = finite and max-abs
+//     <= 1e6 — rung for rung the ladder of the tests' oracle
+//     linalg::robust_solve (tests/support);
 //   * coincident-support dedupe — duplicate points would degenerate the
 //     system; the first occurrence wins, duplicates get weight 0.
 //
@@ -23,13 +23,13 @@
 // any size up to it allocates nothing (tests/test_kriging_alloc.cpp).
 // dse::KrigingPolicy owns one per policy.
 //
-// Each solve runs the floating-point operations of the direct path
-// linalg::robust_solve takes on the same matrix: Γ assembled into a
-// reused buffer and kept unshifted, copied with + shift on the core
-// diagonal for each ladder rung, factored in place by
-// linalg::lu_factor_inplace (the kernel behind LuDecomposition), and the
-// same estimate and variance sums — so results are bit-identical to an
-// independently assembled system (tests/test_kriging_system.cpp). Every
+// Each solve runs the floating-point operations the tests' oracle
+// (linalg::robust_solve over LuDecomposition, tests/support) runs on the
+// same matrix: Γ assembled into a reused buffer and kept unshifted,
+// copied with + shift on the core diagonal for each ladder rung, factored
+// in place by linalg::lu_factor_inplace, and the same estimate and
+// variance sums — so results are bit-identical to an independently
+// assembled system (tests/test_kriging_system.cpp). Every
 // rung a query or a LOO pass tries is factored afresh into one reused
 // scratch factor: each caller solves once per load, so there is nothing
 // to keep across queries.
@@ -214,7 +214,7 @@ class KrigingSystem {
   /// matrix is singular.
   bool factor_at(double shift);
   /// Scale for the ridge ladder: max(|A|, 1) of the unshifted matrix —
-  /// the exact scale linalg::robust_solve uses.
+  /// the exact scale of the tests' oracle linalg::robust_solve.
   double ladder_scale() const;
 
   /// Turn the accepted solution x_ of factor_ into `out` (estimate,

@@ -2,16 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 #include "util/contract.hpp"
 
 namespace ace::linalg {
 
-bool lu_factor_inplace(double* a, std::size_t n, std::size_t* perm,
-                       int& perm_sign, double pivot_tolerance) {
-  perm_sign = 1;
+double max_abs(const double* data, std::size_t count) {
+  // Four independent accumulators break the latency chain of one serial
+  // std::max. Each lane skips NaN entries exactly as the serial chain
+  // does (std::max(m, NaN) keeps m) and max is exact, so the result is the
+  // serial chain's value bit for bit.
+  double m0 = 0.0;
+  double m1 = 0.0;
+  double m2 = 0.0;
+  double m3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    m0 = std::max(m0, std::abs(data[i]));
+    m1 = std::max(m1, std::abs(data[i + 1]));
+    m2 = std::max(m2, std::abs(data[i + 2]));
+    m3 = std::max(m3, std::abs(data[i + 3]));
+  }
+  for (; i < count; ++i) m0 = std::max(m0, std::abs(data[i]));
+  return std::max(std::max(m0, m1), std::max(m2, m3));
+}
+
+bool lu_factor_inplace(double* a, std::size_t n, std::size_t* perm) {
   for (std::size_t i = 0; i < n; ++i) perm[i] = i;
 
   const double scale = std::max(max_abs(a, n * n), 1e-300);
@@ -26,11 +43,10 @@ bool lu_factor_inplace(double* a, std::size_t n, std::size_t* perm,
         pivot_row = r;
       }
     }
-    if (pivot_mag <= pivot_tolerance * scale) return false;
+    if (pivot_mag <= kPivotTolerance * scale) return false;
     if (pivot_row != k) {
       std::swap_ranges(a + k * n, a + (k + 1) * n, a + pivot_row * n);
       std::swap(perm[k], perm[pivot_row]);
-      perm_sign = -perm_sign;
     }
     const double pivot = a[k * n + k];
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -85,46 +101,6 @@ double lu_rcond_estimate(const double* lu, std::size_t n) {
   }
   // Exact-zero test: hi is a max of absolute values, so == 0 is precise.
   return hi == 0.0 ? 0.0 : lo / hi;  // ace-lint: allow(float-equality)
-}
-
-LuDecomposition::LuDecomposition(Matrix a, double pivot_tolerance)
-    : lu_(std::move(a)) {
-  if (!lu_.square())
-    throw std::invalid_argument("LuDecomposition: matrix must be square");
-  perm_.resize(lu_.rows());
-  int perm_sign = 1;
-  singular_ = !lu_factor_inplace(lu_.data(), lu_.rows(), perm_.data(),
-                                 perm_sign, pivot_tolerance);
-}
-
-Vector LuDecomposition::solve(const Vector& b) const {
-  if (singular_)
-    throw std::runtime_error("LuDecomposition::solve: singular matrix");
-  const std::size_t n = size();
-  if (b.size() != n)
-    throw std::invalid_argument("LuDecomposition::solve: size mismatch");
-  Vector x(n);
-  lu_solve_inplace(lu_.data(), n, perm_.data(), b.data().data(),
-                   x.data().data());
-  return x;
-}
-
-Vector LuDecomposition::inverse_diagonal() const {
-  if (singular_)
-    throw std::runtime_error(
-        "LuDecomposition::inverse_diagonal: singular matrix");
-  const std::size_t n = size();
-  Vector diag(n);
-  Vector e(n);
-  Vector x(n);
-  lu_inverse_diagonal(lu_.data(), n, perm_.data(), e.data().data(),
-                      x.data().data(), diag.data().data());
-  return diag;
-}
-
-double LuDecomposition::rcond_estimate() const {
-  if (singular_) return 0.0;
-  return lu_rcond_estimate(lu_.data(), size());
 }
 
 }  // namespace ace::linalg

@@ -5,27 +5,28 @@
 //
 // There is one LU: the in-place kernels below work on caller-owned
 // row-major buffers, so kriging::KrigingSystem can factor and solve in
-// memory it reuses across queries without allocating, and
-// LuDecomposition is a value-owning wrapper that delegates to the same
-// kernels. Both therefore run the same floating-point operations in the
-// same order and produce bit-identical factors and solutions.
+// memory it reuses across queries without allocating. The tests' value-
+// owning oracle (tests/support: LuDecomposition, robust_solve) delegates
+// to the same kernels.
 #pragma once
 
 #include <cstddef>
-#include <vector>
-
-#include "linalg/matrix.hpp"
-#include "linalg/vector.hpp"
 
 namespace ace::linalg {
 
+/// A pivot at or below kPivotTolerance · max|a| counts as singular.
+inline constexpr double kPivotTolerance = 1e-13;
+
+/// Largest |x| over `count` contiguous entries (NaN entries are skipped;
+/// 0 when there are none): the pivot scale of lu_factor_inplace.
+double max_abs(const double* data, std::size_t count);
+
 /// Factor the row-major n×n matrix `a` in place, P·A = L·U: on success `a`
 /// holds L strictly below the diagonal (unit diagonal implied) and U on
-/// and above it, `perm` (n entries) the row permutation and `perm_sign`
-/// its sign. Returns false — leaving `a` partially factored — when a pivot
-/// falls to or below `pivot_tolerance` · max|a|.
-bool lu_factor_inplace(double* a, std::size_t n, std::size_t* perm,
-                       int& perm_sign, double pivot_tolerance = 1e-13);
+/// and above it, and `perm` (n entries) the row permutation. Returns
+/// false — leaving `a` partially factored — when a pivot falls to or
+/// below kPivotTolerance · max|a|.
+bool lu_factor_inplace(double* a, std::size_t n, std::size_t* perm);
 
 /// Solve A·x = b against a factor from lu_factor_inplace. `x` (n entries)
 /// must not alias `b`.
@@ -45,33 +46,5 @@ void lu_inverse_diagonal(const double* lu, std::size_t n,
 /// Crude reciprocal condition estimate of a factor: min|pivot| /
 /// max|pivot| over U's diagonal (0 when n is 0 or every pivot is 0).
 double lu_rcond_estimate(const double* lu, std::size_t n);
-
-/// LU factorization P·A = L·U with partial (row) pivoting.
-///
-/// Construction factorizes eagerly. `singular()` reports whether a pivot
-/// collapsed below the relative tolerance; solves on a singular
-/// factorization throw std::runtime_error.
-class LuDecomposition {
- public:
-  /// Factorize a square matrix. Throws std::invalid_argument if not square.
-  explicit LuDecomposition(Matrix a, double pivot_tolerance = 1e-13);
-
-  bool singular() const { return singular_; }
-  std::size_t size() const { return lu_.rows(); }
-
-  /// Solve A·x = b. Throws on singularity or size mismatch.
-  Vector solve(const Vector& b) const;
-
-  /// Diagonal of A⁻¹ (lu_inverse_diagonal over this factor).
-  Vector inverse_diagonal() const;
-
-  /// Crude reciprocal condition estimate: min|pivot| / max|pivot|.
-  double rcond_estimate() const;
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-  bool singular_ = false;
-};
 
 }  // namespace ace::linalg

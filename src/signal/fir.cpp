@@ -1,8 +1,11 @@
 #include "signal/fir.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+
+#include "fixedpoint/format.hpp"
 
 namespace ace::signal {
 
@@ -58,9 +61,7 @@ double FirFilter::l1_gain() const {
 
 namespace {
 int iwl_for_magnitude(double max_abs) {
-  int iwl = 0;
-  if (max_abs > 0.0) iwl = static_cast<int>(std::ceil(std::log2(max_abs + 1e-12)));
-  return std::max(iwl, 0);
+  return std::max(fixedpoint::integer_bits_for(max_abs), 0);
 }
 void check_word_lengths(const std::vector<int>& w, std::size_t expected) {
   if (w.size() != expected)

@@ -1,7 +1,7 @@
 // Clang thread-safety (capability) analysis macros.
 //
 // The concurrent subsystems (thread pool, simulation store, kriging
-// policy, checkpointing, empirical variogram) document their lock
+// policy, checkpointing, session service) document their lock
 // discipline with these annotations so a Clang build with -Wthread-safety
 // -Werror *proves* the discipline at compile time — a data race that TSan
 // could only catch on an execution that happens to interleave badly is

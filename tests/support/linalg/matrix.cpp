@@ -1,7 +1,5 @@
 #include "linalg/matrix.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ace::linalg {
@@ -25,31 +23,6 @@ Matrix Matrix::identity(std::size_t n) {
 
 void Matrix::throw_out_of_range() {
   throw std::out_of_range("Matrix::operator(): index out of range");
-}
-
-namespace {
-void require_same_shape(const Matrix& a, const Matrix& b, const char* op) {
-  if (a.rows() != b.rows() || a.cols() != b.cols())
-    throw std::invalid_argument(std::string("Matrix ") + op +
-                                ": shape mismatch");
-}
-}  // namespace
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  require_same_shape(*this, rhs, "+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  require_same_shape(*this, rhs, "-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (auto& x : data_) x *= s;
-  return *this;
 }
 
 Vector Matrix::operator*(const Vector& v) const {
@@ -78,27 +51,5 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
     }
   return out;
 }
-
-double max_abs(const double* data, std::size_t count) {
-  // Four independent accumulators break the latency chain of one serial
-  // std::max. Each lane skips NaN entries exactly as the serial chain
-  // does (std::max(m, NaN) keeps m) and max is exact, so the result is the
-  // serial chain's value bit for bit.
-  double m0 = 0.0;
-  double m1 = 0.0;
-  double m2 = 0.0;
-  double m3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    m0 = std::max(m0, std::abs(data[i]));
-    m1 = std::max(m1, std::abs(data[i + 1]));
-    m2 = std::max(m2, std::abs(data[i + 2]));
-    m3 = std::max(m3, std::abs(data[i + 3]));
-  }
-  for (; i < count; ++i) m0 = std::max(m0, std::abs(data[i]));
-  return std::max(std::max(m0, m1), std::max(m2, m3));
-}
-
-double Matrix::max_abs() const { return linalg::max_abs(data(), data_.size()); }
 
 }  // namespace ace::linalg

@@ -1,4 +1,5 @@
-// Dense row-major double-precision matrix.
+// Dense row-major double-precision matrix — part of the tests' value-type
+// oracle (tests/support, see vector.hpp).
 #pragma once
 
 #include <cstddef>
@@ -23,20 +24,15 @@ class Matrix {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  bool empty() const { return data_.empty(); }
   bool square() const { return rows_ == cols_; }
 
-  /// Checked element access: throws std::out_of_range. Inline, because
-  /// the O(n³) factorizations call it in their innermost loops; the throw
-  /// itself lives out of line.
+  /// Checked element access: throws std::out_of_range.
   double& operator()(std::size_t r, std::size_t c) {
-    if (r >= rows_ || c >= cols_) [[unlikely]]
-      throw_out_of_range();
+    if (r >= rows_ || c >= cols_) throw_out_of_range();
     return data_[r * cols_ + c];
   }
   double operator()(std::size_t r, std::size_t c) const {
-    if (r >= rows_ || c >= cols_) [[unlikely]]
-      throw_out_of_range();
+    if (r >= rows_ || c >= cols_) throw_out_of_range();
     return data_[r * cols_ + c];
   }
 
@@ -46,21 +42,11 @@ class Matrix {
 
   bool operator==(const Matrix& rhs) const = default;
 
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s);
-  friend Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-  friend Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-  friend Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
-
   /// Matrix-vector product; throws on dimension mismatch.
   Vector operator*(const Vector& v) const;
 
   /// Matrix-matrix product; throws on dimension mismatch.
   Matrix operator*(const Matrix& rhs) const;
-
-  /// Max-abs element (entrywise infinity norm surrogate).
-  double max_abs() const;
 
  private:
   [[noreturn]] static void throw_out_of_range();
@@ -69,10 +55,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Largest |x| over `count` contiguous entries (NaN entries are skipped;
-/// 0 when there are none): Matrix::max_abs and the in-place LU's pivot
-/// scale share it.
-double max_abs(const double* data, std::size_t count);
 
 }  // namespace ace::linalg

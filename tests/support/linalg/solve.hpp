@@ -1,4 +1,6 @@
-// High-level robust solve used by the kriging estimator.
+// Ridge-fallback solve — the tests' oracle for the ladder that
+// kriging::KrigingSystem runs rung for rung on its own buffers
+// (tests/test_kriging_system.cpp compares the two bit for bit).
 //
 // The bordered variogram matrix Γ (paper Eq. 9) can become numerically
 // singular when support configurations are nearly collinear or the fitted
@@ -24,9 +26,9 @@ struct SolveReport {
 };
 
 /// Solve A·x = b with LU; on singularity — or when the solution's
-/// max-abs entry exceeds `max_solution_norm` (the signature of a
-/// near-singular system producing garbage) — retry with A + ridge·I
-/// (ridge grows geometrically up to max_ridge). `border` marks how many
+/// max-abs entry exceeds 1e6 (the signature of a near-singular system
+/// producing garbage) — retry with A + ridge·max(|A|, 1)·I, ridge =
+/// 1e-10 … 1e-2 growing ×100. `border` marks how many
 /// trailing rows/cols form a Lagrange border that must NOT be regularized
 /// (kriging's unbiasedness constraint rows).
 ///
@@ -34,9 +36,6 @@ struct SolveReport {
 /// norm-bounded solution.
 std::optional<Vector> robust_solve(const Matrix& a, const Vector& b,
                                    SolveReport& report,
-                                   std::size_t border = 0,
-                                   double initial_ridge = 1e-10,
-                                   double max_ridge = 1e-2,
-                                   double max_solution_norm = 1e6);
+                                   std::size_t border = 0);
 
 }  // namespace ace::linalg

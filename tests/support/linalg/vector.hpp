@@ -1,7 +1,7 @@
-// Dense double-precision vector.
-//
-// The kriging system (paper Eq. 7-10) is tiny — typically 3 to 10 support
-// points — so the library favours clarity and bounds checking over SIMD.
+// Dense double-precision vector — part of the tests' value-type oracle
+// (tests/support). The library itself solves on raw buffers
+// (src/linalg/lu.hpp); these types exist so tests can assemble and solve
+// a system independently of kriging::KrigingSystem.
 #pragma once
 
 #include <cstddef>
@@ -16,10 +16,8 @@ class Vector {
   Vector() = default;
   explicit Vector(std::size_t n, double fill = 0.0) : data_(n, fill) {}
   Vector(std::initializer_list<double> init) : data_(init) {}
-  explicit Vector(std::vector<double> data) : data_(std::move(data)) {}
 
   std::size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
 
   /// Checked access — throws std::out_of_range.
   double& operator[](std::size_t i) { return data_.at(i); }
@@ -28,19 +26,11 @@ class Vector {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  Vector& operator+=(const Vector& rhs);
-  Vector& operator-=(const Vector& rhs);
-  Vector& operator*=(double s);
-
-  friend Vector operator+(Vector lhs, const Vector& rhs) { return lhs += rhs; }
-  friend Vector operator-(Vector lhs, const Vector& rhs) { return lhs -= rhs; }
-  friend Vector operator*(Vector lhs, double s) { return lhs *= s; }
-  friend Vector operator*(double s, Vector rhs) { return rhs *= s; }
+  /// Entrywise difference (a residual A·x − b); throws
+  /// std::invalid_argument on a size mismatch.
+  friend Vector operator-(Vector lhs, const Vector& rhs);
 
   bool operator==(const Vector& rhs) const = default;
-
-  /// Dot product; throws on size mismatch.
-  double dot(const Vector& rhs) const;
 
   /// Max-abs norm.
   double norm_inf() const;

@@ -1,5 +1,6 @@
 // Bit-true integer HEVC luma interpolation (H.265 §8.5.4.2.2.1) — the
-// golden model for the normalized-double dataflow in hevc_mc.*.
+// tests' golden model for the library's normalized-double dataflow in
+// src/video/hevc_mc.*.
 //
 // 8-bit samples, integer filter taps summing to 64. A doubly-fractional
 // position filters horizontally at full precision, then vertically, and
@@ -10,8 +11,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
-#include <vector>
 
 #include "video/hevc_mc.hpp"
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -453,6 +454,52 @@ TEST(KrigingPolicy, AccessorSnapshotsRaceFreeAgainstEvaluateBatch) {
   stop.store(true, std::memory_order_relaxed);
   reader.join();
   EXPECT_EQ(policy.stats().total, 48u);
+}
+
+// Two writers on one policy, both driving refits: every batch adds
+// simulations on its thread's own region, so with refit_period = 2 the
+// refit clock keeps coming due on whichever thread runs next, and the
+// variogram's extend() and fit_best run from both threads. The variogram
+// has no lock of its own — the policy mutex guards it — so this must run
+// clean under TSan and keep the counters consistent.
+TEST(KrigingPolicy, ConcurrentBatchesRefitUnderThePolicyLock) {
+  d::PolicyOptions o = small_fit_options(3);
+  o.min_fit_points = 4;
+  o.refit_period = 2;
+  d::KrigingPolicy policy(o);
+  auto sim = [](const d::Config& c) { return linear_surface(c); };
+
+  std::atomic<int> started{0};
+  const auto writer = [&](int y0, std::size_t& interpolated) {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+    for (int x = 0; x < 8; ++x) {
+      std::vector<d::Config> batch;
+      for (int y = 0; y < 6; ++y) batch.push_back({x, y0 + y});
+      for (const d::EvalOutcome& out : policy.evaluate_batch(batch, sim)) {
+        EXPECT_FALSE(out.faulted());
+        if (out.interpolated) ++interpolated;
+      }
+    }
+  };
+  // The two regions lie more than d = 3 apart, so neither thread's
+  // candidates draw support from the other's.
+  std::size_t interpolated_a = 0;
+  std::size_t interpolated_b = 0;
+  std::thread a(writer, 0, std::ref(interpolated_a));
+  std::thread b(writer, 20, std::ref(interpolated_b));
+  a.join();
+  b.join();
+
+  const d::PolicyStats stats = policy.stats();
+  EXPECT_EQ(stats.total, 96u);
+  EXPECT_EQ(stats.total,
+            stats.simulated + stats.interpolated + stats.exact_hits);
+  EXPECT_EQ(policy.store().size(), stats.simulated);
+  EXPECT_EQ(interpolated_a + interpolated_b, stats.interpolated);
+  EXPECT_GT(interpolated_a, 0u);
+  EXPECT_GT(interpolated_b, 0u);
+  EXPECT_GE(stats.refits, 4u);
 }
 
 }  // namespace

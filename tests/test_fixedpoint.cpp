@@ -342,11 +342,57 @@ TEST(RangeTracker, ObserveReturnsValueUnchanged) {
   EXPECT_THROW(t.observe(1, 0.0), std::out_of_range);
 }
 
+// The largest double below 2^k fits under 2^k, so it needs exactly k
+// integer bits — no extra bit for being within an epsilon of the power.
+TEST(RangeTracker, JustBelowAPowerOfTwoNeedsNoExtraBit) {
+  for (int k = 0; k <= 29; ++k) {
+    RangeTracker t(1);
+    t.observe(0, -std::nextafter(std::ldexp(1.0, k), 0.0));
+    EXPECT_EQ(t.integer_bits(0), k) << "2^" << k << " - ulp";
+  }
+}
+
+// integer_bits_for(m) is the smallest b with m < 2^b: m fits under 2^b and
+// not under 2^(b−1), across magnitudes far below and far above 1.
+TEST(IntegerBitsFor, IsTheSmallestExponentTheMagnitudeFitsUnder) {
+  using ace::fixedpoint::integer_bits_for;
+  ace::util::Rng rng(91);
+  for (int i = 0; i < 2000; ++i) {
+    const double m = std::ldexp(rng.uniform(0.5, 1.0), rng.uniform_int(-60, 60));
+    const int b = integer_bits_for(m);
+    EXPECT_LT(m, std::ldexp(1.0, b)) << m;
+    EXPECT_GE(m, std::ldexp(1.0, b - 1)) << m;
+  }
+  EXPECT_EQ(integer_bits_for(1.0), 1);
+  EXPECT_EQ(integer_bits_for(0.75), 0);
+  EXPECT_EQ(integer_bits_for(0.5), 0);
+  EXPECT_EQ(integer_bits_for(0.3), -1);
+  EXPECT_EQ(integer_bits_for(3.9), 2);
+  EXPECT_EQ(integer_bits_for(4096.0), 13);
+}
+
+TEST(IntegerBitsFor, NonPositiveNanSubnormalAndInfinity) {
+  using ace::fixedpoint::integer_bits_for;
+  EXPECT_EQ(integer_bits_for(0.0), 0);
+  EXPECT_EQ(integer_bits_for(-0.0), 0);
+  EXPECT_EQ(integer_bits_for(-8.0), 0);
+  EXPECT_EQ(integer_bits_for(std::numeric_limits<double>::quiet_NaN()), 0);
+  // The smallest subnormal is 2^-1074, which fits under 2^-1073.
+  EXPECT_EQ(integer_bits_for(std::numeric_limits<double>::denorm_min()),
+            -1073);
+  EXPECT_EQ(integer_bits_for(std::numeric_limits<double>::max()), 1024);
+  EXPECT_EQ(integer_bits_for(std::numeric_limits<double>::infinity()), 1024);
+}
+
+// An observed maximum of exactly 2^k does not fit k integer bits (the
+// format's largest value is 2^k − q), so it needs k + 1 — at every k, not
+// only where an additive epsilon in ceil(log2(m + ε)) still registers.
 TEST(RangeTracker, ExactPowersOfTwoNeedTheNextBit) {
-  RangeTracker t(1);
-  t.observe(0, 2.0);
-  // |2.0| needs iwl such that 2 < 2^iwl is violated at iwl=1; ceil(log2(2+eps))=2...
-  EXPECT_GE(t.integer_bits(0), 1);
+  for (int k = 0; k <= 29; ++k) {
+    RangeTracker t(1);
+    t.observe(0, std::ldexp(1.0, k));
+    EXPECT_EQ(t.integer_bits(0), k + 1) << "2^" << k;
+  }
 }
 
 TEST(RangeTracker, MarginAddsBitsAndTheResultClampsToZeroAndFortyEight) {

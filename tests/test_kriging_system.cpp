@@ -21,7 +21,7 @@
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/lu_decomposition.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/vector.hpp"

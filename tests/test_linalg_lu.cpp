@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "kriging/empirical_variogram.hpp"
+#include "linalg/lu_decomposition.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -234,9 +235,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5)));
 
 /// Property sweep over the in-place kernels on caller-owned buffers: the
-/// factor reproduces P·A = L·U, the permutation and its sign agree, and the
-/// solve is bit-identical to LuDecomposition's (the wrapper runs the same
-/// kernels, so a second LU creeping in would show here).
+/// factor reproduces P·A = L·U with a true permutation, and the solve is
+/// bit-identical to LuDecomposition's (the wrapper runs the same kernels,
+/// so a second LU creeping in would show here).
 class LuInplaceTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
 
@@ -246,24 +247,14 @@ TEST_P(LuInplaceTest, FactorReproducesPermutedMatrixAndWrapperSolve) {
   const Matrix a = random_matrix(rng, n);
   std::vector<double> lu = row_major(a);
   std::vector<std::size_t> perm(n);
-  int sign = 0;
-  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data(), sign));
+  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data()));
 
-  // perm is a permutation of 0..n-1 whose parity is the reported sign.
+  // perm is a permutation of 0..n-1.
   std::vector<std::size_t> sorted = perm;
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::size_t> iota(n);
   std::iota(iota.begin(), iota.end(), std::size_t{0});
   ASSERT_EQ(sorted, iota);
-  int parity = 1;
-  std::vector<bool> seen(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (seen[i]) continue;
-    std::size_t len = 0;
-    for (std::size_t j = i; !seen[j]; j = perm[j], ++len) seen[j] = true;
-    if (len % 2 == 0) parity = -parity;
-  }
-  EXPECT_EQ(sign, parity);
 
   // (L·U)(r, c) equals A(perm[r], c) up to rounding.
   for (std::size_t r = 0; r < n; ++r)
@@ -289,12 +280,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LuInplace, ReportsSingularMatrices) {
   std::vector<std::size_t> perm(3);
-  int sign = 0;
   // Rank 2: row 2 = row 0 + row 1.
   std::vector<double> rank2 = {1, 2, 3, 4, 5, 6, 5, 7, 9};
-  EXPECT_FALSE(la::lu_factor_inplace(rank2.data(), 3, perm.data(), sign));
+  EXPECT_FALSE(la::lu_factor_inplace(rank2.data(), 3, perm.data()));
   std::vector<double> zero(9, 0.0);
-  EXPECT_FALSE(la::lu_factor_inplace(zero.data(), 3, perm.data(), sign));
+  EXPECT_FALSE(la::lu_factor_inplace(zero.data(), 3, perm.data()));
   // LuDecomposition's verdict comes from the same kernel.
   EXPECT_TRUE(LuDecomposition(Matrix{{1, 2, 3}, {4, 5, 6}, {5, 7, 9}})
                   .singular());
@@ -303,30 +293,73 @@ TEST(LuInplace, ReportsSingularMatrices) {
 TEST(LuInplace, EmptySystemFactorsTrivially) {
   double unused = 0.0;
   std::size_t perm = 0;
-  int sign = 0;
-  EXPECT_TRUE(la::lu_factor_inplace(&unused, 0, &perm, sign));
-  EXPECT_EQ(sign, 1);
+  EXPECT_TRUE(la::lu_factor_inplace(&unused, 0, &perm));
   EXPECT_EQ(la::lu_rcond_estimate(&unused, 0), 0.0);
 }
 
+// The kernels on their own, no wrapper: a known 2×2 system, and a zero
+// leading diagonal that forces a row swap into the permutation.
+TEST(LuInplace, SolvesKnownSystemsOnRawBuffers) {
+  std::vector<std::size_t> perm(2);
+  std::vector<double> x(2);
+  // 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3.
+  std::vector<double> a = {2.0, 1.0, 1.0, 3.0};
+  ASSERT_TRUE(la::lu_factor_inplace(a.data(), 2, perm.data()));
+  const std::vector<double> b = {5.0, 10.0};
+  la::lu_solve_inplace(a.data(), 2, perm.data(), b.data(), x.data());
+  EXPECT_NEAR(x[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[1], 3.0, 1e-12);
+
+  std::vector<double> swap = {0.0, 1.0, 1.0, 0.0};
+  ASSERT_TRUE(la::lu_factor_inplace(swap.data(), 2, perm.data()));
+  EXPECT_EQ(perm, (std::vector<std::size_t>{1, 0}));
+  const std::vector<double> c = {2.0, 7.0};
+  la::lu_solve_inplace(swap.data(), 2, perm.data(), c.data(), x.data());
+  EXPECT_EQ(x, (std::vector<double>{7.0, 2.0}));
+}
+
+// A diagonal matrix factors into itself: its inverse diagonal is the
+// reciprocals (exact for powers of two) and rcond the pivot ratio.
+TEST(LuInplace, DiagonalMatrixGivesReciprocalsAndThePivotRatio) {
+  const std::size_t n = 4;
+  const std::vector<double> d = {2.0, -8.0, 0.5, 4.0};
+  std::vector<double> a(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) a[i * n + i] = d[i];
+  std::vector<std::size_t> perm(n);
+  ASSERT_TRUE(la::lu_factor_inplace(a.data(), n, perm.data()));
+  std::vector<double> e(n), x(n), diag(n);
+  la::lu_inverse_diagonal(a.data(), n, perm.data(), e.data(), x.data(),
+                          diag.data());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(diag[i], 1.0 / d[i]) << i;
+  EXPECT_EQ(la::lu_rcond_estimate(a.data(), n), 0.5 / 8.0);
+}
+
+// Pivoting is by magnitude within the column: a row swap brings the
+// largest |a_rk| up, so every multiplier stored in L is at most 1.
+TEST(LuInplace, PartialPivotingKeepsMultipliersAtMostOne) {
+  ace::util::Rng rng(53);
+  const std::size_t n = 9;
+  std::vector<double> a(n * n);
+  for (double& v : a) v = rng.uniform(-4.0, 4.0);
+  std::vector<std::size_t> perm(n);
+  ASSERT_TRUE(la::lu_factor_inplace(a.data(), n, perm.data()));
+  for (std::size_t r = 1; r < n; ++r)
+    for (std::size_t c = 0; c < r; ++c)
+      EXPECT_LE(std::abs(a[r * n + c]), 1.0) << r << "," << c;
+}
+
 // The pivot test is relative to max|A|: scaling a matrix does not change
-// its verdict, and the tolerance argument moves the threshold.
+// its verdict, and a pivot under kPivotTolerance · max|A| is singular.
 TEST(LuInplace, PivotToleranceIsRelativeToTheMatrixScale) {
   std::vector<std::size_t> perm(2);
-  int sign = 0;
   for (const double scale : {1e-200, 1.0, 1e200}) {
     std::vector<double> a = {2.0 * scale, 1.0 * scale, 1.0 * scale,
                              3.0 * scale};
-    EXPECT_TRUE(la::lu_factor_inplace(a.data(), 2, perm.data(), sign))
-        << scale;
+    EXPECT_TRUE(la::lu_factor_inplace(a.data(), 2, perm.data())) << scale;
   }
-  // Second pivot 1e-14 relative to max|A| = 1: under the default 1e-13,
-  // over an explicit 1e-15.
-  const std::vector<double> near = {1.0, 1.0, 1.0, 1.0 + 1e-14};
-  std::vector<double> a = near;
-  EXPECT_FALSE(la::lu_factor_inplace(a.data(), 2, perm.data(), sign));
-  a = near;
-  EXPECT_TRUE(la::lu_factor_inplace(a.data(), 2, perm.data(), sign, 1e-15));
+  // Second pivot 1e-14 relative to max|A| = 1: under kPivotTolerance.
+  std::vector<double> a = {1.0, 1.0, 1.0, 1.0 + 1e-14};
+  EXPECT_FALSE(la::lu_factor_inplace(a.data(), 2, perm.data()));
 }
 
 TEST(LuInplace, InverseDiagonalAndRcondMatchTheWrapperBitwise) {
@@ -335,8 +368,7 @@ TEST(LuInplace, InverseDiagonalAndRcondMatchTheWrapperBitwise) {
   const Matrix a = random_matrix(rng, n);
   std::vector<double> lu = row_major(a);
   std::vector<std::size_t> perm(n);
-  int sign = 0;
-  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data(), sign));
+  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data()));
   std::vector<double> e(n), x(n), diag(n);
   la::lu_inverse_diagonal(lu.data(), n, perm.data(), e.data(), x.data(),
                           diag.data());
@@ -361,8 +393,7 @@ TEST(LuInplace, SolveReadsButNeverWritesFactorOrRightHandSide) {
   const std::size_t n = 6;
   std::vector<double> lu = row_major(random_matrix(rng, n));
   std::vector<std::size_t> perm(n);
-  int sign = 0;
-  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data(), sign));
+  ASSERT_TRUE(la::lu_factor_inplace(lu.data(), n, perm.data()));
   std::vector<double> b(n);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
   const std::vector<double> lu_before = lu;
@@ -386,21 +417,17 @@ TEST(LuInplace, SmallerSystemInAReusedBufferMatchesAFreshOne) {
   const std::size_t small = 4;
   std::vector<double> buffer = row_major(random_matrix(rng, big));
   std::vector<std::size_t> perm(big);
-  int sign = 0;
-  ASSERT_TRUE(la::lu_factor_inplace(buffer.data(), big, perm.data(), sign));
+  ASSERT_TRUE(la::lu_factor_inplace(buffer.data(), big, perm.data()));
 
   const std::vector<double> a = row_major(random_matrix(rng, small));
   std::copy(a.begin(), a.end(), buffer.begin());
-  ASSERT_TRUE(la::lu_factor_inplace(buffer.data(), small, perm.data(), sign));
+  ASSERT_TRUE(la::lu_factor_inplace(buffer.data(), small, perm.data()));
   std::vector<double> fresh = a;
   std::vector<std::size_t> fresh_perm(small);
-  int fresh_sign = 0;
-  ASSERT_TRUE(la::lu_factor_inplace(fresh.data(), small, fresh_perm.data(),
-                                    fresh_sign));
+  ASSERT_TRUE(la::lu_factor_inplace(fresh.data(), small, fresh_perm.data()));
   for (std::size_t i = 0; i < small * small; ++i)
     EXPECT_EQ(bits(buffer[i]), bits(fresh[i])) << i;
   EXPECT_TRUE(std::equal(fresh_perm.begin(), fresh_perm.end(), perm.begin()));
-  EXPECT_EQ(sign, fresh_sign);
 }
 
 /// The ordinary-kriging system of paper Eq. 9–10 over n distinct integer

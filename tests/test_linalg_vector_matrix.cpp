@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -27,22 +28,15 @@ TEST(Vector, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(init[1], 2.0);
 }
 
-TEST(Vector, Arithmetic) {
-  Vector a{1.0, 2.0};
-  Vector b{3.0, -1.0};
-  EXPECT_EQ(a + b, Vector({4.0, 1.0}));
+// The residual arithmetic the oracle tests use: A·x − b and its max-abs
+// norm.
+TEST(Vector, DifferenceAndInfinityNorm) {
+  const Vector a{1.0, 2.0};
+  const Vector b{3.0, -1.0};
   EXPECT_EQ(a - b, Vector({-2.0, 3.0}));
-  EXPECT_EQ(a * 2.0, Vector({2.0, 4.0}));
-  EXPECT_EQ(2.0 * a, Vector({2.0, 4.0}));
-  EXPECT_THROW((a += Vector{1.0}), std::invalid_argument);
-  EXPECT_THROW((a -= Vector{1.0, 2.0, 3.0}), std::invalid_argument);
-}
-
-TEST(Vector, DotAndNorms) {
-  Vector a{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(a.dot(a), 25.0);
-  EXPECT_DOUBLE_EQ(a.norm_inf(), 4.0);
-  EXPECT_THROW((void)a.dot(Vector{1.0}), std::invalid_argument);
+  EXPECT_DOUBLE_EQ((a - b).norm_inf(), 3.0);
+  EXPECT_DOUBLE_EQ(Vector{}.norm_inf(), 0.0);
+  EXPECT_THROW((void)(a - Vector{1.0}), std::invalid_argument);
 }
 
 TEST(Matrix, ConstructionAndAccess) {
@@ -102,16 +96,6 @@ TEST(Matrix, MatrixMatrixProduct) {
   // Identity is neutral.
   const Matrix e = a * Matrix::identity(2);
   EXPECT_EQ(e, a);
-}
-
-TEST(Matrix, ElementwiseOpsAndNorms) {
-  Matrix a{{1.0, -2.0}, {3.0, 4.0}};
-  Matrix b{{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_DOUBLE_EQ((a + b)(0, 1), -1.0);
-  EXPECT_DOUBLE_EQ((a - b)(1, 0), 2.0);
-  EXPECT_DOUBLE_EQ((a * 2.0)(1, 1), 8.0);
-  EXPECT_DOUBLE_EQ(a.max_abs(), 4.0);
-  EXPECT_THROW(a += Matrix(3, 3), std::invalid_argument);
 }
 
 // The four-lane max_abs returns the serial std::max chain's value bit for

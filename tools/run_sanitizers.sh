@@ -6,9 +6,12 @@
 # SIMD kernels, linalg, the kriging property sweeps and the policy
 # invariants, and the simulator kernels' tests (fixedpoint, signal, video,
 # nn, core benchmarks) — all of whose hot loops index raw buffers (the
-# SIMD kernels read padded-stride columns). TSan specifically covers the
-# concurrent surfaces: evaluate_batch on a pool, the collecting thread
-# pool, the fault-injection counters and the session service's threads.
+# SIMD kernels read padded-stride columns). The test_linalg_*,
+# test_kriging_* and test_video_int binaries also run the test oracles of
+# tests/support (ace_test_support). TSan specifically covers the
+# concurrent surfaces: evaluate_batch on a pool, two threads refitting one
+# policy, the collecting thread pool, the fault-injection counters and the
+# session service's threads.
 # Each binary's wall time is printed after it.
 #
 # Usage: tools/run_sanitizers.sh [address|thread|all]   (default: all)
