@@ -6,6 +6,9 @@
 // BM_Simulate/<kernel> times one whole simulator call of a packaged
 // benchmark (core::make_*_benchmark) at a mid-lattice configuration: the
 // per-simulation cost the kriging policy saves each time it interpolates.
+// BM_SimulatePooled/<kernel> times the same call run as a one-task batch
+// on a 3-worker pool, as the batch backend runs a lone simulation: HEVC
+// and SqueezeNet split its parts across the idle workers (wall time).
 //
 // BM_GammaAssemblyScan and BM_VariogramExtend A/B the SIMD layer
 // (DESIGN.md §10): each streams the same data through the scalar reference
@@ -37,6 +40,7 @@
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -353,6 +357,25 @@ BENCHMARK_CAPTURE(BM_Simulate, hevc, hevc_with_jobs(24), 12)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Simulate, squeezenet, squeezenet_with_images(10), 8)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_SimulatePooled(benchmark::State& state,
+                       const ace::core::ApplicationBenchmark& bench,
+                       int value) {
+  const ace::dse::Config config(bench.nv, value);
+  ace::util::ThreadPool pool(3);
+  for (auto _ : state) {
+    double lambda = 0.0;
+    pool.run_indexed(1, [&](std::size_t) { lambda = bench.simulate(config); });
+    benchmark::DoNotOptimize(lambda);
+  }
+}
+
+BENCHMARK_CAPTURE(BM_SimulatePooled, hevc, hevc_with_jobs(24), 12)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_SimulatePooled, squeezenet, squeezenet_with_images(10), 8)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 }  // namespace
 

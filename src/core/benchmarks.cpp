@@ -3,6 +3,8 @@
 #include <array>
 #include <cmath>
 #include <complex>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -19,6 +21,7 @@
 #include "signal/generator.hpp"
 #include "signal/iir.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "video/hevc_mc.hpp"
 
 namespace ace::core {
@@ -47,6 +50,19 @@ dse::MinPlusOneOptions word_length_options(std::size_t nv, double lambda_min,
   o.w_min = w_min;
   o.w_max = w_max;
   return o;
+}
+
+/// Runs part(i) for each of a simulation's n independent parts on the pool
+/// whose task is running the simulation (inline in index order when there
+/// is none), then rethrows the lowest-index failure: the one a serial loop
+/// would have hit first. Each part writes its own index-addressed slot and
+/// the caller reduces the slots in index order, so λ is the same bits on
+/// any pool.
+void for_each_part(std::size_t n,
+                   const std::function<void(std::size_t)>& part) {
+  const std::vector<util::TaskError> errors =
+      util::parallel_for_indexed_collect(util::ThreadPool::current(), n, part);
+  if (!errors.empty()) std::rethrow_exception(errors.front().error);
 }
 
 /// λ = −P in dB.
@@ -191,12 +207,17 @@ ApplicationBenchmark make_hevc_benchmark(const HevcBenchOptions& opt) {
   bench.min_plus_one =
       word_length_options(bench.nv, opt.lambda_min_db, opt.w_min, opt.w_max);
   bench.simulate = [state](const dse::Config& w) {
-    std::vector<double> approx;
-    approx.reserve(state->reference.size());
-    for (const auto& block : state->quantized->interpolate(state->jobs, w))
+    constexpr std::size_t kPixels = video::kBlockSize * video::kBlockSize;
+    const auto q = state->quantized->site_quantizers(w);
+    std::vector<double> approx(state->reference.size());
+    for_each_part(state->jobs.size(), [&](std::size_t j) {
+      const video::Frame block =
+          state->quantized->interpolate(state->jobs[j], q);
+      double* slot = &approx[j * kPixels];
       for (std::size_t y = 0; y < video::kBlockSize; ++y)
         for (std::size_t x = 0; x < video::kBlockSize; ++x)
-          approx.push_back(block.at(x, y));
+          slot[y * video::kBlockSize + x] = block.at(x, y);
+    });
     return accuracy_db(approx, state->reference);
   };
   return bench;
@@ -245,13 +266,12 @@ ApplicationBenchmark make_squeezenet_benchmark(const CnnBenchOptions& opt) {
       powers.push_back(nn::power_from_level(level, state->base_power));
     const auto plan = nn::InjectionPlan::from_powers(powers);
 
-    std::vector<int> predicted;
-    predicted.reserve(state->reference_labels.size());
-    for (std::size_t i = 0; i < state->data->size(); ++i) {
+    std::vector<int> predicted(state->data->size());
+    for_each_part(predicted.size(), [&](std::size_t i) {
       const auto logits = state->net->forward_injected(
           state->data->image(i), plan, state->noise[i]);
-      predicted.push_back(static_cast<int>(metrics::argmax(logits)));
-    }
+      predicted[i] = static_cast<int>(metrics::argmax(logits));
+    });
     return metrics::classification_agreement(predicted,
                                              state->reference_labels);
   };

@@ -1,6 +1,10 @@
 // The paper's five evaluation benchmarks, packaged as self-contained
 // (name, lattice, metric, simulator, optimizer) bundles. Each simulator is
 // deterministic: identical configurations always yield identical λ.
+// HEVC (one part per motion-compensation job) and SqueezeNet (one part per
+// image) split each call across util::ThreadPool::current(), the pool
+// running the call, and reduce the parts in index order (the SimulatorFn
+// rule), so λ is the same bits on any pool and inline.
 //
 // Metric conventions (Sec. IV): for the four word-length benchmarks
 // λ = −P with P the output noise power in dB (higher λ = more accurate);

@@ -1,18 +1,21 @@
 #include "core/table1.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <ostream>
 #include <stdexcept>
 
 #include "dse/scheduler.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
 namespace ace::core {
 
 Table1Result run_table1(const ApplicationBenchmark& bench,
                         const std::vector<int>& distances,
-                        const dse::PolicyOptions& base) {
+                        const dse::PolicyOptions& base,
+                        util::ThreadPool* pool) {
   if (!bench.simulate)
     throw std::invalid_argument("run_table1: benchmark has no simulator");
   if (distances.empty())
@@ -23,7 +26,13 @@ Table1Result run_table1(const ApplicationBenchmark& bench,
   result.metric = bench.metric;
 
   // Exact run: every distinct configuration simulated once, in order.
-  dse::TrajectoryRecorder recorder(bench.simulate);
+  dse::TrajectoryRecorder recorder([&](const dse::Config& config) {
+    double lambda = 0.0;
+    const auto errors = util::parallel_for_indexed_collect(
+        pool, 1, [&](std::size_t) { lambda = bench.simulate(config); });
+    if (!errors.empty()) std::rethrow_exception(errors.front().error);
+    return lambda;
+  });
   const dse::OptimizerCursor exact =
       bench.run_optimizer(recorder.as_simulator());
   result.trajectory = recorder.trajectory();

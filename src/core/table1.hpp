@@ -10,6 +10,10 @@
 #include "core/benchmarks.hpp"
 #include "dse/trajectory.hpp"
 
+namespace ace::util {
+class ThreadPool;
+}
+
 namespace ace::core {
 
 /// One Table I row.
@@ -34,9 +38,13 @@ struct Table1Result {
 /// Run the benchmark's optimizer with exhaustive simulation (recording the
 /// trajectory), then replay through the kriging policy for each distance.
 /// `base` supplies the non-distance policy knobs (nn_min, fit options).
+/// Each exact simulation runs as a one-task batch of `pool` (inline when
+/// null), so a simulator that splits its parts (SimulatorFn) spreads them
+/// over the pool's workers; the result is the same bits either way.
 Table1Result run_table1(const ApplicationBenchmark& bench,
                         const std::vector<int>& distances,
-                        const dse::PolicyOptions& base = {});
+                        const dse::PolicyOptions& base = {},
+                        util::ThreadPool* pool = nullptr);
 
 /// Render rows in the paper's Table I layout.
 void print_table1(std::ostream& os, const Table1Result& result);

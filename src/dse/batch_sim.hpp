@@ -42,9 +42,11 @@ class BatchSimulator {
 
 /// The in-process backend: fan the guarded calls out to a util::ThreadPool
 /// (inline when null), each result written to its own index-addressed
-/// slot. Anything that escapes the retry guard (it captures simulator
-/// faults itself) is folded as a thrown-simulator fault, exactly as the
-/// historical phase-2 code did.
+/// slot. With a pool every call runs as one of its tasks, a one-call batch
+/// included, so a simulator can split its own parts across the workers the
+/// batch leaves idle (SimulatorFn). Anything that escapes the retry guard
+/// (it captures simulator faults itself) is folded as a thrown-simulator
+/// fault, exactly as the historical phase-2 code did.
 class PooledBatchSimulator final : public BatchSimulator {
  public:
   PooledBatchSimulator(SimulatorFn simulate, util::RetryOptions retry,

@@ -35,9 +35,9 @@ struct FaultInjectingSimulator::State {
   std::atomic<std::size_t> latency{0};
 
   // Per-configuration faulted-call counts for the transient-recovery
-  // model. Guarded: pool workers call concurrently. Ranked above the pool
-  // locks: the run_indexed_collect caller thread executes tasks inline
-  // while holding run_mutex_, and those tasks land here.
+  // model. Guarded: pool workers call concurrently. Ranked innermost: a
+  // batch's caller runs tasks while holding the policy mutex, and those
+  // tasks land here; no pool lock is held across a task.
   util::Mutex mutex{util::lock_order::Rank::kFaultInjection,
                     "dse.fault_injection"};
   std::unordered_map<Config, std::size_t, ConfigHash> fault_calls

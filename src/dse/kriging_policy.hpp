@@ -61,6 +61,11 @@ namespace ace::dse {
 /// Deterministic application simulator: configuration -> metric value λ.
 /// Batch evaluation may invoke it from worker threads, so it must be safe
 /// to call concurrently (the library's simulators are pure functions).
+/// A simulator may fan independent parts of one call out over
+/// util::ThreadPool::current(), the pool running it (null when none is),
+/// with util::parallel_for_indexed_collect; it must write each part to an
+/// index-addressed slot and reduce the slots in index order, so λ does not
+/// depend on the pool.
 using SimulatorFn = std::function<double(const Config&)>;
 
 /// Knobs of the policy: the d and Nn_min of Table I, the variogram

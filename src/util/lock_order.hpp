@@ -48,7 +48,6 @@ enum class Rank : int {
   kSessionManager = 10,  ///< serve::SessionManager::mutex_.
   kPolicy = 30,          ///< dse::KrigingPolicy::mutex_.
   kStore = 40,           ///< dse::SimulationStore::mutex_.
-  kPoolRun = 60,         ///< util::ThreadPool::run_mutex_.
   kPool = 62,            ///< util::ThreadPool::mutex_.
   kFaultInjection = 65,  ///< dse::FaultInjectingSimulator state.
 };

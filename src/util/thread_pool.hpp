@@ -7,15 +7,23 @@
 // index, the execution schedule cannot influence the outcome: a batch run
 // on the pool is bit-identical to the same batch run inline.
 //
-// One batch is active at a time (run_indexed() serializes callers); the
-// calling thread participates in draining the batch, so a pool of W
-// workers executes with W+1 threads and never deadlocks on itself.
+// Batches may be open concurrently and may nest: run_indexed_collect() is
+// callable from several threads at once and from inside a task of the same
+// pool (a simulation splitting its own independent parts, say). The calling
+// thread drains its own batch first and then waits for the indices other
+// threads claimed; idle workers take the next index of the newest open
+// batch, so a nested batch is served before the wider one that spawned it.
+// A thread only ever waits for tasks of a batch it opened, and those run
+// on threads that claimed them while idle, so every wait points strictly
+// down the tree of nested batches and the pool never deadlocks on itself.
+// ThreadPool::current() names the pool whose task the calling thread is
+// running, which is how a task finds the pool to nest on.
 //
 // Lock discipline is annotated for the Clang capability analysis
-// (util/thread_annotations.hpp): `batch_` and `stopping_` are guarded by
-// `mutex_`, and the condition-variable waits are written as explicit
-// predicate loops so every guarded read happens where the analysis can see
-// the lock held.
+// (util/thread_annotations.hpp): `open_`, `stopping_` and every Batch's
+// counters and error list are guarded by `mutex_`, and the
+// condition-variable waits are written as explicit predicate loops so
+// every guarded read happens where the analysis can see the lock held.
 #pragma once
 
 #include <algorithm>
@@ -61,41 +69,44 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
+  /// The pool whose task the calling thread is running: set on the pool's
+  /// workers, and on a run_indexed_collect() caller for the duration of
+  /// the call. Null on any other thread.
+  static ThreadPool* current() { return current_; }
+
   /// Run task(i) for every i in [0, count) across the pool and block until
-  /// all have finished. Every task runs regardless of sibling failures —
-  /// one throwing task never aborts the batch, and the side effects of the
-  /// surviving tasks are retained. All captured errors are returned, sorted
-  /// by task index; the pool stays usable afterwards.
+  /// all have finished. The calling thread runs index 0 itself and helps
+  /// with the rest. Every task runs regardless of sibling failures — one
+  /// throwing task never aborts the batch, and the side effects of the
+  /// surviving tasks are retained. All captured errors are returned,
+  /// sorted by task index; the pool stays usable afterwards. Callable
+  /// concurrently and from inside a task of this pool.
   std::vector<TaskError> run_indexed_collect(
       std::size_t count, const std::function<void(std::size_t)>& task)
-      ACE_EXCLUDES(run_mutex_, mutex_) {
+      ACE_EXCLUDES(mutex_) {
     if (count == 0) return {};
-    const LockGuard serialize(run_mutex_);
     Batch batch;
     batch.task = &task;
     batch.count = count;
+    const CurrentScope scope(this);
 
     std::vector<TaskError> errors;
     {
       UniqueLock lock(mutex_);
-      batch_ = &batch;
-      wake_.notify_all();
-      // The caller helps drain its own batch.
+      open_.push_back(&batch);
+      // The caller drains its own batch; it claims index 0 before the lock
+      // first drops, so a one-task batch always runs on the caller.
       while (batch.next < batch.count) {
-        const std::size_t i = batch.next++;
+        const std::size_t i = claim(batch);
+        if (i == 0 && batch.next < batch.count) wake_.notify_all();
         lock.unlock();
         execute(batch, i);
         lock.lock();
         ++batch.done;
       }
-      // Draining under run_mutex_ IS the batch serialization seam: one
-      // run_indexed at a time, and the workers that must wake us never
-      // take run_mutex_.
-      // ace-lint: allow(cv-wait-foreign-lock)
       while (batch.done != batch.count) lock.wait(done_);
-      batch_ = nullptr;
-      // All tasks have completed and the pool is idle again; move the
-      // error list out while still holding the mutex that guarded it.
+      // Every task has completed; move the error list out while still
+      // holding the mutex that guarded it.
       errors = std::move(batch.errors);
     }
     // Scheduling determines arrival order; sort so callers see a
@@ -118,13 +129,39 @@ class ThreadPool {
   }
 
  private:
+  /// One open run_indexed_collect() call; lives on its caller's stack.
+  /// Every counter and the error list are guarded by mutex_.
   struct Batch {
     const std::function<void(std::size_t)>* task = nullptr;
     std::size_t count = 0;
-    std::size_t next = 0;  ///< Next index to claim (guarded by mutex_).
-    std::size_t done = 0;  ///< Completed tasks (guarded by mutex_).
-    std::vector<TaskError> errors;  ///< All failures (guarded by mutex_).
+    std::size_t next = 0;  ///< Next index to claim.
+    std::size_t done = 0;  ///< Completed tasks.
+    std::vector<TaskError> errors;  ///< All failures.
   };
+
+  /// Sets current() for a scope and restores the outer value after it, so
+  /// a nested call leaves its caller's pool in place.
+  class CurrentScope {
+   public:
+    explicit CurrentScope(ThreadPool* pool) : outer_(current_) {
+      current_ = pool;
+    }
+    ~CurrentScope() { current_ = outer_; }
+    CurrentScope(const CurrentScope&) = delete;
+    CurrentScope& operator=(const CurrentScope&) = delete;
+
+   private:
+    ThreadPool* outer_;
+  };
+
+  /// Take the next index of `batch`; a batch with nothing left to claim
+  /// leaves the open list.
+  std::size_t claim(Batch& batch) ACE_REQUIRES(mutex_) {
+    const std::size_t i = batch.next++;
+    if (batch.next == batch.count)
+      open_.erase(std::find(open_.begin(), open_.end(), &batch));
+    return i;
+  }
 
   /// Run one task outside the lock; record any failure.
   void execute(Batch& batch, std::size_t i) ACE_EXCLUDES(mutex_) {
@@ -141,13 +178,13 @@ class ThreadPool {
   }
 
   void worker_loop() ACE_EXCLUDES(mutex_) {
+    const CurrentScope scope(this);
     UniqueLock lock(mutex_);
     for (;;) {
-      while (!stopping_ && !(batch_ && batch_->next < batch_->count))
-        lock.wait(wake_);
+      while (!stopping_ && open_.empty()) lock.wait(wake_);
       if (stopping_) return;
-      Batch& batch = *batch_;
-      const std::size_t i = batch.next++;
+      Batch& batch = *open_.back();
+      const std::size_t i = claim(batch);
       lock.unlock();
       execute(batch, i);
       lock.lock();
@@ -155,19 +192,21 @@ class ThreadPool {
     }
   }
 
+  static inline thread_local ThreadPool* current_ = nullptr;
+
   std::vector<std::thread> workers_;
-  /// One run_indexed() at a time; always taken before mutex_.
-  Mutex run_mutex_ ACE_ACQUIRED_BEFORE(mutex_){lock_order::Rank::kPoolRun,
-                                               "util.pool_run"};
   Mutex mutex_{lock_order::Rank::kPool, "util.pool"};
-  std::condition_variable wake_;  ///< Workers wait here for a batch.
-  std::condition_variable done_;  ///< run_indexed() waits here for drain.
-  Batch* batch_ ACE_GUARDED_BY(mutex_) = nullptr;
+  std::condition_variable wake_;  ///< Workers wait here for an open batch.
+  std::condition_variable done_;  ///< Callers wait here for their batch.
+  /// Batches with indices left to claim, oldest first.
+  std::vector<Batch*> open_ ACE_GUARDED_BY(mutex_);
   bool stopping_ ACE_GUARDED_BY(mutex_) = false;
 };
 
 /// Run fn(i) for i in [0, n): inline in index order when `pool` is null
-/// (the serial reference path), on the pool otherwise. Every index runs,
+/// (the serial reference path), as a batch of the pool otherwise — even
+/// for n == 1, which then runs on the calling thread with current() set,
+/// so the task can split its own parts across the pool. Every index runs,
 /// all failures are returned sorted by index, and the serial path mirrors
 /// the pool path exactly (a thrown fn(i) does not stop the remaining
 /// indices). Callers write results into index-addressed slots, so both
@@ -175,18 +214,16 @@ class ThreadPool {
 inline std::vector<TaskError> parallel_for_indexed_collect(
     ThreadPool* pool, std::size_t n,
     const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    std::vector<TaskError> errors;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        errors.push_back({i, std::current_exception()});
-      }
+  if (pool != nullptr) return pool->run_indexed_collect(n, fn);
+  std::vector<TaskError> errors;
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors.push_back({i, std::current_exception()});
     }
-    return errors;
   }
-  return pool->run_indexed_collect(n, fn);
+  return errors;
 }
 
 }  // namespace ace::util

@@ -142,22 +142,13 @@ QuantizedMotionCompensation::site_quantizers(const std::vector<int>& w) const {
   return q;
 }
 
-Frame QuantizedMotionCompensation::interpolate(const McJob& job,
-                                               const std::vector<int>& w) const {
-  const auto q = site_quantizers(w);
+Frame QuantizedMotionCompensation::interpolate(
+    const McJob& job, const std::vector<fixedpoint::Quantizer>& q) const {
+  if (q.size() != kMcSites)
+    throw std::invalid_argument(
+        "QuantizedMotionCompensation: wrong quantizer count");
   return run_mc(job,
                 [&](std::size_t site, double v) { return q[site](v); });
-}
-
-std::vector<Frame> QuantizedMotionCompensation::interpolate(
-    const std::vector<McJob>& jobs, const std::vector<int>& w) const {
-  const auto q = site_quantizers(w);
-  std::vector<Frame> blocks;
-  blocks.reserve(jobs.size());
-  for (const auto& job : jobs)
-    blocks.push_back(
-        run_mc(job, [&](std::size_t site, double v) { return q[site](v); }));
-  return blocks;
 }
 
 }  // namespace ace::video

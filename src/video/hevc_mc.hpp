@@ -60,21 +60,25 @@ class QuantizedMotionCompensation {
   explicit QuantizedMotionCompensation(const std::vector<McJob>& calibration,
                                        int margin_bits = 1);
 
-  /// Interpolate with word lengths w (size 23, each in [2, 52]).
-  Frame interpolate(const McJob& job, const std::vector<int>& w) const;
+  /// One quantizer per site for word lengths w (size 23, each in
+  /// [2, 52]; throws std::invalid_argument otherwise). A simulation builds
+  /// them once and interpolates each of its jobs with them.
+  std::vector<fixedpoint::Quantizer> site_quantizers(
+      const std::vector<int>& w) const;
 
-  /// Interpolate every job with the same word lengths; the 23 site
-  /// quantizers are built once for the whole set.
-  std::vector<Frame> interpolate(const std::vector<McJob>& jobs,
-                                 const std::vector<int>& w) const;
+  /// Interpolate one job through quantizers from site_quantizers().
+  /// Throws std::invalid_argument unless there are 23 of them.
+  Frame interpolate(const McJob& job,
+                    const std::vector<fixedpoint::Quantizer>& q) const;
+
+  /// Interpolate with word lengths w (size 23, each in [2, 52]).
+  Frame interpolate(const McJob& job, const std::vector<int>& w) const {
+    return interpolate(job, site_quantizers(w));
+  }
 
   const std::vector<int>& site_integer_bits() const { return site_iwl_; }
 
  private:
-  /// Validates w and builds one quantizer per site.
-  std::vector<fixedpoint::Quantizer> site_quantizers(
-      const std::vector<int>& w) const;
-
   std::vector<int> site_iwl_;
 };
 

@@ -8,9 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "dse/batch_sim.hpp"
 #include "nn/dataset.hpp"
 #include "nn/squeezenet.hpp"
+#include "util/retry.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "video/hevc_mc.hpp"
 
 namespace {
@@ -186,18 +189,47 @@ std::string hex(double v) {
 
 /// Compares λ bit for bit; on a mismatch prints the whole measured list in
 /// initializer form so a deliberate numerical change can be re-pinned.
-void expect_pinned(const c::ApplicationBenchmark& bench, int lo, int hi,
-                   const std::vector<double>& expected) {
-  const auto configs = pin_configs(bench.nv, lo, hi);
-  std::vector<double> got;
-  for (const auto& config : configs) got.push_back(bench.simulate(config));
+void expect_same_bits(const std::string& what, const std::vector<double>& got,
+                      const std::vector<double>& expected) {
   bool same = got.size() == expected.size();
   for (std::size_t i = 0; same && i < got.size(); ++i)
     same = std::bit_cast<std::uint64_t>(got[i]) ==
            std::bit_cast<std::uint64_t>(expected[i]);
   std::string list;
   for (double v : got) list += "      " + hex(v) + ",\n";
-  EXPECT_TRUE(same) << bench.name << " λ moved; measured:\n" << list;
+  EXPECT_TRUE(same) << what << " λ moved; measured:\n" << list;
+}
+
+/// Simulates the eight pin configurations one call at a time — or, given
+/// a pool, through a PooledBatchSimulator on it, once as one batch and
+/// once as eight one-call batches — and compares λ bit for bit.
+void expect_pinned(const c::ApplicationBenchmark& bench, int lo, int hi,
+                   const std::vector<double>& expected,
+                   ace::util::ThreadPool* pool = nullptr) {
+  const auto configs = pin_configs(bench.nv, lo, hi);
+  if (pool == nullptr) {
+    std::vector<double> got;
+    for (const auto& config : configs) got.push_back(bench.simulate(config));
+    expect_same_bits(bench.name, got, expected);
+    return;
+  }
+  d::PooledBatchSimulator backend(bench.simulate, {}, pool);
+  const auto values = [](const std::vector<ace::util::GuardedCall>& calls) {
+    std::vector<double> out;
+    for (const auto& call : calls) {
+      EXPECT_TRUE(call.ok()) << call.message;
+      out.push_back(call.value);
+    }
+    return out;
+  };
+  const std::string what = bench.name + " on " +
+                           std::to_string(pool->worker_count()) + " workers";
+  expect_same_bits(what + ", one batch", values(backend.simulate_many(configs)),
+                   expected);
+  std::vector<double> singles;
+  for (const auto& config : configs)
+    singles.push_back(values(backend.simulate_many({config})).front());
+  expect_same_bits(what + ", one-call batches", singles, expected);
 }
 
 TEST(PinnedLambda, Fir) {
@@ -274,16 +306,28 @@ TEST(PinnedLambda, IirSensitivity) {
       0x1.7b242defcce46p+2});
 }
 
+const std::vector<double> kHevcPinned = {
+    0x1.255fa5ff6220cp+3,
+    0x1.9p+8,
+    0x1.8d4074a7e9f2cp+6,
+    0x1.9p+8,
+    0x1.251f9ac08251ap+3,
+    0x1.eff9797b25ea1p+3,
+    0x1.4a0ff182ac76dp+3,
+    0x1.6e95ea83f051fp+4};
+
 TEST(PinnedLambda, Hevc) {
-  expect_pinned(c::make_hevc_benchmark(), 2, 52, {
-      0x1.255fa5ff6220cp+3,
-      0x1.9p+8,
-      0x1.8d4074a7e9f2cp+6,
-      0x1.9p+8,
-      0x1.251f9ac08251ap+3,
-      0x1.eff9797b25ea1p+3,
-      0x1.4a0ff182ac76dp+3,
-      0x1.6e95ea83f051fp+4});
+  expect_pinned(c::make_hevc_benchmark(), 2, 52, kHevcPinned);
+}
+
+// The 24 jobs of each call split across the pool running it; the blocks
+// reduce in job order, so λ keeps its bits on any pool.
+TEST(PinnedLambda, HevcOnPool) {
+  const auto bench = c::make_hevc_benchmark();
+  for (const std::size_t workers : {1u, 3u}) {
+    ace::util::ThreadPool pool(workers);
+    expect_pinned(bench, 2, 52, kHevcPinned, &pool);
+  }
 }
 
 TEST(PinnedLambda, HevcOneJob) {
@@ -300,18 +344,33 @@ TEST(PinnedLambda, HevcOneJob) {
       0x1.7dd224d1274d6p+4});
 }
 
+const std::vector<double> kSqueezeNetPinned = {
+    0x1.999999999999ap-2,
+    0x1.ccccccccccccdp-1,
+    0x1.6666666666666p-1,
+    0x1.999999999999ap-1,
+    0x1.ccccccccccccdp-1,
+    0x1p-1,
+    0x1.999999999999ap-2,
+    0x1.6666666666666p-1};
+
 TEST(PinnedLambda, SqueezeNet) {
   c::CnnBenchOptions o;
   o.images = 10;
-  expect_pinned(c::make_squeezenet_benchmark(o), 0, o.level_max, {
-      0x1.999999999999ap-2,
-      0x1.ccccccccccccdp-1,
-      0x1.6666666666666p-1,
-      0x1.999999999999ap-1,
-      0x1.ccccccccccccdp-1,
-      0x1p-1,
-      0x1.999999999999ap-2,
-      0x1.6666666666666p-1});
+  expect_pinned(c::make_squeezenet_benchmark(o), 0, o.level_max,
+                kSqueezeNetPinned);
+}
+
+// The ten images of each call split across the pool running it; the labels
+// reduce in image order, so λ keeps its bits on any pool.
+TEST(PinnedLambda, SqueezeNetOnPool) {
+  c::CnnBenchOptions o;
+  o.images = 10;
+  const auto bench = c::make_squeezenet_benchmark(o);
+  for (const std::size_t workers : {1u, 3u}) {
+    ace::util::ThreadPool pool(workers);
+    expect_pinned(bench, 0, o.level_max, kSqueezeNetPinned, &pool);
+  }
 }
 
 TEST(PinnedLambda, HevcSiteIntegerBits) {

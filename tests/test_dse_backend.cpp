@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/benchmarks.hpp"
 #include "dse/acquisition.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/fault.hpp"
@@ -149,9 +150,9 @@ struct RunRecord {
 /// fresh policy.
 RunRecord run_optimizer(
     d::OptimizerKind kind, const d::PolicyOptions& options,
-    const std::function<d::BatchEvaluateFn(d::KrigingPolicy&)>& make) {
-  const d::MinPlusOneOptions min_plus = min_plus_options();
-  const d::SensitivityOptions sensitivity = sensitivity_options();
+    const std::function<d::BatchEvaluateFn(d::KrigingPolicy&)>& make,
+    const d::MinPlusOneOptions& min_plus = min_plus_options(),
+    const d::SensitivityOptions& sensitivity = sensitivity_options()) {
   d::KrigingPolicy policy(options);
   const d::BatchEvaluateFn evaluate = make(policy);
   d::OptimizerCursor cursor =
@@ -410,6 +411,42 @@ TEST(BatchBackend, InterpolatedCandidatesAreNotShipped) {
   EXPECT_LT(simulated.size(), probes.size());  // Something interpolated.
   ASSERT_EQ(backend.shipped().size(), 2u);
   EXPECT_EQ(backend.shipped()[1], simulated);
+}
+
+/// A packaged benchmark's optimizer run to completion through the pooled
+/// backend on `pool` (inline when null), under the default policy.
+RunRecord run_benchmark(const ace::core::ApplicationBenchmark& bench,
+                        u::ThreadPool* pool) {
+  return run_optimizer(
+      bench.optimizer, {},
+      [&](d::KrigingPolicy& p) {
+        return d::policy_batch_evaluator(p, bench.simulate, pool);
+      },
+      bench.min_plus_one, bench.sensitivity);
+}
+
+/// Whole runs inline and on one- and three-worker pools, where the
+/// simulator splits every call's parts across the pool running it: the
+/// decisions, PolicyStats and checkpoint bytes are the inline run's.
+void expect_split_independent(const ace::core::ApplicationBenchmark& bench) {
+  const RunRecord inline_run = run_benchmark(bench, nullptr);
+  EXPECT_GT(inline_run.stats.simulated, 0u);
+  EXPECT_GT(inline_run.stats.interpolated, 0u);
+  for (const std::size_t workers : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    u::ThreadPool pool(workers);
+    expect_identical(run_benchmark(bench, &pool), inline_run);
+  }
+}
+
+TEST(SplittingSimulator, HevcMinPlusOneMatchesInline) {
+  expect_split_independent(ace::core::make_hevc_benchmark());
+}
+
+TEST(SplittingSimulator, SqueezeNetSteepestDescentMatchesInline) {
+  ace::core::CnnBenchOptions options;
+  options.images = 10;
+  expect_split_independent(ace::core::make_squeezenet_benchmark(options));
 }
 
 class MiscountingBackendTest : public ::testing::TestWithParam<int> {};

@@ -131,8 +131,12 @@ TEST(QuantizedMc, ValidationAndSiteCount) {
                std::invalid_argument);
   EXPECT_THROW((void)q.interpolate(jobs[0], std::vector<int>(23, 1)),
                std::invalid_argument);
-  EXPECT_THROW((void)q.interpolate(jobs, std::vector<int>(23, 53)),
+  EXPECT_THROW((void)q.site_quantizers(std::vector<int>(23, 53)),
                std::invalid_argument);
+  std::vector<ace::fixedpoint::Quantizer> short_set =
+      q.site_quantizers(std::vector<int>(23, 12));
+  short_set.pop_back();
+  EXPECT_THROW((void)q.interpolate(jobs[0], short_set), std::invalid_argument);
 }
 
 TEST(QuantizedMc, WideWordsConvergeToReference) {
@@ -182,15 +186,16 @@ TEST(QuantizedMc, Deterministic) {
   const std::vector<int> w(v::kMcSites, 10);
   const auto a = q.interpolate(jobs[0], w);
   const auto b = q.interpolate(jobs[0], w);
-  // The batch form (quantizers built once for the set) gives the same blocks.
-  const auto batch = q.interpolate(jobs, w);
-  ASSERT_EQ(batch.size(), jobs.size());
+  // Quantizers built once and shared by every job give the same blocks.
+  const auto sites = q.site_quantizers(w);
+  const auto shared0 = q.interpolate(jobs[0], sites);
+  const auto shared1 = q.interpolate(jobs[1], sites);
   const auto c = q.interpolate(jobs[1], w);
   for (std::size_t y = 0; y < v::kBlockSize; ++y)
     for (std::size_t x = 0; x < v::kBlockSize; ++x) {
       EXPECT_EQ(a.at(x, y), b.at(x, y));
-      EXPECT_EQ(batch[0].at(x, y), a.at(x, y));
-      EXPECT_EQ(batch[1].at(x, y), c.at(x, y));
+      EXPECT_EQ(shared0.at(x, y), a.at(x, y));
+      EXPECT_EQ(shared1.at(x, y), c.at(x, y));
     }
 }
 
