@@ -23,8 +23,10 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_context.hpp"
@@ -35,6 +37,7 @@
 #include "dse/scheduler.hpp"
 #include "dse/trajectory.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -111,16 +114,18 @@ dse::PolicyOptions gated_options(dse::GateKind kind, double lambda_min) {
   return options;
 }
 
-KernelReport run_kernel(const core::ApplicationBenchmark& bench) {
+KernelReport run_kernel(const core::ApplicationBenchmark& bench,
+                        ace::util::ThreadPool* pool) {
   KernelReport report;
   report.kernel = bench.name;
   report.lambda_min = bench.lambda_min();
 
-  // Exact reference: every distinct configuration simulated once.
+  // Exact reference: every distinct configuration simulated once, each
+  // step's new candidates on `pool`.
   {
     dse::TrajectoryRecorder recorder(bench.simulate);
     const dse::OptimizerCursor run =
-        bench.run_optimizer(recorder.as_simulator());
+        bench.run_optimizer(recorder.evaluator(pool));
     report.exact_solution = dse::cursor_solution(run);
     report.exact_lambda = dse::cursor_lambda(run);
     report.exact_simulations = recorder.trajectory().size();
@@ -217,22 +222,29 @@ int main(int argc, char** argv) {
   std::cout << "=== Acquisition-gate comparison (decision quality per "
                "simulation) ===\n";
 
+  // The exact runs' simulations spread over the other hardware threads;
+  // one hardware thread runs them inline.
+  std::unique_ptr<ace::util::ThreadPool> pool;
+  if (const unsigned threads = std::thread::hardware_concurrency(); threads > 1)
+    pool = std::make_unique<ace::util::ThreadPool>(threads - 1);
+
   std::vector<KernelReport> kernels;
   {
     core::SignalBenchOptions fir;
     fir.w_max = 20;
-    kernels.push_back(run_kernel(core::make_fir_benchmark(fir)));
+    kernels.push_back(run_kernel(core::make_fir_benchmark(fir), pool.get()));
   }
-  kernels.push_back(run_kernel(core::make_iir_benchmark()));
+  kernels.push_back(run_kernel(core::make_iir_benchmark(), pool.get()));
   {
     core::SignalBenchOptions fft;
     fft.samples = 256;
-    kernels.push_back(run_kernel(core::make_fft_benchmark(fft)));
+    kernels.push_back(run_kernel(core::make_fft_benchmark(fft), pool.get()));
   }
   {
     core::CnnBenchOptions cnn;
     cnn.images = 100;  // Reduced for smoke runtime; metric stays noisy.
-    kernels.push_back(run_kernel(core::make_squeezenet_benchmark(cnn)));
+    kernels.push_back(
+        run_kernel(core::make_squeezenet_benchmark(cnn), pool.get()));
   }
 
   ace::util::TablePrinter table({"kernel", "gate", "sims", "interp",

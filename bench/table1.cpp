@@ -165,8 +165,9 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Table I (" << bench.name << ", Nv = " << bench.nv
             << ", gate = " << dse::make_gate(options)->name() << ") ===\n";
-  // The exact run's simulations split their parts over the other hardware
-  // threads (run_table1); one hardware thread runs them inline.
+  // The exact run's simulations, and the parts they split into, spread over
+  // the other hardware threads (run_table1); one hardware thread runs them
+  // inline.
   std::unique_ptr<ace::util::ThreadPool> pool;
   if (const unsigned threads = std::thread::hardware_concurrency(); threads > 1)
     pool = std::make_unique<ace::util::ThreadPool>(threads - 1);

@@ -24,8 +24,8 @@ int main() {
   const auto bench = core::make_iir_benchmark(opt);
 
   dse::TrajectoryRecorder recorder(bench.simulate);
-  const auto result = dse::min_plus_one(recorder.as_simulator(),
-                                        bench.min_plus_one);
+  const auto result =
+      dse::min_plus_one(recorder.evaluator(), bench.min_plus_one);
   std::cout << "exact run: " << recorder.unique_evaluations()
             << " simulations, solution " << dse::to_string(result.w_res)
             << "\n";

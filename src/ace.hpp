@@ -1,8 +1,9 @@
 // Umbrella header: the full public API of the ace-kriging library.
 //
-// Most users only need dse/scheduler.hpp (a KrigingPolicy bound into an
-// optimizer's evaluator by policy_evaluator) plus the optimizer's header;
-// this header exists for exploratory use and for binding generators.
+// Most users only need dse/scheduler.hpp (a KrigingPolicy bound into the
+// optimizers' one evaluator type, BatchEvaluateFn, by policy_evaluator or
+// policy_batch_evaluator) plus the optimizer's header; this header exists
+// for exploratory use and for binding generators.
 #pragma once
 
 // Utilities.

@@ -31,11 +31,10 @@ double ApplicationBenchmark::lambda_min() const {
 }
 
 dse::OptimizerCursor ApplicationBenchmark::run_optimizer(
-    const dse::EvaluateFn& evaluate) const {
-  const dse::BatchEvaluateFn batch = dse::serialize_evaluator(evaluate);
+    const dse::BatchEvaluateFn& evaluate) const {
   dse::OptimizerCursor cursor =
       dse::make_optimizer_cursor(optimizer, min_plus_one, sensitivity);
-  while (dse::optimizer_step(batch, min_plus_one, sensitivity, cursor)) {
+  while (dse::optimizer_step(evaluate, min_plus_one, sensitivity, cursor)) {
   }
   return cursor;
 }

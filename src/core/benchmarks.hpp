@@ -39,9 +39,9 @@ struct ApplicationBenchmark {
   /// The quality floor λ_min of the benchmark's optimizer.
   double lambda_min() const;
 
-  /// The benchmark's optimizer run to completion against `evaluate`,
-  /// candidates evaluated one at a time in index order.
-  dse::OptimizerCursor run_optimizer(const dse::EvaluateFn& evaluate) const;
+  /// The benchmark's optimizer run to completion against `evaluate`.
+  dse::OptimizerCursor run_optimizer(
+      const dse::BatchEvaluateFn& evaluate) const;
 };
 
 /// Shared sizing for the signal-kernel benchmarks.

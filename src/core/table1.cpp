@@ -1,13 +1,11 @@
 #include "core/table1.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <ostream>
 #include <stdexcept>
 
 #include "dse/scheduler.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 #include "util/table.hpp"
 
 namespace ace::core {
@@ -26,15 +24,9 @@ Table1Result run_table1(const ApplicationBenchmark& bench,
   result.metric = bench.metric;
 
   // Exact run: every distinct configuration simulated once, in order.
-  dse::TrajectoryRecorder recorder([&](const dse::Config& config) {
-    double lambda = 0.0;
-    const auto errors = util::parallel_for_indexed_collect(
-        pool, 1, [&](std::size_t) { lambda = bench.simulate(config); });
-    if (!errors.empty()) std::rethrow_exception(errors.front().error);
-    return lambda;
-  });
+  dse::TrajectoryRecorder recorder(bench.simulate);
   const dse::OptimizerCursor exact =
-      bench.run_optimizer(recorder.as_simulator());
+      bench.run_optimizer(recorder.evaluator(pool));
   result.trajectory = recorder.trajectory();
   result.exact_solution = dse::cursor_solution(exact);
   result.exact_lambda = dse::cursor_lambda(exact);
@@ -132,14 +124,13 @@ DivergenceReport run_decision_divergence(const ApplicationBenchmark& bench,
   // candidates can be put to the kriging estimates a deployed policy
   // would have served, and the two picks compared.
   dse::TrajectoryRecorder recorder(bench.simulate);
-  const dse::EvaluateFn exact = recorder.as_simulator();
+  const dse::BatchEvaluateFn exact = recorder.evaluator();
   std::vector<dse::Config> batch;
   std::vector<double> values;
   const dse::BatchEvaluateFn evaluate =
       [&](const std::vector<dse::Config>& candidates) {
         batch = candidates;
-        values.clear();
-        for (const dse::Config& c : candidates) values.push_back(exact(c));
+        values = exact(candidates);
         return values;
       };
   dse::KrigingPolicy estimate(options);
@@ -153,8 +144,11 @@ DivergenceReport run_decision_divergence(const ApplicationBenchmark& bench,
                         cursor);
     if (dse::cursor_decisions(cursor).size() == decided) continue;
     estimates.clear();
-    for (const dse::Config& c : batch)
-      estimates.push_back(estimate.evaluate(c, exact).value);
+    for (std::size_t j = 0; j < batch.size(); ++j)
+      estimates.push_back(
+          estimate
+              .evaluate(batch[j], [&](const dse::Config&) { return values[j]; })
+              .value);
     if (dse::best_candidate(estimates) != dse::best_candidate(values))
       ++diverging;
   }

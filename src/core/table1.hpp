@@ -38,9 +38,10 @@ struct Table1Result {
 /// Run the benchmark's optimizer with exhaustive simulation (recording the
 /// trajectory), then replay through the kriging policy for each distance.
 /// `base` supplies the non-distance policy knobs (nn_min, fit options).
-/// Each exact simulation runs as a one-task batch of `pool` (inline when
-/// null), so a simulator that splits its parts (SimulatorFn) spreads them
-/// over the pool's workers; the result is the same bits either way.
+/// The exact run's recorder simulates each step's new candidates on
+/// `pool` (inline when null), where a simulator that splits its parts
+/// (SimulatorFn) spreads them over the workers the batch leaves idle; the
+/// trajectory and the result are the same bits either way.
 Table1Result run_table1(const ApplicationBenchmark& bench,
                         const std::vector<int>& distances,
                         const dse::PolicyOptions& base = {},

@@ -1,10 +1,19 @@
 #include "dse/batch_sim.hpp"
 
 #include <exception>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
 namespace ace::dse {
+
+PooledBatchSimulator::PooledBatchSimulator(SimulatorFn simulate,
+                                           util::RetryOptions retry,
+                                           util::ThreadPool* pool)
+    : simulate_(std::move(simulate)), retry_(retry), pool_(pool) {
+  if (!simulate_)
+    throw std::invalid_argument("PooledBatchSimulator: null simulator");
+}
 
 std::vector<util::GuardedCall> PooledBatchSimulator::simulate_many(
     const std::vector<Config>& configs) {

@@ -46,12 +46,14 @@ class BatchSimulator {
 /// included, so a simulator can split its own parts across the workers the
 /// batch leaves idle (SimulatorFn). Anything that escapes the retry guard
 /// (it captures simulator faults itself) is folded as a thrown-simulator
-/// fault, exactly as the historical phase-2 code did.
+/// fault, exactly as the historical phase-2 code did. Every SimulatorFn
+/// a policy runs passes through this constructor, which throws
+/// std::invalid_argument on a null simulator rather than quarantine every
+/// configuration as a thrown-simulator fault.
 class PooledBatchSimulator final : public BatchSimulator {
  public:
   PooledBatchSimulator(SimulatorFn simulate, util::RetryOptions retry,
-                       util::ThreadPool* pool = nullptr)
-      : simulate_(std::move(simulate)), retry_(retry), pool_(pool) {}
+                       util::ThreadPool* pool = nullptr);
 
   std::vector<util::GuardedCall> simulate_many(
       const std::vector<Config>& configs) override;

@@ -214,7 +214,9 @@ class KrigingPolicy {
   /// candidate-index order. The partition and the reduction are both pure
   /// functions of (store state, batch order), so the outcome sequence is
   /// bit-identical whether or not a pool is supplied. Duplicate candidates
-  /// within the batch simulate once and alias the first occurrence.
+  /// within the batch simulate once and alias the first occurrence. Throws
+  /// std::invalid_argument on a null `simulate` (so does evaluate()), even
+  /// when no candidate would have reached it.
   std::vector<EvalOutcome> evaluate_batch(const std::vector<Config>& batch,
                                           const SimulatorFn& simulate,
                                           util::ThreadPool* pool = nullptr)

@@ -18,8 +18,9 @@ void validate(const MinPlusOneOptions& options) {
 
 /// Phase-1 inner loop for one variable (Algorithm 1): all other variables
 /// pinned at Nmax, walk variable i down while the constraint holds, then
-/// back off one bit.
-int descend_variable(const EvaluateFn& evaluate,
+/// back off one bit. Each evaluation depends on the previous λ, so the
+/// descent hands the evaluator one configuration at a time.
+int descend_variable(const BatchEvaluateFn& evaluate,
                      const MinPlusOneOptions& options, std::size_t i,
                      double lambda_at_max) {
   Config w(options.nv, options.w_max);
@@ -28,22 +29,13 @@ int descend_variable(const EvaluateFn& evaluate,
   while (lambda >= options.lambda_min && wi > options.w_min) {
     --wi;
     w[i] = wi;
-    lambda = evaluate(w);
+    lambda = evaluate({w}).front();
   }
   // Back off one bit if the constraint broke; clamp to Nmax for the case
   // where even the very first decrement (or Nmax itself) violates it.
   return std::min(lambda >= options.lambda_min ? wi : wi + 1, options.w_max);
 }
 }  // namespace
-
-BatchEvaluateFn serialize_evaluator(const EvaluateFn& evaluate) {
-  return [&evaluate](const std::vector<Config>& batch) {
-    std::vector<double> values;
-    values.reserve(batch.size());
-    for (const Config& c : batch) values.push_back(evaluate(c));
-    return values;
-  };
-}
 
 std::size_t best_candidate(const std::vector<double>& lambdas) {
   double best_lambda = -std::numeric_limits<double>::infinity();
@@ -55,14 +47,6 @@ std::size_t best_candidate(const std::vector<double>& lambdas) {
     }
   }
   return best;
-}
-
-Config determine_min_word_lengths(const EvaluateFn& evaluate,
-                                  const MinPlusOneOptions& options) {
-  const BatchEvaluateFn batch = serialize_evaluator(evaluate);
-  MinPlusOneCursor cursor = make_min_plus_one_cursor(options);
-  while (cursor.phase == 1) min_plus_one_step(batch, options, cursor);
-  return cursor.w_min;
 }
 
 MinPlusOneCursor make_min_plus_one_cursor(const MinPlusOneOptions& options) {
@@ -89,23 +73,18 @@ bool min_plus_one_step(const BatchEvaluateFn& evaluate,
                        MinPlusOneCursor& cursor) {
   if (cursor.finished()) return false;
 
-  // Phase 1 is inherently sequential (each evaluation depends on the
-  // previous λ), so it runs through a batch-of-one adapter.
-  const EvaluateFn single = [&evaluate](const Config& c) {
-    return evaluate(std::vector<Config>{c}).front();
-  };
-
   if (cursor.phase == 1) {
     // Every per-variable descent starts from the same all-Nmax point, so
     // λ(Nmax, …, Nmax) is evaluated once — not once per variable, which
     // would cost Nv − 1 redundant simulations whose duplicate store
     // entries degenerate the kriging support set.
     if (!cursor.have_lambda_at_max) {
-      cursor.lambda_at_max = single(Config(options.nv, options.w_max));
+      cursor.lambda_at_max =
+          evaluate({Config(options.nv, options.w_max)}).front();
       cursor.have_lambda_at_max = true;
     }
     cursor.w_min[cursor.var] =
-        descend_variable(single, options, cursor.var, cursor.lambda_at_max);
+        descend_variable(evaluate, options, cursor.var, cursor.lambda_at_max);
     if (++cursor.var >= options.nv) {
       cursor.phase = 2;
       cursor.w = cursor.w_min;
@@ -175,20 +154,6 @@ MinPlusOneResult optimize_word_lengths(const BatchEvaluateFn& evaluate,
   while (min_plus_one_step(evaluate, options, cursor)) {
   }
   return min_plus_one_result(cursor, options);
-}
-
-MinPlusOneResult optimize_word_lengths(const EvaluateFn& evaluate,
-                                       const MinPlusOneOptions& options,
-                                       Config start) {
-  // The serial reference path: candidates are evaluated left-to-right in
-  // index order, exactly as the historical per-candidate loop did.
-  return optimize_word_lengths(serialize_evaluator(evaluate), options,
-                               std::move(start));
-}
-
-MinPlusOneResult min_plus_one(const EvaluateFn& evaluate,
-                              const MinPlusOneOptions& options) {
-  return min_plus_one(serialize_evaluator(evaluate), options);
 }
 
 MinPlusOneResult min_plus_one(const BatchEvaluateFn& evaluate,

@@ -6,12 +6,12 @@
 //   * phase 2 increments the variable whose +1 bit yields the HIGHEST
 //     accuracy (middle/steepest ascent) until the constraint is met.
 //
-// The algorithms are agnostic to how λ is produced: pass an exhaustive
-// simulator, a TrajectoryRecorder, or a KrigingPolicy-backed evaluator.
-// Phase 2's candidate competition — Nv independent +1-bit evaluations per
-// greedy step — can additionally be driven through a BatchEvaluateFn,
-// which may fan the underlying simulations out to a thread pool (see
-// KrigingPolicy::evaluate_batch / policy_batch_evaluator).
+// The algorithms are agnostic to how λ is produced: they call one
+// BatchEvaluateFn — a TrajectoryRecorder's exact evaluator or a
+// KrigingPolicy-backed one (dse/scheduler.hpp). Phase 1 hands it one
+// configuration at a time; phase 2 hands it each greedy step's Nv
+// independent +1-bit candidates as one batch, which the evaluator may fan
+// out to a thread pool.
 #pragma once
 
 #include <cstddef>
@@ -22,20 +22,13 @@
 
 namespace ace::dse {
 
-/// Metric evaluation callable (λ = evaluateAccuracy in the paper).
-using EvaluateFn = std::function<double(const Config&)>;
-
-/// Batched metric evaluation: values[i] must correspond to batch[i]. A
+/// Metric evaluation (λ = evaluateAccuracy in the paper), one batch of
+/// configurations at a time: values[i] must correspond to batch[i]. A
 /// batch implementation may execute the underlying simulations in
 /// parallel, but must return the same values a serial left-to-right
 /// evaluation of the batch would produce.
 using BatchEvaluateFn =
     std::function<std::vector<double>(const std::vector<Config>&)>;
-
-/// Adapt a scalar evaluator into a batch evaluator that evaluates the
-/// candidates serially in index order (the serial reference semantics).
-/// The returned callable references `evaluate` — do not outlive it.
-BatchEvaluateFn serialize_evaluator(const EvaluateFn& evaluate);
 
 /// The winner of a candidate competition: the index of the largest λ, the
 /// lowest index on ties; lambdas.size() when no λ beats -inf (every
@@ -58,29 +51,17 @@ struct MinPlusOneResult {
   bool constraint_met = false;        ///< λ(w_res) >= λm.
 };
 
-/// Phase 1: per-variable minimum word lengths (Algorithm 1). The shared
-/// all-Nmax warm-up configuration is evaluated exactly once, not once per
-/// variable. Throws std::invalid_argument on nv == 0 or w_min > w_max.
-Config determine_min_word_lengths(const EvaluateFn& evaluate,
-                                  const MinPlusOneOptions& options);
-
-/// Phase 2: greedy ascent from a starting vector (Algorithm 2).
-MinPlusOneResult optimize_word_lengths(const EvaluateFn& evaluate,
-                                       const MinPlusOneOptions& options,
-                                       Config start);
-
-/// Phase 2 with batched candidate competitions: each greedy step submits
-/// all +1-bit candidates as one batch; ties resolve to the lowest variable
-/// index, exactly as the scalar overload does.
+/// Phase 2: greedy ascent from a starting vector (Algorithm 2). Each
+/// greedy step submits all +1-bit candidates as one batch; ties resolve to
+/// the lowest variable index.
 MinPlusOneResult optimize_word_lengths(const BatchEvaluateFn& evaluate,
                                        const MinPlusOneOptions& options,
                                        Config start);
 
-/// Both phases chained — the full min+1 bit algorithm.
-MinPlusOneResult min_plus_one(const EvaluateFn& evaluate,
-                              const MinPlusOneOptions& options);
-
-/// Full algorithm with batched phase-2 competitions.
+/// Both phases chained — the full min+1 bit algorithm. Phase 1 (Algorithm
+/// 1) finds the per-variable minimum word lengths, evaluating the shared
+/// all-Nmax warm-up configuration exactly once, not once per variable.
+/// Throws std::invalid_argument on nv == 0, w_min > w_max or w_min < 2.
 MinPlusOneResult min_plus_one(const BatchEvaluateFn& evaluate,
                               const MinPlusOneOptions& options);
 
@@ -88,7 +69,7 @@ MinPlusOneResult min_plus_one(const BatchEvaluateFn& evaluate,
 // Resumable execution (the substrate of dse/checkpoint).
 //
 // The full algorithm is re-expressed as a cursor plus a step function; the
-// batch overloads above run the cursor to completion, so there is exactly
+// entry points above run the cursor to completion, so there is exactly
 // one implementation of the optimizer semantics. A cursor captured between
 // steps, persisted, and stepped again continues bit-identically: each step
 // is a pure function of (cursor, evaluator state), and the checkpoint

@@ -1,15 +1,17 @@
 // Evaluators bound to a kriging policy: the one way to put the paper's
 // simulate-or-interpolate decision under an optimizer.
 //
-// policy_evaluator() is the scalar EvaluateFn for the optimizers'
-// one-configuration-at-a-time calls; policy_batch_evaluator() is the
-// BatchEvaluateFn for their batched candidate competitions. Both read
-// and feed the same KrigingPolicy, so the caller reads the evaluation
-// counters from its own policy (KrigingPolicy::stats()).
+// Both return a BatchEvaluateFn that reads and feeds the same
+// KrigingPolicy, so the caller reads the evaluation counters from its own
+// policy (KrigingPolicy::stats()). policy_evaluator() puts a batch's
+// candidates to the policy one at a time in index order, as the paper's
+// Algorithms 1-2 do; policy_batch_evaluator() partitions each candidate
+// set against the store as it stands and fans the pending simulations out
+// to a pool or backend.
 #pragma once
 
 #include "dse/kriging_policy.hpp"
-#include "dse/min_plus_one.hpp"  // EvaluateFn, BatchEvaluateFn
+#include "dse/min_plus_one.hpp"  // BatchEvaluateFn
 
 namespace ace::util {
 class ThreadPool;
@@ -17,20 +19,21 @@ class ThreadPool;
 
 namespace ace::dse {
 
-/// An EvaluateFn returning policy.evaluate(c, simulate).value: λ
-/// interpolated when the neighbourhood allows, simulated otherwise, and a
-/// repeated configuration served from the policy's store. Throws
-/// std::invalid_argument on a null simulator. The returned callable
-/// references `policy` and copies `simulate`; it must not outlive the
-/// policy.
-EvaluateFn policy_evaluator(KrigingPolicy& policy, SimulatorFn simulate);
+/// A BatchEvaluateFn returning, for each candidate in index order,
+/// policy.evaluate(c, simulate).value: λ interpolated when the
+/// neighbourhood allows, simulated otherwise, and a repeated configuration
+/// served from the policy's store. Each candidate sees the store as the
+/// previous ones left it. Throws std::invalid_argument on a null
+/// simulator. The returned callable references `policy` and copies
+/// `simulate`; it must not outlive the policy.
+BatchEvaluateFn policy_evaluator(KrigingPolicy& policy, SimulatorFn simulate);
 
 /// Glue for the optimizers' batched candidate competitions: a
 /// BatchEvaluateFn that feeds each candidate set through
 /// KrigingPolicy::evaluate_batch, fanning pending simulations out to
-/// `pool` (inline when null). The returned callable references `policy`
-/// and copies `simulate`; it must not outlive either the policy or the
-/// pool.
+/// `pool` (inline when null). Throws std::invalid_argument on a null
+/// simulator. The returned callable references `policy` and copies
+/// `simulate`; it must not outlive either the policy or the pool.
 BatchEvaluateFn policy_batch_evaluator(KrigingPolicy& policy,
                                        SimulatorFn simulate,
                                        util::ThreadPool* pool = nullptr);

@@ -86,11 +86,4 @@ SensitivityResult steepest_descent_budgeting(
   return sensitivity_result(cursor);
 }
 
-SensitivityResult steepest_descent_budgeting(
-    const EvaluateFn& evaluate, const SensitivityOptions& options) {
-  // Serial reference path: candidates evaluated left-to-right in index
-  // order, exactly as the historical per-candidate loop did.
-  return steepest_descent_budgeting(serialize_evaluator(evaluate), options);
-}
-
 }  // namespace ace::dse

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "dse/config.hpp"
-#include "dse/min_plus_one.hpp"  // EvaluateFn
+#include "dse/min_plus_one.hpp"  // BatchEvaluateFn
 
 namespace ace::dse {
 
@@ -32,20 +32,16 @@ struct SensitivityResult {
   bool feasible = false;              ///< Start already met the constraint.
 };
 
-/// Run the budgeting descent. Throws std::invalid_argument on nv == 0 or
+/// Run the budgeting descent. Each relaxation step submits all candidate
+/// -1-level moves as one batch (parallelizable); ties resolve to the
+/// lowest source index. Throws std::invalid_argument on nv == 0 or
 /// level_min > level_max.
-SensitivityResult steepest_descent_budgeting(const EvaluateFn& evaluate,
-                                             const SensitivityOptions& options);
-
-/// Batched variant: each relaxation step submits all candidate -1-level
-/// moves as one batch (parallelizable); ties resolve to the lowest source
-/// index, exactly as the scalar overload does.
 SensitivityResult steepest_descent_budgeting(const BatchEvaluateFn& evaluate,
                                              const SensitivityOptions& options);
 
 // ---------------------------------------------------------------------------
 // Resumable execution (the substrate of dse/checkpoint). Mirrors the
-// MinPlusOneCursor contract: the overloads above run the cursor to
+// MinPlusOneCursor contract: the entry point above runs the cursor to
 // completion, so there is exactly one implementation of the descent.
 // ---------------------------------------------------------------------------
 

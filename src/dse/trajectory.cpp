@@ -1,10 +1,13 @@
 #include "dse/trajectory.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 
 #include "metrics/error_metrics.hpp"
 #include "metrics/noise_power.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ace::dse {
 
@@ -14,20 +17,41 @@ TrajectoryRecorder::TrajectoryRecorder(SimulatorFn simulate)
     throw std::invalid_argument("TrajectoryRecorder: null simulator");
 }
 
-double TrajectoryRecorder::evaluate(const Config& config) {
-  if (const auto it = cache_.find(config); it != cache_.end()) {
-    ++cache_hits_;
-    return it->second;
-  }
-  const double value = simulate_(config);
-  cache_.emplace(config, value);
-  trajectory_.configs.push_back(config);
-  trajectory_.values.push_back(value);
-  return value;
+BatchEvaluateFn TrajectoryRecorder::evaluator(util::ThreadPool* pool) {
+  return [this, pool](const std::vector<Config>& batch) {
+    return evaluate(batch, pool);
+  };
 }
 
-SimulatorFn TrajectoryRecorder::as_simulator() {
-  return [this](const Config& c) { return evaluate(c); };
+std::vector<double> TrajectoryRecorder::evaluate(
+    const std::vector<Config>& batch, util::ThreadPool* pool) {
+  // The batch's configurations not yet recorded, each once, in candidate
+  // order (batches are an optimizer step's Nv candidates: a linear scan
+  // for in-batch duplicates is cheaper than a second hash set).
+  std::vector<Config> fresh;
+  for (const Config& c : batch)
+    if (!cache_.contains(c) &&
+        std::find(fresh.begin(), fresh.end(), c) == fresh.end())
+      fresh.push_back(c);
+
+  std::vector<double> lambdas(fresh.size());
+  const std::vector<util::TaskError> errors =
+      util::parallel_for_indexed_collect(
+          pool, fresh.size(),
+          [&](std::size_t i) { lambdas[i] = simulate_(fresh[i]); });
+  const std::size_t recorded =
+      errors.empty() ? fresh.size() : errors.front().index;
+  for (std::size_t i = 0; i < recorded; ++i) {
+    cache_.emplace(fresh[i], lambdas[i]);
+    trajectory_.configs.push_back(std::move(fresh[i]));
+    trajectory_.values.push_back(lambdas[i]);
+  }
+  if (!errors.empty()) std::rethrow_exception(errors.front().error);
+
+  std::vector<double> values;
+  values.reserve(batch.size());
+  for (const Config& c : batch) values.push_back(cache_.at(c));
+  return values;
 }
 
 double ReplayReport::interpolated_fraction() const {

@@ -11,6 +11,11 @@
 
 #include "dse/config.hpp"
 #include "dse/kriging_policy.hpp"
+#include "dse/min_plus_one.hpp"  // BatchEvaluateFn
+
+namespace ace::util {
+class ThreadPool;
+}
 
 namespace ace::dse {
 
@@ -26,23 +31,29 @@ struct Trajectory {
 /// is never re-simulated) and records each *first* evaluation in order.
 class TrajectoryRecorder {
  public:
+  /// Throws std::invalid_argument on a null simulator.
   explicit TrajectoryRecorder(SimulatorFn simulate);
 
-  /// Evaluate (from cache or by simulation).
-  double evaluate(const Config& config);
-
-  /// Evaluation callable bound to this recorder.
-  SimulatorFn as_simulator();
+  /// The exact evaluator bound to this recorder. Each batch is deduped
+  /// against the record and within itself; the new configurations are
+  /// simulated on `pool` (inline when null) and appended to the record in
+  /// candidate order, so the trajectory is the same bytes with or without
+  /// a pool. A failed simulation rethrows the lowest-index failure after
+  /// recording the configurations before it, as a serial run would. The
+  /// returned callable references this recorder and `pool`; it must not
+  /// outlive either.
+  BatchEvaluateFn evaluator(util::ThreadPool* pool = nullptr);
 
   const Trajectory& trajectory() const { return trajectory_; }
   std::size_t unique_evaluations() const { return trajectory_.size(); }
-  std::size_t cache_hits() const { return cache_hits_; }
 
  private:
+  std::vector<double> evaluate(const std::vector<Config>& batch,
+                               util::ThreadPool* pool);
+
   SimulatorFn simulate_;
   Trajectory trajectory_;
   std::unordered_map<Config, double, ConfigHash> cache_;
-  std::size_t cache_hits_ = 0;
 };
 
 /// How interpolation error ε is expressed (paper Eqs. 11-12).

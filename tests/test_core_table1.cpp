@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace {
 
 namespace c = ace::core;
@@ -71,6 +73,27 @@ TEST(Table1, TrajectoryHasNoDuplicateConfigs) {
   for (std::size_t i = 0; i < t.size(); ++i)
     for (std::size_t j = i + 1; j < t.size(); ++j)
       EXPECT_NE(t.configs[i], t.configs[j]) << i << " vs " << j;
+}
+
+TEST(Table1, PooledExactRunMatchesInline) {
+  // The exact run simulates each step's candidates on the pool; the
+  // recorded trajectory, the solution and every row keep their bits.
+  c::SignalBenchOptions o;
+  o.samples = 128;
+  o.lambda_min_db = 40.0;
+  const auto bench = c::make_iir_benchmark(o);
+  const auto serial = c::run_table1(bench, {2, 4});
+  ace::util::ThreadPool pool(3);
+  const auto pooled = c::run_table1(bench, {2, 4}, {}, &pool);
+  EXPECT_EQ(pooled.trajectory.configs, serial.trajectory.configs);
+  EXPECT_EQ(pooled.trajectory.values, serial.trajectory.values);
+  EXPECT_EQ(pooled.exact_solution, serial.exact_solution);
+  EXPECT_EQ(pooled.exact_lambda, serial.exact_lambda);
+  ASSERT_EQ(pooled.rows.size(), serial.rows.size());
+  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+    EXPECT_EQ(pooled.rows[i].p_percent, serial.rows[i].p_percent);
+    EXPECT_EQ(pooled.rows[i].eps_mean, serial.rows[i].eps_mean);
+  }
 }
 
 TEST(MeasureSpeedup, ReportsConsistentNumbers) {

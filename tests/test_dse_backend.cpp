@@ -449,6 +449,24 @@ TEST(SplittingSimulator, SqueezeNetSteepestDescentMatchesInline) {
   expect_split_independent(ace::core::make_squeezenet_benchmark(options));
 }
 
+// A null simulator is rejected where every SimulatorFn path of the policy
+// passes, the PooledBatchSimulator constructor, instead of faulting inside
+// the retry guard and quarantining every configuration it was asked for.
+TEST(BatchBackend, NullSimulatorIsRejectedNotQuarantined) {
+  EXPECT_THROW(d::PooledBatchSimulator(nullptr, {}), std::invalid_argument);
+  u::ThreadPool pool(2);
+  d::KrigingPolicy policy(pure_simulation());
+  EXPECT_THROW((void)policy.evaluate({1, 1}, nullptr), std::invalid_argument);
+  EXPECT_THROW(
+      (void)policy.evaluate_batch({{1, 1}, {2, 1}}, nullptr, &pool),
+      std::invalid_argument);
+  const d::PolicyStats stats = policy.stats();
+  EXPECT_EQ(stats.total, 0u);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(stats.simulator_faults, 0u);
+  EXPECT_EQ(policy.store().quarantine_count(), 0u);
+}
+
 class MiscountingBackendTest : public ::testing::TestWithParam<int> {};
 
 // The result[i] <-> configs[i] contract starts with the count: a backend

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace {
 
@@ -20,19 +21,46 @@ struct SeparableSurface {
   }
 };
 
+/// A BatchEvaluateFn that puts each candidate to `f` in index order.
+template <typename F>
+d::BatchEvaluateFn each(F f) {
+  return [f](const std::vector<d::Config>& batch) {
+    std::vector<double> values;
+    for (const d::Config& w : batch) values.push_back(f(w));
+    return values;
+  };
+}
+
+const d::BatchEvaluateFn kSeparable = each(SeparableSurface{});
+
+/// Phase 1 alone (Algorithm 1): a full-run cursor stepped until phase 2
+/// begins, one variable's descent per step.
+d::Config phase1(const d::BatchEvaluateFn& evaluate,
+                 const d::MinPlusOneOptions& o) {
+  d::MinPlusOneCursor cursor = d::make_min_plus_one_cursor(o);
+  std::size_t steps = 0;
+  while (cursor.phase == 1) {
+    EXPECT_TRUE(d::min_plus_one_step(evaluate, o, cursor));
+    ++steps;
+  }
+  EXPECT_EQ(steps, o.nv);
+  EXPECT_EQ(cursor.w, cursor.w_min);  // Phase 2 starts from the result.
+  return cursor.w_min;
+}
+
 TEST(MinPlusOne, OptionValidation) {
   d::MinPlusOneOptions o;
   o.nv = 0;
-  EXPECT_THROW((void)d::min_plus_one(SeparableSurface{}, o),
+  EXPECT_THROW((void)d::min_plus_one(kSeparable, o),
                std::invalid_argument);
   o.nv = 2;
   o.w_min = 10;
   o.w_max = 5;
-  EXPECT_THROW((void)d::min_plus_one(SeparableSurface{}, o),
+  EXPECT_THROW((void)d::min_plus_one(kSeparable, o),
                std::invalid_argument);
   o.w_min = 1;
   o.w_max = 8;
-  EXPECT_THROW((void)d::min_plus_one(SeparableSurface{}, o),
+  EXPECT_THROW((void)d::min_plus_one(kSeparable, o),
                std::invalid_argument);
 }
 
@@ -44,7 +72,7 @@ TEST(MinPlusOnePhase1, FindsPerVariableMinimum) {
   o.w_max = 16;
   o.w_min = 2;
   o.lambda_min = 120.0;
-  const auto w_min = d::determine_min_word_lengths(SeparableSurface{}, o);
+  const auto w_min = phase1(kSeparable, o);
   ASSERT_EQ(w_min.size(), 2u);
   EXPECT_EQ(w_min[0], 10);
   EXPECT_EQ(w_min[1], 10);
@@ -56,7 +84,7 @@ TEST(MinPlusOnePhase1, FloorIsRespectedWhenConstraintNeverBreaks) {
   o.w_max = 12;
   o.w_min = 2;
   o.lambda_min = -1000.0;  // Always satisfied.
-  const auto w_min = d::determine_min_word_lengths(SeparableSurface{}, o);
+  const auto w_min = phase1(kSeparable, o);
   for (int wi : w_min) EXPECT_EQ(wi, 2);
 }
 
@@ -66,7 +94,7 @@ TEST(MinPlusOnePhase1, StuckAtMaxWhenConstraintUnreachable) {
   o.w_max = 16;
   o.w_min = 2;
   o.lambda_min = 1e9;  // Unreachable.
-  const auto w_min = d::determine_min_word_lengths(SeparableSurface{}, o);
+  const auto w_min = phase1(kSeparable, o);
   // First decrement already violates, so the +1 backoff restores w_max.
   for (int wi : w_min) EXPECT_EQ(wi, 16);
 }
@@ -78,13 +106,28 @@ TEST(MinPlusOnePhase2, ClimbsUntilConstraintMet) {
   o.w_min = 2;
   o.lambda_min = 150.0;  // From (4,4,4): λ = 3·6·2 = 36 — must climb.
   const auto result =
-      d::optimize_word_lengths(SeparableSurface{}, o, {4, 4, 4});
+      d::optimize_word_lengths(kSeparable, o, {4, 4, 4});
   EXPECT_TRUE(result.constraint_met);
   EXPECT_GE(result.final_lambda, o.lambda_min);
   // λ increments are 6 per bit: needs ceil((150−36)/6) = 19 steps.
   EXPECT_EQ(result.decisions.size(), 19u);
   // Greedy should not exceed the constraint by more than one step's gain.
   EXPECT_LT(result.final_lambda, o.lambda_min + 6.0);
+}
+
+TEST(MinPlusOnePhase2, TiesGoToTheLowestVariableIndex) {
+  // Every +1 bit below saturation gains the same 6: variable 0 wins each
+  // tie until it saturates at 14, then variable 1 takes over.
+  d::MinPlusOneOptions o;
+  o.nv = 3;
+  o.w_max = 16;
+  o.w_min = 2;
+  o.lambda_min = 150.0;
+  const auto result = d::optimize_word_lengths(kSeparable, o, {4, 4, 4});
+  std::vector<std::size_t> expected(10, 0);
+  expected.insert(expected.end(), 9, 1);
+  EXPECT_EQ(result.decisions, expected);
+  EXPECT_EQ(result.w_res, (d::Config{14, 13, 4}));
 }
 
 TEST(MinPlusOnePhase2, SaturatesGracefullyWhenUnreachable) {
@@ -94,7 +137,7 @@ TEST(MinPlusOnePhase2, SaturatesGracefullyWhenUnreachable) {
   o.w_min = 2;
   o.lambda_min = 1e9;
   const auto result =
-      d::optimize_word_lengths(SeparableSurface{}, o, {2, 2});
+      d::optimize_word_lengths(kSeparable, o, {2, 2});
   EXPECT_FALSE(result.constraint_met);
   EXPECT_EQ(result.w_res, (d::Config{6, 6}));  // All at w_max.
 }
@@ -102,7 +145,7 @@ TEST(MinPlusOnePhase2, SaturatesGracefullyWhenUnreachable) {
 TEST(MinPlusOnePhase2, StartSizeMismatchThrows) {
   d::MinPlusOneOptions o;
   o.nv = 3;
-  EXPECT_THROW((void)d::optimize_word_lengths(SeparableSurface{}, o, {4, 4}),
+  EXPECT_THROW((void)d::optimize_word_lengths(kSeparable, o, {4, 4}),
                std::invalid_argument);
 }
 
@@ -116,7 +159,7 @@ TEST(MinPlusOnePhase2, PrefersTheMostValuableVariable) {
   o.w_max = 16;
   o.w_min = 2;
   o.lambda_min = 40.0;
-  const auto result = d::optimize_word_lengths(surface, o, {2, 2});
+  const auto result = d::optimize_word_lengths(each(surface), o, {2, 2});
   EXPECT_TRUE(result.constraint_met);
   // All early decisions should pick variable 0 (biggest gain).
   ASSERT_FALSE(result.decisions.empty());
@@ -129,7 +172,7 @@ TEST(MinPlusOne, FullAlgorithmEndsFeasibleAndRecordsPhases) {
   o.w_max = 16;
   o.w_min = 2;
   o.lambda_min = 200.0;
-  const auto result = d::min_plus_one(SeparableSurface{}, o);
+  const auto result = d::min_plus_one(kSeparable, o);
   EXPECT_TRUE(result.constraint_met);
   EXPECT_EQ(result.w_min.size(), 4u);
   EXPECT_EQ(result.w_res.size(), 4u);
@@ -153,57 +196,23 @@ TEST(MinPlusOnePhase1, AllMaxConfigIsEvaluatedExactlyOnce) {
   const d::Config all_max(o.nv, o.w_max);
   std::size_t all_max_evals = 0;
   std::size_t total_evals = 0;
-  const auto counted = [&](const d::Config& w) {
-    ++total_evals;
-    if (w == all_max) ++all_max_evals;
-    return SeparableSurface{}(w);
+  std::size_t batches = 0;
+  const d::BatchEvaluateFn counted = [&](const std::vector<d::Config>& b) {
+    // Each phase-1 evaluation depends on the previous λ: batches of one.
+    EXPECT_EQ(b.size(), 1u);
+    ++batches;
+    for (const d::Config& w : b) {
+      ++total_evals;
+      if (w == all_max) ++all_max_evals;
+    }
+    return kSeparable(b);
   };
-  const auto w_min = d::determine_min_word_lengths(counted, o);
+  const auto w_min = phase1(counted, o);
   EXPECT_EQ(all_max_evals, 1u);
   // The hoisted warm-up is the only evaluation besides the descents.
   EXPECT_EQ(total_evals, 1u + 6u * 5u);  // 5 decrements per variable.
-  EXPECT_EQ(w_min, d::determine_min_word_lengths(SeparableSurface{}, o));
-}
-
-TEST(MinPlusOne, BatchOverloadMatchesScalar) {
-  auto surface = [](const d::Config& w) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < w.size(); ++i)
-      acc += (4.0 + static_cast<double>(i)) * (w[i] - 2);
-    return acc;
-  };
-  d::MinPlusOneOptions o;
-  o.nv = 4;
-  o.w_max = 14;
-  o.w_min = 2;
-  o.lambda_min = 180.0;
-
-  const auto scalar = d::min_plus_one(surface, o);
-  const d::BatchEvaluateFn batched = [&](const std::vector<d::Config>& b) {
-    std::vector<double> values;
-    for (const auto& w : b) values.push_back(surface(w));
-    return values;
-  };
-  const auto batch = d::min_plus_one(batched, o);
-
-  EXPECT_EQ(batch.w_min, scalar.w_min);
-  EXPECT_EQ(batch.w_res, scalar.w_res);
-  EXPECT_EQ(batch.decisions, scalar.decisions);
-  EXPECT_DOUBLE_EQ(batch.final_lambda, scalar.final_lambda);
-  EXPECT_EQ(batch.constraint_met, scalar.constraint_met);
-}
-
-TEST(MinPlusOne, SerializeEvaluatorPreservesIndexOrder) {
-  std::vector<d::Config> seen;
-  const d::EvaluateFn record = [&](const d::Config& w) {
-    seen.push_back(w);
-    return 0.0;
-  };
-  const auto batched = d::serialize_evaluator(record);
-  const std::vector<d::Config> batch = {{1, 1}, {2, 2}, {3, 3}};
-  const auto values = batched(batch);
-  EXPECT_EQ(values, std::vector<double>(3, 0.0));
-  EXPECT_EQ(seen, batch);
+  EXPECT_EQ(batches, total_evals);
+  EXPECT_EQ(w_min, phase1(kSeparable, o));
 }
 
 TEST(MinPlusOne, MaxStepsCapIsHonoured) {
@@ -213,7 +222,7 @@ TEST(MinPlusOne, MaxStepsCapIsHonoured) {
   o.w_min = 2;
   o.lambda_min = 1e9;
   o.max_steps = 3;
-  const auto result = d::optimize_word_lengths(SeparableSurface{}, o, {2, 2});
+  const auto result = d::optimize_word_lengths(kSeparable, o, {2, 2});
   EXPECT_LE(result.decisions.size(), 3u);
   EXPECT_FALSE(result.constraint_met);
 }

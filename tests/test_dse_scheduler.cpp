@@ -25,10 +25,32 @@ d::PolicyOptions options_with(int distance) {
   return o;
 }
 
+/// λ of one configuration through a batch evaluator.
+double one(const d::BatchEvaluateFn& evaluate, d::Config c) {
+  return evaluate({std::move(c)}).front();
+}
+
 TEST(PolicyEvaluator, NullSimulatorThrows) {
   d::KrigingPolicy policy(options_with(2));
   EXPECT_THROW((void)d::policy_evaluator(policy, nullptr),
                std::invalid_argument);
+}
+
+TEST(PolicyEvaluator, EvaluatesCandidatesOneByOneInIndexOrder) {
+  // Each candidate sees the store as the previous one left it: the
+  // repeat of {3, 3} later in the batch is the store's exact hit.
+  std::vector<d::Config> simulated;
+  d::KrigingPolicy policy(options_with(0));
+  const d::BatchEvaluateFn evaluate =
+      d::policy_evaluator(policy, [&](const d::Config& w) {
+        simulated.push_back(w);
+        return smooth_surface(w);
+      });
+  const std::vector<d::Config> batch = {{3, 3}, {1, 1}, {3, 3}, {2, 2}};
+  EXPECT_EQ(evaluate(batch), (std::vector<double>{24.0, 8.0, 24.0, 16.0}));
+  EXPECT_EQ(simulated, (std::vector<d::Config>{{3, 3}, {1, 1}, {2, 2}}));
+  EXPECT_EQ(policy.stats().total, 4u);
+  EXPECT_EQ(policy.stats().exact_hits, 1u);
 }
 
 TEST(PolicyEvaluator, RepeatedConfigurationIsTheStoresExactHit) {
@@ -38,9 +60,9 @@ TEST(PolicyEvaluator, RepeatedConfigurationIsTheStoresExactHit) {
     return smooth_surface(w);
   };
   d::KrigingPolicy policy(options_with(2));
-  const d::EvaluateFn evaluate = d::policy_evaluator(policy, counted);
-  const double a = evaluate({4, 4});
-  const double b = evaluate({4, 4});
+  const d::BatchEvaluateFn evaluate = d::policy_evaluator(policy, counted);
+  const double a = one(evaluate, {4, 4});
+  const double b = one(evaluate, {4, 4});
   EXPECT_EQ(calls, 1u);
   EXPECT_DOUBLE_EQ(a, 32.0);
   EXPECT_DOUBLE_EQ(b, a);
@@ -58,9 +80,10 @@ TEST(PolicyEvaluator, RepeatedConfigurationIsTheStoresExactHit) {
 
 TEST(PolicyEvaluator, StatsAccumulateAcrossEvaluations) {
   d::KrigingPolicy policy(options_with(3));
-  const d::EvaluateFn evaluate = d::policy_evaluator(policy, smooth_surface);
+  const d::BatchEvaluateFn evaluate =
+      d::policy_evaluator(policy, smooth_surface);
   for (int x = 0; x < 4; ++x)
-    for (int y = 0; y < 4; ++y) (void)evaluate({x, y});
+    for (int y = 0; y < 4; ++y) (void)one(evaluate, {x, y});
   const d::PolicyStats stats = policy.stats();
   EXPECT_EQ(stats.total, 16u);
   EXPECT_EQ(stats.simulated + stats.interpolated, 16u);
@@ -119,31 +142,38 @@ TEST(PolicyEvaluator, SensitivityFlowKeepsQualityMetricConsistent) {
 }
 
 TEST(PolicyEvaluator, ValueIsThePolicysOutcomeValue) {
-  // Twin policies fed the same walk: the evaluator's value is, bit for
-  // bit, what KrigingPolicy::evaluate returns, interpolations included.
+  // Twin policies fed the same walk, one row per batch: the evaluator's
+  // value is, bit for bit, what KrigingPolicy::evaluate returns for each
+  // candidate in turn, interpolations included.
   d::KrigingPolicy bound(options_with(3));
   d::KrigingPolicy direct(options_with(3));
-  const d::EvaluateFn evaluate = d::policy_evaluator(bound, smooth_surface);
+  const d::BatchEvaluateFn evaluate =
+      d::policy_evaluator(bound, smooth_surface);
   std::size_t interpolated = 0;
-  for (int x = 0; x < 6; ++x)
-    for (int y = 0; y < 6; ++y) {
-      const d::EvalOutcome outcome = direct.evaluate({x, y}, smooth_surface);
-      EXPECT_EQ(evaluate({x, y}), outcome.value);
+  for (int x = 0; x < 6; ++x) {
+    std::vector<d::Config> row;
+    for (int y = 0; y < 6; ++y) row.push_back({x, y});
+    const std::vector<double> values = evaluate(row);
+    ASSERT_EQ(values.size(), row.size());
+    for (std::size_t y = 0; y < row.size(); ++y) {
+      const d::EvalOutcome outcome = direct.evaluate(row[y], smooth_surface);
+      EXPECT_EQ(values[y], outcome.value);
       if (outcome.interpolated) ++interpolated;
     }
+  }
   EXPECT_GT(interpolated, 0u);
   EXPECT_EQ(bound.stats(), direct.stats());
 }
 
 TEST(PolicyEvaluator, KeepsItsOwnCopyOfTheSimulator) {
   d::KrigingPolicy policy(options_with(2));
-  d::EvaluateFn evaluate;
+  d::BatchEvaluateFn evaluate;
   {
     d::SimulatorFn scoped = smooth_surface;
     evaluate = d::policy_evaluator(policy, scoped);
     scoped = [](const d::Config&) { return -1.0; };
   }
-  EXPECT_DOUBLE_EQ(evaluate({4, 4}), 32.0);
+  EXPECT_DOUBLE_EQ(one(evaluate, {4, 4}), 32.0);
 }
 
 TEST(PolicyEvaluator, FaultedSimulationScoresNegativeInfinity) {
@@ -152,17 +182,17 @@ TEST(PolicyEvaluator, FaultedSimulationScoresNegativeInfinity) {
   // quarantined so a repeat never reaches the simulator again.
   std::size_t calls = 0;
   d::KrigingPolicy policy(options_with(2));
-  const d::EvaluateFn evaluate =
+  const d::BatchEvaluateFn evaluate =
       d::policy_evaluator(policy, [&](const d::Config& w) -> double {
         ++calls;
         if (w == d::Config{9, 9}) throw std::runtime_error("broken");
         return smooth_surface(w);
       });
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(evaluate({9, 9}), -inf);
-  EXPECT_EQ(evaluate({9, 9}), -inf);
+  EXPECT_EQ(one(evaluate, {9, 9}), -inf);
+  EXPECT_EQ(one(evaluate, {9, 9}), -inf);
   EXPECT_EQ(calls, 1u);
-  EXPECT_DOUBLE_EQ(evaluate({2, 2}), 16.0);
+  EXPECT_DOUBLE_EQ(one(evaluate, {2, 2}), 16.0);
   const d::PolicyStats stats = policy.stats();
   EXPECT_EQ(stats.quarantined, 1u);
   EXPECT_EQ(stats.simulator_faults, 1u);
@@ -176,12 +206,24 @@ TEST(PolicyEvaluator, SharesTheStoreWithTheBatchEvaluator) {
   };
   d::KrigingPolicy policy(options_with(0));
   const d::BatchEvaluateFn batch = d::policy_batch_evaluator(policy, counted);
-  const d::EvaluateFn scalar = d::policy_evaluator(policy, counted);
+  const d::BatchEvaluateFn sequential = d::policy_evaluator(policy, counted);
   (void)batch({{1, 1}, {6, 2}});
   EXPECT_EQ(calls, 2u);
-  EXPECT_DOUBLE_EQ(scalar({6, 2}), 36.0);
+  EXPECT_DOUBLE_EQ(one(sequential, {6, 2}), 36.0);
   EXPECT_EQ(calls, 2u);
   EXPECT_EQ(policy.stats().exact_hits, 1u);
+}
+
+TEST(PolicyBatchEvaluator, NullSimulatorThrowsAtConstruction) {
+  // Rejected up front rather than quarantining every configuration as a
+  // thrown-simulator fault; the policy is left untouched.
+  d::KrigingPolicy policy(options_with(2));
+  ace::util::ThreadPool pool(2);
+  EXPECT_THROW((void)d::policy_batch_evaluator(policy, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW((void)d::policy_batch_evaluator(policy, nullptr, &pool),
+               std::invalid_argument);
+  EXPECT_EQ(policy.stats().total, 0u);
 }
 
 TEST(PolicyBatchEvaluator, ValuesFollowCandidateOrder) {

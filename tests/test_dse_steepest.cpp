@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace {
 
@@ -21,16 +22,25 @@ struct QualitySurface {
   }
 };
 
+/// A BatchEvaluateFn that puts each candidate to `q` in index order.
+d::BatchEvaluateFn each(const QualitySurface& q) {
+  return [q](const std::vector<d::Config>& batch) {
+    std::vector<double> values;
+    for (const d::Config& levels : batch) values.push_back(q(levels));
+    return values;
+  };
+}
+
 TEST(SteepestDescent, OptionValidation) {
   QualitySurface q{{1.0}};
   d::SensitivityOptions o;
   o.nv = 0;
-  EXPECT_THROW((void)d::steepest_descent_budgeting(q, o),
+  EXPECT_THROW((void)d::steepest_descent_budgeting(each(q), o),
                std::invalid_argument);
   o.nv = 1;
   o.level_min = 5;
   o.level_max = 3;
-  EXPECT_THROW((void)d::steepest_descent_budgeting(q, o),
+  EXPECT_THROW((void)d::steepest_descent_budgeting(each(q), o),
                std::invalid_argument);
 }
 
@@ -41,7 +51,7 @@ TEST(SteepestDescent, InfeasibleStartReturnsImmediately) {
   o.level_max = 2;
   o.level_min = 0;
   o.lambda_min = 0.99;
-  const auto r = d::steepest_descent_budgeting(q, o);
+  const auto r = d::steepest_descent_budgeting(each(q), o);
   EXPECT_FALSE(r.feasible);
   EXPECT_TRUE(r.decisions.empty());
   EXPECT_EQ(r.levels, (d::Config{2, 2}));
@@ -56,7 +66,7 @@ TEST(SteepestDescent, RelaxesUntilQualityBoundary) {
   o.level_max = 10;
   o.level_min = 0;
   o.lambda_min = 0.9;
-  const auto r = d::steepest_descent_budgeting(q, o);
+  const auto r = d::steepest_descent_budgeting(each(q), o);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.levels, (d::Config{4}));
   EXPECT_EQ(r.decisions.size(), 6u);  // 10 -> 4.
@@ -71,7 +81,7 @@ TEST(SteepestDescent, RelaxesLeastSensitiveSourceFirst) {
   o.level_max = 8;
   o.level_min = 0;
   o.lambda_min = 0.97;
-  const auto r = d::steepest_descent_budgeting(q, o);
+  const auto r = d::steepest_descent_budgeting(each(q), o);
   EXPECT_TRUE(r.feasible);
   ASSERT_FALSE(r.decisions.empty());
   EXPECT_EQ(r.decisions.front(), 1u);
@@ -86,7 +96,7 @@ TEST(SteepestDescent, FullyRelaxedStopsAtLevelMin) {
   o.level_max = 3;
   o.level_min = 0;
   o.lambda_min = 0.5;
-  const auto r = d::steepest_descent_budgeting(q, o);
+  const auto r = d::steepest_descent_budgeting(each(q), o);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.levels, (d::Config{0, 0}));
   EXPECT_EQ(r.decisions.size(), 6u);
@@ -99,31 +109,24 @@ TEST(SteepestDescent, MaxStepsCap) {
   o.level_max = 100;  // Would take 100 steps.
   o.lambda_min = 0.5;
   o.max_steps = 7;
-  const auto r = d::steepest_descent_budgeting(q, o);
+  const auto r = d::steepest_descent_budgeting(each(q), o);
   EXPECT_EQ(r.decisions.size(), 7u);
   EXPECT_EQ(r.levels[0], 93);
 }
 
-TEST(SteepestDescent, BatchOverloadMatchesScalar) {
-  QualitySurface q{{0.8, 0.1, 0.3}};
+TEST(SteepestDescent, TiesGoToTheLowestSourceIndex) {
+  // Equally sensitive sources tie at every step: the lower index is
+  // relaxed first, and the two then alternate.
+  QualitySurface q{{0.1, 0.1}};
   d::SensitivityOptions o;
-  o.nv = 3;
-  o.level_max = 9;
+  o.nv = 2;
+  o.level_max = 8;
   o.level_min = 0;
-  o.lambda_min = 0.95;
-
-  const auto scalar = d::steepest_descent_budgeting(q, o);
-  const d::BatchEvaluateFn batched = [&](const std::vector<d::Config>& b) {
-    std::vector<double> values;
-    for (const auto& levels : b) values.push_back(q(levels));
-    return values;
-  };
-  const auto batch = d::steepest_descent_budgeting(batched, o);
-
-  EXPECT_EQ(batch.levels, scalar.levels);
-  EXPECT_EQ(batch.decisions, scalar.decisions);
-  EXPECT_DOUBLE_EQ(batch.final_lambda, scalar.final_lambda);
-  EXPECT_EQ(batch.feasible, scalar.feasible);
+  o.lambda_min = 0.9;
+  const auto r = d::steepest_descent_budgeting(each(q), o);
+  ASSERT_GE(r.decisions.size(), 2u);
+  for (std::size_t k = 0; k < r.decisions.size(); ++k)
+    EXPECT_EQ(r.decisions[k], k % 2) << "step " << k;
 }
 
 TEST(SteepestDescent, NeverCommitsAnInfeasibleMove) {
@@ -133,7 +136,7 @@ TEST(SteepestDescent, NeverCommitsAnInfeasibleMove) {
   o.level_max = 6;
   o.level_min = 0;
   o.lambda_min = 0.8;
-  const auto r = d::steepest_descent_budgeting(q, o);
+  const auto r = d::steepest_descent_budgeting(each(q), o);
   EXPECT_TRUE(r.feasible);
   EXPECT_GE(r.final_lambda, 0.8);
   EXPECT_GE(q(r.levels), 0.8);

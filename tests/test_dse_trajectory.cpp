@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "dse/min_plus_one.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -21,11 +29,11 @@ TEST(TrajectoryRecorder, MemoizesAndRecordsInOrder) {
     ++calls;
     return static_cast<double>(c[0]);
   });
-  EXPECT_DOUBLE_EQ(rec.evaluate({3}), 3.0);
-  EXPECT_DOUBLE_EQ(rec.evaluate({5}), 5.0);
-  EXPECT_DOUBLE_EQ(rec.evaluate({3}), 3.0);  // Cache hit.
+  const d::BatchEvaluateFn evaluate = rec.evaluator();
+  EXPECT_EQ(evaluate({{3}}), std::vector<double>{3.0});
+  EXPECT_EQ(evaluate({{5}}), std::vector<double>{5.0});
+  EXPECT_EQ(evaluate({{3}}), std::vector<double>{3.0});  // Recorded.
   EXPECT_EQ(calls, 2u);
-  EXPECT_EQ(rec.cache_hits(), 1u);
   EXPECT_EQ(rec.unique_evaluations(), 2u);
   ASSERT_EQ(rec.trajectory().size(), 2u);
   EXPECT_EQ(rec.trajectory().configs[0], (d::Config{3}));
@@ -33,12 +41,94 @@ TEST(TrajectoryRecorder, MemoizesAndRecordsInOrder) {
   EXPECT_DOUBLE_EQ(rec.trajectory().values[1], 5.0);
 }
 
-TEST(TrajectoryRecorder, AsSimulatorSharesState) {
-  d::TrajectoryRecorder rec(
-      [](const d::Config& c) { return static_cast<double>(c[0] * 2); });
-  auto sim = rec.as_simulator();
-  EXPECT_DOUBLE_EQ(sim({4}), 8.0);
-  EXPECT_EQ(rec.unique_evaluations(), 1u);
+TEST(TrajectoryRecorder, DuplicatesInOneBatchSimulateOnce) {
+  std::vector<d::Config> simulated;
+  d::TrajectoryRecorder rec([&](const d::Config& c) {
+    simulated.push_back(c);
+    return 10.0 * c[0];
+  });
+  const auto values = rec.evaluator()({{7}, {2}, {7}, {2}, {9}});
+  EXPECT_EQ(values, (std::vector<double>{70.0, 20.0, 70.0, 20.0, 90.0}));
+  EXPECT_EQ(simulated, (std::vector<d::Config>{{7}, {2}, {9}}));
+  EXPECT_EQ(rec.trajectory().configs, simulated);
+  EXPECT_EQ(rec.trajectory().values, (std::vector<double>{70.0, 20.0, 90.0}));
+}
+
+TEST(TrajectoryRecorder, RecordedConfigurationsAreNotResimulated) {
+  std::vector<d::Config> simulated;
+  d::TrajectoryRecorder rec([&](const d::Config& c) {
+    simulated.push_back(c);
+    return 10.0 * c[0];
+  });
+  const d::BatchEvaluateFn evaluate = rec.evaluator();
+  (void)evaluate({{1}, {2}});
+  // Values follow candidate order whether served from the record or new.
+  EXPECT_EQ(evaluate({{2}, {3}, {1}}),
+            (std::vector<double>{20.0, 30.0, 10.0}));
+  EXPECT_EQ(simulated, (std::vector<d::Config>{{1}, {2}, {3}}));
+  EXPECT_EQ(rec.trajectory().configs, simulated);
+  EXPECT_TRUE(evaluate({}).empty());
+  EXPECT_EQ(rec.unique_evaluations(), 3u);
+}
+
+/// A pure simulator whose calls take uneven time, so pooled calls finish
+/// out of candidate order.
+double uneven(const d::Config& c) {
+  std::this_thread::sleep_for(std::chrono::microseconds(50 * (c[0] % 4)));
+  return std::sin(0.7 * c[0]) + 0.01 * c[1];
+}
+
+TEST(TrajectoryRecorder, PooledRunRecordsTheSameTrajectoryBytes) {
+  d::MinPlusOneOptions o;
+  o.nv = 2;
+  o.w_max = 12;
+  o.w_min = 2;
+  o.lambda_min = 0.9;
+  const auto run = [&](ace::util::ThreadPool* pool) {
+    d::TrajectoryRecorder rec(uneven);
+    const d::BatchEvaluateFn evaluate = rec.evaluator(pool);
+    // A whole batch of fresh candidates, one with a recorded twin, then a
+    // min+1 run that revisits recorded configurations.
+    (void)evaluate({{9, 1}, {3, 3}, {6, 2}, {3, 3}, {12, 12}});
+    (void)d::min_plus_one(evaluate, o);
+    return rec.trajectory();
+  };
+  const d::Trajectory serial = run(nullptr);
+  ace::util::ThreadPool pool(3);
+  const d::Trajectory pooled = run(&pool);
+  EXPECT_GT(serial.size(), 5u);
+  EXPECT_EQ(pooled.configs, serial.configs);
+  ASSERT_EQ(pooled.values.size(), serial.values.size());
+  for (std::size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled.values[i]),
+              std::bit_cast<std::uint64_t>(serial.values[i]))
+        << "entry " << i;
+}
+
+TEST(TrajectoryRecorder, LowestIndexFailureIsRethrown) {
+  const auto broken = [](const d::Config& c) -> double {
+    if (c[0] == 4 || c[0] == 6)
+      throw std::runtime_error("broken " + std::to_string(c[0]));
+    return c[0];
+  };
+  ace::util::ThreadPool pool(3);
+  for (ace::util::ThreadPool* p : {static_cast<ace::util::ThreadPool*>(nullptr),
+                                   &pool}) {
+    d::TrajectoryRecorder rec(broken);
+    const d::BatchEvaluateFn evaluate = rec.evaluator(p);
+    (void)evaluate({{2}});
+    try {
+      (void)evaluate({{1}, {2}, {6}, {3}, {4}});
+      ADD_FAILURE() << "no failure rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "broken 6");
+    }
+    // The record holds what a serial run held when candidate {6} threw.
+    EXPECT_EQ(rec.trajectory().configs, (std::vector<d::Config>{{2}, {1}}));
+    EXPECT_EQ(evaluate({{3}, {1}}), (std::vector<double>{3.0, 1.0}));
+    EXPECT_EQ(rec.trajectory().configs,
+              (std::vector<d::Config>{{2}, {1}, {3}}));
+  }
 }
 
 TEST(InterpolationEpsilon, AccuracyDbUsesEquation11) {

@@ -20,6 +20,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 flavours="${1:-all}"
 
+# The distinct executables of the tests ctest registers in build tree $1.
+live_test_binaries() {
+  ctest --test-dir "$1" --show-only=json-v1 | python3 -c '
+import json, sys
+tests = json.load(sys.stdin)["tests"]
+print("\n".join(sorted({t["command"][0] for t in tests if t.get("command")})))'
+}
+
 run_flavour() {
   preset="$1"
   echo "=== [$preset] configure + build ==="
@@ -28,20 +36,17 @@ run_flavour() {
   echo "=== [$preset] dse/kriging/serve/util + kernel test subset ==="
   # Run the gtest binaries directly: binary names carry the subsystem
   # prefix (ctest registers individual suite.case names, which don't).
-  for bin in "build-$preset"/tests/test_util_* \
-             "build-$preset"/tests/test_dse_* \
-             "build-$preset"/tests/test_serve_* \
-             "build-$preset"/tests/test_kriging_* \
-             "build-$preset"/tests/test_simd_* \
-             "build-$preset"/tests/test_property_* \
-             "build-$preset"/tests/test_policy_* \
-             "build-$preset"/tests/test_linalg_* \
-             "build-$preset"/tests/test_fixedpoint \
-             "build-$preset"/tests/test_signal_* \
-             "build-$preset"/tests/test_video* \
-             "build-$preset"/tests/test_nn \
-             "build-$preset"/tests/test_core_benchmarks; do
-    [ -x "$bin" ] || continue
+  # The binaries come from the tests ctest still registers in the tree, so
+  # a stale binary that a deleted test left behind never runs.
+  bins="$(live_test_binaries "build-$preset")"
+  for bin in $bins; do
+    case "$(basename "$bin")" in
+      test_util_* | test_dse_* | test_serve_* | test_kriging_* | \
+        test_simd_* | test_property_* | test_policy_* | test_linalg_* | \
+        test_fixedpoint | test_signal_* | test_video* | test_nn | \
+        test_core_benchmarks) ;;
+      *) continue ;;
+    esac
     echo "--- $bin"
     TIMEFORMAT="--- $bin: %R s"
     time "$bin" --gtest_brief=1
